@@ -34,14 +34,12 @@ from .trees import (
     canonical_code,
     contact_set,
     diameter,
-    distance_to_set,
     from_edge_list,
     from_graph6,
     format_edge_list_text,
     geodesic_path,
     inscribed_radius,
     invariants,
-    is_ball_approximation,
     parse_edge_list_text,
     relabel,
 )

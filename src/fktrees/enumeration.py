@@ -19,7 +19,8 @@ from typing import Iterator
 import networkx as nx
 
 from .errors import CapExceededError, EmptyInteriorError, TooSmallError
-from .trees import TreeWithBoundary, TreeInvariants, from_edge_list, invariants
+from .matching import matching_number
+from .trees import TreeWithBoundary, _check_leaf_boundary, diameter, from_edge_list
 
 __all__ = [
     "DEFAULT_CAP",
@@ -105,17 +106,6 @@ class ClassKey:
             return 1 <= self.k <= n - 2
         return 2 <= self.D <= n - 1  # ND
 
-    def contains(self, inv: TreeInvariants) -> bool:
-        if inv.n != self.n:
-            return False
-        if self.variant == "NM":
-            return inv.m == self.m
-        if self.variant == "NMB":
-            return inv.m == self.m and inv.b == self.b
-        if self.variant == "NK":
-            return inv.n - inv.b == self.k
-        return inv.D == self.D
-
     def __str__(self) -> str:
         if self.variant == "NM":
             return f"NM {self.n} {self.m}"
@@ -149,11 +139,12 @@ class ClassKey:
 
 
 def classify(tree: TreeWithBoundary) -> list[ClassKey]:
-    """The NM, NMB, NK and ND keys this tree belongs to."""
-    inv = invariants(tree)
+    """The NM, NMB, NK and ND keys of a tree with leaf boundary and n >= 3."""
+    _check_leaf_boundary(tree)
+    n, m, b = tree.n, matching_number(tree), len(tree.boundary)
     return [
-        ClassKey("NM", inv.n, m=inv.m),
-        ClassKey("NMB", inv.n, m=inv.m, b=inv.b),
-        ClassKey("NK", inv.n, k=inv.n - inv.b),
-        ClassKey("ND", inv.n, D=inv.D),
+        ClassKey("NM", n, m=m),
+        ClassKey("NMB", n, m=m, b=b),
+        ClassKey("NK", n, k=n - b),
+        ClassKey("ND", n, D=diameter(tree)),
     ]

@@ -40,9 +40,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def covers(self, v: int) -> bool:
-        return any(v in e for e in self.edges)
-
     def is_valid_for(self, tree: TreeWithBoundary) -> bool:
         seen: set[int] = set()
         for u, v in self.edges:

@@ -42,7 +42,6 @@ __all__ = [
     "path_eigenvalue",
     "eigenvalue_bounds",
     "extension_monotonicity_check",
-    "ExtensionReport",
     "zero_extension",
     "build_path",
 ]
@@ -57,9 +56,6 @@ class DirichletMatrix:
     order: int
     vertices: tuple[int, ...]  # interior vertex ids, ascending
     entries: np.ndarray
-
-    def index_of(self, v: int) -> int:
-        return self.vertices.index(v)
 
 
 @dataclass(frozen=True, eq=False)

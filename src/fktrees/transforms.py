@@ -71,7 +71,6 @@ def _apply(
     tree: TreeWithBoundary,
     removed: Sequence[Edge],
     inserted: Sequence[Edge],
-    reject_invalid_interior: bool,
 ) -> TreeWithBoundary:
     """Rebuild the tree with the substituted edges and the same boundary."""
     edges = set(tree.edges)
@@ -82,11 +81,9 @@ def _apply(
     try:
         return from_edge_list(tree.n, sorted(edges), sorted(tree.boundary))
     except (DisconnectedInteriorError, EmptyInteriorError) as exc:
-        if reject_invalid_interior:
-            raise PreconditionViolatedError(
-                f"rewrite leaves an invalid interior: {exc}"
-            ) from exc
-        raise ResultNotTreeError(str(exc)) from exc
+        raise PreconditionViolatedError(
+            f"rewrite leaves an invalid interior: {exc}"
+        ) from exc
     except Exception as exc:
         raise ResultNotTreeError(str(exc)) from exc
 
@@ -118,7 +115,7 @@ def switching(
         raise PreconditionViolatedError(f"u1 = {u1} lies on the v1-v2 path")
     removed = (_norm(v1, u1), _norm(v2, u2))
     inserted = (_norm(v1, v2), _norm(u1, u2))
-    new_tree = _apply(tree, removed, inserted, reject_invalid_interior=True)
+    new_tree = _apply(tree, removed, inserted)
     delta = None
     if f is not None:
         fh = zero_extension(tree, f)
@@ -147,7 +144,7 @@ def shifting(
         raise PreconditionViolatedError(f"u = {u} lies on the v1-v2 path")
     removed = (_norm(u, v1),)
     inserted = (_norm(u, v2),)
-    new_tree = _apply(tree, removed, inserted, reject_invalid_interior=True)
+    new_tree = _apply(tree, removed, inserted)
     delta = None
     if f is not None:
         fh = zero_extension(tree, f)
@@ -182,7 +179,7 @@ def jumping(
         raise PreconditionViolatedError(f"u = {u} has no boundary neighbor")
     removed = (_norm(u, v1),)
     inserted = (_norm(v1, v2),)
-    new_tree = _apply(tree, removed, inserted, reject_invalid_interior=True)
+    new_tree = _apply(tree, removed, inserted)
     delta = None
     if f is not None:
         fh = zero_extension(tree, f)

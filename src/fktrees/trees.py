@@ -41,8 +41,6 @@ __all__ = [
     "diameter",
     "inscribed_radius",
     "bfs_distances",
-    "distance_to_set",
-    "is_ball_approximation",
     "relabel",
     "parse_edge_list_text",
     "format_edge_list_text",
@@ -257,15 +255,6 @@ def geodesic_path(tree: TreeWithBoundary, u: int, v: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def distance_to_set(tree: TreeWithBoundary, v: int, targets: Iterable[int]) -> int:
-    """min distance from v to a nonempty vertex set; empty set is an error."""
-    tset = set(targets)
-    if not tset:
-        raise InvalidBoundaryError("distance to an empty vertex set is undefined")
-    dist = bfs_distances(tree, v)
-    return min(dist[t] for t in tset)
-
-
 def diameter(tree: TreeWithBoundary) -> int:
     """Max pairwise distance, via the classic double BFS."""
     d0 = bfs_distances(tree, 0)
@@ -300,14 +289,20 @@ def contact_set(tree: TreeWithBoundary) -> tuple[int, ...]:
     )
 
 
-def invariants(tree: TreeWithBoundary) -> TreeInvariants:
-    """All seven classification invariants (requires leaf boundary, n >= 3)."""
+def _check_leaf_boundary(tree: TreeWithBoundary) -> None:
+    """Raise unless the tree has n >= 3 and its boundary is its leaf set,
+    the setting in which the classification invariants are defined."""
     if tree.n < 3:
         raise TooSmallError(f"invariants need n >= 3, got n = {tree.n}")
     if tree.boundary != frozenset(tree.leaves):
         raise InvalidBoundaryError(
             "invariants are defined for the leaf-boundary convention only"
         )
+
+
+def invariants(tree: TreeWithBoundary) -> TreeInvariants:
+    """All seven classification invariants (requires leaf boundary, n >= 3)."""
+    _check_leaf_boundary(tree)
     from .matching import matching_number  # local import: matching builds on trees
 
     n = tree.n
@@ -317,15 +312,6 @@ def invariants(tree: TreeWithBoundary) -> TreeInvariants:
     r = inscribed_radius(tree)
     contact = len(contact_set(tree))
     return TreeInvariants(n=n, m=m, b=b, D=D, r=r, contact=contact, t=2 * m + b - n)
-
-
-def is_ball_approximation(tree: TreeWithBoundary, center: int, radius: int) -> bool:
-    """True when every boundary vertex sits at distance radius or radius+1
-    from ``center``.  Recorded as a predicate only; nothing downstream
-    consumes it."""
-    _check_vertex(center, tree.n)
-    dist = bfs_distances(tree, center)
-    return all(dist[w] in (radius, radius + 1) for w in tree.boundary)
 
 
 # -- canonical codes ---------------------------------------------------------

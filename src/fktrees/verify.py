@@ -10,23 +10,31 @@ set equality of canonical codes; the diameter classes with D >= 5 are only
 conjectured, so their verdicts are CONJECTURE-MATCH (every minimizer is one
 of the conjectured candidates) or CONJECTURE-MISMATCH.
 
-Sweeps iterate all feasible keys of one theorem up to a maximum order,
-enumerating each order once and bucketing the population by key.  With
-jobs > 1 the per-order work runs in separate processes; results are merged
-in sorted key order, so the output is deterministic either way.
+Certificates are made per order, in one streaming pass over its trees that
+classifies each tree once and buckets the population by key; a tree in no
+requested key is skipped without an eigensolve.  Each key keeps its
+population, its running minimal eigenvalue and the trees within the tie
+tolerance of it, so canonical codes are computed only for the minimizers.
+A single key and a theorem sweep share this pass.  Sweeps group a theorem's
+keys by order; with jobs > 1 the orders run in a process pool of
+min(jobs, number of orders, CPU count) workers, each returning the
+certificates of its order.  Results come back in key order, so the output
+is deterministic either way.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .enumeration import DEFAULT_CAP, ClassKey, free_trees
+from .enumeration import DEFAULT_CAP, ClassKey, classify, free_trees
 from .errors import CapExceededError, EmptyClassError
 from .families import predicted_extremal
 from .spectral import first_eigenpair
-from .trees import TreeInvariants, canonical_code, invariants
+from .trees import TreeWithBoundary, canonical_code
 
 __all__ = [
     "TIE_TOL",
@@ -72,30 +80,48 @@ def all_match(certs) -> bool:
     return all(c.verdict in ("MATCH", "CONJECTURE-MATCH") for c in certs)
 
 
-def _population_records(
-    n: int, cap: int = DEFAULT_CAP
-) -> list[tuple[str, TreeInvariants, float]]:
-    """(canonical code text, invariants, lambda1) for every tree of order n."""
-    records = []
+@dataclass
+class _Bucket:
+    """Running reduction of one key's members: their count, the minimal
+    eigenvalue so far, and the (lambda1, tree) pairs within tol of it."""
+
+    population: int = 0
+    lambda_min: float = math.inf
+    near: list[tuple[float, TreeWithBoundary]] = field(default_factory=list)
+
+
+def _certify_order(
+    n: int, keys: list[ClassKey], tol: float, cap: int
+) -> list[ExtremalCertificate]:
+    """Certificates for keys of order n, in the order given, from one pass
+    over the trees of that order.
+
+    A tree joins a key's near list when lambda1 <= lambda_min + tol for the
+    running minimum, and the list is pruned to that rule whenever the
+    minimum drops.  The minimum only falls, so the list ends up as exactly
+    the trees within tol of the class minimum, decided by the same float
+    comparison as a filter over the whole class.
+    """
+    buckets = {key: _Bucket() for key in keys}
     for tree in free_trees(n, cap):
-        records.append(
-            (
-                canonical_code(tree).text,
-                invariants(tree),
-                first_eigenpair(tree).lambda1,
-            )
-        )
-    return records
+        hits = [buckets[k] for k in classify(tree) if k in buckets]
+        if not hits:
+            continue
+        lam = first_eigenpair(tree).lambda1
+        for bucket in hits:
+            bucket.population += 1
+            if lam < bucket.lambda_min:
+                bucket.lambda_min = lam
+                bucket.near = [(l, t) for l, t in bucket.near if l <= lam + tol]
+            if lam <= bucket.lambda_min + tol:
+                bucket.near.append((lam, tree))
+    return [_certificate(key, buckets[key], tol) for key in keys]
 
 
-def _certificate_from_records(
-    key: ClassKey, records, tol: float
-) -> ExtremalCertificate:
-    members = [(code, lam) for code, inv, lam in records if key.contains(inv)]
-    if not members:
+def _certificate(key: ClassKey, bucket: _Bucket, tol: float) -> ExtremalCertificate:
+    if not bucket.population:
         return empty_class_certificate(key, tol)
-    lam_min = min(lam for _, lam in members)
-    minimizers = tuple(sorted(code for code, lam in members if lam <= lam_min + tol))
+    minimizers = tuple(sorted(canonical_code(t).text for _, t in bucket.near))
     prediction = predicted_extremal(key)
     predicted = tuple(sorted({canonical_code(t).text for t in prediction.trees}))
     if prediction.conjecture:
@@ -108,8 +134,8 @@ def _certificate_from_records(
         verdict = "MATCH" if minimizers == predicted else "MISMATCH"
     return ExtremalCertificate(
         key=key,
-        population=len(members),
-        lambda_min=lam_min,
+        population=bucket.population,
+        lambda_min=bucket.lambda_min,
         minimizers=minimizers,
         predicted=predicted,
         verdict=verdict,
@@ -141,8 +167,7 @@ def verify_class(
         raise CapExceededError(f"order {key.n} exceeds cap {cap}")
     if not key.feasible():
         raise EmptyClassError(f"class {key} admits no tree")
-    records = _population_records(key.n, cap)
-    return _certificate_from_records(key, records, tol)
+    return _certify_order(key.n, [key], tol, cap)[0]
 
 
 def theorem_keys(theorem: str, n_max: int) -> list[ClassKey]:
@@ -185,16 +210,15 @@ def verify_theorem_sweep(
     """
     if n_max > cap:
         raise CapExceededError(f"n_max {n_max} exceeds cap {cap}")
-    keys = theorem_keys(theorem, n_max)
-    orders = sorted({k.n for k in keys})
-    if jobs > 1:
-        worker = functools.partial(_population_records, cap=cap)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            record_lists = list(pool.map(worker, orders))
-        records_by_n = dict(zip(orders, record_lists))
+    by_order: dict[int, list[ClassKey]] = {}
+    for key in theorem_keys(theorem, n_max):
+        by_order.setdefault(key.n, []).append(key)
+    certify = functools.partial(_certify_order, tol=tol, cap=cap)
+    workers = min(jobs, len(by_order), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_order = list(pool.map(certify, by_order.keys(), by_order.values()))
     else:
-        records_by_n = {n: _population_records(n, cap) for n in orders}
-    certs = [
-        _certificate_from_records(key, records_by_n[key.n], tol) for key in keys
-    ]
-    return certs
+        per_order = list(map(certify, by_order.keys(), by_order.values()))
+    # theorem_keys lists keys by ascending order, so this is key order
+    return [cert for certs in per_order for cert in certs]

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fktrees
 from fktrees.cli import run
 from fktrees import build_path, format_edge_list_text
 
@@ -44,6 +49,17 @@ def test_family_emit_edges(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "8" and len(lines) == 8
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(fktrees.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fktrees", "family", "path", "--n", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4\n0 1\n1 2\n2 3\n"
 
 
 def test_family_round_trip_through_eigen(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 import pytest
 
+import fktrees.verify as verify_module
 from fktrees import (
+    TIE_TOL,
     CapExceededError,
     ClassKey,
     EmptyClassError,
@@ -13,13 +15,18 @@ from fktrees import (
     build_star,
     canonical_code,
     classify,
+    first_eigenpair,
     free_tree_edge_sets,
     free_trees,
     from_edge_list,
+    invariants,
+    predicted_extremal,
     verify_class,
     verify_theorem_sweep,
 )
 from fktrees.verify import (
+    THEOREMS,
+    ExtremalCertificate,
     all_match,
     certificate_json,
     empty_class_certificate,
@@ -220,3 +227,97 @@ def test_conjecture_verdict_for_large_diameter():
     cert = verify_class(ClassKey("ND", 10, D=6))
     assert cert.verdict in ("CONJECTURE-MATCH", "CONJECTURE-MISMATCH")
     assert cert.verdict == "CONJECTURE-MATCH"
+
+
+# -- streaming certification against materialize-and-filter ----------------------
+
+def _in_class(key, inv):
+    if key.variant == "NM":
+        return inv.m == key.m
+    if key.variant == "NMB":
+        return inv.m == key.m and inv.b == key.b
+    if key.variant == "NK":
+        return inv.n - inv.b == key.k
+    return inv.D == key.D
+
+
+def _filtered_certificate(key, records):
+    """A certificate from every (code, invariants, lambda1) record of the
+    order: filter the class, take the minimum, keep codes within TIE_TOL."""
+    members = [(code, lam) for code, inv, lam in records if _in_class(key, inv)]
+    lam_min = min(lam for _, lam in members)
+    minimizers = tuple(sorted(c for c, lam in members if lam <= lam_min + TIE_TOL))
+    prediction = predicted_extremal(key)
+    predicted = tuple(sorted({canonical_code(t).text for t in prediction.trees}))
+    if prediction.conjecture:
+        ok = set(minimizers) <= set(predicted)
+        verdict = "CONJECTURE-MATCH" if ok else "CONJECTURE-MISMATCH"
+    else:
+        verdict = "MATCH" if minimizers == predicted else "MISMATCH"
+    return ExtremalCertificate(
+        key, len(members), lam_min, minimizers, predicted, verdict, TIE_TOL
+    )
+
+
+def test_streaming_certificates_equal_materialize_and_filter():
+    records = {
+        n: [
+            (canonical_code(t).text, invariants(t), first_eigenpair(t).lambda1)
+            for t in free_trees(n)
+        ]
+        for n in range(3, 11)
+    }
+    for theorem in THEOREMS:
+        certs = verify_theorem_sweep(theorem, 10)
+        assert [c.key for c in certs] == theorem_keys(theorem, 10)
+        for cert in certs:
+            assert cert == _filtered_certificate(cert.key, records[cert.key.n])
+
+
+def test_class_certificate_solves_members_and_codes_minimizers(monkeypatch):
+    calls = {"eigen": 0, "code": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify_module, "first_eigenpair", counted("eigen", first_eigenpair))
+    monkeypatch.setattr(verify_module, "canonical_code", counted("code", canonical_code))
+    key = ClassKey("ND", 10, D=4)
+    cert = verify_class(key)
+    assert calls["eigen"] == cert.population < sum(1 for _ in free_trees(10))
+    assert calls["code"] == len(cert.minimizers) + len(predicted_extremal(key).trees)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "cpus, want",
+    [(64, [4]), (2, [2]), (1, []), (None, [])],
+    ids=["64-cpus", "2-cpus", "1-cpu", "unknown-cpus"],
+)
+def test_sweep_workers_clamped_to_orders_and_cpus(monkeypatch, cpus, want):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
+    certs = verify_theorem_sweep("T13", 6, jobs=10**6)  # orders 3..6
+    assert _RecordingPool.sizes == want
+    assert certs == verify_theorem_sweep("T13", 6)

@@ -61,7 +61,7 @@ def test_dirichlet_matrix_star():
 def test_dirichlet_matrix_fork_gf329():
     dm = dirichlet_matrix(build_fork(3, 2, 9))
     assert list(np.diag(dm.entries)) == [3.0, 4.0, 2.0, 2.0]
-    hub = dm.index_of(0)
+    hub = dm.vertices.index(0)
     row = dm.entries[hub]
     assert sorted(row) == [-1.0, -1.0, -1.0, 3.0]
 

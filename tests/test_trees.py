@@ -27,7 +27,6 @@ from fktrees import (
     geodesic_path,
     inscribed_radius,
     invariants,
-    is_ball_approximation,
     parse_edge_list_text,
     relabel,
 )
@@ -165,17 +164,6 @@ def test_inscribed_radius_matches_definition(rng):
             min(bfs_distances(t, v)[b] for b in t.boundary) for v in range(t.n)
         )
         assert inscribed_radius(t) == want
-
-
-def test_ball_approximation_predicate():
-    star = build_star(6)
-    assert is_ball_approximation(star, 0, 1)
-    # comet-like T(p,2,b) is a ball approximation around the right center
-    t = build_T(2, 2, 3)
-    center = geodesic_path(t, 0, 3)[len(geodesic_path(t, 0, 3)) // 2]
-    radii = [r for r in range(t.n) if is_ball_approximation(t, center, r)]
-    assert radii, "some radius must fit a ball approximation at the center"
-    assert not is_ball_approximation(build_path(7), 1, 1)
 
 
 # -- canonical codes ----------------------------------------------------------
