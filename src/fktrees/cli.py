@@ -36,7 +36,6 @@ __all__ = ["main", "run", "RunConfig"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     tolerance: float
     cap: int
     jobs: int
@@ -126,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
-        command=args.command,
         tolerance=getattr(args, "tol", 1e-10),
         cap=getattr(args, "cap", DEFAULT_CAP),
         jobs=getattr(args, "jobs", 1),
@@ -327,3 +325,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

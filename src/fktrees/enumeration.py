@@ -1,10 +1,12 @@
 """Isomorph-free tree generation and classification keys.
 
 free_trees streams exactly one representative per isomorphism class of free
-trees of a given order, with the leaf boundary attached.  Generation is
-delegated to networkx's level-sequence generator (the standard
-constant-amortized-time family); soundness is pinned by tests against a
-brute-force labeled-tree oracle.
+trees of a given order, with the leaf boundary attached.  Generation is the
+constant-amortized-time level-sequence algorithm of Wright, Richmond,
+Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
+Comput. 15, 1986), the one networkx implements, with the same labelling and
+order; soundness is pinned by tests against a brute-force labeled-tree
+oracle and against networkx.
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
@@ -15,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
-
-import networkx as nx
 
 from .errors import CapExceededError, EmptyInteriorError, TooSmallError
 from .matching import matching_number
@@ -35,20 +35,72 @@ DEFAULT_CAP = 16
 HARD_CAP = 20
 
 
+def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer-Hedetniemi successor of a rooted level sequence, rewriting from
+    position p (default: the last level above 1); None after the last one."""
+    if p is None:
+        p = len(seq) - 1
+        while seq[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    # the subtree block seq[q:p], repeated to fill positions p onwards
+    return seq[:p] + (seq[q:p] * len(seq))[: len(seq) - p]
+
+
+def _split(seq: list[int]) -> tuple[list[int], list[int]]:
+    """The root's left subtree and the tree without it, as level sequences."""
+    m = seq.index(1, 2) if 1 in seq[2:] else len(seq)
+    return [x - 1 for x in seq[1:m]], [0] + seq[m:]
+
+
+def _next_free(seq: list[int]) -> list[int]:
+    """seq if it is the canonical rooting of its free tree (the root's left
+    subtree is lower than the rest, or as high and smaller, or as high, as
+    large and not later); otherwise the next candidate past the invalid ones."""
+    left, rest = _split(seq)
+    lh, rh = max(left), max(rest)
+    if rh > lh or (rh == lh and (len(left), left) <= (len(rest), rest)):
+        return seq
+    p = len(left)
+    nxt = _next_rooted(seq, p)
+    if seq[p] > 2:
+        height = max(_split(nxt)[0])
+        nxt[-height - 1:] = range(1, height + 2)
+    return nxt
+
+
+def _level_sequences(n: int) -> Iterator[list[int]]:
+    """WROM: one center-rooted level sequence per free tree on n >= 2
+    vertices, starting from the path rooted at its center."""
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while seq is not None:
+        seq = _next_free(seq)
+        yield seq
+        seq = _next_rooted(seq)
+
+
 def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Edge lists of all free trees on n vertices, one per isomorphism
-    class, in deterministic order.  Valid for n >= 1 (n=1 yields the empty
-    edge list); no boundary semantics attached at this level."""
+    """Edge lists of all free trees on n >= 1 vertices, one per isomorphism
+    class, in WROM order (n = 1 yields the empty list).  Vertex i is position
+    i of the level sequence; edge (p, i) joins it to its parent p, the latest
+    earlier vertex one level up."""
     if n < 1:
         raise TooSmallError(f"no trees on {n} vertices")
     if n == 1:
         yield ()
         return
-    if n == 2:
-        yield ((0, 1),)
-        return
-    for g in nx.nonisomorphic_trees(n):
-        yield tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
+    for seq in _level_sequences(n):
+        latest = [0] * n  # latest[d]: the last vertex seen at level d
+        edges = []
+        for i in range(1, n):
+            d = seq[i]
+            edges.append((latest[d - 1], i))
+            latest[d] = i
+        yield tuple(edges)
 
 
 def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:

@@ -150,12 +150,8 @@ def fork_poly_difference(k: int, n: int, lam: float) -> tuple[float, float]:
     """
     if k < 3:
         raise InvalidParametersError(f"difference identity needs k >= 3, got {k}")
-
-    def value(kk: int) -> float:
-        c3, c2, c1, c0 = _fork_coefficients(kk, n)
-        return ((c3 * lam + c2) * lam + c1) * lam + c0
-
-    lhs = value(k + 1) - value(k)
+    lower, upper = (ForkPolynomial(j, n, _fork_coefficients(j, n)) for j in (k, k + 1))
+    lhs = upper(lam) - lower(lam)
     rhs = (lam - 1.0) * (lam - (4 * k - n - 1))
     if abs(lhs - rhs) > 1e-12:
         raise AssertionError(

@@ -12,7 +12,7 @@ import math
 from typing import Any
 
 from .spectral import DirichletSpectrum
-from .trees import TreeWithBoundary, canonical_code
+from .trees import TreeWithBoundary, canonical_code, parse_edge_list_text
 
 __all__ = ["dumps", "spectrum_json", "tree_json", "read_tree_file"]
 
@@ -75,20 +75,16 @@ def spectrum_json(spectrum: DirichletSpectrum) -> dict:
     }
 
 
-def tree_json(tree: TreeWithBoundary, include_code: bool = True) -> dict:
-    doc = {
+def tree_json(tree: TreeWithBoundary) -> dict:
+    return {
         "n": tree.n,
         "edges": [[u, v] for u, v in tree.edges],
         "boundary": sorted(tree.boundary),
+        "code": canonical_code(tree).text,
     }
-    if include_code:
-        doc["code"] = canonical_code(tree).text
-    return doc
 
 
 def read_tree_file(path: str) -> TreeWithBoundary:
     """Read a tree in the edge-list text format from a file."""
-    from .trees import parse_edge_list_text
-
     with open(path, "r", encoding="ascii") as fh:
         return parse_edge_list_text(fh.read())

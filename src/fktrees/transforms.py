@@ -265,7 +265,6 @@ def eigenvalue_after_switching_check(
     tree: TreeWithBoundary,
     slack: float = 1e-10,
     strict_threshold: float = 1e-6,
-    max_moves: int | None = None,
 ) -> SwitchingCheckReport:
     """Apply every eigenfunction-guided admissible switching and verify the
     eigenvalue never increases; whenever an ordering hypothesis holds with
@@ -282,9 +281,7 @@ def eigenvalue_after_switching_check(
     fhat = zero_extension(tree, spectrum.eigenfunction)
     code = canonical_code(tree)
     entries = []
-    for count, (v1, v2, u1, u2) in enumerate(admissible_switchings(tree, fhat)):
-        if max_moves is not None and count >= max_moves:
-            break
+    for v1, v2, u1, u2 in admissible_switchings(tree, fhat):
         new_tree, _ = switching(tree, v1, v2, u1, u2)
         lam_after = first_eigenpair(new_tree).lambda1
         margin = float(max(fhat[v1] - fhat[u2], fhat[v2] - fhat[u1]))

@@ -16,7 +16,6 @@ construction and every function here is pure.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -75,9 +74,6 @@ class TreeWithBoundary:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
-
-    def is_boundary(self, v: int) -> bool:
-        return v in self.boundary
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edge_set
@@ -169,8 +165,7 @@ def from_edge_list(
         raise NotATreeError(f"a tree on {n} vertices has {n - 1} edges, got {count}")
 
     # connectivity: n-1 edges + connected <=> tree
-    reached = _bfs_reach(adj_lists, 0)
-    if len(reached) != n:
+    if min(_bfs(adj_lists, [0])) < 0:
         raise NotATreeError("graph is disconnected")
 
     if boundary is None:
@@ -182,102 +177,63 @@ def from_edge_list(
     if len(bset) == n:
         raise EmptyInteriorError("boundary covers every vertex; interior is empty")
 
+    # interior must induce a connected subgraph
     interior = [v for v in range(n) if v not in bset]
-    if len(interior) > 1:
-        # interior must induce a connected subgraph
-        inner = set(interior)
-        start = interior[0]
-        seen_i = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj_lists[x]:
-                if y in inner and y not in seen_i:
-                    seen_i.add(y)
-                    queue.append(y)
-        if len(seen_i) != len(interior):
-            raise DisconnectedInteriorError(
-                f"interior {sorted(inner)} induces a disconnected subgraph"
-            )
+    inner_dist = _bfs(adj_lists, interior[:1], blocked=bset)
+    if any(inner_dist[v] < 0 for v in interior):
+        raise DisconnectedInteriorError(
+            f"interior {interior} induces a disconnected subgraph"
+        )
 
     adj = tuple(tuple(sorted(neigh)) for neigh in adj_lists)
     return TreeWithBoundary(n=n, edges=tuple(sorted(seen)), boundary=bset, adj=adj)
 
 
-def _bfs_reach(adj: Sequence[Sequence[int]], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
+def _bfs(
+    adj: Sequence[Sequence[int]],
+    sources: Iterable[int],
+    blocked: frozenset[int] = frozenset(),
+) -> list[int]:
+    """Distance from the nearest source to every vertex, -1 where no path
+    avoiding ``blocked`` reaches it (on a tree, BFS distances are exact)."""
+    dist = [-1] * len(adj)
+    queue = list(sources)  # grows while it is read: the BFS queue
+    for s in queue:
+        dist[s] = 0
+    for x in queue:
         for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
-def bfs_distances(tree: TreeWithBoundary, source: int) -> list[int]:
-    """Distances from ``source`` to every vertex (trees: BFS is exact)."""
-    _check_vertex(source, tree.n)
-    dist = [-1] * tree.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in tree.adj[x]:
-            if dist[y] < 0:
+            if dist[y] < 0 and y not in blocked:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
 
 
+def bfs_distances(tree: TreeWithBoundary, source: int) -> list[int]:
+    """Distances from ``source`` to every vertex (trees: BFS is exact)."""
+    _check_vertex(source, tree.n)
+    return _bfs(tree.adj, [source])
+
+
 def geodesic_path(tree: TreeWithBoundary, u: int, v: int) -> tuple[int, ...]:
     """The unique u-v path as a vertex sequence (length = distance)."""
     _check_vertex(u, tree.n)
-    _check_vertex(v, tree.n)
-    if u == v:
-        return (u,)
-    parent = [-1] * tree.n
-    parent[u] = u
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for y in tree.adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                queue.append(y)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
+    dist = bfs_distances(tree, v)
+    path = [u]
+    while dist[path[-1]]:  # walk downhill to v, the only vertex at distance 0
+        path.append(min(tree.adj[path[-1]], key=dist.__getitem__))
     return tuple(path)
 
 
 def diameter(tree: TreeWithBoundary) -> int:
     """Max pairwise distance, via the classic double BFS."""
-    d0 = bfs_distances(tree, 0)
+    d0 = _bfs(tree.adj, [0])
     far = max(range(tree.n), key=lambda v: d0[v])
-    d1 = bfs_distances(tree, far)
-    return max(d1)
+    return max(_bfs(tree.adj, [far]))
 
 
 def inscribed_radius(tree: TreeWithBoundary) -> int:
     """max over vertices of the distance to the boundary set."""
-    # multi-source BFS from the boundary
-    dist = [-1] * tree.n
-    queue = deque()
-    for b in tree.boundary:
-        dist[b] = 0
-        queue.append(b)
-    while queue:
-        x = queue.popleft()
-        for y in tree.adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return max(dist)
+    return max(_bfs(tree.adj, tree.boundary))
 
 
 def contact_set(tree: TreeWithBoundary) -> tuple[int, ...]:

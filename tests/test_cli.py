@@ -51,15 +51,27 @@ def test_family_emit_edges(capsys):
     assert lines[0] == "8" and len(lines) == 8
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*args):
     src = str(Path(fktrees.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fktrees", "family", "path", "--n", "4"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+@pytest.mark.parametrize("module", ["fktrees", "fktrees.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = _run_python("-m", module, "family", "path", "--n", "4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "4\n0 1\n1 2\n2 3\n"
+
+
+def test_cli_import_does_not_load_networkx():
+    proc = _run_python(
+        "-c", "import sys, fktrees.cli; print('networkx' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_family_round_trip_through_eigen(tmp_path, capsys):

@@ -58,6 +58,18 @@ def test_counts_against_labeled_oracle():
         assert got == len(seen) == want
 
 
+def test_edge_sets_match_networkx_generator():
+    # same labelled trees in the same order as networkx's WROM generator
+    import networkx as nx
+    for n in range(3, 15):
+        ours = [tuple(sorted(edges)) for edges in free_tree_edge_sets(n)]
+        theirs = [
+            tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
+            for g in nx.nonisomorphic_trees(n)
+        ]
+        assert ours == theirs, n
+
+
 def test_pinned_count_n12():
     assert sum(1 for _ in free_trees(12)) == 551
 
