@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import io as fkio
 from .enumeration import DEFAULT_CAP, HARD_CAP, ClassKey, classify, free_trees
@@ -31,24 +30,7 @@ from .verify import (
     verify_theorem_sweep,
 )
 
-__all__ = ["main", "run", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float
-    cap: int
-    jobs: int
-    output: str | None
-    format: str
-
-    def validate(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("--tol must be positive")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-        if self.cap > HARD_CAP:
-            raise ValueError(f"--cap must not exceed the hard limit {HARD_CAP}")
+__all__ = ["main", "run"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,23 +105,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        tolerance=getattr(args, "tol", 1e-10),
-        cap=getattr(args, "cap", DEFAULT_CAP),
-        jobs=getattr(args, "jobs", 1),
-        output=args.output,
-        format=args.format,
-    )
-    cfg.validate()
-    return cfg
+def _validate(args: argparse.Namespace) -> None:
+    """Reject flag values argparse's types let through; a subcommand without
+    the flag passes its check."""
+    if getattr(args, "tol", 1.0) <= 0:
+        raise ValueError("--tol must be positive")
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError("--jobs must be >= 1")
+    if getattr(args, "cap", 0) > HARD_CAP:
+        raise ValueError(f"--cap must not exceed the hard limit {HARD_CAP}")
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.output is None:
+def _write(args: argparse.Namespace, text: str) -> None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="ascii") as fh:
+        with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
 
 
@@ -179,31 +160,31 @@ def _parse_move(move: str) -> tuple[str, list[int]]:
     return kind, [int(t) for t in tokens[1:]]
 
 
-def _cmd_eigen(args, cfg: RunConfig) -> int:
+def _cmd_eigen(args) -> int:
     tree = fkio.read_tree_file(args.tree)
-    spectrum = first_eigenpair(tree, tol=cfg.tolerance)
+    spectrum = first_eigenpair(tree, tol=args.tol)
     doc = fkio.spectrum_json(spectrum)
-    if cfg.format == "json":
-        _write(cfg, fkio.dumps(doc) + "\n")
+    if args.format == "json":
+        _write(args, fkio.dumps(doc) + "\n")
     else:
         lines = [f"lambda1  = {doc['lambda1']:.12g}"]
         lines.append("eigenfunction = " + " ".join(f"{x:.12g}" for x in doc["eigenfunction"]))
         lines.append(f"residual = {doc['residual']:.3e}")
         lines.append(f"gap      = {doc['gap']}")
-        _write(cfg, "\n".join(lines) + "\n")
+        _write(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_family(args, cfg: RunConfig) -> int:
+def _cmd_family(args) -> int:
     tree = _family_tree(args)
     if args.emit == "edges":
-        _write(cfg, format_edge_list_text(tree))
+        _write(args, format_edge_list_text(tree))
     else:
-        _write(cfg, fkio.dumps(fkio.tree_json(tree)) + "\n")
+        _write(args, fkio.dumps(fkio.tree_json(tree)) + "\n")
     return 0
 
 
-def _cmd_transform(args, cfg: RunConfig) -> int:
+def _cmd_transform(args) -> int:
     tree = fkio.read_tree_file(args.tree)
     if args.function is not None:
         with open(args.function, "r", encoding="ascii") as fh:
@@ -226,11 +207,11 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
         "delta_numerator": rewrite.delta,
         "tree": fkio.tree_json(new_tree),
     }
-    if cfg.format == "json":
-        _write(cfg, fkio.dumps(doc) + "\n")
+    if args.format == "json":
+        _write(args, fkio.dumps(doc) + "\n")
     else:
         _write(
-            cfg,
+            args,
             f"{rewrite.kind}: removed {rewrite.removed} inserted {rewrite.inserted} "
             f"delta_numerator {rewrite.delta:.12g}\n"
             + format_edge_list_text(new_tree),
@@ -238,8 +219,8 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _certificates_output(cfg: RunConfig, certs) -> int:
-    if cfg.format == "json":
+def _certificates_output(args, certs) -> int:
+    if args.format == "json":
         text = "".join(fkio.dumps(certificate_json(c)) + "\n" for c in certs)
     else:
         lines = []
@@ -250,29 +231,29 @@ def _certificates_output(cfg: RunConfig, certs) -> int:
                 f"lambda_min={lam:<13} minimizers={len(c.minimizers)} {c.verdict}"
             )
         text = "\n".join(lines) + "\n"
-    _write(cfg, text)
+    _write(args, text)
     return 0 if all_match(certs) else 1
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     certs = verify_theorem_sweep(
-        args.theorem, args.n_max, tol=cfg.tolerance, cap=cfg.cap, jobs=cfg.jobs
+        args.theorem, args.n_max, tol=args.tol, cap=args.cap, jobs=args.jobs
     )
-    return _certificates_output(cfg, certs)
+    return _certificates_output(args, certs)
 
 
-def _cmd_verify_class(args, cfg: RunConfig) -> int:
+def _cmd_verify_class(args) -> int:
     key = ClassKey.parse(args.key)
     try:
-        cert = verify_class(key, tol=cfg.tolerance, cap=cfg.cap)
+        cert = verify_class(key, tol=args.tol, cap=args.cap)
     except EmptyClassError:
-        cert = empty_class_certificate(key, cfg.tolerance)
-    return _certificates_output(cfg, [cert])
+        cert = empty_class_certificate(key, args.tol)
+    return _certificates_output(args, [cert])
 
 
-def _cmd_enumerate(args, cfg: RunConfig) -> int:
+def _cmd_enumerate(args) -> int:
     lines = []
-    for tree in free_trees(args.n, cap=cfg.cap):
+    for tree in free_trees(args.n, cap=args.cap):
         doc = {
             "n": tree.n,
             "edges": [[u, v] for u, v in tree.edges],
@@ -281,19 +262,19 @@ def _cmd_enumerate(args, cfg: RunConfig) -> int:
         if args.classify:
             doc["classes"] = [str(k) for k in classify(tree)]
         lines.append(fkio.dumps(doc))
-    _write(cfg, "\n".join(lines) + "\n")
+    _write(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_bounds(args, cfg: RunConfig) -> int:
+def _cmd_bounds(args) -> int:
     tree = fkio.read_tree_file(args.tree)
     lower, upper = eigenvalue_bounds(tree)
-    lam = first_eigenpair(tree, tol=cfg.tolerance).lambda1
+    lam = first_eigenpair(tree, tol=args.tol).lambda1
     doc = {"lower": lower, "lambda1": lam, "upper": upper}
-    if cfg.format == "json":
-        _write(cfg, fkio.dumps(doc) + "\n")
+    if args.format == "json":
+        _write(args, fkio.dumps(doc) + "\n")
     else:
-        _write(cfg, f"lower={lower:.12g} lambda1={lam:.12g} upper={upper:.12g}\n")
+        _write(args, f"lower={lower:.12g} lambda1={lam:.12g} upper={upper:.12g}\n")
     return 0
 
 
@@ -316,8 +297,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
-        return _COMMANDS[args.command](args, cfg)
+        _validate(args)
+        return _COMMANDS[args.command](args)
     except (FKTreesError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"fktrees: error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,11 @@
 
 On a tree a maximum matching can be built greedily: any pendant edge can be
 assumed to lie in some maximum matching, so repeatedly matching a leaf with
-its support vertex and deleting both is optimal.  Leaves are processed in
-ascending vertex id so the returned witness is deterministic.
+its support vertex and deleting both is optimal.  The tree is rooted at
+vertex 0 and its vertices are visited in reversed BFS order, children before
+parents.  A vertex still free at its turn has all its children matched, so
+the edge to its parent, if that is free too, is pendant in what is left and
+is taken.  The BFS order fixes the witness, so it is deterministic.
 
 The module also exposes the constructive swap argument that upgrades an
 arbitrary maximum matching into one containing a prescribed disjoint set of
@@ -14,12 +17,11 @@ contact set.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidChoiceError
-from .trees import TreeWithBoundary, contact_set, invariants
+from .trees import TreeWithBoundary, _bfs, contact_set, invariants
 
 __all__ = [
     "Matching",
@@ -51,27 +53,16 @@ class Matching:
 
 
 def maximum_matching(tree: TreeWithBoundary) -> Matching:
-    """Deterministic maximum matching via leaf stripping (smallest leaf id
-    first)."""
-    deg = [tree.degree(v) for v in range(tree.n)]
-    alive = [True] * tree.n
-    heap = [v for v in range(tree.n) if deg[v] == 1]
-    heapq.heapify(heap)
+    """Deterministic maximum matching: with the tree rooted at 0, match each
+    vertex, children first, to its parent when both are still free."""
+    order, parent, _ = _bfs(tree.adj, [0])
+    free = [True] * tree.n
     matched: list[tuple[int, int]] = []
-    while heap:
-        u = heapq.heappop(heap)
-        if not alive[u] or deg[u] != 1:
-            continue
-        v = next(w for w in tree.adj[u] if alive[w])
-        matched.append((min(u, v), max(u, v)))
-        alive[u] = alive[v] = False
-        for w in tree.adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    heapq.heappush(heap, w)
-                elif deg[w] == 0:
-                    alive[w] = False  # isolated: stays unmatched
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0 and free[v] and free[p]:
+            free[v] = free[p] = False
+            matched.append((min(v, p), max(v, p)))
     return Matching(tuple(sorted(matched)))
 
 

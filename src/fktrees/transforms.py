@@ -221,12 +221,6 @@ class SwitchingCheckEntry:
     isomorphic: bool          # rewrite only relabeled the tree
     ok: bool
 
-    @property
-    def strict_expected(self) -> bool:
-        # a strict decrease between isomorphic trees is a contradiction, so
-        # only non-relabeling moves can be held to strictness
-        return not self.isomorphic
-
 
 @dataclass(frozen=True)
 class SwitchingCheckReport:

@@ -76,16 +76,8 @@ class TreeWithBoundary:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
-
-    @property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        # cached lazily on first use; object.__setattr__ because frozen
-        cached = self.__dict__.get("_edge_set_cache")
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set_cache", cached)
-        return cached
+        # the range guard keeps a negative u from wrapping around adj
+        return 0 <= u < self.n and v in self.adj[u]
 
 
 @dataclass(frozen=True)
@@ -165,25 +157,25 @@ def from_edge_list(
         raise NotATreeError(f"a tree on {n} vertices has {n - 1} edges, got {count}")
 
     # connectivity: n-1 edges + connected <=> tree
-    if min(_bfs(adj_lists, [0])) < 0:
+    if len(_bfs(adj_lists, [0])[0]) < n:
         raise NotATreeError("graph is disconnected")
 
     if boundary is None:
+        # deleting the leaves of a tree with n >= 3 leaves a tree, so the
+        # default interior is connected (n = 2 fails the emptiness check)
         bset = frozenset(v for v in range(n) if len(adj_lists[v]) == 1)
     else:
         bset = frozenset(_check_vertex(v, n) for v in boundary)
         if not bset:
             raise InvalidBoundaryError("boundary must be nonempty")
+        # an explicit interior must induce a connected subgraph
+        interior = [v for v in range(n) if v not in bset]
+        if len(_bfs(adj_lists, interior[:1], blocked=bset)[0]) < len(interior):
+            raise DisconnectedInteriorError(
+                f"interior {interior} induces a disconnected subgraph"
+            )
     if len(bset) == n:
         raise EmptyInteriorError("boundary covers every vertex; interior is empty")
-
-    # interior must induce a connected subgraph
-    interior = [v for v in range(n) if v not in bset]
-    inner_dist = _bfs(adj_lists, interior[:1], blocked=bset)
-    if any(inner_dist[v] < 0 for v in interior):
-        raise DisconnectedInteriorError(
-            f"interior {interior} induces a disconnected subgraph"
-        )
 
     adj = tuple(tuple(sorted(neigh)) for neigh in adj_lists)
     return TreeWithBoundary(n=n, edges=tuple(sorted(seen)), boundary=bset, adj=adj)
@@ -193,47 +185,68 @@ def _bfs(
     adj: Sequence[Sequence[int]],
     sources: Iterable[int],
     blocked: frozenset[int] = frozenset(),
-) -> list[int]:
-    """Distance from the nearest source to every vertex, -1 where no path
-    avoiding ``blocked`` reaches it (on a tree, BFS distances are exact)."""
+) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from ``sources`` avoiding ``blocked``.
+
+    Returns ``(order, parent, dist)``: the reached vertices in visiting
+    order, each vertex's BFS parent (-1 at a source or where unreached) and
+    its distance from the nearest source (-1 where no path avoiding
+    ``blocked`` reaches it).  On a tree BFS distances are exact, parents lie
+    on the unique path back to a source, and every vertex comes after its
+    parent in ``order``.
+    """
+    parent = [-1] * len(adj)
     dist = [-1] * len(adj)
-    queue = list(sources)  # grows while it is read: the BFS queue
-    for s in queue:
+    order = list(sources)  # grows while it is read: the BFS queue
+    for s in order:
         dist[s] = 0
-    for x in queue:
+    for x in order:
         for y in adj[x]:
             if dist[y] < 0 and y not in blocked:
                 dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+                parent[y] = x
+                order.append(y)
+    return order, parent, dist
+
+
+def _walk_up(parent: Sequence[int], u: int) -> list[int]:
+    """The vertices u, parent[u], ... up to the BFS source above u."""
+    path = [u]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    return path
 
 
 def bfs_distances(tree: TreeWithBoundary, source: int) -> list[int]:
     """Distances from ``source`` to every vertex (trees: BFS is exact)."""
     _check_vertex(source, tree.n)
-    return _bfs(tree.adj, [source])
+    return _bfs(tree.adj, [source])[2]
 
 
 def geodesic_path(tree: TreeWithBoundary, u: int, v: int) -> tuple[int, ...]:
     """The unique u-v path as a vertex sequence (length = distance)."""
     _check_vertex(u, tree.n)
-    dist = bfs_distances(tree, v)
-    path = [u]
-    while dist[path[-1]]:  # walk downhill to v, the only vertex at distance 0
-        path.append(min(tree.adj[path[-1]], key=dist.__getitem__))
-    return tuple(path)
+    _check_vertex(v, tree.n)
+    return tuple(_walk_up(_bfs(tree.adj, [v])[1], u))
+
+
+def _longest_path(tree: TreeWithBoundary) -> list[int]:
+    """A longest path, by the classic double BFS: the last vertex of a BFS
+    order is a farthest one, and a vertex farthest from any vertex ends a
+    longest path."""
+    far = _bfs(tree.adj, [0])[0][-1]
+    order, parent, _ = _bfs(tree.adj, [far])
+    return _walk_up(parent, order[-1])
 
 
 def diameter(tree: TreeWithBoundary) -> int:
-    """Max pairwise distance, via the classic double BFS."""
-    d0 = _bfs(tree.adj, [0])
-    far = max(range(tree.n), key=lambda v: d0[v])
-    return max(_bfs(tree.adj, [far]))
+    """Max pairwise distance: the edge count of a longest path."""
+    return len(_longest_path(tree)) - 1
 
 
 def inscribed_radius(tree: TreeWithBoundary) -> int:
     """max over vertices of the distance to the boundary set."""
-    return max(_bfs(tree.adj, tree.boundary))
+    return max(_bfs(tree.adj, tree.boundary)[2])
 
 
 def contact_set(tree: TreeWithBoundary) -> tuple[int, ...]:
@@ -273,36 +286,20 @@ def invariants(tree: TreeWithBoundary) -> TreeInvariants:
 # -- canonical codes ---------------------------------------------------------
 
 def _centers(tree: TreeWithBoundary) -> list[int]:
-    """The 1 or 2 middle vertices of the tree (leaf-peeling)."""
-    deg = [len(a) for a in tree.adj]
-    layer = [v for v in range(tree.n) if deg[v] == 1]
-    remaining = tree.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in tree.adj[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-    return sorted(layer)
+    """The 1 or 2 vertices of minimum eccentricity: the middle of any
+    longest path (C. Jordan, 1869)."""
+    path = _longest_path(tree)
+    return sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
 def _rooted_code(tree: TreeWithBoundary, root: int) -> bytes:
     """AHU-style encoding of the rooted tree, one boundary bit per vertex."""
-    # iterative post-order so deep paths cannot hit the recursion limit
-    order: list[tuple[int, int]] = []  # (vertex, parent)
-    stack = [(root, -1)]
-    while stack:
-        v, p = stack.pop()
-        order.append((v, p))
-        for w in tree.adj[v]:
-            if w != p:
-                stack.append((w, v))
+    # reversed BFS order codes every child before its parent, with no
+    # recursion that a deep path could push past the limit
+    order, parent, _ = _bfs(tree.adj, [root])
     codes: dict[int, bytes] = {}
-    for v, p in reversed(order):
-        children = sorted(codes[w] for w in tree.adj[v] if w != p)
+    for v in reversed(order):
+        children = sorted(codes[w] for w in tree.adj[v] if w != parent[v])
         bit = b"1" if v in tree.boundary else b"0"
         codes[v] = b"(" + bit + b"".join(children) + b")"
     return codes[root]

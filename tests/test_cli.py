@@ -11,7 +11,7 @@ import pytest
 
 import fktrees
 from fktrees.cli import run
-from fktrees import build_path, format_edge_list_text
+from fktrees import build_path, format_edge_list_text, parse_edge_list_text
 
 
 @pytest.fixture
@@ -124,6 +124,20 @@ def test_transform_switch(tmp_path, capsys):
     assert doc["kind"] == "jumping"
     assert doc["delta_numerator"] == 0.0
     assert doc["tree"]["n"] == 6
+    code, out = run_capture(
+        capsys,
+        [
+            "transform",
+            "--tree", str(tree_file),
+            "--move", "jump 1 3 2",
+            "--function", str(fn_file),
+            "--format", "text",
+        ],
+    )
+    assert code == 0
+    head, body = out.split("\n", 1)
+    assert head.startswith("jumping: removed ") and "delta_numerator 0" in head
+    assert parse_edge_list_text(body).edges == tuple(map(tuple, doc["tree"]["edges"]))
 
 
 def test_transform_bad_move_exits_2(capsys, p5_file):
@@ -194,6 +208,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(["eigen"]) == 2
     assert run(["eigen", "--tree", "/nonexistent/file.txt"]) == 2
     assert run(["verify", "--theorem", "T13", "--n-max", "8", "--cap", "25"]) == 2
+    assert run(["verify", "--theorem", "T13", "--n-max", "8", "--tol", "0"]) == 2
+    assert "--tol must be positive" in capsys.readouterr().err
+    assert run(["verify", "--theorem", "T13", "--n-max", "8", "--jobs", "0"]) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_deterministic_bytes(capsys):

@@ -38,6 +38,7 @@ def test_matching_agrees_with_subset_brute_force_small():
     for n in range(3, 9):
         for t in free_trees(n):
             assert matching_number(t) == brute_force_matching_number(t)
+            assert maximum_matching(t).is_valid_for(t)
 
 
 def test_witness_is_valid_and_maximum(rng):

@@ -148,6 +148,33 @@ def test_geodesic_trivial_and_endpoints():
     assert geodesic_path(t, 0, 4) == (0, 1, 2, 3, 4)
 
 
+def test_has_edge_rejects_out_of_range_vertices():
+    for n in range(3, 8):
+        for t in free_trees(n):
+            w = t.adj[n - 1][0]
+            assert t.has_edge(n - 1, w) and t.has_edge(w, n - 1)
+            # a negative id must not wrap around to vertex n - 1
+            assert not t.has_edge(-1, w)
+            assert not t.has_edge(n, 0)
+
+
+def test_centers_are_the_minimum_eccentricity_vertices():
+    from fktrees.trees import _centers
+
+    for n in range(3, 11):
+        for t in free_trees(n):
+            # all-pairs distances by Floyd-Warshall, independent of the BFS
+            d = [[0 if i == j else n for j in range(n)] for i in range(n)]
+            for u, v in t.edges:
+                d[u][v] = d[v][u] = 1
+            for k in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+            ecc = [max(row) for row in d]
+            assert _centers(t) == [v for v in range(n) if ecc[v] == min(ecc)]
+
+
 def test_geodesic_in_T323_realizes_diameter():
     t = build_T(3, 2, 3)
     # pendant at u1 is vertex 5; pendants at u5 are 6 and 7
