@@ -11,11 +11,20 @@ variables are consulted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import Iterator, TextIO
 
 from . import io as fkio
-from .enumeration import DEFAULT_CAP, HARD_CAP, ClassKey, classify, free_trees
+from .enumeration import (
+    DEFAULT_CAP,
+    HARD_CAP,
+    ClassKey,
+    _check_order,
+    classify,
+    free_trees,
+)
 from .errors import EmptyClassError, FKTreesError
 from .families import build_T, build_comet, build_fork, build_star
 from .spectral import build_path, eigenvalue_bounds, first_eigenpair
@@ -116,12 +125,19 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError(f"--cap must not exceed the hard limit {HARD_CAP}")
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
+@contextlib.contextmanager
+def _sink(args: argparse.Namespace) -> Iterator[TextIO]:
+    """stdout, or the --output file opened for the duration."""
     if args.output is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(args: argparse.Namespace, text: str) -> None:
+    with _sink(args) as out:
+        out.write(text)
 
 
 def _family_tree(args: argparse.Namespace):
@@ -252,17 +268,18 @@ def _cmd_verify_class(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    lines = []
-    for tree in free_trees(args.n, cap=args.cap):
-        doc = {
-            "n": tree.n,
-            "edges": [[u, v] for u, v in tree.edges],
-            "code": canonical_code(tree).text,
-        }
-        if args.classify:
-            doc["classes"] = [str(k) for k in classify(tree)]
-        lines.append(fkio.dumps(doc))
-    _write(args, "\n".join(lines) + "\n")
+    """One JSON line per tree, written as each tree is generated."""
+    _check_order(args.n, args.cap)  # before --output is created
+    with _sink(args) as out:
+        for tree in free_trees(args.n, cap=args.cap):
+            doc = {
+                "n": tree.n,
+                "edges": [[u, v] for u, v in tree.edges],
+                "code": canonical_code(tree).text,
+            }
+            if args.classify:
+                doc["classes"] = [str(k) for k in classify(tree)]
+            out.write(fkio.dumps(doc) + "\n")
     return 0
 
 

@@ -6,7 +6,9 @@ constant-amortized-time level-sequence algorithm of Wright, Richmond,
 Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
 Comput. 15, 1986), the one networkx implements, with the same labelling and
 order; soundness is pinned by tests against a brute-force labeled-tree
-oracle and against networkx.
+oracle and against networkx.  The generator's own form of a tree is a
+parent array in preorder (_parent_arrays); the edge lists, the trees and the
+sweep's one-pass invariants (_array_invariants) are all read from it.
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
@@ -83,38 +85,82 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
         seq = _next_rooted(seq)
 
 
+def _parent_arrays(
+    n: int,
+) -> Iterator[tuple[list[int], list[int], tuple[tuple[int, int], ...]]]:
+    """(parent, degree, edges) of every free tree on n >= 2 vertices, in WROM
+    order.  Vertex i is position i of the level sequence, so the vertices
+    are in preorder and every parent precedes its children; parent[i] is
+    the latest earlier vertex one level up (parent[0] = -1, the centre) and
+    edge (parent[i], i) joins them."""
+    for seq in _level_sequences(n):
+        latest = [0] * n  # latest[d]: the last vertex seen at level d
+        parent = [-1] * n
+        degree = [1] * n  # one for the edge to each vertex's parent ...
+        degree[0] = 0  # ... which the root lacks
+        edges = []
+        for i in range(1, n):
+            d = seq[i]
+            p = latest[d - 1]
+            parent[i] = p
+            degree[p] += 1
+            edges.append((p, i))
+            latest[d] = i
+        yield parent, degree, tuple(edges)
+
+
 def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Edge lists of all free trees on n >= 1 vertices, one per isomorphism
-    class, in WROM order (n = 1 yields the empty list).  Vertex i is position
-    i of the level sequence; edge (p, i) joins it to its parent p, the latest
-    earlier vertex one level up."""
+    class, in WROM order (n = 1 yields the empty list), labelled as in
+    _parent_arrays."""
     if n < 1:
         raise TooSmallError(f"no trees on {n} vertices")
     if n == 1:
         yield ()
         return
-    for seq in _level_sequences(n):
-        latest = [0] * n  # latest[d]: the last vertex seen at level d
-        edges = []
-        for i in range(1, n):
-            d = seq[i]
-            edges.append((latest[d - 1], i))
-            latest[d] = i
-        yield tuple(edges)
+    for _, _, edges in _parent_arrays(n):
+        yield edges
 
 
 def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
     """One TreeWithBoundary (leaf boundary) per isomorphism class of free
     trees on n vertices.  n <= cap is enforced; n must be >= 3 because the
     2-vertex tree has no interior under the leaf-boundary convention."""
+    _check_order(n, cap)
+    for _, _, edges in _parent_arrays(n):
+        yield from_edge_list(n, edges)
+
+
+def _check_order(n: int, cap: int) -> None:
     if n > cap:
         raise CapExceededError(f"n = {n} exceeds the enumeration cap {cap}")
     if n < 3:
         raise EmptyInteriorError(
             f"trees on {n} vertices have no interior with leaf boundary"
         )
-    for edges in free_tree_edge_sets(n):
-        yield from_edge_list(n, edges)
+
+
+def _array_invariants(parent: list[int], degree: list[int]) -> tuple[int, int, int]:
+    """(m, b, D) of a tree with n >= 3 given as a _parent_arrays parent
+    array, in one pass over the vertices children first: b counts the
+    degree-1 vertices; m matches a vertex to its parent when both are still
+    free (the greedy rule of matching.maximum_matching, optimal in any
+    children-first order); D is the largest sum of the two tallest branches
+    below a vertex, with height[p] the tallest branch seen so far."""
+    free = [True] * len(parent)
+    height = [0] * len(parent)
+    m = D = 0
+    for v in range(len(parent) - 1, 0, -1):
+        p = parent[v]
+        if free[v] and free[p]:
+            free[v] = free[p] = False
+            m += 1
+        h = height[v] + 1
+        if h + height[p] > D:
+            D = h + height[p]
+        if h > height[p]:
+            height[p] = h
+    return m, degree.count(1), D
 
 
 @dataclass(frozen=True, order=True)

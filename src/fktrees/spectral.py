@@ -48,6 +48,16 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
+# _spectrum_above eliminates at x + _FILTER_SLACK: the pivots prove a bound on
+# the exact eigenvalues, while callers compare the float lambda1 of
+# first_eigenpair, which can sit ~1e-14 off the exact value on the interiors
+# a sweep meets; the slack keeps that rounding from crossing x.
+_FILTER_SLACK = 1e-9
+# Rounded pivots are the exact pivots of a matrix perturbed by a few ulps per
+# entry; demanding every pivot be at least _PIVOT_GUARD, far above that
+# rounding, keeps a pivot that is truly zero or negative from passing.
+_PIVOT_GUARD = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class DirichletMatrix:
@@ -127,6 +137,32 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
         residual=residual,
         gap=gap,
     )
+
+
+def _spectrum_above(parent: Sequence[int], degree: Sequence[int], x: float) -> bool:
+    """True when every Dirichlet eigenvalue of a tree with leaf boundary,
+    and so the lambda1 first_eigenpair reports for it, is shown to exceed
+    x; False when that is not shown.  The tree is a parent array in which
+    every parent precedes its children (parent[0] = -1) with its degrees.
+
+    Eliminating A - yI, y = x + _FILTER_SLACK, children first (Jacobs &
+    Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
+    2011) gives the pivot d_v = deg(v) - y - sum of 1/d_c over the interior
+    children c of v.  By Sylvester's law of inertia A - yI is positive
+    definite iff every pivot is positive.  The pass stops at the first
+    pivot below _PIVOT_GUARD, so it never divides by a small one.
+    """
+    y = x + _FILTER_SLACK
+    below = [0.0] * len(parent)  # sum of 1/d_c over the children seen so far
+    for v in range(len(parent) - 1, -1, -1):
+        if degree[v] == 1:
+            continue  # a leaf is boundary, outside the matrix
+        d = degree[v] - y - below[v]
+        if d < _PIVOT_GUARD:
+            return False
+        if v:
+            below[parent[v]] += 1.0 / d
+    return True
 
 
 def zero_extension(tree: TreeWithBoundary, f: Sequence[float]) -> np.ndarray:

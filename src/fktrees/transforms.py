@@ -105,9 +105,9 @@ def switching(
     if v1 == v2 or tree.has_edge(v1, v2):
         raise PreconditionViolatedError(f"switching needs v1 !~ v2, got {v1}, {v2}")
     if not tree.has_edge(v1, u1):
-        raise PreconditionViolatedError(f"v1u1 = {v1}{u1} is not an edge")
+        raise PreconditionViolatedError(f"v1u1 = ({v1}, {u1}) is not an edge")
     if not tree.has_edge(v2, u2):
-        raise PreconditionViolatedError(f"v2u2 = {v2}{u2} is not an edge")
+        raise PreconditionViolatedError(f"v2u2 = ({v2}, {u2}) is not an edge")
     path = set(geodesic_path(tree, v1, v2))
     if u2 not in path:
         raise PreconditionViolatedError(f"u2 = {u2} is not on the v1-v2 path")
@@ -139,7 +139,7 @@ def shifting(
     if v1 == v2:
         raise PreconditionViolatedError("shifting needs v1 != v2")
     if not tree.has_edge(u, v1):
-        raise PreconditionViolatedError(f"uv1 = {u}{v1} is not an edge")
+        raise PreconditionViolatedError(f"uv1 = ({u}, {v1}) is not an edge")
     if u in set(geodesic_path(tree, v1, v2)):
         raise PreconditionViolatedError(f"u = {u} lies on the v1-v2 path")
     removed = (_norm(u, v1),)
@@ -172,7 +172,7 @@ def jumping(
     if v1 == v2 or tree.has_edge(v1, v2):
         raise PreconditionViolatedError(f"jumping needs v1 !~ v2, got {v1}, {v2}")
     if not tree.has_edge(u, v1):
-        raise PreconditionViolatedError(f"uv1 = {u}{v1} is not an edge")
+        raise PreconditionViolatedError(f"uv1 = ({u}, {v1}) is not an edge")
     if u not in set(geodesic_path(tree, v1, v2)):
         raise PreconditionViolatedError(f"u = {u} is not on the v1-v2 path")
     if u not in contact_set(tree):

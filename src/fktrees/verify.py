@@ -1,5 +1,6 @@
-"""Extremal certificates: enumerate a class, eigensolve every member, and
-compare the minimizer set against the predicted extremal family.
+"""Extremal certificates: enumerate a class, find the members of minimal
+first Dirichlet eigenvalue, and compare them with the predicted extremal
+family.
 
 A certificate records the class key, the number of non-isomorphic members,
 the minimal first Dirichlet eigenvalue, every minimizer within the tie
@@ -10,16 +11,25 @@ set equality of canonical codes; the diameter classes with D >= 5 are only
 conjectured, so their verdicts are CONJECTURE-MATCH (every minimizer is one
 of the conjectured candidates) or CONJECTURE-MISMATCH.
 
-Certificates are made per order, in one streaming pass over its trees that
-classifies each tree once and buckets the population by key; a tree in no
-requested key is skipped without an eigensolve.  Each key keeps its
+Certificates are made per order, in one streaming pass over the parent
+arrays the generator yields.  One children-first pass over each array gives
+the matching number, leaf count and diameter, and the tree is bucketed by
+key; a tree in no requested key is skipped.  Each key keeps its
 population, its running minimal eigenvalue and the trees within the tie
 tolerance of it, so canonical codes are computed only for the minimizers.
-A single key and a theorem sweep share this pass.  Sweeps group a theorem's
-keys by order; with jobs > 1 the orders run in a process pool of
-min(jobs, number of orders, CPU count) workers, each returning the
-certificates of its order.  Results come back in key order, so the output
-is deterministic either way.
+A class member only needs its eigenvalue if it could join a near list: once
+every key it belongs to has a running minimum, an O(n) elimination of
+A - xI at the largest of their lambda_min + tol (a pivot count, see
+spectral._spectrum_above) that shows every eigenvalue above x lets the tree
+be counted without being built or eigensolved.  The running minimum only
+falls, so such a tree could never have joined, and the certificates are the
+ones an eigensolve of every member gives, byte for byte.  A single key and a
+theorem sweep share this pass.
+
+Sweeps group a theorem's keys by order; with jobs > 1 the orders run in a
+process pool of min(jobs, number of orders, CPU count) workers, each
+returning the certificates of its order.  Results come back in key order,
+so the output is deterministic either way.
 """
 
 from __future__ import annotations
@@ -30,11 +40,17 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .enumeration import DEFAULT_CAP, ClassKey, classify, free_trees
+from .enumeration import (
+    DEFAULT_CAP,
+    HARD_CAP,
+    ClassKey,
+    _array_invariants,
+    _parent_arrays,
+)
 from .errors import CapExceededError, EmptyClassError
 from .families import predicted_extremal
-from .spectral import first_eigenpair
-from .trees import TreeWithBoundary, canonical_code
+from .spectral import _spectrum_above, first_eigenpair
+from .trees import TreeWithBoundary, canonical_code, from_edge_list
 
 __all__ = [
     "TIE_TOL",
@@ -90,32 +106,55 @@ class _Bucket:
     near: list[tuple[float, TreeWithBoundary]] = field(default_factory=list)
 
 
-def _certify_order(
-    n: int, keys: list[ClassKey], tol: float, cap: int
-) -> list[ExtremalCertificate]:
-    """Certificates for keys of order n, in the order given, from one pass
-    over the trees of that order.
+def _slot(key: ClassKey) -> tuple:
+    """The plain tuple a sweep files key's bucket under, as
+    _certify_order's per-tree lookups spell it."""
+    return (key.variant, key.m, key.b, key.k, key.D)
+
+
+def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCertificate]:
+    """Certificates for feasible keys of order n (so n >= 3; callers check
+    the cap), in the order given, from one pass over the parent arrays of
+    that order.
 
     A tree joins a key's near list when lambda1 <= lambda_min + tol for the
     running minimum, and the list is pruned to that rule whenever the
     minimum drops.  The minimum only falls, so the list ends up as exactly
     the trees within tol of the class minimum, decided by the same float
-    comparison as a filter over the whole class.
+    comparison as a filter over the whole class.  Once every key a tree
+    belongs to has a finite minimum, a tree that _spectrum_above shows to
+    lie above each of their lambda_min + tol could change none of them, so
+    it is counted without being built or eigensolved.
     """
-    buckets = {key: _Bucket() for key in keys}
-    for tree in free_trees(n, cap):
-        hits = [buckets[k] for k in classify(tree) if k in buckets]
+    buckets = {_slot(key): _Bucket() for key in keys}
+    for parent, degree, edges in _parent_arrays(n):
+        m, b, D = _array_invariants(parent, degree)
+        hits = [
+            bucket
+            for slot in (
+                ("NM", m, None, None, None),
+                ("NMB", m, b, None, None),
+                ("NK", None, None, n - b, None),
+                ("ND", None, None, None, D),
+            )
+            if (bucket := buckets.get(slot)) is not None
+        ]
         if not hits:
             continue
-        lam = first_eigenpair(tree).lambda1
         for bucket in hits:
             bucket.population += 1
+        bar = max(bucket.lambda_min for bucket in hits) + tol
+        if bar < math.inf and _spectrum_above(parent, degree, bar):
+            continue
+        tree = from_edge_list(n, edges)
+        lam = first_eigenpair(tree).lambda1
+        for bucket in hits:
             if lam < bucket.lambda_min:
                 bucket.lambda_min = lam
                 bucket.near = [(l, t) for l, t in bucket.near if l <= lam + tol]
             if lam <= bucket.lambda_min + tol:
                 bucket.near.append((lam, tree))
-    return [_certificate(key, buckets[key], tol) for key in keys]
+    return [_certificate(key, buckets[_slot(key)], tol) for key in keys]
 
 
 def _certificate(key: ClassKey, bucket: _Bucket, tol: float) -> ExtremalCertificate:
@@ -167,7 +206,7 @@ def verify_class(
         raise CapExceededError(f"order {key.n} exceeds cap {cap}")
     if not key.feasible():
         raise EmptyClassError(f"class {key} admits no tree")
-    return _certify_order(key.n, [key], tol, cap)[0]
+    return _certify_order(key.n, [key], tol)[0]
 
 
 def theorem_keys(theorem: str, n_max: int) -> list[ClassKey]:
@@ -206,14 +245,23 @@ def verify_theorem_sweep(
     """Certificates for every feasible key of a theorem up to n_max.
 
     The sweep passes iff every certificate verdict is MATCH (or
-    CONJECTURE-MATCH for conjectured classes).
+    CONJECTURE-MATCH for conjectured classes).  An n_max below the
+    theorem's smallest order raises EmptyClassError, so a sweep that checks
+    nothing cannot pass.
     """
     if n_max > cap:
         raise CapExceededError(f"n_max {n_max} exceeds cap {cap}")
+    keys = theorem_keys(theorem, n_max)
+    if not keys:
+        first = theorem_keys(theorem, HARD_CAP)[0].n
+        raise EmptyClassError(
+            f"{theorem} has no class key with n <= {n_max}; "
+            f"the smallest n_max with keys is {first}"
+        )
     by_order: dict[int, list[ClassKey]] = {}
-    for key in theorem_keys(theorem, n_max):
+    for key in keys:
         by_order.setdefault(key.n, []).append(key)
-    certify = functools.partial(_certify_order, tol=tol, cap=cap)
+    certify = functools.partial(_certify_order, tol=tol)
     workers = min(jobs, len(by_order), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -145,6 +145,13 @@ def test_transform_bad_move_exits_2(capsys, p5_file):
     assert run(["transform", "--tree", p5_file, "--move", "jump 1 3 2"]) == 2
 
 
+def test_transform_precondition_message_prints_edges_as_pairs(capsys, p5_file):
+    assert run(["transform", "--tree", p5_file, "--move", "switch -1 3 0 4"]) == 2
+    assert "v1u1 = (-1, 0) is not an edge" in capsys.readouterr().err
+    assert run(["transform", "--tree", p5_file, "--move", "shift 3 0 1"]) == 2
+    assert "uv1 = (1, 3) is not an edge" in capsys.readouterr().err
+
+
 def test_verify_class_match(capsys):
     code, out = run_capture(capsys, ["verify-class", "--key", "NMB 8 3 3"])
     assert code == 0
@@ -190,6 +197,36 @@ def test_enumerate_classify(capsys):
     assert all(len(d["classes"]) == 4 for d in docs)
 
 
+def test_enumerate_streams_one_write_per_tree(monkeypatch, tmp_path, capsys):
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run(["enumerate", "--n", "8", "--classify"]) == 0
+    monkeypatch.undo()
+    assert len(out.writes) == 23  # free trees on 8 vertices
+    assert all(w.endswith("\n") and w.count("\n") == 1 for w in out.writes)
+    target = tmp_path / "trees.jsonl"
+    assert run(["enumerate", "--n", "8", "--classify", "--output", str(target)]) == 0
+    assert target.read_text() == "".join(out.writes)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("theorem", ["T13", "T14", "Kloburstel", "D4"])
+def test_verify_bytes_match_golden_certificates(capsys, theorem):
+    # recorded from `fktrees verify --theorem THEOREM --n-max 11`; the
+    # certificate bytes are the output contract, down to the last digit
+    golden = Path(__file__).parent / "data" / f"verify_{theorem}_n11.jsonl"
+    code, out = run_capture(capsys, ["verify", "--theorem", theorem, "--n-max", "11"])
+    assert code == 0
+    assert out == golden.read_text(encoding="ascii")
+
+
 def test_bounds(capsys, p5_file, tmp_path):
     code, out = run_capture(capsys, ["bounds", "--tree", p5_file])
     assert code == 0
@@ -212,6 +249,13 @@ def test_usage_errors_exit_2(capsys):
     assert "--tol must be positive" in capsys.readouterr().err
     assert run(["verify", "--theorem", "T13", "--n-max", "8", "--jobs", "0"]) == 2
     assert "--jobs must be >= 1" in capsys.readouterr().err
+    # a sweep with no class key checks nothing, so it must not read as a pass
+    assert run(["verify", "--theorem", "T13", "--n-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "smallest n_max with keys is 3" in captured.err
+    assert run(["verify", "--theorem", "D4", "--n-max", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "smallest n_max with keys is 5" in captured.err
 
 
 def test_deterministic_bytes(capsys):

@@ -32,6 +32,7 @@ from fktrees.verify import (
     empty_class_certificate,
     theorem_keys,
 )
+from fktrees.enumeration import _array_invariants, _parent_arrays
 from fktrees.io import dumps
 from conftest import all_labeled_trees
 
@@ -68,6 +69,22 @@ def test_edge_sets_match_networkx_generator():
             for g in nx.nonisomorphic_trees(n)
         ]
         assert ours == theirs, n
+
+
+def test_parent_arrays_agree_with_edges_and_classify():
+    for n in range(3, 13):
+        for parent, degree, edges in _parent_arrays(n):
+            assert parent[0] == -1 and all(parent[i] < i for i in range(1, n))
+            assert edges == tuple((parent[i], i) for i in range(1, n))
+            tree = from_edge_list(n, edges)
+            assert degree == [tree.degree(v) for v in range(n)]
+            m, b, D = _array_invariants(parent, degree)
+            assert classify(tree) == [
+                ClassKey("NM", n, m=m),
+                ClassKey("NMB", n, m=m, b=b),
+                ClassKey("NK", n, k=n - b),
+                ClassKey("ND", n, D=D),
+            ]
 
 
 def test_pinned_count_n12():
@@ -286,6 +303,19 @@ def test_streaming_certificates_equal_materialize_and_filter():
             assert cert == _filtered_certificate(cert.key, records[cert.key.n])
 
 
+def test_one_pass_over_keys_of_every_variant_equals_materialize_and_filter():
+    # a tree hits up to four buckets, and the pivot filter tests it against
+    # the largest of their running minima
+    for n in range(5, 11):
+        records = [
+            (canonical_code(t).text, invariants(t), first_eigenpair(t).lambda1)
+            for t in free_trees(n)
+        ]
+        keys = [k for theorem in THEOREMS for k in theorem_keys(theorem, n) if k.n == n]
+        for cert in verify_module._certify_order(n, keys, TIE_TOL):
+            assert cert == _filtered_certificate(cert.key, records)
+
+
 def test_class_certificate_solves_members_and_codes_minimizers(monkeypatch):
     calls = {"eigen": 0, "code": 0}
 
@@ -299,7 +329,9 @@ def test_class_certificate_solves_members_and_codes_minimizers(monkeypatch):
     monkeypatch.setattr(verify_module, "canonical_code", counted("code", canonical_code))
     key = ClassKey("ND", 10, D=4)
     cert = verify_class(key)
-    assert calls["eigen"] == cert.population < sum(1 for _ in free_trees(10))
+    # members the pivot filter shows to lie above lambda_min + tol are
+    # counted without an eigensolve
+    assert 0 < calls["eigen"] < cert.population < sum(1 for _ in free_trees(10))
     assert calls["code"] == len(cert.minimizers) + len(predicted_extremal(key).trees)
 
 

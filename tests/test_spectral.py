@@ -1,6 +1,7 @@
 """Dirichlet matrices, eigenpairs, Rayleigh quotients, bounds, monotonicity."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from fktrees import (
     path_eigenvalue,
     rayleigh_quotient,
 )
+from fktrees.enumeration import _parent_arrays
+from fktrees.spectral import _spectrum_above
 from conftest import random_tree
 
 
@@ -353,3 +356,19 @@ def test_eigenfunction_decreases_along_extremal_tree(t, m, b):
         assert f[j] > f[j + 2]
     for j in range(k - t + 1, k - 1):
         assert f[j] > f[j + 1]
+
+
+def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
+    rng = random.Random(20260)
+    trees = skipped_below = 0
+    for n in range(3, 13):
+        for parent, degree, edges in _parent_arrays(n):
+            w = np.linalg.eigvalsh(dirichlet_matrix(from_edge_list(n, edges)).entries)
+            lam = w[0]
+            for x in (lam - 1e-7, lam + 1e-7, rng.uniform(0, 2), rng.uniform(0, 2)):
+                if _spectrum_above(parent, degree, x):
+                    assert not np.any(w <= x), (edges, x)
+            trees += 1
+            skipped_below += _spectrum_above(parent, degree, lam - 1e-7)
+    # not vacuous: just below lambda1 the filter skips every one of the trees
+    assert skipped_below == trees == 985
