@@ -17,6 +17,7 @@ import sys
 from typing import Iterator, TextIO
 
 from . import io as fkio
+from . import transforms
 from .enumeration import (
     DEFAULT_CAP,
     HARD_CAP,
@@ -28,9 +29,9 @@ from .enumeration import (
 from .errors import EmptyClassError, FKTreesError
 from .families import build_T, build_comet, build_fork, build_star
 from .spectral import build_path, eigenvalue_bounds, first_eigenpair
-from .transforms import jumping, shifting, switching
 from .trees import canonical_code, format_edge_list_text
 from .verify import (
+    THEOREMS,
     TIE_TOL,
     all_match,
     certificate_json,
@@ -60,14 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("family", help="construct a named extremal family member")
-    p.add_argument("kind", choices=("T", "comet", "fork", "path", "star"))
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--r", type=int)
+    p.add_argument("kind", choices=tuple(_FAMILIES))
+    for flag in dict.fromkeys(f for _, flags in _FAMILIES.values() for f in flags):
+        p.add_argument(f"--{flag}", type=int)
     p.add_argument("--emit", choices=("edges", "json"), default="edges")
     common(p)
 
@@ -87,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="sweep one theorem over all feasible keys")
-    p.add_argument("--theorem", required=True, choices=("T13", "T14", "Kloburstel", "D4"))
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--tol", type=float, default=TIE_TOL)
     p.add_argument("--jobs", type=int, default=1)
@@ -117,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(args: argparse.Namespace) -> None:
     """Reject flag values argparse's types let through; a subcommand without
     the flag passes its check."""
-    if getattr(args, "tol", 1.0) <= 0:
-        raise ValueError("--tol must be positive")
+    if not 0 < getattr(args, "tol", 1.0) < float("inf"):  # nan fails too
+        raise ValueError("--tol must be positive and finite")
     if getattr(args, "jobs", 1) < 1:
         raise ValueError("--jobs must be >= 1")
     if getattr(args, "cap", 0) > HARD_CAP:
@@ -140,27 +136,27 @@ def _write(args: argparse.Namespace, text: str) -> None:
         out.write(text)
 
 
-def _family_tree(args: argparse.Namespace):
-    def need(**params):
-        missing = [f"--{k}" for k, v in params.items() if v is None]
-        if missing:
-            raise ValueError(f"family {args.kind} needs {' '.join(missing)}")
-        return params.values()
+# family name: (constructor, the flags it takes, in argument order)
+_FAMILIES = {
+    "T": (build_T, ("p", "q", "b")),
+    "comet": (build_comet, ("n", "k")),
+    "fork": (build_fork, ("a", "r", "n")),
+    "path": (build_path, ("n",)),
+    "star": (build_star, ("n",)),
+}
 
-    if args.kind == "T":
-        p, q, b = need(p=args.p, q=args.q, b=args.b)
-        return build_T(p, q, b)
-    if args.kind == "comet":
-        n, k = need(n=args.n, k=args.k)
-        return build_comet(n, k)
-    if args.kind == "fork":
-        a, r, n = need(a=args.a, r=args.r, n=args.n)
-        return build_fork(a, r, n)
-    if args.kind == "path":
-        (n,) = need(n=args.n)
-        return build_path(n)
-    (n,) = need(n=args.n)
-    return build_star(n)
+
+def _family_tree(args: argparse.Namespace):
+    build, flags = _FAMILIES[args.kind]
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise ValueError(f"family {args.kind} needs {' '.join(missing)}")
+    return build(*(getattr(args, f) for f in flags))
+
+
+# --move: (fktrees.transforms function name, vertex ids).  Looked up per call,
+# so a wrapper rebound on the module, as a profiler installs, is what runs.
+_MOVES = {"switch": ("switching", 4), "shift": ("shifting", 3), "jump": ("jumping", 3)}
 
 
 def _parse_move(move: str) -> tuple[str, list[int]]:
@@ -168,12 +164,12 @@ def _parse_move(move: str) -> tuple[str, list[int]]:
     if not tokens:
         raise ValueError("empty --move")
     kind = tokens[0].lower()
-    arity = {"switch": 4, "shift": 3, "jump": 3}
-    if kind not in arity:
+    if kind not in _MOVES:
         raise ValueError(f"unknown move {kind!r}; use switch/shift/jump")
-    if len(tokens) - 1 != arity[kind]:
-        raise ValueError(f"move {kind!r} takes {arity[kind]} vertex ids")
-    return kind, [int(t) for t in tokens[1:]]
+    rewrite, arity = _MOVES[kind]
+    if len(tokens) - 1 != arity:
+        raise ValueError(f"move {kind!r} takes {arity} vertex ids")
+    return rewrite, [int(t) for t in tokens[1:]]
 
 
 def _cmd_eigen(args) -> int:
@@ -209,13 +205,8 @@ def _cmd_transform(args) -> int:
             raise ValueError("--function file must hold a JSON array")
     else:
         f = [float(x) for x in first_eigenpair(tree).eigenfunction]
-    kind, ids = _parse_move(args.move)
-    if kind == "switch":
-        new_tree, rewrite = switching(tree, *ids, f=f)
-    elif kind == "shift":
-        new_tree, rewrite = shifting(tree, *ids, f=f)
-    else:
-        new_tree, rewrite = jumping(tree, *ids, f=f)
+    move, ids = _parse_move(args.move)
+    new_tree, rewrite = getattr(transforms, move)(tree, *ids, f=f)
     doc = {
         "kind": rewrite.kind,
         "removed": [[u, v] for u, v in rewrite.removed],

@@ -7,17 +7,19 @@ Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
 Comput. 15, 1986), the one networkx implements, with the same labelling and
 order; soundness is pinned by tests against a brute-force labeled-tree
 oracle and against networkx.  The generator's own form of a tree is a
-parent array in preorder (_parent_arrays); the edge lists, the trees and the
-sweep's one-pass invariants (_array_invariants) are all read from it.
+parent array in preorder, with degrees (_parent_arrays); edge lists, trees
+and the sweep's one-pass invariants are all read from it.
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
-count), NK (order, interior count) and ND (order, diameter).
+count), NK (order, interior count) and ND (order, diameter).  _PARAMS says
+which parameters each variant takes; classify and the sweep both get a
+tree's keys from _key_tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .errors import CapExceededError, EmptyInteriorError, TooSmallError
@@ -85,28 +87,28 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
         seq = _next_rooted(seq)
 
 
-def _parent_arrays(
-    n: int,
-) -> Iterator[tuple[list[int], list[int], tuple[tuple[int, int], ...]]]:
-    """(parent, degree, edges) of every free tree on n >= 2 vertices, in WROM
+def _parent_arrays(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(parent, degree) of every free tree on n >= 2 vertices, in WROM
     order.  Vertex i is position i of the level sequence, so the vertices
     are in preorder and every parent precedes its children; parent[i] is
-    the latest earlier vertex one level up (parent[0] = -1, the centre) and
-    edge (parent[i], i) joins them."""
+    the latest earlier vertex one level up (parent[0] = -1, the centre)."""
     for seq in _level_sequences(n):
         latest = [0] * n  # latest[d]: the last vertex seen at level d
         parent = [-1] * n
         degree = [1] * n  # one for the edge to each vertex's parent ...
         degree[0] = 0  # ... which the root lacks
-        edges = []
         for i in range(1, n):
             d = seq[i]
             p = latest[d - 1]
             parent[i] = p
             degree[p] += 1
-            edges.append((p, i))
             latest[d] = i
-        yield parent, degree, tuple(edges)
+        yield parent, degree
+
+
+def _parent_edges(parent: list[int]) -> tuple[tuple[int, int], ...]:
+    """The edges (parent[i], i), i >= 1, of a _parent_arrays tree."""
+    return tuple(zip(parent[1:], range(1, len(parent))))
 
 
 def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -118,8 +120,8 @@ def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 1:
         yield ()
         return
-    for _, _, edges in _parent_arrays(n):
-        yield edges
+    for parent, _ in _parent_arrays(n):
+        yield _parent_edges(parent)
 
 
 def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
@@ -127,8 +129,8 @@ def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
     trees on n vertices.  n <= cap is enforced; n must be >= 3 because the
     2-vertex tree has no interior under the leaf-boundary convention."""
     _check_order(n, cap)
-    for _, _, edges in _parent_arrays(n):
-        yield from_edge_list(n, edges)
+    for parent, _ in _parent_arrays(n):
+        yield from_edge_list(n, _parent_edges(parent))
 
 
 def _check_order(n: int, cap: int) -> None:
@@ -163,12 +165,15 @@ def _array_invariants(parent: list[int], degree: list[int]) -> tuple[int, int, i
     return m, degree.count(1), D
 
 
+_PARAMS = {"NM": ("m",), "NMB": ("m", "b"), "NK": ("k",), "ND": ("D",)}
+
+
 @dataclass(frozen=True, order=True)
 class ClassKey:
     """Key of one tree class: variant NM/NMB/NK/ND plus its parameters.
 
-    Unused parameters are None.  ``feasible`` is the arithmetic membership
-    test: a key is feasible iff at least one tree realizes it.
+    Exactly the variant's parameters (_PARAMS) are set, the rest are None.
+    ``feasible``, the arithmetic membership test, is true iff a tree has it.
     """
 
     variant: str
@@ -179,8 +184,14 @@ class ClassKey:
     D: int | None = None
 
     def __post_init__(self) -> None:
-        if self.variant not in ("NM", "NMB", "NK", "ND"):
+        if self.variant not in _PARAMS:
             raise ValueError(f"unknown class variant {self.variant!r}")
+        want = _PARAMS[self.variant]
+        given = tuple(f.name for f in fields(self)[2:] if getattr(self, f.name) is not None)
+        if given != want:
+            raise ValueError(
+                f"{self.variant} takes {', '.join(want)}, got {', '.join(given) or 'none'}"
+            )
 
     @property
     def t(self) -> int | None:
@@ -205,13 +216,8 @@ class ClassKey:
         return 2 <= self.D <= n - 1  # ND
 
     def __str__(self) -> str:
-        if self.variant == "NM":
-            return f"NM {self.n} {self.m}"
-        if self.variant == "NMB":
-            return f"NMB {self.n} {self.m} {self.b}"
-        if self.variant == "NK":
-            return f"NK {self.n} {self.k}"
-        return f"ND {self.n} {self.D}"
+        values = [self.n] + [getattr(self, p) for p in _PARAMS[self.variant]]
+        return " ".join([self.variant, *map(str, values)])
 
     @staticmethod
     def parse(text: str) -> "ClassKey":
@@ -220,29 +226,27 @@ class ClassKey:
         if not parts:
             raise ValueError("empty class key")
         variant, nums = parts[0].upper(), [int(p) for p in parts[1:]]
-        arity = {"NM": 2, "NMB": 3, "NK": 2, "ND": 2}
-        if variant not in arity:
+        if variant not in _PARAMS:
             raise ValueError(f"unknown class variant {parts[0]!r}")
-        if len(nums) != arity[variant]:
-            raise ValueError(
-                f"{variant} takes {arity[variant]} integers, got {len(nums)}"
-            )
-        if variant == "NM":
-            return ClassKey("NM", nums[0], m=nums[1])
-        if variant == "NMB":
-            return ClassKey("NMB", nums[0], m=nums[1], b=nums[2])
-        if variant == "NK":
-            return ClassKey("NK", nums[0], k=nums[1])
-        return ClassKey("ND", nums[0], D=nums[1])
+        params = _PARAMS[variant]
+        if len(nums) != 1 + len(params):
+            raise ValueError(f"{variant} takes {1 + len(params)} integers, got {len(nums)}")
+        return ClassKey(variant, nums[0], **dict(zip(params, nums[1:])))
+
+
+def _key_tuples(n: int, m: int, b: int, D: int) -> tuple[tuple, ...]:
+    """dataclasses.astuple of the NM, NMB, NK and ND keys of a tree with n
+    vertices, matching number m, b leaves and diameter D."""
+    return (
+        ("NM", n, m, None, None, None),
+        ("NMB", n, m, b, None, None),
+        ("NK", n, None, None, n - b, None),
+        ("ND", n, None, None, None, D),
+    )
 
 
 def classify(tree: TreeWithBoundary) -> list[ClassKey]:
     """The NM, NMB, NK and ND keys of a tree with leaf boundary and n >= 3."""
     _check_leaf_boundary(tree)
     n, m, b = tree.n, matching_number(tree), len(tree.boundary)
-    return [
-        ClassKey("NM", n, m=m),
-        ClassKey("NMB", n, m=m, b=b),
-        ClassKey("NK", n, k=n - b),
-        ClassKey("ND", n, D=diameter(tree)),
-    ]
+    return [ClassKey(*key) for key in _key_tuples(n, m, b, diameter(tree))]

@@ -88,4 +88,4 @@ class InvalidDemotionError(FKTreesError):
 # -- enumeration -------------------------------------------------------------
 
 class CapExceededError(FKTreesError):
-    """Requested enumeration order exceeds the configured cap."""
+    """A size exceeds its cap: enumeration order, file bytes, dense interior."""

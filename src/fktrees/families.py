@@ -174,13 +174,8 @@ def _pendant_forest_family(m: int) -> list[TreeWithBoundary]:
     """All trees on 2m vertices in which every interior vertex carries
     exactly one leaf: an interior tree on m vertices plus one pendant per
     vertex.  Distinct interior trees give non-isomorphic results."""
-    out = []
-    for edges in free_tree_edge_sets(m):
-        full = list(edges)
-        for v in range(m):
-            full.append((v, m + v))
-        out.append(from_edge_list(2 * m, full))
-    return out
+    pendants = tuple((v, m + v) for v in range(m))
+    return [from_edge_list(2 * m, edges + pendants) for edges in free_tree_edge_sets(m)]
 
 
 def predicted_extremal(key: ClassKey) -> PredictedExtremal:

@@ -11,10 +11,15 @@ import json
 import math
 from typing import Any
 
+from .errors import CapExceededError
 from .spectral import DirichletSpectrum
 from .trees import TreeWithBoundary, canonical_code, parse_edge_list_text
 
 __all__ = ["dumps", "spectrum_json", "tree_json", "read_tree_file"]
+
+# A tree file becomes per-vertex Python objects, so its size is capped before
+# parsing: 4 MiB holds over 250,000 vertices, far past MAX_DENSE_INTERIOR.
+MAX_TREE_FILE_BYTES = 4 * 2**20
 
 
 def _float_repr(x: float) -> str:
@@ -85,6 +90,9 @@ def tree_json(tree: TreeWithBoundary) -> dict:
 
 
 def read_tree_file(path: str) -> TreeWithBoundary:
-    """Read a tree in the edge-list text format from a file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list_text(fh.read())
+    """Read an edge-list tree file; CapExceededError past MAX_TREE_FILE_BYTES."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_TREE_FILE_BYTES + 1)
+    if len(data) > MAX_TREE_FILE_BYTES:
+        raise CapExceededError(f"{path} exceeds {MAX_TREE_FILE_BYTES} bytes")
+    return parse_edge_list_text(data.decode("ascii"))

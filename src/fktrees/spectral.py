@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    CapExceededError,
     DisconnectedInteriorError,
     EmptyInteriorError,
     InvalidBoundaryError,
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+
+# The dense matrix (8k^2 bytes) and eigh's eigenvectors take 400 MB at k =
+# 5,000 interior vertices; a larger interior is refused before allocating.
+MAX_DENSE_INTERIOR = 5_000
 
 # _spectrum_above eliminates at x + _FILTER_SLACK: the pivots prove a bound on
 # the exact eigenvalues, while callers compare the float lambda1 of
@@ -86,10 +91,12 @@ class DirichletSpectrum:
 
 def dirichlet_matrix(tree: TreeWithBoundary) -> DirichletMatrix:
     """Assemble the interior-restricted matrix (degree diagonal, -1 for
-    interior-interior edges)."""
+    interior-interior edges) of at most MAX_DENSE_INTERIOR rows."""
     interior = tree.interior
-    idx = {v: i for i, v in enumerate(interior)}
     k = len(interior)
+    if k > MAX_DENSE_INTERIOR:
+        raise CapExceededError(f"interior of {k} exceeds the dense-solver cap {MAX_DENSE_INTERIOR}")
+    idx = {v: i for i, v in enumerate(interior)}
     mat = np.zeros((k, k))
     for v in interior:
         mat[idx[v], idx[v]] = tree.degree(v)
@@ -108,8 +115,7 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
     contracts are still verified explicitly.  Sign is fixed so the entry of
     the lowest-index interior vertex is positive.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     dm = dirichlet_matrix(tree)
     try:
         w, vecs = np.linalg.eigh(dm.entries)
@@ -137,6 +143,11 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
         residual=residual,
         gap=gap,
     )
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:  # nan too: it would switch every check off
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _spectrum_above(parent: Sequence[int], degree: Sequence[int], x: float) -> bool:

@@ -13,10 +13,10 @@ of the conjectured candidates) or CONJECTURE-MISMATCH.
 
 Certificates are made per order, in one streaming pass over the parent
 arrays the generator yields.  One children-first pass over each array gives
-the matching number, leaf count and diameter, and the tree is bucketed by
-key; a tree in no requested key is skipped.  Each key keeps its
-population, its running minimal eigenvalue and the trees within the tie
-tolerance of it, so canonical codes are computed only for the minimizers.
+the matching number, leaf count and diameter, the tree goes to the bucket of
+each requested key among its _key_tuples, and each key keeps its population,
+its running minimal eigenvalue and the trees within the tie tolerance of it,
+so canonical codes are computed only for the minimizers.
 A class member only needs its eigenvalue if it could join a near list: once
 every key it belongs to has a running minimum, an O(n) elimination of
 A - xI at the largest of their lambda_min + tol (a pivot count, see
@@ -38,18 +38,20 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .enumeration import (
     DEFAULT_CAP,
     HARD_CAP,
     ClassKey,
     _array_invariants,
+    _key_tuples,
     _parent_arrays,
+    _parent_edges,
 )
 from .errors import CapExceededError, EmptyClassError
 from .families import predicted_extremal
-from .spectral import _spectrum_above, first_eigenpair
+from .spectral import _check_tol, _spectrum_above, first_eigenpair
 from .trees import TreeWithBoundary, canonical_code, from_edge_list
 
 __all__ = [
@@ -106,12 +108,6 @@ class _Bucket:
     near: list[tuple[float, TreeWithBoundary]] = field(default_factory=list)
 
 
-def _slot(key: ClassKey) -> tuple:
-    """The plain tuple a sweep files key's bucket under, as
-    _certify_order's per-tree lookups spell it."""
-    return (key.variant, key.m, key.b, key.k, key.D)
-
-
 def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCertificate]:
     """Certificates for feasible keys of order n (so n >= 3; callers check
     the cap), in the order given, from one pass over the parent arrays of
@@ -126,19 +122,10 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     lie above each of their lambda_min + tol could change none of them, so
     it is counted without being built or eigensolved.
     """
-    buckets = {_slot(key): _Bucket() for key in keys}
-    for parent, degree, edges in _parent_arrays(n):
-        m, b, D = _array_invariants(parent, degree)
-        hits = [
-            bucket
-            for slot in (
-                ("NM", m, None, None, None),
-                ("NMB", m, b, None, None),
-                ("NK", None, None, n - b, None),
-                ("ND", None, None, None, D),
-            )
-            if (bucket := buckets.get(slot)) is not None
-        ]
+    buckets = {astuple(key): _Bucket() for key in keys}
+    for parent, degree in _parent_arrays(n):
+        slots = _key_tuples(n, *_array_invariants(parent, degree))
+        hits = [buckets[slot] for slot in slots if slot in buckets]
         if not hits:
             continue
         for bucket in hits:
@@ -146,7 +133,7 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
         bar = max(bucket.lambda_min for bucket in hits) + tol
         if bar < math.inf and _spectrum_above(parent, degree, bar):
             continue
-        tree = from_edge_list(n, edges)
+        tree = from_edge_list(n, _parent_edges(parent))
         lam = first_eigenpair(tree).lambda1
         for bucket in hits:
             if lam < bucket.lambda_min:
@@ -154,7 +141,7 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
                 bucket.near = [(l, t) for l, t in bucket.near if l <= lam + tol]
             if lam <= bucket.lambda_min + tol:
                 bucket.near.append((lam, tree))
-    return [_certificate(key, buckets[_slot(key)], tol) for key in keys]
+    return [_certificate(key, buckets[astuple(key)], tol) for key in keys]
 
 
 def _certificate(key: ClassKey, bucket: _Bucket, tol: float) -> ExtremalCertificate:
@@ -199,9 +186,10 @@ def verify_class(
 ) -> ExtremalCertificate:
     """Certificate for a single feasible class key.
 
-    Raises EmptyClassError for infeasible parameters and CapExceededError
-    when the order exceeds the enumeration cap.
+    Raises EmptyClassError for infeasible parameters, CapExceededError past
+    the enumeration cap and ValueError for a tol not positive and finite.
     """
+    _check_tol(tol)
     if key.n > cap:
         raise CapExceededError(f"order {key.n} exceeds cap {cap}")
     if not key.feasible():
@@ -247,8 +235,9 @@ def verify_theorem_sweep(
     The sweep passes iff every certificate verdict is MATCH (or
     CONJECTURE-MATCH for conjectured classes).  An n_max below the
     theorem's smallest order raises EmptyClassError, so a sweep that checks
-    nothing cannot pass.
+    nothing cannot pass.  Bad tol and cap values raise as in verify_class.
     """
+    _check_tol(tol)
     if n_max > cap:
         raise CapExceededError(f"n_max {n_max} exceeds cap {cap}")
     keys = theorem_keys(theorem, n_max)

@@ -227,6 +227,31 @@ def test_verify_bytes_match_golden_certificates(capsys, theorem):
     assert out == golden.read_text(encoding="ascii")
 
 
+def test_enumerate_classify_bytes_match_golden(capsys):
+    # recorded from `fktrees enumerate --n 10 --classify`: the labelled trees,
+    # their order, their codes and the text of every class key
+    golden = Path(__file__).parent / "data" / "enumerate_n10_classify.jsonl"
+    code, out = run_capture(capsys, ["enumerate", "--n", "10", "--classify"])
+    assert code == 0
+    assert out == golden.read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("command", ["eigen", "bounds"])
+def test_input_caps_exit_2(capsys, monkeypatch, p5_file, command):
+    # P5's file is 18 bytes and its interior has 3 vertices
+    assert run_capture(capsys, [command, "--tree", p5_file])[0] == 0
+    monkeypatch.setattr(fktrees.io, "MAX_TREE_FILE_BYTES", 17)
+    assert run([command, "--tree", p5_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds 17 bytes" in captured.err
+    monkeypatch.setattr(fktrees.io, "MAX_TREE_FILE_BYTES", 18)
+    assert run_capture(capsys, [command, "--tree", p5_file])[0] == 0
+    monkeypatch.setattr(fktrees.spectral, "MAX_DENSE_INTERIOR", 2)
+    assert run([command, "--tree", p5_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "dense-solver cap 2" in captured.err
+
+
 def test_bounds(capsys, p5_file, tmp_path):
     code, out = run_capture(capsys, ["bounds", "--tree", p5_file])
     assert code == 0
@@ -247,6 +272,16 @@ def test_usage_errors_exit_2(capsys):
     assert run(["verify", "--theorem", "T13", "--n-max", "8", "--cap", "25"]) == 2
     assert run(["verify", "--theorem", "T13", "--n-max", "8", "--tol", "0"]) == 2
     assert "--tol must be positive" in capsys.readouterr().err
+    # nan compares False against any residual or tie, so it would switch
+    # the checks off; inf is no tolerance either
+    for bad in ("nan", "inf"):
+        assert run(["eigen", "--tree", "/nonexistent/file.txt", "--tol", bad]) == 2
+        assert "--tol must be positive" in capsys.readouterr().err
+        assert run(["verify", "--theorem", "T13", "--n-max", "8", "--tol", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol must be positive" in captured.err
+        assert run(["verify", "--theorem", "T13", "--n-max", "8", "--tol", bad, "--format", "text"]) == 2
+        assert capsys.readouterr().out == ""
     assert run(["verify", "--theorem", "T13", "--n-max", "8", "--jobs", "0"]) == 2
     assert "--jobs must be >= 1" in capsys.readouterr().err
     # a sweep with no class key checks nothing, so it must not read as a pass

@@ -32,7 +32,7 @@ from fktrees.verify import (
     empty_class_certificate,
     theorem_keys,
 )
-from fktrees.enumeration import _array_invariants, _parent_arrays
+from fktrees.enumeration import _array_invariants, _parent_arrays, _parent_edges
 from fktrees.io import dumps
 from conftest import all_labeled_trees
 
@@ -73,7 +73,8 @@ def test_edge_sets_match_networkx_generator():
 
 def test_parent_arrays_agree_with_edges_and_classify():
     for n in range(3, 13):
-        for parent, degree, edges in _parent_arrays(n):
+        for parent, degree in _parent_arrays(n):
+            edges = _parent_edges(parent)
             assert parent[0] == -1 and all(parent[i] < i for i in range(1, n))
             assert edges == tuple((parent[i], i) for i in range(1, n))
             tree = from_edge_list(n, edges)
@@ -132,6 +133,19 @@ def test_key_parse_round_trip():
         ClassKey.parse("NM 3")
 
 
+def test_key_takes_exactly_its_variants_parameters():
+    with pytest.raises(ValueError, match="NM takes m, got none"):
+        ClassKey("NM", 5)
+    with pytest.raises(ValueError, match="NK takes k, got m, k"):
+        ClassKey("NK", 6, m=2, k=3)
+    with pytest.raises(ValueError):
+        ClassKey("NMB", 8, m=3)
+    with pytest.raises(ValueError):
+        ClassKey("ND", 8, D=4, b=2)
+    with pytest.raises(ValueError, match="unknown class variant"):
+        ClassKey("XX", 8)
+
+
 def test_feasibility():
     assert ClassKey("NM", 8, m=4).feasible()
     assert not ClassKey("NM", 7, m=4).feasible()
@@ -187,6 +201,16 @@ def test_certificate_infeasible_key():
 def test_certificate_cap():
     with pytest.raises(CapExceededError):
         verify_class(ClassKey("NM", 18, m=2))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        first_eigenpair(build_path(5), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        verify_class(ClassKey("NM", 8, m=3), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        verify_theorem_sweep("T13", 8, tol=tol)
 
 
 def test_certificate_json_reproducible():

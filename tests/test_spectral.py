@@ -362,7 +362,8 @@ def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
     rng = random.Random(20260)
     trees = skipped_below = 0
     for n in range(3, 13):
-        for parent, degree, edges in _parent_arrays(n):
+        for parent, degree in _parent_arrays(n):
+            edges = tuple((parent[i], i) for i in range(1, n))
             w = np.linalg.eigvalsh(dirichlet_matrix(from_edge_list(n, edges)).entries)
             lam = w[0]
             for x in (lam - 1e-7, lam + 1e-7, rng.uniform(0, 2), rng.uniform(0, 2)):
