@@ -20,7 +20,6 @@ from . import io as fkio
 from . import transforms
 from .enumeration import (
     DEFAULT_CAP,
-    HARD_CAP,
     ClassKey,
     _check_order,
     classify,
@@ -117,8 +116,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("--tol must be positive and finite")
     if getattr(args, "jobs", 1) < 1:
         raise ValueError("--jobs must be >= 1")
-    if getattr(args, "cap", 0) > HARD_CAP:
-        raise ValueError(f"--cap must not exceed the hard limit {HARD_CAP}")
 
 
 @contextlib.contextmanager
@@ -199,8 +196,7 @@ def _cmd_family(args) -> int:
 def _cmd_transform(args) -> int:
     tree = fkio.read_tree_file(args.tree)
     if args.function is not None:
-        with open(args.function, "r", encoding="ascii") as fh:
-            f = json.load(fh)
+        f = json.loads(fkio.read_capped(args.function))
         if not isinstance(f, list):
             raise ValueError("--function file must hold a JSON array")
     else:

@@ -126,16 +126,20 @@ def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
     """One TreeWithBoundary (leaf boundary) per isomorphism class of free
-    trees on n vertices.  n <= cap is enforced; n must be >= 3 because the
+    trees on n vertices, n <= cap <= HARD_CAP; n must be >= 3 because the
     2-vertex tree has no interior under the leaf-boundary convention."""
     _check_order(n, cap)
     for parent, _ in _parent_arrays(n):
         yield from_edge_list(n, _parent_edges(parent))
 
 
+def _check_cap(n: int, cap: int) -> None:
+    if not n <= cap <= HARD_CAP:
+        raise CapExceededError(f"need n <= cap <= {HARD_CAP}; n = {n}, cap = {cap}")
+
+
 def _check_order(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(f"n = {n} exceeds the enumeration cap {cap}")
+    _check_cap(n, cap)
     if n < 3:
         raise EmptyInteriorError(
             f"trees on {n} vertices have no interior with leaf boundary"
@@ -235,8 +239,8 @@ class ClassKey:
 
 
 def _key_tuples(n: int, m: int, b: int, D: int) -> tuple[tuple, ...]:
-    """dataclasses.astuple of the NM, NMB, NK and ND keys of a tree with n
-    vertices, matching number m, b leaves and diameter D."""
+    """dataclasses.astuple of the NM, NMB, NK and ND keys (in _PARAMS order)
+    of a tree with n vertices, matching number m, b leaves and diameter D."""
     return (
         ("NM", n, m, None, None, None),
         ("NMB", n, m, b, None, None),

@@ -15,10 +15,10 @@ from .errors import CapExceededError
 from .spectral import DirichletSpectrum
 from .trees import TreeWithBoundary, canonical_code, parse_edge_list_text
 
-__all__ = ["dumps", "spectrum_json", "tree_json", "read_tree_file"]
+__all__ = ["dumps", "spectrum_json", "tree_json", "read_capped", "read_tree_file"]
 
-# A tree file becomes per-vertex Python objects, so its size is capped before
-# parsing: 4 MiB holds over 250,000 vertices, far past MAX_DENSE_INTERIOR.
+# An input file becomes per-vertex Python objects, so its size is capped before
+# parsing: 4 MiB holds a tree of over 250,000 vertices, far past MAX_DENSE_INTERIOR.
 MAX_TREE_FILE_BYTES = 4 * 2**20
 
 
@@ -89,10 +89,15 @@ def tree_json(tree: TreeWithBoundary) -> dict:
     }
 
 
-def read_tree_file(path: str) -> TreeWithBoundary:
-    """Read an edge-list tree file; CapExceededError past MAX_TREE_FILE_BYTES."""
+def read_capped(path: str) -> str:
+    """An ASCII input file's text; CapExceededError past MAX_TREE_FILE_BYTES."""
     with open(path, "rb") as fh:
         data = fh.read(MAX_TREE_FILE_BYTES + 1)
     if len(data) > MAX_TREE_FILE_BYTES:
         raise CapExceededError(f"{path} exceeds {MAX_TREE_FILE_BYTES} bytes")
-    return parse_edge_list_text(data.decode("ascii"))
+    return data.decode("ascii")
+
+
+def read_tree_file(path: str) -> TreeWithBoundary:
+    """Read an edge-list tree file of at most MAX_TREE_FILE_BYTES."""
+    return parse_edge_list_text(read_capped(path))

@@ -217,7 +217,6 @@ class SwitchingCheckEntry:
     lambda_before: float
     lambda_after: float
     hypothesis_margin: float  # max of the two ordering slacks
-    provable_margin: float    # largest slack facing an interior vertex
     isomorphic: bool          # rewrite only relabeled the tree
     ok: bool
 
@@ -289,7 +288,6 @@ def eigenvalue_after_switching_check(
                 lambda_before=spectrum.lambda1,
                 lambda_after=lam_after,
                 hypothesis_margin=margin,
-                provable_margin=strictness_margin(tree, fhat, v1, v2, u1, u2),
                 isomorphic=isomorphic,
                 ok=ok,
             )

@@ -11,20 +11,19 @@ set equality of canonical codes; the diameter classes with D >= 5 are only
 conjectured, so their verdicts are CONJECTURE-MATCH (every minimizer is one
 of the conjectured candidates) or CONJECTURE-MISMATCH.
 
-Certificates are made per order, in one streaming pass over the parent
-arrays the generator yields.  One children-first pass over each array gives
-the matching number, leaf count and diameter, the tree goes to the bucket of
-each requested key among its _key_tuples, and each key keeps its population,
-its running minimal eigenvalue and the trees within the tie tolerance of it,
-so canonical codes are computed only for the minimizers.
-A class member only needs its eigenvalue if it could join a near list: once
-every key it belongs to has a running minimum, an O(n) elimination of
-A - xI at the largest of their lambda_min + tol (a pivot count, see
-spectral._spectrum_above) that shows every eigenvalue above x lets the tree
-be counted without being built or eigensolved.  The running minimum only
-falls, so such a tree could never have joined, and the certificates are the
-ones an eigensolve of every member gives, byte for byte.  A single key and a
-theorem sweep share this pass.
+Each theorem speaks about one class variant, so certificates are made per
+order and variant, in one streaming pass over the parent arrays the
+generator yields.  One children-first pass over each array gives the
+matching number, leaf count and diameter, which name the tree's key of that
+variant (see _key_tuples) and so the one bucket it may join.  Each bucket
+keeps its key's population, running minimal eigenvalue and the trees within
+the tie tolerance of it, so only the minimizers are canonically coded.  A
+member needs its eigenvalue only if it could join the near list: an O(n)
+pivot count of A - xI (spectral._spectrum_above) that puts every eigenvalue
+above its bucket's running lambda_min + tol lets the tree be counted without
+being built or eigensolved.  The minimum only falls, so such a tree could
+never have joined, and the certificates are those an eigensolve of every
+member gives, byte for byte.  A single key and a theorem sweep share this pass.
 
 Sweeps group a theorem's keys by order; with jobs > 1 the orders run in a
 process pool of min(jobs, number of orders, CPU count) workers, each
@@ -41,15 +40,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field
 
 from .enumeration import (
+    _PARAMS,
     DEFAULT_CAP,
     HARD_CAP,
     ClassKey,
     _array_invariants,
+    _check_cap,
     _key_tuples,
     _parent_arrays,
     _parent_edges,
 )
-from .errors import CapExceededError, EmptyClassError
+from .errors import EmptyClassError
 from .families import predicted_extremal
 from .spectral import _check_tol, _spectrum_above, first_eigenpair
 from .trees import TreeWithBoundary, canonical_code, from_edge_list
@@ -110,37 +111,34 @@ class _Bucket:
 
 def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCertificate]:
     """Certificates for feasible keys of order n (so n >= 3; callers check
-    the cap), in the order given, from one pass over the parent arrays of
-    that order.
+    the cap), all of one variant (else ValueError), in the order given, from
+    one pass over the parent arrays of that order.
 
-    A tree joins a key's near list when lambda1 <= lambda_min + tol for the
-    running minimum, and the list is pruned to that rule whenever the
+    A tree joins its key's near list when lambda1 <= lambda_min + tol for
+    the running minimum, and the list is pruned to that rule whenever the
     minimum drops.  The minimum only falls, so the list ends up as exactly
     the trees within tol of the class minimum, decided by the same float
-    comparison as a filter over the whole class.  Once every key a tree
-    belongs to has a finite minimum, a tree that _spectrum_above shows to
-    lie above each of their lambda_min + tol could change none of them, so
-    it is counted without being built or eigensolved.
+    comparison as a filter over the whole class.  Once near is non-empty
+    (lambda_min is finite), a tree that _spectrum_above shows to lie above
+    lambda_min + tol is counted without being built or eigensolved.
     """
+    (variant,) = {key.variant for key in keys}  # else ValueError
+    slot = list(_PARAMS).index(variant)  # _key_tuples follows _PARAMS
     buckets = {astuple(key): _Bucket() for key in keys}
     for parent, degree in _parent_arrays(n):
-        slots = _key_tuples(n, *_array_invariants(parent, degree))
-        hits = [buckets[slot] for slot in slots if slot in buckets]
-        if not hits:
+        bucket = buckets.get(_key_tuples(n, *_array_invariants(parent, degree))[slot])
+        if bucket is None:
             continue
-        for bucket in hits:
-            bucket.population += 1
-        bar = max(bucket.lambda_min for bucket in hits) + tol
-        if bar < math.inf and _spectrum_above(parent, degree, bar):
+        bucket.population += 1
+        if bucket.near and _spectrum_above(parent, degree, bucket.lambda_min + tol):
             continue
         tree = from_edge_list(n, _parent_edges(parent))
         lam = first_eigenpair(tree).lambda1
-        for bucket in hits:
-            if lam < bucket.lambda_min:
-                bucket.lambda_min = lam
-                bucket.near = [(l, t) for l, t in bucket.near if l <= lam + tol]
-            if lam <= bucket.lambda_min + tol:
-                bucket.near.append((lam, tree))
+        if lam < bucket.lambda_min:
+            bucket.lambda_min = lam
+            bucket.near = [(l, t) for l, t in bucket.near if l <= lam + tol]
+        if lam <= bucket.lambda_min + tol:
+            bucket.near.append((lam, tree))
     return [_certificate(key, buckets[astuple(key)], tol) for key in keys]
 
 
@@ -190,8 +188,7 @@ def verify_class(
     the enumeration cap and ValueError for a tol not positive and finite.
     """
     _check_tol(tol)
-    if key.n > cap:
-        raise CapExceededError(f"order {key.n} exceeds cap {cap}")
+    _check_cap(key.n, cap)
     if not key.feasible():
         raise EmptyClassError(f"class {key} admits no tree")
     return _certify_order(key.n, [key], tol)[0]
@@ -238,8 +235,7 @@ def verify_theorem_sweep(
     nothing cannot pass.  Bad tol and cap values raise as in verify_class.
     """
     _check_tol(tol)
-    if n_max > cap:
-        raise CapExceededError(f"n_max {n_max} exceeds cap {cap}")
+    _check_cap(n_max, cap)
     keys = theorem_keys(theorem, n_max)
     if not keys:
         first = theorem_keys(theorem, HARD_CAP)[0].n

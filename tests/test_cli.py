@@ -11,6 +11,7 @@ import pytest
 
 import fktrees
 from fktrees.cli import run
+from fktrees.verify import THEOREMS
 from fktrees import build_path, format_edge_list_text, parse_edge_list_text
 
 
@@ -217,12 +218,19 @@ def test_enumerate_streams_one_write_per_tree(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("theorem", ["T13", "T14", "Kloburstel", "D4"])
-def test_verify_bytes_match_golden_certificates(capsys, theorem):
+@pytest.mark.parametrize(
+    "theorem, jobs",
+    [pytest.param(t, "1", id=t) for t in THEOREMS]
+    + [pytest.param(t, "2", id=f"{t}-jobs2") for t in THEOREMS],
+)
+def test_verify_bytes_match_golden_certificates(capsys, theorem, jobs):
     # recorded from `fktrees verify --theorem THEOREM --n-max 11`; the
-    # certificate bytes are the output contract, down to the last digit
+    # certificate bytes are the output contract, down to the last digit, and
+    # do not depend on the number of workers
     golden = Path(__file__).parent / "data" / f"verify_{theorem}_n11.jsonl"
-    code, out = run_capture(capsys, ["verify", "--theorem", theorem, "--n-max", "11"])
+    code, out = run_capture(
+        capsys, ["verify", "--theorem", theorem, "--n-max", "11", "--jobs", jobs]
+    )
     assert code == 0
     assert out == golden.read_text(encoding="ascii")
 
@@ -250,6 +258,34 @@ def test_input_caps_exit_2(capsys, monkeypatch, p5_file, command):
     assert run([command, "--tree", p5_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "dense-solver cap 2" in captured.err
+
+
+def test_function_file_cap_exits_2(capsys, monkeypatch, p5_file, tmp_path):
+    # P5's file is 18 bytes; the function file on its 3 interior vertices is
+    # longer, so a cap between the two refuses only the function
+    fn_file = tmp_path / "f.json"
+    fn_file.write_text("[0.5, 0.7071067811865476, 0.5]")
+    argv = ["transform", "--tree", p5_file, "--move", "shift 1 3 0"]
+    argv += ["--function", str(fn_file)]
+    assert run_capture(capsys, argv)[0] == 0
+    monkeypatch.setattr(fktrees.io, "MAX_TREE_FILE_BYTES", 18)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds 18 bytes" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-class", "--key", "NM 8 3"],
+        ["verify-class", "--key", "NM 2 1"],
+        ["enumerate", "--n", "8"],
+    ],
+)
+def test_cap_past_hard_limit_exits_2(capsys, argv):
+    assert run(argv + ["--cap", "21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap <= 20" in captured.err
 
 
 def test_bounds(capsys, p5_file, tmp_path):

@@ -203,6 +203,16 @@ def test_certificate_cap():
         verify_class(ClassKey("NM", 18, m=2))
 
 
+def test_hard_cap_binds_every_library_entry():
+    # a cap above HARD_CAP is refused before any tree is made, whatever n is
+    with pytest.raises(CapExceededError):
+        next(free_trees(21, cap=21))
+    with pytest.raises(CapExceededError):
+        verify_class(ClassKey("NM", 8, m=3), cap=21)
+    with pytest.raises(CapExceededError):
+        verify_theorem_sweep("T13", 5, cap=21)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
 def test_tolerance_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
@@ -232,6 +242,20 @@ def test_theorem_keys_shapes():
     assert all(k.feasible() for k in theorem_keys("T14", 9))
     with pytest.raises(ValueError):
         theorem_keys("T15", 5)
+
+
+def test_each_theorem_speaks_about_one_variant():
+    # the precondition of the sweep's one-variant pass
+    for theorem in THEOREMS:
+        assert len({key.variant for key in theorem_keys(theorem, 12)}) == 1
+
+
+def test_certify_order_takes_keys_of_one_variant():
+    keys = [ClassKey("NM", 6, m=2), ClassKey("NK", 6, k=3)]
+    with pytest.raises(ValueError):
+        verify_module._certify_order(6, keys, TIE_TOL)
+    with pytest.raises(ValueError):
+        verify_module._certify_order(6, [], TIE_TOL)
 
 
 def test_t13_sweep_small():
@@ -325,19 +349,6 @@ def test_streaming_certificates_equal_materialize_and_filter():
         assert [c.key for c in certs] == theorem_keys(theorem, 10)
         for cert in certs:
             assert cert == _filtered_certificate(cert.key, records[cert.key.n])
-
-
-def test_one_pass_over_keys_of_every_variant_equals_materialize_and_filter():
-    # a tree hits up to four buckets, and the pivot filter tests it against
-    # the largest of their running minima
-    for n in range(5, 11):
-        records = [
-            (canonical_code(t).text, invariants(t), first_eigenpair(t).lambda1)
-            for t in free_trees(n)
-        ]
-        keys = [k for theorem in THEOREMS for k in theorem_keys(theorem, n) if k.n == n]
-        for cert in verify_module._certify_order(n, keys, TIE_TOL):
-            assert cert == _filtered_certificate(cert.key, records)
 
 
 def test_class_certificate_solves_members_and_codes_minimizers(monkeypatch):
