@@ -6,9 +6,11 @@ constant-amortized-time level-sequence algorithm of Wright, Richmond,
 Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
 Comput. 15, 1986), the one networkx implements, with the same labelling and
 order; soundness is pinned by tests against a brute-force labeled-tree
-oracle and against networkx.  The generator's own form of a tree is a
-parent array in preorder, with degrees (_parent_arrays); edge lists, trees
-and the sweep's one-pass invariants are all read from it.
+oracle and against networkx.  The generator's own form is a block of up to
+_BLOCK trees of one order: int8 parent arrays in preorder, one row per tree,
+with their degrees (_parent_blocks).  Edge lists and trees are read from its
+rows; the sweep's invariants (_array_invariants) are one children-first
+pass over its columns, each column one numpy step for the whole block.
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
@@ -19,8 +21,11 @@ tree's keys from _key_tuples.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from typing import Iterator
+
+import numpy as np
 
 from .errors import CapExceededError, EmptyInteriorError, TooSmallError
 from .matching import matching_number
@@ -38,12 +43,15 @@ __all__ = [
 DEFAULT_CAP = 16
 HARD_CAP = 20
 
+_BLOCK = 1024  # trees per _parent_blocks block
+
 
 def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
     """Beyer-Hedetniemi successor of a rooted level sequence, rewriting from
     position p (default: the last level above 1); None after the last one."""
+    n = len(seq)
     if p is None:
-        p = len(seq) - 1
+        p = n - 1
         while seq[p] == 1:
             p -= 1
     if p == 0:
@@ -51,28 +59,39 @@ def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
     q = p - 1
     while seq[q] != seq[p] - 1:
         q -= 1
-    # the subtree block seq[q:p], repeated to fill positions p onwards
-    return seq[:p] + (seq[q:p] * len(seq))[: len(seq) - p]
+    # the subtree block seq[q:p], repeated just enough to fill positions p onwards
+    return seq[:p] + (seq[q:p] * -(-(n - p) // (p - q)))[: n - p]
 
 
-def _split(seq: list[int]) -> tuple[list[int], list[int]]:
-    """The root's left subtree and the tree without it, as level sequences."""
-    m = seq.index(1, 2) if 1 in seq[2:] else len(seq)
-    return [x - 1 for x in seq[1:m]], [0] + seq[m:]
+def _left_end(seq: list[int]) -> int:
+    """Position of the root's second child (len(seq) if it has one child):
+    the root's left subtree is seq[1:_left_end(seq)]."""
+    try:
+        return seq.index(1, 2)
+    except ValueError:
+        return len(seq)
 
 
 def _next_free(seq: list[int]) -> list[int]:
     """seq if it is the canonical rooting of its free tree (the root's left
     subtree is lower than the rest, or as high and smaller, or as high, as
-    large and not later); otherwise the next candidate past the invalid ones."""
-    left, rest = _split(seq)
-    lh, rh = max(left), max(rest)
-    if rh > lh or (rh == lh and (len(left), left) <= (len(rest), rest)):
+    large and not later); otherwise the next candidate past the invalid ones.
+    The subtrees are compared by height, then size, and only when both tie
+    as level sequences (the left one shifted up a level, the rest rooted)."""
+    m = _left_end(seq)
+    lh, rh = max(seq[1:m]) - 1, max(seq[m:], default=0)
+    if rh > lh:
         return seq
-    p = len(left)
+    if rh == lh:
+        size, rest_size = m - 1, len(seq) - m + 1
+        if size < rest_size or (
+            size == rest_size and [x - 1 for x in seq[1:m]] <= [0] + seq[m:]
+        ):
+            return seq
+    p = m - 1
     nxt = _next_rooted(seq, p)
     if seq[p] > 2:
-        height = max(_split(nxt)[0])
+        height = max(nxt[1:_left_end(nxt)]) - 1
         nxt[-height - 1:] = range(1, height + 2)
     return nxt
 
@@ -87,40 +106,51 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
         seq = _next_rooted(seq)
 
 
-def _parent_arrays(n: int) -> Iterator[tuple[list[int], list[int]]]:
+def _parent_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(parent, degree) of every free tree on n >= 2 vertices, in WROM
-    order.  Vertex i is position i of the level sequence, so the vertices
-    are in preorder and every parent precedes its children; parent[i] is
-    the latest earlier vertex one level up (parent[0] = -1, the centre)."""
-    for seq in _level_sequences(n):
-        latest = [0] * n  # latest[d]: the last vertex seen at level d
-        parent = [-1] * n
-        degree = [1] * n  # one for the edge to each vertex's parent ...
-        degree[0] = 0  # ... which the root lacks
+    order, as int8 arrays of shape (B, n), B <= _BLOCK, one row per tree.
+    Vertex i is position i of the level sequence, so the vertices are in
+    preorder and every parent precedes its children; parent[r, i] is the
+    latest earlier vertex one level up (parent[r, 0] = -1, the centre).
+    Each column is one numpy step over the whole block."""
+    levels = itertools.chain.from_iterable(_level_sequences(n))
+    while len(flat := np.fromiter(itertools.islice(levels, _BLOCK * n), np.int8)):
+        level = flat.reshape(-1, n)
+        rows = np.arange(len(level))
+        latest = np.zeros(level.shape, np.int8)  # latest[r, d]: last vertex at level d
+        parent = np.full(level.shape, -1, np.int8)
+        degree = np.ones(level.shape, np.int8)  # one for the edge to each parent ...
+        degree[:, 0] = 0  # ... which the root lacks
         for i in range(1, n):
-            d = seq[i]
-            p = latest[d - 1]
-            parent[i] = p
-            degree[p] += 1
-            latest[d] = i
+            d = level[:, i]
+            p = latest[rows, d - 1]
+            parent[:, i] = p
+            degree[rows, p] += 1
+            latest[rows, d] = i
         yield parent, degree
 
 
 def _parent_edges(parent: list[int]) -> tuple[tuple[int, int], ...]:
-    """The edges (parent[i], i), i >= 1, of a _parent_arrays tree."""
+    """The edges (parent[i], i), i >= 1, of one _parent_blocks row."""
     return tuple(zip(parent[1:], range(1, len(parent))))
+
+
+def _parent_rows(n: int) -> Iterator[list[int]]:
+    """The rows of _parent_blocks(n)'s parent arrays, as lists."""
+    for parent, _ in _parent_blocks(n):
+        yield from parent.tolist()
 
 
 def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Edge lists of all free trees on n >= 1 vertices, one per isomorphism
     class, in WROM order (n = 1 yields the empty list), labelled as in
-    _parent_arrays."""
+    _parent_blocks."""
     if n < 1:
         raise TooSmallError(f"no trees on {n} vertices")
     if n == 1:
         yield ()
         return
-    for parent, _ in _parent_arrays(n):
+    for parent in _parent_rows(n):
         yield _parent_edges(parent)
 
 
@@ -129,7 +159,7 @@ def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
     trees on n vertices, n <= cap <= HARD_CAP; n must be >= 3 because the
     2-vertex tree has no interior under the leaf-boundary convention."""
     _check_order(n, cap)
-    for parent, _ in _parent_arrays(n):
+    for parent in _parent_rows(n):
         yield from_edge_list(n, _parent_edges(parent))
 
 
@@ -146,27 +176,30 @@ def _check_order(n: int, cap: int) -> None:
         )
 
 
-def _array_invariants(parent: list[int], degree: list[int]) -> tuple[int, int, int]:
-    """(m, b, D) of a tree with n >= 3 given as a _parent_arrays parent
-    array, in one pass over the vertices children first: b counts the
+def _array_invariants(
+    parent: np.ndarray, degree: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, b, D), one entry per row, of a _parent_blocks block of trees with
+    n >= 3, in one pass over the columns children first: b counts the
     degree-1 vertices; m matches a vertex to its parent when both are still
     free (the greedy rule of matching.maximum_matching, optimal in any
     children-first order); D is the largest sum of the two tallest branches
-    below a vertex, with height[p] the tallest branch seen so far."""
-    free = [True] * len(parent)
-    height = [0] * len(parent)
-    m = D = 0
-    for v in range(len(parent) - 1, 0, -1):
-        p = parent[v]
-        if free[v] and free[p]:
-            free[v] = free[p] = False
-            m += 1
-        h = height[v] + 1
-        if h + height[p] > D:
-            D = h + height[p]
-        if h > height[p]:
-            height[p] = h
-    return m, degree.count(1), D
+    below a vertex, with height[r, p] the tallest branch seen so far."""
+    rows = np.arange(len(parent))
+    free = np.ones(parent.shape, bool)
+    height = np.zeros(parent.shape, np.int8)
+    m = np.zeros(len(parent), np.int8)
+    D = np.zeros(len(parent), np.int8)
+    for v in range(parent.shape[1] - 1, 0, -1):
+        p = parent[:, v]
+        matched = free[:, v] & free[rows, p]
+        free[rows, p] &= ~matched
+        m += matched
+        h = height[:, v] + 1
+        hp = height[rows, p]
+        np.maximum(D, h + hp, out=D)
+        height[rows, p] = np.maximum(hp, h)
+    return m, np.count_nonzero(degree == 1, axis=1), D
 
 
 _PARAMS = {"NM": ("m",), "NMB": ("m", "b"), "NK": ("k",), "ND": ("D",)}

@@ -150,30 +150,35 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _spectrum_above(parent: Sequence[int], degree: Sequence[int], x: float) -> bool:
-    """True when every Dirichlet eigenvalue of a tree with leaf boundary,
-    and so the lambda1 first_eigenpair reports for it, is shown to exceed
-    x; False when that is not shown.  The tree is a parent array in which
-    every parent precedes its children (parent[0] = -1) with its degrees.
+def _spectrum_above(parent: np.ndarray, degree: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """For each row r of a block of trees with leaf boundary, True when
+    every Dirichlet eigenvalue of the tree, and so the lambda1
+    first_eigenpair reports for it, is shown to exceed x[r]; False when that
+    is not shown.  The trees are int8 parent arrays of shape (B, n) in which
+    every parent precedes its children (parent[r, 0] = -1), with degrees.
 
     Eliminating A - yI, y = x + _FILTER_SLACK, children first (Jacobs &
     Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
     2011) gives the pivot d_v = deg(v) - y - sum of 1/d_c over the interior
     children c of v.  By Sylvester's law of inertia A - yI is positive
-    definite iff every pivot is positive.  The pass stops at the first
-    pivot below _PIVOT_GUARD, so it never divides by a small one.
+    definite iff every pivot is positive.  A row fails at its first pivot
+    below _PIVOT_GUARD and divides no further, so it never divides by a
+    small one.  Each column is one numpy step over the block.
     """
-    y = x + _FILTER_SLACK
-    below = [0.0] * len(parent)  # sum of 1/d_c over the children seen so far
-    for v in range(len(parent) - 1, -1, -1):
-        if degree[v] == 1:
-            continue  # a leaf is boundary, outside the matrix
-        d = degree[v] - y - below[v]
-        if d < _PIVOT_GUARD:
-            return False
+    y = np.asarray(x, dtype=float) + _FILTER_SLACK
+    rows = np.arange(len(parent))
+    below = np.zeros(parent.shape)  # sum of 1/d_c over the children seen so far
+    alive = np.ones(len(parent), bool)
+    inverse = np.zeros(len(parent))
+    for v in range(parent.shape[1] - 1, -1, -1):
+        pivot = degree[:, v] - y - below[:, v]
+        interior = degree[:, v] != 1  # a leaf is boundary, outside the matrix
+        alive &= ~interior | (pivot >= _PIVOT_GUARD)
         if v:
-            below[parent[v]] += 1.0 / d
-    return True
+            inverse.fill(0.0)
+            np.divide(1.0, pivot, out=inverse, where=alive & interior)
+            below[rows, parent[:, v]] += inverse
+    return alive
 
 
 def zero_extension(tree: TreeWithBoundary, f: Sequence[float]) -> np.ndarray:

@@ -12,18 +12,28 @@ conjectured, so their verdicts are CONJECTURE-MATCH (every minimizer is one
 of the conjectured candidates) or CONJECTURE-MISMATCH.
 
 Each theorem speaks about one class variant, so certificates are made per
-order and variant, in one streaming pass over the parent arrays the
-generator yields.  One children-first pass over each array gives the
-matching number, leaf count and diameter, which name the tree's key of that
-variant (see _key_tuples) and so the one bucket it may join.  Each bucket
-keeps its key's population, running minimal eigenvalue and the trees within
-the tie tolerance of it, so only the minimizers are canonically coded.  A
-member needs its eigenvalue only if it could join the near list: an O(n)
-pivot count of A - xI (spectral._spectrum_above) that puts every eigenvalue
-above its bucket's running lambda_min + tol lets the tree be counted without
-being built or eigensolved.  The minimum only falls, so such a tree could
-never have joined, and the certificates are those an eigensolve of every
-member gives, byte for byte.  A single key and a theorem sweep share this pass.
+order and variant, in one streaming pass over the generator's blocks of
+parent arrays (enumeration._parent_blocks), up to 1,024 trees at a time.
+One children-first pass over a block's columns gives every row's matching
+number, leaf count and diameter; a lookup table from those to the key of
+that variant (see _key_tuples) names the one bucket each tree may join, and
+np.bincount counts the populations.  Each bucket keeps its key's running
+minimal eigenvalue and the trees within the tie tolerance of it, so only
+the minimizers are canonically coded.
+
+A member needs its eigenvalue only if it could join the near list.  Before
+its first block, each key's threshold is seeded with the first eigenvalue
+of its predicted trees that are members (or, if none is, of its first
+member).  An O(n) pivot count of A - xI over the block
+(spectral._spectrum_above) at x = min(seed, running lambda_min) + tol then
+rules out, without building or eigensolving them, the rows whose every
+eigenvalue lies above x; such a tree could never join.  Only the rows it
+cannot rule out take the per-tree path: from_edge_list, first_eigenpair and
+the near-list update, in generator order.  Seeds set thresholds and nothing
+else: they never reach a population, a lambda_min or a minimizer list, so
+every reported float is the first_eigenpair value of a generator-labelled
+tree, and the certificates are those an eigensolve of every member gives,
+byte for byte.  A single key and a theorem sweep share this pass.
 
 Sweeps group a theorem's keys by order; with jobs > 1 the orders run in a
 process pool of min(jobs, number of orders, CPU count) workers, each
@@ -37,7 +47,9 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .enumeration import (
     _PARAMS,
@@ -47,11 +59,12 @@ from .enumeration import (
     _array_invariants,
     _check_cap,
     _key_tuples,
-    _parent_arrays,
+    _parent_blocks,
     _parent_edges,
+    classify,
 )
 from .errors import EmptyClassError
-from .families import predicted_extremal
+from .families import PredictedExtremal, predicted_extremal
 from .spectral import _check_tol, _spectrum_above, first_eigenpair
 from .trees import TreeWithBoundary, canonical_code, from_edge_list
 
@@ -109,44 +122,82 @@ class _Bucket:
     near: list[tuple[float, TreeWithBoundary]] = field(default_factory=list)
 
 
+def _row_tree(n: int, parent: np.ndarray) -> TreeWithBoundary:
+    """The tree of one _parent_blocks row."""
+    return from_edge_list(n, _parent_edges(parent.tolist()))
+
+
 def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCertificate]:
     """Certificates for feasible keys of order n (so n >= 3; callers check
     the cap), all of one variant (else ValueError), in the order given, from
-    one pass over the parent arrays of that order.
+    one pass over the parent-array blocks of that order.
 
     A tree joins its key's near list when lambda1 <= lambda_min + tol for
     the running minimum, and the list is pruned to that rule whenever the
     minimum drops.  The minimum only falls, so the list ends up as exactly
     the trees within tol of the class minimum, decided by the same float
-    comparison as a filter over the whole class.  Once near is non-empty
-    (lambda_min is finite), a tree that _spectrum_above shows to lie above
-    lambda_min + tol is counted without being built or eigensolved.
+    comparison as a filter over the whole class.
+
+    Each key has a seed: the least lambda1 of its predicted trees that are
+    members, or else of its first member, solved before its first block is
+    filtered.  The class minimum is at most the seed (up to the ~1e-15 by
+    which relabelling an isomorph may move lambda1; _FILTER_SLACK covers
+    it), so a row that _spectrum_above shows to lie above min(seed,
+    lambda_min) + tol could never join and is counted without being built
+    or eigensolved.  Seeds set thresholds only: population, lambda_min and
+    near come from the generator's own trees.
     """
     (variant,) = {key.variant for key in keys}  # else ValueError
-    slot = list(_PARAMS).index(variant)  # _key_tuples follows _PARAMS
-    buckets = {astuple(key): _Bucket() for key in keys}
-    for parent, degree in _parent_arrays(n):
-        bucket = buckets.get(_key_tuples(n, *_array_invariants(parent, degree))[slot])
-        if bucket is None:
-            continue
-        bucket.population += 1
-        if bucket.near and _spectrum_above(parent, degree, bucket.lambda_min + tol):
-            continue
-        tree = from_edge_list(n, _parent_edges(parent))
-        lam = first_eigenpair(tree).lambda1
-        if lam < bucket.lambda_min:
-            bucket.lambda_min = lam
-            bucket.near = [(l, t) for l, t in bucket.near if l <= lam + tol]
-        if lam <= bucket.lambda_min + tol:
-            bucket.near.append((lam, tree))
-    return [_certificate(key, buckets[astuple(key)], tol) for key in keys]
+    slot = list(_PARAMS).index(variant)  # _key_tuples and classify follow _PARAMS
+    ids = {key: i for i, key in enumerate(keys)}
+    buckets = [_Bucket() for _ in keys]
+    predictions = [predicted_extremal(key) for key in keys]
+    seed = np.full(len(keys), math.inf)
+    for i, (key, prediction) in enumerate(zip(keys, predictions)):
+        for tree in prediction.trees:
+            if classify(tree)[slot] == key:
+                seed[i] = min(seed[i], first_eigenpair(tree).lambda1)
+    # key id of each (m, b, D) code, looked up on first sight: -2 unseen, -1 none
+    dims = (n // 2 + 1, n + 1, n)
+    lookup = np.full(math.prod(dims), -2, np.intp)
+    population = np.zeros(len(keys), np.int64)
+    for parent, degree in _parent_blocks(n):
+        code = np.ravel_multi_index(_array_invariants(parent, degree), dims)
+        for c in set(code[lookup[code] == -2].tolist()):
+            params = map(int, np.unravel_index(c, dims))
+            lookup[c] = ids.get(ClassKey(*_key_tuples(n, *params)[slot]), -1)
+        kid = lookup[code]
+        rows = np.flatnonzero(kid >= 0)
+        kid = kid[rows]
+        population += np.bincount(kid, minlength=len(keys))
+        for i in sorted(set(kid[np.isinf(seed[kid])].tolist())):
+            first = rows[np.argmax(kid == i)]
+            seed[i] = first_eigenpair(_row_tree(n, parent[first])).lambda1
+        running = np.array([bucket.lambda_min for bucket in buckets])
+        threshold = (np.minimum(seed, running) + tol)[kid]
+        contender = ~_spectrum_above(parent[rows], degree[rows], threshold)
+        for r, i in zip(rows[contender].tolist(), kid[contender].tolist()):
+            tree = _row_tree(n, parent[r])
+            lam = first_eigenpair(tree).lambda1
+            bucket = buckets[i]
+            if lam < bucket.lambda_min:
+                bucket.lambda_min = lam
+                bucket.near = [(l, t) for l, t in bucket.near if l <= lam + tol]
+            if lam <= bucket.lambda_min + tol:
+                bucket.near.append((lam, tree))
+    for bucket, count in zip(buckets, population.tolist()):
+        bucket.population = count
+    return [
+        _certificate(key, buckets[ids[key]], predictions[ids[key]], tol) for key in keys
+    ]
 
 
-def _certificate(key: ClassKey, bucket: _Bucket, tol: float) -> ExtremalCertificate:
+def _certificate(
+    key: ClassKey, bucket: _Bucket, prediction: PredictedExtremal, tol: float
+) -> ExtremalCertificate:
     if not bucket.population:
         return empty_class_certificate(key, tol)
     minimizers = tuple(sorted(canonical_code(t).text for _, t in bucket.near))
-    prediction = predicted_extremal(key)
     predicted = tuple(sorted({canonical_code(t).text for t in prediction.trees}))
     if prediction.conjecture:
         verdict = (

@@ -235,6 +235,20 @@ def test_verify_bytes_match_golden_certificates(capsys, theorem, jobs):
     assert out == golden.read_text(encoding="ascii")
 
 
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_verify_bytes_match_golden_across_block_boundaries(capsys, monkeypatch, theorem):
+    # order 11 has 235 trees, one block at the default size; blocks of 7
+    # rows split every order past 6 and leave a short last block, and the
+    # certificates must not notice
+    monkeypatch.setattr(fktrees.enumeration, "_BLOCK", 7)
+    golden = Path(__file__).parent / "data" / f"verify_{theorem}_n11.jsonl"
+    code, out = run_capture(
+        capsys, ["verify", "--theorem", theorem, "--n-max", "11", "--jobs", "1"]
+    )
+    assert code == 0
+    assert out == golden.read_text(encoding="ascii")
+
+
 def test_enumerate_classify_bytes_match_golden(capsys):
     # recorded from `fktrees enumerate --n 10 --classify`: the labelled trees,
     # their order, their codes and the text of every class key

@@ -20,6 +20,7 @@ from fktrees import (
     free_trees,
     from_edge_list,
     invariants,
+    PredictedExtremal,
     predicted_extremal,
     verify_class,
     verify_theorem_sweep,
@@ -32,7 +33,7 @@ from fktrees.verify import (
     empty_class_certificate,
     theorem_keys,
 )
-from fktrees.enumeration import _array_invariants, _parent_arrays, _parent_edges
+from fktrees.enumeration import _array_invariants, _parent_blocks, _parent_edges
 from fktrees.io import dumps
 from conftest import all_labeled_trees
 
@@ -73,19 +74,22 @@ def test_edge_sets_match_networkx_generator():
 
 def test_parent_arrays_agree_with_edges_and_classify():
     for n in range(3, 13):
-        for parent, degree in _parent_arrays(n):
-            edges = _parent_edges(parent)
-            assert parent[0] == -1 and all(parent[i] < i for i in range(1, n))
-            assert edges == tuple((parent[i], i) for i in range(1, n))
-            tree = from_edge_list(n, edges)
-            assert degree == [tree.degree(v) for v in range(n)]
-            m, b, D = _array_invariants(parent, degree)
-            assert classify(tree) == [
-                ClassKey("NM", n, m=m),
-                ClassKey("NMB", n, m=m, b=b),
-                ClassKey("NK", n, k=n - b),
-                ClassKey("ND", n, D=D),
-            ]
+        for parents, degrees in _parent_blocks(n):
+            invariants_ = zip(*(a.tolist() for a in _array_invariants(parents, degrees)))
+            for parent, degree, (m, b, D) in zip(
+                parents.tolist(), degrees.tolist(), invariants_
+            ):
+                edges = _parent_edges(parent)
+                assert parent[0] == -1 and all(parent[i] < i for i in range(1, n))
+                assert edges == tuple((parent[i], i) for i in range(1, n))
+                tree = from_edge_list(n, edges)
+                assert degree == [tree.degree(v) for v in range(n)]
+                assert classify(tree) == [
+                    ClassKey("NM", n, m=m),
+                    ClassKey("NMB", n, m=m, b=b),
+                    ClassKey("NK", n, k=n - b),
+                    ClassKey("ND", n, D=D),
+                ]
 
 
 def test_pinned_count_n12():
@@ -368,6 +372,65 @@ def test_class_certificate_solves_members_and_codes_minimizers(monkeypatch):
     # counted without an eigensolve
     assert 0 < calls["eigen"] < cert.population < sum(1 for _ in free_trees(10))
     assert calls["code"] == len(cert.minimizers) + len(predicted_extremal(key).trees)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_sweep_eigensolves_exactly_the_minimizers(monkeypatch, theorem):
+    # every threshold starts at the predicted minimum, so the pivot filter
+    # leaves only the minimizers to eigensolve among the generator's trees
+    # (every tree but those predicted_extremal returned)
+    predicted, calls = [], {"generator": 0}
+
+    def recorded(key):
+        prediction = predicted_extremal(key)
+        predicted.extend(prediction.trees)
+        return prediction
+
+    def counted(tree, *args, **kwargs):
+        if not any(tree is t for t in predicted):
+            calls["generator"] += 1
+        return first_eigenpair(tree, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "predicted_extremal", recorded)
+    monkeypatch.setattr(verify_module, "first_eigenpair", counted)
+    certs = verify_theorem_sweep(theorem, 12)
+    assert calls["generator"] == sum(len(c.minimizers) for c in certs) > 0
+
+
+@pytest.mark.parametrize("stand_in", ["non-member", "non-minimal-member"])
+def test_wrong_predictions_change_only_the_verdict(monkeypatch, stand_in):
+    # a predicted tree outside the class, or a member that is not minimal,
+    # only seeds a looser threshold: the population, minimum and minimizers
+    # stay, and the verdict turns to MISMATCH
+    right = {c.key: c for t in ("T13", "T14") for c in verify_theorem_sweep(t, 10)}
+    wrong = {}
+    for key, cert in right.items():
+        for tree in free_trees(key.n):
+            member = key in classify(tree)
+            if stand_in == "non-member":
+                if not member:
+                    wrong[key] = tree  # the first non-member in WROM order
+                    break
+            elif member and canonical_code(tree).text not in cert.minimizers:
+                wrong[key] = tree  # the last non-minimal member in WROM order
+    # not vacuous: of the 74 keys, only the two of order 3 have no
+    # non-member, and 45 have a member that is not a minimizer
+    assert len(right) == 74
+    assert len(wrong) == {"non-member": 72, "non-minimal-member": 45}[stand_in]
+
+    def predicted(key):
+        if key in wrong:
+            return PredictedExtremal((wrong[key],))
+        return predicted_extremal(key)
+
+    monkeypatch.setattr(verify_module, "predicted_extremal", predicted)
+    for theorem in ("T13", "T14"):
+        for cert in verify_theorem_sweep(theorem, 10):
+            want = right[cert.key]
+            assert cert.population == want.population
+            assert cert.lambda_min == want.lambda_min
+            assert cert.minimizers == want.minimizers
+            assert cert.verdict == ("MISMATCH" if cert.key in wrong else want.verdict)
 
 
 class _RecordingPool:

@@ -26,7 +26,7 @@ from fktrees import (
     path_eigenvalue,
     rayleigh_quotient,
 )
-from fktrees.enumeration import _parent_arrays
+from fktrees.enumeration import _parent_blocks
 from fktrees.spectral import _spectrum_above
 from conftest import random_tree
 
@@ -362,14 +362,21 @@ def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
     rng = random.Random(20260)
     trees = skipped_below = 0
     for n in range(3, 13):
-        for parent, degree in _parent_arrays(n):
-            edges = tuple((parent[i], i) for i in range(1, n))
-            w = np.linalg.eigvalsh(dirichlet_matrix(from_edge_list(n, edges)).entries)
-            lam = w[0]
-            for x in (lam - 1e-7, lam + 1e-7, rng.uniform(0, 2), rng.uniform(0, 2)):
-                if _spectrum_above(parent, degree, x):
-                    assert not np.any(w <= x), (edges, x)
-            trees += 1
-            skipped_below += _spectrum_above(parent, degree, lam - 1e-7)
+        for parents, degrees in _parent_blocks(n):
+            spectra, xs = [], []  # per row; xs[r] holds the row's four x values
+            for parent in parents.tolist():
+                edges = tuple((parent[i], i) for i in range(1, n))
+                w = np.linalg.eigvalsh(dirichlet_matrix(from_edge_list(n, edges)).entries)
+                lam = w[0]
+                spectra.append((edges, w))
+                xs.append((lam - 1e-7, lam + 1e-7, rng.uniform(0, 2), rng.uniform(0, 2)))
+            xs = np.array(xs)
+            above = [_spectrum_above(parents, degrees, xs[:, j]) for j in range(4)]
+            for r, (edges, w) in enumerate(spectra):
+                for j, x in enumerate(xs[r]):
+                    if above[j][r]:
+                        assert not np.any(w <= x), (edges, x)
+                trees += 1
+                skipped_below += bool(above[0][r])
     # not vacuous: just below lambda1 the filter skips every one of the trees
     assert skipped_below == trees == 985
