@@ -6,11 +6,15 @@ constant-amortized-time level-sequence algorithm of Wright, Richmond,
 Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
 Comput. 15, 1986), the one networkx implements, with the same labelling and
 order; soundness is pinned by tests against a brute-force labeled-tree
-oracle and against networkx.  The generator's own form is a block of up to
-_BLOCK trees of one order: int8 parent arrays in preorder, one row per tree,
-with their degrees (_parent_blocks).  Edge lists and trees are read from its
-rows; the sweep's invariants (_array_invariants) are one children-first
-pass over its columns, each column one numpy step for the whole block.
+oracle and against networkx.  Each level sequence is a bytes object (levels
+are at most HARD_CAP), and the successor steps are bytes methods.  The
+generator's own form is a block of up to _BLOCK trees of one order: int8
+parent arrays and degrees of shape (n, B) in preorder, one column per tree,
+so that vertex v of every tree is the contiguous row v (_parent_blocks).
+Edge lists and trees are read from its columns; the sweep's invariants
+(_array_invariants) are one children-first pass over its rows, each row one
+numpy step for the whole block, which reaches the parents through the flat
+index parent * B + column (_flat_parents).
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
@@ -46,33 +50,31 @@ HARD_CAP = 20
 _BLOCK = 1024  # trees per _parent_blocks block
 
 
-def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
+_DOWN = bytes((x - 1) % 256 for x in range(256))  # translate table: level x -> x - 1
+_LEVELS = bytes(range(HARD_CAP + 1))  # _LEVELS[1:h + 2] is a path of height h
+
+
+def _next_rooted(seq: bytes, p: int | None = None) -> bytes | None:
     """Beyer-Hedetniemi successor of a rooted level sequence, rewriting from
     position p (default: the last level above 1); None after the last one."""
     n = len(seq)
     if p is None:
-        p = n - 1
-        while seq[p] == 1:
-            p -= 1
+        p = len(seq.rstrip(b"\x01")) - 1
     if p == 0:
         return None
-    q = p - 1
-    while seq[q] != seq[p] - 1:
-        q -= 1
+    q = seq.rindex(seq[p] - 1, 0, p)
     # the subtree block seq[q:p], repeated just enough to fill positions p onwards
     return seq[:p] + (seq[q:p] * -(-(n - p) // (p - q)))[: n - p]
 
 
-def _left_end(seq: list[int]) -> int:
+def _left_end(seq: bytes) -> int:
     """Position of the root's second child (len(seq) if it has one child):
     the root's left subtree is seq[1:_left_end(seq)]."""
-    try:
-        return seq.index(1, 2)
-    except ValueError:
-        return len(seq)
+    m = seq.find(1, 2)
+    return m if m > 0 else len(seq)
 
 
-def _next_free(seq: list[int]) -> list[int]:
+def _next_free(seq: bytes) -> bytes:
     """seq if it is the canonical rooting of its free tree (the root's left
     subtree is lower than the rest, or as high and smaller, or as high, as
     large and not later); otherwise the next candidate past the invalid ones.
@@ -85,21 +87,21 @@ def _next_free(seq: list[int]) -> list[int]:
     if rh == lh:
         size, rest_size = m - 1, len(seq) - m + 1
         if size < rest_size or (
-            size == rest_size and [x - 1 for x in seq[1:m]] <= [0] + seq[m:]
+            size == rest_size and seq[1:m].translate(_DOWN) <= b"\x00" + seq[m:]
         ):
             return seq
     p = m - 1
     nxt = _next_rooted(seq, p)
     if seq[p] > 2:
         height = max(nxt[1:_left_end(nxt)]) - 1
-        nxt[-height - 1:] = range(1, height + 2)
+        nxt = nxt[: len(nxt) - height - 1] + _LEVELS[1 : height + 2]
     return nxt
 
 
-def _level_sequences(n: int) -> Iterator[list[int]]:
+def _level_sequences(n: int) -> Iterator[bytes]:
     """WROM: one center-rooted level sequence per free tree on n >= 2
-    vertices, starting from the path rooted at its center."""
-    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    vertices, as bytes, starting from the path rooted at its center."""
+    seq = _LEVELS[: n // 2 + 1] + _LEVELS[1 : (n + 1) // 2]
     while seq is not None:
         seq = _next_free(seq)
         yield seq
@@ -108,37 +110,44 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
 
 def _parent_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(parent, degree) of every free tree on n >= 2 vertices, in WROM
-    order, as int8 arrays of shape (B, n), B <= _BLOCK, one row per tree.
-    Vertex i is position i of the level sequence, so the vertices are in
-    preorder and every parent precedes its children; parent[r, i] is the
-    latest earlier vertex one level up (parent[r, 0] = -1, the centre).
-    Each column is one numpy step over the whole block."""
-    levels = itertools.chain.from_iterable(_level_sequences(n))
-    while len(flat := np.fromiter(itertools.islice(levels, _BLOCK * n), np.int8)):
-        level = flat.reshape(-1, n)
-        rows = np.arange(len(level))
-        latest = np.zeros(level.shape, np.int8)  # latest[r, d]: last vertex at level d
-        parent = np.full(level.shape, -1, np.int8)
-        degree = np.ones(level.shape, np.int8)  # one for the edge to each parent ...
-        degree[:, 0] = 0  # ... which the root lacks
-        for i in range(1, n):
-            d = level[:, i]
-            p = latest[rows, d - 1]
-            parent[:, i] = p
-            degree[rows, p] += 1
-            latest[rows, d] = i
+    order, as int8 arrays of shape (n, B), B <= _BLOCK, one column per tree.
+    Vertex v is position v of the level sequence, so the vertices are in
+    preorder and every parent precedes its children; parent[v, r] is the
+    latest earlier vertex one level up (parent[0, r] = -1, the centre).
+    Row v holds vertex v of every tree, so each vertex is one numpy step
+    over the whole block, and (v, r) is flat index v * B + r."""
+    sequences = _level_sequences(n)
+    while block := b"".join(itertools.islice(sequences, _BLOCK)):
+        level = np.frombuffer(block, np.int8).reshape(-1, n).T
+        B = level.shape[1]
+        at = level.astype(np.intp) * B + np.arange(B)  # in int8, level * B would wrap
+        latest = np.zeros(n * B, np.int8)  # latest[d * B + r]: last vertex at level d
+        parent = np.empty((n, B), np.int8)
+        parent[0] = -1
+        for v in range(1, n):
+            parent[v] = latest[at[v] - B]
+            latest[at[v]] = v
+        degree = np.bincount(_flat_parents(parent).ravel(), minlength=n * B)
+        degree = degree.reshape(n, B).astype(np.int8)
+        degree[1:] += 1  # the edge to each non-root vertex's parent
         yield parent, degree
 
 
+def _flat_parents(parent: np.ndarray) -> np.ndarray:
+    """Flat index parent[v, r] * B + r, in intp, of the parent of every
+    non-root vertex of an (n, B) block: row v - 1 is vertex v."""
+    return parent[1:].astype(np.intp) * parent.shape[1] + np.arange(parent.shape[1])
+
+
 def _parent_edges(parent: list[int]) -> tuple[tuple[int, int], ...]:
-    """The edges (parent[i], i), i >= 1, of one _parent_blocks row."""
+    """The edges (parent[i], i), i >= 1, of one _parent_blocks column."""
     return tuple(zip(parent[1:], range(1, len(parent))))
 
 
-def _parent_rows(n: int) -> Iterator[list[int]]:
-    """The rows of _parent_blocks(n)'s parent arrays, as lists."""
+def _parent_columns(n: int) -> Iterator[list[int]]:
+    """The columns of _parent_blocks(n)'s parent arrays, as lists."""
     for parent, _ in _parent_blocks(n):
-        yield from parent.tolist()
+        yield from parent.T.tolist()
 
 
 def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -150,7 +159,7 @@ def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 1:
         yield ()
         return
-    for parent in _parent_rows(n):
+    for parent in _parent_columns(n):
         yield _parent_edges(parent)
 
 
@@ -159,7 +168,7 @@ def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
     trees on n vertices, n <= cap <= HARD_CAP; n must be >= 3 because the
     2-vertex tree has no interior under the leaf-boundary convention."""
     _check_order(n, cap)
-    for parent in _parent_rows(n):
+    for parent in _parent_columns(n):
         yield from_edge_list(n, _parent_edges(parent))
 
 
@@ -179,27 +188,31 @@ def _check_order(n: int, cap: int) -> None:
 def _array_invariants(
     parent: np.ndarray, degree: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, b, D), one entry per row, of a _parent_blocks block of trees with
-    n >= 3, in one pass over the columns children first: b counts the
+    """(m, b, D), one entry per column, of a _parent_blocks block of trees
+    with n >= 3, in one pass over the vertices children first: b counts the
     degree-1 vertices; m matches a vertex to its parent when both are still
     free (the greedy rule of matching.maximum_matching, optimal in any
     children-first order); D is the largest sum of the two tallest branches
-    below a vertex, with height[r, p] the tallest branch seen so far."""
-    rows = np.arange(len(parent))
-    free = np.ones(parent.shape, bool)
-    height = np.zeros(parent.shape, np.int8)
-    m = np.zeros(len(parent), np.int8)
-    D = np.zeros(len(parent), np.int8)
-    for v in range(parent.shape[1] - 1, 0, -1):
-        p = parent[:, v]
-        matched = free[:, v] & free[rows, p]
-        free[rows, p] &= ~matched
+    below a vertex, with height the tallest branch seen so far.  A vertex's
+    own row is a slice, its parents are read and written through the flat
+    index, which names one distinct entry per column."""
+    n, B = parent.shape
+    up = _flat_parents(parent)
+    free = np.ones(n * B, bool)
+    height = np.zeros(n * B, np.int8)
+    m = np.zeros(B, np.int8)
+    D = np.zeros(B, np.int8)
+    for v in range(n - 1, 0, -1):
+        own, p = slice(v * B, (v + 1) * B), up[v - 1]
+        free_p = free[p]
+        matched = free[own] & free_p
+        free[p] = free_p & ~matched
         m += matched
-        h = height[:, v] + 1
-        hp = height[rows, p]
+        h = height[own] + 1
+        hp = height[p]
         np.maximum(D, h + hp, out=D)
-        height[rows, p] = np.maximum(hp, h)
-    return m, np.count_nonzero(degree == 1, axis=1), D
+        height[p] = np.maximum(hp, h)
+    return m, np.count_nonzero(degree == 1, axis=0), D
 
 
 _PARAMS = {"NM": ("m",), "NMB": ("m", "b"), "NK": ("k",), "ND": ("D",)}

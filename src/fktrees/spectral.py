@@ -32,6 +32,7 @@ from .errors import (
     TooSmallError,
     ZeroFunctionError,
 )
+from .enumeration import _flat_parents
 from .trees import TreeWithBoundary, diameter, from_edge_list
 
 __all__ = [
@@ -151,33 +152,37 @@ def _check_tol(tol: float) -> None:
 
 
 def _spectrum_above(parent: np.ndarray, degree: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """For each row r of a block of trees with leaf boundary, True when
+    """For each column r of a block of trees with leaf boundary, True when
     every Dirichlet eigenvalue of the tree, and so the lambda1
     first_eigenpair reports for it, is shown to exceed x[r]; False when that
-    is not shown.  The trees are int8 parent arrays of shape (B, n) in which
-    every parent precedes its children (parent[r, 0] = -1), with degrees.
+    is not shown.  The trees are int8 parent arrays of shape (n, B), one
+    column per tree, in which every parent precedes its children
+    (parent[0, r] = -1), with degrees of the same shape.
 
     Eliminating A - yI, y = x + _FILTER_SLACK, children first (Jacobs &
     Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
     2011) gives the pivot d_v = deg(v) - y - sum of 1/d_c over the interior
     children c of v.  By Sylvester's law of inertia A - yI is positive
-    definite iff every pivot is positive.  A row fails at its first pivot
+    definite iff every pivot is positive.  A tree fails at its first pivot
     below _PIVOT_GUARD and divides no further, so it never divides by a
-    small one.  Each column is one numpy step over the block.
+    small one.  Each vertex is one numpy step over the block: its own row
+    is a slice, and its 1/d_v is added to its parent through the flat index
+    parent * B + column (enumeration._flat_parents), one entry per column.
     """
+    n, B = parent.shape
     y = np.asarray(x, dtype=float) + _FILTER_SLACK
-    rows = np.arange(len(parent))
-    below = np.zeros(parent.shape)  # sum of 1/d_c over the children seen so far
-    alive = np.ones(len(parent), bool)
-    inverse = np.zeros(len(parent))
-    for v in range(parent.shape[1] - 1, -1, -1):
-        pivot = degree[:, v] - y - below[:, v]
-        interior = degree[:, v] != 1  # a leaf is boundary, outside the matrix
+    up = _flat_parents(parent)
+    below = np.zeros(n * B)  # sum of 1/d_c over the children seen so far
+    alive = np.ones(B, bool)
+    inverse = np.zeros(B)
+    for v in range(n - 1, -1, -1):
+        pivot = degree[v] - y - below[v * B : (v + 1) * B]
+        interior = degree[v] != 1  # a leaf is boundary, outside the matrix
         alive &= ~interior | (pivot >= _PIVOT_GUARD)
         if v:
             inverse.fill(0.0)
             np.divide(1.0, pivot, out=inverse, where=alive & interior)
-            below[rows, parent[:, v]] += inverse
+            below[up[v - 1]] += inverse
     return alive
 
 

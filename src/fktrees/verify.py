@@ -13,23 +13,25 @@ of the conjectured candidates) or CONJECTURE-MISMATCH.
 
 Each theorem speaks about one class variant, so certificates are made per
 order and variant, in one streaming pass over the generator's blocks of
-parent arrays (enumeration._parent_blocks), up to 1,024 trees at a time.
-One children-first pass over a block's columns gives every row's matching
-number, leaf count and diameter; a lookup table from those to the key of
-that variant (see _key_tuples) names the one bucket each tree may join, and
-np.bincount counts the populations.  Each bucket keeps its key's running
-minimal eigenvalue and the trees within the tie tolerance of it, so only
-the minimizers are canonically coded.
+parent arrays (enumeration._parent_blocks), up to 1,024 trees at a time,
+one column per tree and one row per vertex.  One children-first pass over
+a block's rows gives every column's matching number, leaf count and
+diameter; a lookup table from those to the key of that variant (see
+_key_tuples) names the one bucket each tree may join, and np.bincount
+counts the populations.  Each bucket keeps its key's running minimal
+eigenvalue and the trees within the tie tolerance of it, so only the
+minimizers are canonically coded.
 
 A member needs its eigenvalue only if it could join the near list.  Before
 its first block, each key's threshold is seeded with the first eigenvalue
-of its predicted trees that are members (or, if none is, of its first
-member).  An O(n) pivot count of A - xI over the block
-(spectral._spectrum_above) at x = min(seed, running lambda_min) + tol then
-rules out, without building or eigensolving them, the rows whose every
-eigenvalue lies above x; such a tree could never join.  Only the rows it
-cannot rule out take the per-tree path: from_edge_list, first_eigenpair and
-the near-list update, in generator order.  Seeds set thresholds and nothing
+of its first predicted tree that is a member (or, if none is, of its first
+member): one eigensolve per key.  An O(n) pivot count of A - xI over the
+members' columns (spectral._spectrum_above) at x = min(seed, running
+lambda_min) + tol then rules out, without building or eigensolving them,
+the trees whose every eigenvalue lies above x; such a tree could never
+join.  Only the trees it cannot rule out take the per-tree path:
+from_edge_list, first_eigenpair and the near-list update, in generator
+order.  Seeds set thresholds and nothing
 else: they never reach a population, a lambda_min or a minimizer list, so
 every reported float is the first_eigenpair value of a generator-labelled
 tree, and the certificates are those an eigensolve of every member gives,
@@ -122,8 +124,8 @@ class _Bucket:
     near: list[tuple[float, TreeWithBoundary]] = field(default_factory=list)
 
 
-def _row_tree(n: int, parent: np.ndarray) -> TreeWithBoundary:
-    """The tree of one _parent_blocks row."""
+def _column_tree(n: int, parent: np.ndarray) -> TreeWithBoundary:
+    """The tree of one _parent_blocks column."""
     return from_edge_list(n, _parent_edges(parent.tolist()))
 
 
@@ -138,11 +140,11 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     the trees within tol of the class minimum, decided by the same float
     comparison as a filter over the whole class.
 
-    Each key has a seed: the least lambda1 of its predicted trees that are
-    members, or else of its first member, solved before its first block is
+    Each key has a seed: the lambda1 of its first predicted tree that is a
+    member, or else of its first member, solved before its first block is
     filtered.  The class minimum is at most the seed (up to the ~1e-15 by
     which relabelling an isomorph may move lambda1; _FILTER_SLACK covers
-    it), so a row that _spectrum_above shows to lie above min(seed,
+    it), so a tree that _spectrum_above shows to lie above min(seed,
     lambda_min) + tol could never join and is counted without being built
     or eigensolved.  Seeds set thresholds only: population, lambda_min and
     near come from the generator's own trees.
@@ -156,7 +158,8 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     for i, (key, prediction) in enumerate(zip(keys, predictions)):
         for tree in prediction.trees:
             if classify(tree)[slot] == key:
-                seed[i] = min(seed[i], first_eigenpair(tree).lambda1)
+                seed[i] = first_eigenpair(tree).lambda1
+                break
     # key id of each (m, b, D) code, looked up on first sight: -2 unseen, -1 none
     dims = (n // 2 + 1, n + 1, n)
     lookup = np.full(math.prod(dims), -2, np.intp)
@@ -167,17 +170,17 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
             params = map(int, np.unravel_index(c, dims))
             lookup[c] = ids.get(ClassKey(*_key_tuples(n, *params)[slot]), -1)
         kid = lookup[code]
-        rows = np.flatnonzero(kid >= 0)
-        kid = kid[rows]
+        cols = np.flatnonzero(kid >= 0)
+        kid = kid[cols]
         population += np.bincount(kid, minlength=len(keys))
         for i in sorted(set(kid[np.isinf(seed[kid])].tolist())):
-            first = rows[np.argmax(kid == i)]
-            seed[i] = first_eigenpair(_row_tree(n, parent[first])).lambda1
+            first = cols[np.argmax(kid == i)]
+            seed[i] = first_eigenpair(_column_tree(n, parent[:, first])).lambda1
         running = np.array([bucket.lambda_min for bucket in buckets])
         threshold = (np.minimum(seed, running) + tol)[kid]
-        contender = ~_spectrum_above(parent[rows], degree[rows], threshold)
-        for r, i in zip(rows[contender].tolist(), kid[contender].tolist()):
-            tree = _row_tree(n, parent[r])
+        contender = ~_spectrum_above(parent[:, cols], degree[:, cols], threshold)
+        for c, i in zip(cols[contender].tolist(), kid[contender].tolist()):
+            tree = _column_tree(n, parent[:, c])
             lam = first_eigenpair(tree).lambda1
             bucket = buckets[i]
             if lam < bucket.lambda_min:

@@ -238,7 +238,7 @@ def test_verify_bytes_match_golden_certificates(capsys, theorem, jobs):
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_verify_bytes_match_golden_across_block_boundaries(capsys, monkeypatch, theorem):
     # order 11 has 235 trees, one block at the default size; blocks of 7
-    # rows split every order past 6 and leave a short last block, and the
+    # trees split every order past 6 and leave a short last block, and the
     # certificates must not notice
     monkeypatch.setattr(fktrees.enumeration, "_BLOCK", 7)
     golden = Path(__file__).parent / "data" / f"verify_{theorem}_n11.jsonl"

@@ -1,5 +1,8 @@
 """Tree generation soundness, classification, certificates, sweeps."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 import fktrees.verify as verify_module
@@ -33,7 +36,14 @@ from fktrees.verify import (
     empty_class_certificate,
     theorem_keys,
 )
-from fktrees.enumeration import _array_invariants, _parent_blocks, _parent_edges
+from fktrees.enumeration import (
+    _BLOCK,
+    HARD_CAP,
+    _array_invariants,
+    _level_sequences,
+    _parent_blocks,
+    _parent_edges,
+)
 from fktrees.io import dumps
 from conftest import all_labeled_trees
 
@@ -72,12 +82,31 @@ def test_edge_sets_match_networkx_generator():
         assert ours == theirs, n
 
 
+# SHA-256 of the level sequences of each order, one byte per level, as the
+# list-based generator of the networkx labelling produced them
+_STREAM_SHA256 = {
+    15: "f88ba3e8c9256cc9aed8685bdf68141d9121fb71456774aa87c0dfda1b1c62a1",
+    16: "b7af4ae64e9411115cfb0fcc27a5503dc220dd261ef546d9aa9272476361a608",
+    17: "3da49a5ae2ee366f84c462b3e658cb1aaf1d9f4200363ba0e154872fa730ba77",
+    18: "197cd0965db5676a891f02d3921ee0fdaaca6d5198e9ccadd1be18a06c644f54",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_STREAM_SHA256))
+def test_level_sequence_stream_pinned_beyond_networkx_range(n):
+    # the networkx comparison above stops at n = 14; past it the stream of
+    # sequences is pinned byte for byte
+    stream = b"".join(_level_sequences(n))
+    assert hashlib.sha256(stream).hexdigest() == _STREAM_SHA256[n]
+
+
 def test_parent_arrays_agree_with_edges_and_classify():
     for n in range(3, 13):
         for parents, degrees in _parent_blocks(n):
+            assert parents.shape == degrees.shape and parents.shape[0] == n
             invariants_ = zip(*(a.tolist() for a in _array_invariants(parents, degrees)))
             for parent, degree, (m, b, D) in zip(
-                parents.tolist(), degrees.tolist(), invariants_
+                parents.T.tolist(), degrees.T.tolist(), invariants_
             ):
                 edges = _parent_edges(parent)
                 assert parent[0] == -1 and all(parent[i] < i for i in range(1, n))
@@ -90,6 +119,23 @@ def test_parent_arrays_agree_with_edges_and_classify():
                     ClassKey("NK", n, k=n - b),
                     ClassKey("ND", n, D=D),
                 ]
+
+
+def test_full_width_block_at_hard_cap_agrees_with_classify():
+    # B = _BLOCK trees of order HARD_CAP: the largest flat parent index a
+    # kernel meets, which a narrow dtype would wrap
+    parents, degrees = next(_parent_blocks(HARD_CAP))
+    assert parents.shape == degrees.shape == (HARD_CAP, _BLOCK)
+    m, b, D = _array_invariants(parents, degrees)
+    for r in range(0, _BLOCK, 8):
+        tree = from_edge_list(HARD_CAP, _parent_edges(parents[:, r].tolist()))
+        assert degrees[:, r].tolist() == [tree.degree(v) for v in range(HARD_CAP)]
+        assert classify(tree) == [
+            ClassKey("NM", HARD_CAP, m=int(m[r])),
+            ClassKey("NMB", HARD_CAP, m=int(m[r]), b=int(b[r])),
+            ClassKey("NK", HARD_CAP, k=HARD_CAP - int(b[r])),
+            ClassKey("ND", HARD_CAP, D=int(D[r])),
+        ]
 
 
 def test_pinned_count_n12():

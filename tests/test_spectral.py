@@ -26,7 +26,7 @@ from fktrees import (
     path_eigenvalue,
     rayleigh_quotient,
 )
-from fktrees.enumeration import _parent_blocks
+from fktrees.enumeration import _BLOCK, HARD_CAP, _parent_blocks, _parent_edges
 from fktrees.spectral import _spectrum_above
 from conftest import random_tree
 
@@ -364,7 +364,7 @@ def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
     for n in range(3, 13):
         for parents, degrees in _parent_blocks(n):
             spectra, xs = [], []  # per row; xs[r] holds the row's four x values
-            for parent in parents.tolist():
+            for parent in parents.T.tolist():
                 edges = tuple((parent[i], i) for i in range(1, n))
                 w = np.linalg.eigvalsh(dirichlet_matrix(from_edge_list(n, edges)).entries)
                 lam = w[0]
@@ -380,3 +380,18 @@ def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
                 skipped_below += bool(above[0][r])
     # not vacuous: just below lambda1 the filter skips every one of the trees
     assert skipped_below == trees == 985
+
+
+def test_pivot_filter_on_a_full_width_block_at_hard_cap():
+    # B = _BLOCK trees of order HARD_CAP, where the flat parent index is
+    # largest: just below lambda1 every sampled tree is skipped, just above
+    # it none is
+    parents, degrees = next(_parent_blocks(HARD_CAP))
+    assert parents.shape == (HARD_CAP, _BLOCK)
+    lam = np.full(_BLOCK, np.nan)
+    for r in range(0, _BLOCK, 8):
+        tree = from_edge_list(HARD_CAP, _parent_edges(parents[:, r].tolist()))
+        lam[r] = np.linalg.eigvalsh(dirichlet_matrix(tree).entries)[0]
+    sample = ~np.isnan(lam)
+    assert _spectrum_above(parents, degrees, lam - 1e-7)[sample].all()
+    assert not _spectrum_above(parents, degrees, lam + 1e-7)[sample].any()
