@@ -19,8 +19,9 @@ index parent * B + column (_flat_parents).
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
 count), NK (order, interior count) and ND (order, diameter).  _PARAMS says
-which parameters each variant takes; classify and the sweep both get a
-tree's keys from _key_tuples.
+which parameters each variant takes.  classify gives a tree's four keys,
+and _cells says which (m, b, D) of _array_invariants a key holds, so the
+sweep's table from invariants to keys is built from the keys alone.
 """
 
 from __future__ import annotations
@@ -144,12 +145,6 @@ def _parent_edges(parent: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(zip(parent[1:], range(1, len(parent))))
 
 
-def _parent_columns(n: int) -> Iterator[list[int]]:
-    """The columns of _parent_blocks(n)'s parent arrays, as lists."""
-    for parent, _ in _parent_blocks(n):
-        yield from parent.T.tolist()
-
-
 def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Edge lists of all free trees on n >= 1 vertices, one per isomorphism
     class, in WROM order (n = 1 yields the empty list), labelled as in
@@ -159,8 +154,8 @@ def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 1:
         yield ()
         return
-    for parent in _parent_columns(n):
-        yield _parent_edges(parent)
+    for parent, _ in _parent_blocks(n):
+        yield from map(_parent_edges, parent.T.tolist())
 
 
 def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
@@ -168,8 +163,8 @@ def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
     trees on n vertices, n <= cap <= HARD_CAP; n must be >= 3 because the
     2-vertex tree has no interior under the leaf-boundary convention."""
     _check_order(n, cap)
-    for parent in _parent_columns(n):
-        yield from_edge_list(n, _parent_edges(parent))
+    for edges in free_tree_edge_sets(n):
+        yield from_edge_list(n, edges)
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -284,19 +279,21 @@ class ClassKey:
         return ClassKey(variant, nums[0], **dict(zip(params, nums[1:])))
 
 
-def _key_tuples(n: int, m: int, b: int, D: int) -> tuple[tuple, ...]:
-    """dataclasses.astuple of the NM, NMB, NK and ND keys (in _PARAMS order)
-    of a tree with n vertices, matching number m, b leaves and diameter D."""
-    return (
-        ("NM", n, m, None, None, None),
-        ("NMB", n, m, b, None, None),
-        ("NK", n, None, None, n - b, None),
-        ("ND", n, None, None, None, D),
-    )
-
-
 def classify(tree: TreeWithBoundary) -> list[ClassKey]:
     """The NM, NMB, NK and ND keys of a tree with leaf boundary and n >= 3."""
     _check_leaf_boundary(tree)
     n, m, b = tree.n, matching_number(tree), len(tree.boundary)
-    return [ClassKey(*key) for key in _key_tuples(n, m, b, diameter(tree))]
+    return [
+        ClassKey("NM", n, m=m),
+        ClassKey("NMB", n, m=m, b=b),
+        ClassKey("NK", n, k=n - b),
+        ClassKey("ND", n, D=diameter(tree)),
+    ]
+
+
+def _cells(key: ClassKey) -> tuple[slice, slice, slice]:
+    """Where key's trees sit in an array indexed by the (m, b, D) of
+    _array_invariants: a one-value slice for each invariant the key fixes
+    (an NK key fixes b = n - k) and a full slice for the others."""
+    b = key.n - key.k if key.variant == "NK" else key.b
+    return tuple(slice(None) if x is None else slice(x, x + 1) for x in (key.m, b, key.D))

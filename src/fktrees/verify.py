@@ -16,26 +16,27 @@ order and variant, in one streaming pass over the generator's blocks of
 parent arrays (enumeration._parent_blocks), up to 1,024 trees at a time,
 one column per tree and one row per vertex.  One children-first pass over
 a block's rows gives every column's matching number, leaf count and
-diameter; a lookup table from those to the key of that variant (see
-_key_tuples) names the one bucket each tree may join, and np.bincount
-counts the populations.  Each bucket keeps its key's running minimal
-eigenvalue and the trees within the tie tolerance of it, so only the
-minimizers are canonically coded.
+diameter; a table from those to key ids, filled from the keys before the
+first block (enumeration._cells), names the one key each tree may have,
+and np.bincount counts the populations.
 
-A member needs its eigenvalue only if it could join the near list.  Before
-its first block, each key's threshold is seeded with the first eigenvalue
-of its first predicted tree that is a member (or, if none is, of its first
-member): one eigensolve per key.  An O(n) pivot count of A - xI over the
-members' columns (spectral._spectrum_above) at x = min(seed, running
-lambda_min) + tol then rules out, without building or eigensolving them,
-the trees whose every eigenvalue lies above x; such a tree could never
-join.  Only the trees it cannot rule out take the per-tree path:
-from_edge_list, first_eigenpair and the near-list update, in generator
-order.  Seeds set thresholds and nothing
-else: they never reach a population, a lambda_min or a minimizer list, so
-every reported float is the first_eigenpair value of a generator-labelled
-tree, and the certificates are those an eigensolve of every member gives,
-byte for byte.  A single key and a theorem sweep share this pass.
+Each key has a threshold, which only falls.  It starts at the first
+eigenvalue of the first predicted tree that is a member of the key (one
+eigensolve per key), or at inf when no predicted tree is.  An O(n) pivot
+count of A - xI over the members' columns (spectral._spectrum_above) at
+x = threshold + tol rules out, without building or eigensolving them, the
+trees whose every eigenvalue lies above x.  The others, the contenders,
+are built with from_edge_list and eigensolved in generator order, and each
+lowers its key's threshold to its lambda1.  At the end of the pass a key's
+lambda_min is the least lambda1 of its contenders and its minimizers are
+the contenders within tol of it; only those are canonically coded.  The
+seed is a member, so the class minimum is at most it, up to the ~1e-15 by
+which relabelling an isomorph may move lambda1 (_FILTER_SLACK covers it):
+no tree within tol of the class minimum is ever ruled out.  Seeds set
+thresholds and nothing else, so every reported float is the
+first_eigenpair value of a generator-labelled tree, and the certificates
+are those an eigensolve of every member gives, byte for byte.  A single
+key and a theorem sweep share this pass.
 
 Sweeps group a theorem's keys by order; with jobs > 1 the orders run in a
 process pool of min(jobs, number of orders, CPU count) workers, each
@@ -49,18 +50,17 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .enumeration import (
-    _PARAMS,
     DEFAULT_CAP,
     HARD_CAP,
     ClassKey,
     _array_invariants,
+    _cells,
     _check_cap,
-    _key_tuples,
     _parent_blocks,
     _parent_edges,
     classify,
@@ -84,7 +84,17 @@ __all__ = [
 
 TIE_TOL = 1e-8
 
-THEOREMS = ("T13", "T14", "Kloburstel", "D4")
+# the class keys of order n each theorem speaks about; theorem_keys keeps the
+# feasible ones
+_THEOREM_KEYS = {
+    "T13": lambda n: [ClassKey("NM", n, m=m) for m in range(1, n // 2 + 1)],
+    "T14": lambda n: [
+        ClassKey("NMB", n, m=m, b=b) for m in range(1, n // 2 + 1) for b in range(2, n)
+    ],
+    "Kloburstel": lambda n: [ClassKey("NK", n, k=k) for k in range(1, n - 1)],
+    "D4": lambda n: [ClassKey("ND", n, D=4)],
+}
+THEOREMS = tuple(_THEOREM_KEYS)
 
 
 @dataclass(frozen=True)
@@ -114,93 +124,67 @@ def all_match(certs) -> bool:
     return all(c.verdict in ("MATCH", "CONJECTURE-MATCH") for c in certs)
 
 
-@dataclass
-class _Bucket:
-    """Running reduction of one key's members: their count, the minimal
-    eigenvalue so far, and the (lambda1, tree) pairs within tol of it."""
-
-    population: int = 0
-    lambda_min: float = math.inf
-    near: list[tuple[float, TreeWithBoundary]] = field(default_factory=list)
-
-
-def _column_tree(n: int, parent: np.ndarray) -> TreeWithBoundary:
-    """The tree of one _parent_blocks column."""
-    return from_edge_list(n, _parent_edges(parent.tolist()))
-
-
 def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCertificate]:
     """Certificates for feasible keys of order n (so n >= 3; callers check
     the cap), all of one variant (else ValueError), in the order given, from
     one pass over the parent-array blocks of that order.
 
-    A tree joins its key's near list when lambda1 <= lambda_min + tol for
-    the running minimum, and the list is pruned to that rule whenever the
-    minimum drops.  The minimum only falls, so the list ends up as exactly
-    the trees within tol of the class minimum, decided by the same float
-    comparison as a filter over the whole class.
-
-    Each key has a seed: the lambda1 of its first predicted tree that is a
-    member, or else of its first member, solved before its first block is
-    filtered.  The class minimum is at most the seed (up to the ~1e-15 by
-    which relabelling an isomorph may move lambda1; _FILTER_SLACK covers
-    it), so a tree that _spectrum_above shows to lie above min(seed,
-    lambda_min) + tol could never join and is counted without being built
-    or eigensolved.  Seeds set thresholds only: population, lambda_min and
-    near come from the generator's own trees.
+    threshold[i] starts at the lambda1 of key i's first predicted member,
+    or inf, and each contender's lambda1 lowers it.  The class minimum is at
+    most the seed (up to the relabelling rounding _FILTER_SLACK covers) and
+    at most every contender's lambda1, and the threshold only falls, so a
+    tree _spectrum_above shows to lie above threshold + tol is never within
+    tol of the class minimum: it is counted without being built or
+    eigensolved.  Every contender's (lambda1, tree) is kept, and the
+    minimizers are the contenders within tol of their least lambda1: the
+    trees within tol of the class minimum, by the same float comparison as a
+    filter over the whole class.  Seeds set thresholds only: population,
+    lambda_min and minimizers come from the generator's own trees.
     """
-    (variant,) = {key.variant for key in keys}  # else ValueError
-    slot = list(_PARAMS).index(variant)  # _key_tuples and classify follow _PARAMS
-    ids = {key: i for i, key in enumerate(keys)}
-    buckets = [_Bucket() for _ in keys]
+    (_variant,) = {key.variant for key in keys}  # one variant: disjoint cells
     predictions = [predicted_extremal(key) for key in keys]
-    seed = np.full(len(keys), math.inf)
+    threshold = np.full(len(keys), math.inf)
     for i, (key, prediction) in enumerate(zip(keys, predictions)):
-        for tree in prediction.trees:
-            if classify(tree)[slot] == key:
-                seed[i] = first_eigenpair(tree).lambda1
-                break
-    # key id of each (m, b, D) code, looked up on first sight: -2 unseen, -1 none
-    dims = (n // 2 + 1, n + 1, n)
-    lookup = np.full(math.prod(dims), -2, np.intp)
+        member = next((t for t in prediction.trees if key in classify(t)), None)
+        if member is not None:
+            threshold[i] = first_eigenpair(member).lambda1
+    key_id = np.full((n // 2 + 1, n + 1, n), -1, np.intp)  # by (m, b, D); -1 none
+    for i, key in enumerate(keys):
+        key_id[_cells(key)] = i
     population = np.zeros(len(keys), np.int64)
+    contenders: list[list[tuple[float, TreeWithBoundary]]] = [[] for _ in keys]
     for parent, degree in _parent_blocks(n):
-        code = np.ravel_multi_index(_array_invariants(parent, degree), dims)
-        for c in set(code[lookup[code] == -2].tolist()):
-            params = map(int, np.unravel_index(c, dims))
-            lookup[c] = ids.get(ClassKey(*_key_tuples(n, *params)[slot]), -1)
-        kid = lookup[code]
+        kid = key_id[_array_invariants(parent, degree)]
         cols = np.flatnonzero(kid >= 0)
         kid = kid[cols]
         population += np.bincount(kid, minlength=len(keys))
-        for i in sorted(set(kid[np.isinf(seed[kid])].tolist())):
-            first = cols[np.argmax(kid == i)]
-            seed[i] = first_eigenpair(_column_tree(n, parent[:, first])).lambda1
-        running = np.array([bucket.lambda_min for bucket in buckets])
-        threshold = (np.minimum(seed, running) + tol)[kid]
-        contender = ~_spectrum_above(parent[:, cols], degree[:, cols], threshold)
+        contender = ~_spectrum_above(parent[:, cols], degree[:, cols], threshold[kid] + tol)
         for c, i in zip(cols[contender].tolist(), kid[contender].tolist()):
-            tree = _column_tree(n, parent[:, c])
+            tree = from_edge_list(n, _parent_edges(parent[:, c].tolist()))
             lam = first_eigenpair(tree).lambda1
-            bucket = buckets[i]
-            if lam < bucket.lambda_min:
-                bucket.lambda_min = lam
-                bucket.near = [(l, t) for l, t in bucket.near if l <= lam + tol]
-            if lam <= bucket.lambda_min + tol:
-                bucket.near.append((lam, tree))
-    for bucket, count in zip(buckets, population.tolist()):
-        bucket.population = count
+            threshold[i] = min(threshold[i], lam)
+            contenders[i].append((lam, tree))
     return [
-        _certificate(key, buckets[ids[key]], predictions[ids[key]], tol) for key in keys
+        _certificate(key, count, solved, prediction, tol)
+        for key, count, solved, prediction in zip(
+            keys, population.tolist(), contenders, predictions
+        )
     ]
 
 
 def _certificate(
-    key: ClassKey, bucket: _Bucket, prediction: PredictedExtremal, tol: float
+    key: ClassKey,
+    population: int,
+    contenders: list[tuple[float, TreeWithBoundary]],
+    prediction: PredictedExtremal,
+    tol: float,
 ) -> ExtremalCertificate:
-    if not bucket.population:
+    if not population:
         return empty_class_certificate(key, tol)
-    minimizers = tuple(sorted(canonical_code(t).text for _, t in bucket.near))
+    lambda_min = min(lam for lam, _ in contenders)
+    minimizers = tuple(
+        sorted(canonical_code(t).text for lam, t in contenders if lam <= lambda_min + tol)
+    )
     predicted = tuple(sorted({canonical_code(t).text for t in prediction.trees}))
     if prediction.conjecture:
         verdict = (
@@ -212,8 +196,8 @@ def _certificate(
         verdict = "MATCH" if minimizers == predicted else "MISMATCH"
     return ExtremalCertificate(
         key=key,
-        population=bucket.population,
-        lambda_min=bucket.lambda_min,
+        population=population,
+        lambda_min=lambda_min,
         minimizers=minimizers,
         predicted=predicted,
         verdict=verdict,
@@ -252,26 +236,12 @@ def theorem_keys(theorem: str, n_max: int) -> list[ClassKey]:
     """All feasible keys a theorem speaks about, up to order n_max."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; pick one of {THEOREMS}")
-    keys: list[ClassKey] = []
-    if theorem == "T13":
-        for n in range(3, n_max + 1):
-            for m in range(1, n // 2 + 1):
-                keys.append(ClassKey("NM", n, m=m))
-    elif theorem == "T14":
-        for n in range(3, n_max + 1):
-            for m in range(1, n // 2 + 1):
-                for b in range(2, n):
-                    key = ClassKey("NMB", n, m=m, b=b)
-                    if key.feasible():
-                        keys.append(key)
-    elif theorem == "Kloburstel":
-        for n in range(3, n_max + 1):
-            for k in range(1, n - 1):
-                keys.append(ClassKey("NK", n, k=k))
-    else:  # D4
-        for n in range(5, n_max + 1):
-            keys.append(ClassKey("ND", n, D=4))
-    return keys
+    return [
+        key
+        for n in range(3, n_max + 1)
+        for key in _THEOREM_KEYS[theorem](n)
+        if key.feasible()
+    ]
 
 
 def verify_theorem_sweep(

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, round trips."""
 
+import hashlib
 import json
 import math
 import os
@@ -247,6 +248,45 @@ def test_verify_bytes_match_golden_across_block_boundaries(capsys, monkeypatch, 
     )
     assert code == 0
     assert out == golden.read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            ["--theorem", "T13", "--n-max", "16"],
+            "5d11d5a867867731250cf9db70b7d1f18de574fe43ff41a40c8b519c9d122127",
+            id="T13",
+        ),
+        pytest.param(
+            ["--theorem", "T14", "--n-max", "16"],
+            "1dd2e7bee77117d4340e7c9312316afe81ee2da40a625325cffeafe83c36d8aa",
+            id="T14",
+        ),
+        pytest.param(
+            ["--theorem", "Kloburstel", "--n-max", "16"],
+            "bc8aca36d8eb77802ec21da3ab477f1367da6e181643047bb971e3ad964bcb8b",
+            id="Kloburstel",
+        ),
+        pytest.param(
+            ["--theorem", "D4", "--n-max", "16"],
+            "002bf9c5b8b42ff24110d827a54908f69eed420c227084b92dcec2cb3a773dce",
+            id="D4",
+        ),
+        pytest.param(
+            ["--theorem", "T13", "--n-max", "18", "--cap", "18"],
+            "03d3d584741ac86e6330aa50bd60ce81899db203bc0274c243db9c63d84b11bf",
+            id="T13-n18",
+        ),
+    ],
+)
+def test_verify_bytes_pinned_past_the_golden_orders(capsys, argv, digest):
+    # SHA-256 of the stdout of `fktrees verify ARGV`: the certificate bytes
+    # of the orders past 11, many blocks each, where the pivot filter rules
+    # out almost every tree
+    code, out = run_capture(capsys, ["verify", *argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_enumerate_classify_bytes_match_golden(capsys):

@@ -40,6 +40,7 @@ from fktrees.enumeration import (
     _BLOCK,
     HARD_CAP,
     _array_invariants,
+    _cells,
     _level_sequences,
     _parent_blocks,
     _parent_edges,
@@ -102,6 +103,7 @@ def test_level_sequence_stream_pinned_beyond_networkx_range(n):
 
 def test_parent_arrays_agree_with_edges_and_classify():
     for n in range(3, 13):
+        keys = _feasible_keys(n)
         for parents, degrees in _parent_blocks(n):
             assert parents.shape == degrees.shape and parents.shape[0] == n
             invariants_ = zip(*(a.tolist() for a in _array_invariants(parents, degrees)))
@@ -119,6 +121,34 @@ def test_parent_arrays_agree_with_edges_and_classify():
                     ClassKey("NK", n, k=n - b),
                     ClassKey("ND", n, D=D),
                 ]
+                # the sweep's key table: each tree's invariants lie in the
+                # cells of its own key of each variant and of no other
+                holding = [key for key in keys if _holds(key, (m, b, D))]
+                assert holding == classify(tree)
+
+
+def _feasible_keys(n):
+    """Every feasible class key of order n, in _PARAMS variant order."""
+    keys = [ClassKey("NM", n, m=m) for m in range(n)]
+    keys += [ClassKey("NMB", n, m=m, b=b) for m in range(n) for b in range(n + 1)]
+    keys += [ClassKey("NK", n, k=k) for k in range(n)]
+    keys += [ClassKey("ND", n, D=D) for D in range(n)]
+    return [key for key in keys if key.feasible()]
+
+
+def _holds(key, invariants):
+    """Whether (m, b, D) lies in the cells of key."""
+    return all(x in range(HARD_CAP + 1)[s] for x, s in zip(invariants, _cells(key)))
+
+
+def test_every_predicted_tree_is_a_member_of_its_key():
+    # the precondition of the sweep's seed: every key's threshold starts at
+    # the eigenvalue of one of its members, the first predicted tree
+    keys = [key for n in range(3, HARD_CAP + 1) for key in _feasible_keys(n)]
+    assert len(keys) == 816
+    for key in keys:
+        trees = predicted_extremal(key).trees
+        assert trees and all(key in classify(tree) for tree in trees), key
 
 
 def test_full_width_block_at_hard_cap_agrees_with_classify():
@@ -290,6 +320,9 @@ def test_theorem_keys_shapes():
         "NM 6 1", "NM 6 2", "NM 6 3",
     ]
     assert all(k.feasible() for k in theorem_keys("T14", 9))
+    counts = {"T13": 99, "T14": 375, "Kloburstel": 171, "D4": 16}
+    assert {t: len(theorem_keys(t, 20)) for t in THEOREMS} == counts
+    assert list(counts) == list(THEOREMS)  # the CLI's --theorem choices
     with pytest.raises(ValueError):
         theorem_keys("T15", 5)
 
@@ -445,9 +478,9 @@ def test_sweep_eigensolves_exactly_the_minimizers(monkeypatch, theorem):
 
 @pytest.mark.parametrize("stand_in", ["non-member", "non-minimal-member"])
 def test_wrong_predictions_change_only_the_verdict(monkeypatch, stand_in):
-    # a predicted tree outside the class, or a member that is not minimal,
-    # only seeds a looser threshold: the population, minimum and minimizers
-    # stay, and the verdict turns to MISMATCH
+    # a predicted tree outside the class leaves the key unseeded, and a
+    # member that is not minimal seeds a looser threshold: either way the
+    # population, minimum and minimizers stay, and the verdict turns to MISMATCH
     right = {c.key: c for t in ("T13", "T14") for c in verify_theorem_sweep(t, 10)}
     wrong = {}
     for key, cert in right.items():
