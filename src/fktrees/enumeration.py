@@ -4,37 +4,57 @@ free_trees streams exactly one representative per isomorphism class of free
 trees of a given order, with the leaf boundary attached.  Generation is the
 constant-amortized-time level-sequence algorithm of Wright, Richmond,
 Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
-Comput. 15, 1986), the one networkx implements, with the same labelling and
-order; soundness is pinned by tests against a brute-force labeled-tree
-oracle and against networkx.  Each level sequence is a bytes object (levels
-are at most HARD_CAP), and the successor steps are bytes methods.  The
-generator's own form is a block of up to _BLOCK trees of one order: int8
-parent arrays and degrees of shape (n, B) in preorder, one column per tree,
-so that vertex v of every tree is the contiguous row v (_parent_blocks).
-Edge lists and trees are read from its columns; the sweep's invariants
-(_array_invariants) are one children-first pass over its rows, each row one
-numpy step for the whole block, which reaches the parents through the flat
-index parent * B + column (_flat_parents).
+Comput. 15, 1986), WROM, the one networkx implements, with the same
+labelling and order; soundness is pinned by tests against a brute-force
+labeled-tree oracle and against networkx.  Each level sequence is a bytes
+object (levels are at most HARD_CAP), the successor steps are bytes
+methods, and the trees are read one sequence at a time (_sequence_edges).
+
+The sweep composes its trees instead.  A free tree on n vertices has one
+centroid, whose branches all have fewer than n/2 vertices, or two adjacent
+ones, whose edge splits it into halves of n/2 (Jordan 1869; Otter, "The
+number of trees", Ann. Math. 49, 1948).  So an order is a list of units
+(_units): one per partition of n - 1 into parts of at most (n - 1) // 2,
+whose trees hang one multiset of rooted trees of those sizes from a
+centroid, and for even n the unordered pairs of rooted trees on n/2
+vertices.  The rooted trees of each size come from the Beyer-Hedetniemi
+successor _next_rooted, once per process, into a table (_rooted) whose
+entries hold their children, m, whether the root is left free, height, D
+and leaf count.  A tree of a unit is a non-increasing tuple of entry
+indices, and a unit's trees come in chunks of at most _CHUNK rows
+(_unit_chunks), so memory does not grow with the order.  The (m, b, D) of
+a chunk are sums, maxima and gathers over the table
+(_composed_invariants), with no Python step per tree.  A tree is built only
+on demand (_composed_tree), relabelled to the level sequence WROM yields
+for it (_wrom_sequence), so it is the tree free_trees yields.
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
 count), NK (order, interior count) and ND (order, diameter).  _PARAMS says
 which parameters each variant takes.  classify gives a tree's four keys,
-and _cells says which (m, b, D) of _array_invariants a key holds, so the
+and _cells says which (m, b, D) of _composed_invariants a key holds, so the
 sweep's table from invariants to keys is built from the keys alone.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapExceededError, EmptyInteriorError, TooSmallError
 from .matching import matching_number
-from .trees import TreeWithBoundary, _check_leaf_boundary, diameter, from_edge_list
+from .trees import (
+    TreeWithBoundary,
+    _bfs,
+    _centers,
+    _check_leaf_boundary,
+    diameter,
+    from_edge_list,
+)
 
 __all__ = [
     "DEFAULT_CAP",
@@ -48,10 +68,11 @@ __all__ = [
 DEFAULT_CAP = 16
 HARD_CAP = 20
 
-_BLOCK = 1024  # trees per _parent_blocks block
+_CHUNK = 2048  # trees per chunk of a unit (_unit_chunks)
 
 
 _DOWN = bytes((x - 1) % 256 for x in range(256))  # translate table: level x -> x - 1
+_UP = bytes((x + 1) % 256 for x in range(256))  # level x -> x + 1
 _LEVELS = bytes(range(HARD_CAP + 1))  # _LEVELS[1:h + 2] is a path of height h
 
 
@@ -109,53 +130,28 @@ def _level_sequences(n: int) -> Iterator[bytes]:
         seq = _next_rooted(seq)
 
 
-def _parent_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(parent, degree) of every free tree on n >= 2 vertices, in WROM
-    order, as int8 arrays of shape (n, B), B <= _BLOCK, one column per tree.
-    Vertex v is position v of the level sequence, so the vertices are in
-    preorder and every parent precedes its children; parent[v, r] is the
-    latest earlier vertex one level up (parent[0, r] = -1, the centre).
-    Row v holds vertex v of every tree, so each vertex is one numpy step
-    over the whole block, and (v, r) is flat index v * B + r."""
-    sequences = _level_sequences(n)
-    while block := b"".join(itertools.islice(sequences, _BLOCK)):
-        level = np.frombuffer(block, np.int8).reshape(-1, n).T
-        B = level.shape[1]
-        at = level.astype(np.intp) * B + np.arange(B)  # in int8, level * B would wrap
-        latest = np.zeros(n * B, np.int8)  # latest[d * B + r]: last vertex at level d
-        parent = np.empty((n, B), np.int8)
-        parent[0] = -1
-        for v in range(1, n):
-            parent[v] = latest[at[v] - B]
-            latest[at[v]] = v
-        degree = np.bincount(_flat_parents(parent).ravel(), minlength=n * B)
-        degree = degree.reshape(n, B).astype(np.int8)
-        degree[1:] += 1  # the edge to each non-root vertex's parent
-        yield parent, degree
-
-
-def _flat_parents(parent: np.ndarray) -> np.ndarray:
-    """Flat index parent[v, r] * B + r, in intp, of the parent of every
-    non-root vertex of an (n, B) block: row v - 1 is vertex v."""
-    return parent[1:].astype(np.intp) * parent.shape[1] + np.arange(parent.shape[1])
-
-
-def _parent_edges(parent: list[int]) -> tuple[tuple[int, int], ...]:
-    """The edges (parent[i], i), i >= 1, of one _parent_blocks column."""
-    return tuple(zip(parent[1:], range(1, len(parent))))
+def _sequence_edges(seq: bytes) -> tuple[tuple[int, int], ...]:
+    """The edges (parent, v), v >= 1, of a level sequence: vertex v is
+    position v, and its parent is the latest earlier vertex one level up."""
+    latest = [0] * (len(seq) + 1)  # latest[d]: the last vertex seen at level d
+    edges = []
+    for v in range(1, len(seq)):
+        level = seq[v]
+        edges.append((latest[level - 1], v))
+        latest[level] = v
+    return tuple(edges)
 
 
 def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Edge lists of all free trees on n >= 1 vertices, one per isomorphism
     class, in WROM order (n = 1 yields the empty list), labelled as in
-    _parent_blocks."""
+    _sequence_edges."""
     if n < 1:
         raise TooSmallError(f"no trees on {n} vertices")
     if n == 1:
         yield ()
         return
-    for parent, _ in _parent_blocks(n):
-        yield from map(_parent_edges, parent.T.tolist())
+    yield from map(_sequence_edges, _level_sequences(n))
 
 
 def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
@@ -165,6 +161,247 @@ def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
     _check_order(n, cap)
     for edges in free_tree_edge_sets(n):
         yield from_edge_list(n, edges)
+
+
+def _sequence_adjacency(seq: bytes) -> list[list[int]]:
+    """Adjacency lists of the tree of a level sequence, as _sequence_edges
+    labels it."""
+    adj: list[list[int]] = [[] for _ in seq]
+    for u, v in _sequence_edges(seq):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _rooted_sequence(adj: Sequence[Sequence[int]], root: int) -> bytes:
+    """The canonical level sequence of a tree rooted at root: below each
+    vertex, its subtrees in descending order of their own canonical
+    sequences, which is the form _next_rooted generates."""
+    order, parent, _ = _bfs(adj, [root])
+    below: dict[int, bytes] = {}
+    for v in reversed(order):
+        subtrees = sorted((below[w] for w in adj[v] if w != parent[v]), reverse=True)
+        below[v] = b"\x00" + b"".join(subtrees).translate(_UP)
+    return below[root]
+
+
+def _wrom_sequence(adj: Sequence[Sequence[int]]) -> bytes:
+    """The level sequence _level_sequences yields for the isomorphism class
+    of the tree with adjacency lists adj, n >= 3, in any labelling: the
+    canonical rooting at a centre that _next_free keeps.  A tree with two
+    centres has one such rooting, or two equal ones when its halves are
+    isomorphic."""
+    rootings = (_rooted_sequence(adj, centre) for centre in _centers(adj))
+    return next(seq for seq in rootings if _next_free(seq) == seq)
+
+
+# -- the sweep's trees: centroid composition from rooted-tree tables -----------
+
+
+@dataclass(frozen=True, eq=False)
+class _Rooted:
+    """Every canonical rooted tree on at most `size` vertices, one entry
+    each, by size and, within a size, in _next_rooted order (the path
+    first): entries start[s]:start[s + 1] have s vertices.
+
+    An entry is seen as a branch, whose root hangs from one vertex outside
+    it (a centroid, or the other half), so its root's degree is its child
+    count + 1 and its leaves are its childless vertices.  Per entry: the
+    level sequence, the greedy matching's m (each vertex, children first,
+    matched to its parent when both are free: optimal in any children-first
+    order) and whether it leaves the root free, the height, the diameter D
+    and the leaf count b.  children[s] holds the child entries of the
+    entries of size s, one row each, padded with -1.
+    """
+
+    size: int
+    start: tuple[int, ...]
+    sequences: tuple[bytes, ...]
+    children: tuple[np.ndarray, ...]
+    degree: np.ndarray
+    m: np.ndarray
+    free: np.ndarray
+    height: np.ndarray
+    D: np.ndarray
+    b: np.ndarray
+
+    def count(self, s: int) -> int:
+        return self.start[s + 1] - self.start[s]
+
+
+_STATS = ("degree", "m", "free", "height", "D", "b")  # _Rooted's per-entry columns
+
+
+@functools.cache
+def _rooted(size: int) -> _Rooted:
+    """The table of the rooted trees on at most size vertices: the table of
+    size - 1 and the trees of this size.  Memoised: a pure function of size."""
+    if size == 0:
+        return _Rooted(0, (0, 0), (), (np.zeros((0, 0), np.intp),), **_columns([]))
+    prev = _rooted(size - 1)
+    index = {seq: i for i, seq in enumerate(prev.sequences)}
+    stats = list(zip(*(getattr(prev, name).tolist() for name in _STATS)))
+    sequences, kids = [], []
+    seq = _LEVELS[:size]
+    while seq is not None:
+        # the root's subtrees start at its children, the positions at level 1
+        cuts = [i for i in range(1, size) if seq[i] == 1] + [size]
+        children = [index[seq[i:j].translate(_DOWN)] for i, j in zip(cuts, cuts[1:])]
+        sequences.append(seq)
+        kids.append(children)
+        stats.append(_branch_stats([stats[c] for c in children]))
+        seq = _next_rooted(seq)
+    padded = np.full((len(kids), max(map(len, kids))), -1, np.intp)
+    for row, children in zip(padded, kids):
+        row[: len(children)] = children
+    return _Rooted(
+        size,
+        prev.start + (len(stats),),
+        prev.sequences + tuple(sequences),
+        prev.children + (padded,),
+        **_columns(stats),
+    )
+
+
+def _branch_stats(subtrees: list[tuple]) -> tuple:
+    """The _STATS of a rooted tree from those of its root's subtrees."""
+    if not subtrees:
+        return 1, 0, True, 0, 0, 1  # one vertex: a leaf, left free
+    _, m, free, height, D, b = zip(*subtrees)
+    reach = sorted(h + 1 for h in height)[-2:]  # the two tallest, through the root
+    matched = any(free)  # the root takes a free child
+    return (
+        len(subtrees) + 1, sum(m) + matched, not matched, reach[-1], max(*D, sum(reach)), sum(b)
+    )
+
+
+def _columns(stats: list[tuple]) -> dict[str, np.ndarray]:
+    """The _STATS columns of a table, one entry per stats tuple."""
+    return {
+        name: np.array([entry[i] for entry in stats], bool if name == "free" else np.int8)
+        for i, name in enumerate(_STATS)
+    }
+
+
+def _units(n: int) -> list[tuple[tuple[tuple[int, int], ...], bool]]:
+    """The units of the free trees on n >= 3 vertices, as (groups,
+    bicentral): one per partition of n - 1 into parts of at most
+    (n - 1) // 2, whose groups are its (part, multiplicity) pairs by
+    descending part, listed by their number of parts; and for even n, last,
+    the pair of halves ((n // 2, 2),)."""
+    partitions = _partitions(n - 1, (n - 1) // 2)
+    by_parts = sorted(partitions, key=lambda groups: sum(r for _, r in groups))
+    units = [(groups, False) for groups in by_parts]
+    if n % 2 == 0:
+        units.append((((n // 2, 2),), True))
+    return units
+
+
+def _partitions(total: int, most: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The partitions of total into parts of at most `most`, each as its
+    (part, multiplicity) pairs by descending part."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, most), 0, -1):
+        for r in range(1, total // part + 1):
+            for rest in _partitions(total - part * r, part - 1):
+                yield ((part, r),) + rest
+
+
+def _unit_chunks(table: _Rooted, groups: tuple[tuple[int, int], ...]) -> Iterator[np.ndarray]:
+    """The trees of one unit, in chunks of at most _CHUNK rows: row t is
+    the non-increasing tuple of entry indices of the unit's tree of rank t,
+    whose digits in the mixed radix of the groups' multiset counts are the
+    ranks of one multiset of entries per group (_multisets)."""
+    counts = [math.comb(table.count(s) + r - 1, r) for s, r in groups]
+    binomials = [_binomials(table.count(s), r) for s, r in groups]
+    total = math.prod(counts)
+    for first in range(0, total, _CHUNK):
+        rank = np.arange(first, min(first + _CHUNK, total))
+        columns = []
+        for (s, r), count, binomial in zip(groups, counts, binomials):
+            if count == 1:  # one tree of this size, r times
+                columns.append(np.full((len(rank), r), table.start[s]))
+                continue
+            rank, digit = np.divmod(rank, count)
+            columns.append(table.start[s] + _multisets(binomial, r, digit))
+        yield np.concatenate(columns, axis=1)
+
+
+def _chunks(table: _Rooted, n: int) -> Iterator[tuple[np.ndarray, bool]]:
+    """The trees of order n >= 3 as (branches, bicentral) chunks of at most
+    _CHUNK rows of _unit_chunks, unit by unit.  Consecutive units with as
+    many branches share chunks, so that the many small units of an order
+    cost few numpy steps."""
+    held: list[np.ndarray] = []
+    for groups, bicentral in _units(n):
+        for rows in _unit_chunks(table, groups):
+            kind = rows.shape[1], bicentral
+            if held and (kind != held_kind or len(rows) + sum(map(len, held)) > _CHUNK):
+                yield np.concatenate(held), held_kind[1]
+                held = []
+            held.append(rows)
+            held_kind = kind
+    yield np.concatenate(held), held_kind[1]
+
+
+def _binomials(size: int, r: int) -> list[np.ndarray]:
+    """C(c, k) for c in range(size + k - 1), for k = r, r - 1, ..., 2."""
+    return [np.array([math.comb(c, k) for c in range(size + k - 1)]) for k in range(r, 1, -1)]
+
+
+def _multisets(binomials: list[np.ndarray], r: int, rank: np.ndarray) -> np.ndarray:
+    """Row i: the multiset of r elements of range(size) of colex rank
+    rank[i], non-increasing, from _binomials(size, r).  x_1 >= ... >= x_r is
+    the r-subset c_j = x_j + r - j of range(size + r - 1), whose rank is
+    the sum of C(c_j, r + 1 - j) (the combinatorial number system), so c_j
+    is the largest c with C(c, r + 1 - j) at most what is left of the rank,
+    and c_r = x_r is what is left at the end."""
+    rows = np.empty((len(rank), r), np.intp)
+    for j, binomial in enumerate(binomials):
+        c = np.searchsorted(binomial, rank, side="right") - 1
+        rank = rank - binomial[c]
+        rows[:, j] = c - (r - 1 - j)
+    rows[:, -1] = rank
+    return rows
+
+
+def _composed_invariants(
+    table: _Rooted, branches: np.ndarray, bicentral: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, b, D), one entry per row of a chunk of a unit of order n >= 3.
+
+    Around one centroid, whose branches are a row's entries: the centroid,
+    matched last, takes a branch root the greedy matching left free, so
+    m = sum m_i + [some root is free]; b = sum b_i; D is the largest D_i or
+    the two tallest branches joined at the centroid.  Two halves A and B
+    joined by an edge: m = m_A + m_B + [both roots are free], b = b_A + b_B
+    and D = max(D_A, D_B, h_A + 1 + h_B)."""
+    t = table
+    if bicentral:
+        a, c = branches.T
+        m = t.m[a] + t.m[c] + (t.free[a] & t.free[c])
+        D = np.maximum(np.maximum(t.D[a], t.D[c]), t.height[a] + t.height[c] + 1)
+        return m, t.b[a] + t.b[c], D
+    height = t.height[branches]
+    # the two tallest: the largest h_i + max(h_j, j < i)
+    reach = (height[:, 1:] + np.maximum.accumulate(height, axis=1)[:, :-1]).max(axis=1) + 2
+    m = t.m[branches].sum(axis=1) + t.free[branches].any(axis=1)
+    return m, t.b[branches].sum(axis=1), np.maximum(t.D[branches].max(axis=1), reach)
+
+
+def _composed_tree(table: _Rooted, row: list[int], bicentral: bool) -> TreeWithBoundary:
+    """The tree free_trees yields for a chunk row, labelled as WROM labels
+    it: the _wrom_sequence of the row's level sequence, rooted at the
+    centroid with the branches below it, or at the first half's root with
+    the second half below it."""
+    if bicentral:
+        seq = table.sequences[row[0]] + table.sequences[row[1]].translate(_UP)
+    else:
+        seq = b"\x00" + b"".join(table.sequences[i] for i in row).translate(_UP)
+    wrom = _wrom_sequence(_sequence_adjacency(seq))
+    return from_edge_list(len(wrom), _sequence_edges(wrom))
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -178,36 +415,6 @@ def _check_order(n: int, cap: int) -> None:
         raise EmptyInteriorError(
             f"trees on {n} vertices have no interior with leaf boundary"
         )
-
-
-def _array_invariants(
-    parent: np.ndarray, degree: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, b, D), one entry per column, of a _parent_blocks block of trees
-    with n >= 3, in one pass over the vertices children first: b counts the
-    degree-1 vertices; m matches a vertex to its parent when both are still
-    free (the greedy rule of matching.maximum_matching, optimal in any
-    children-first order); D is the largest sum of the two tallest branches
-    below a vertex, with height the tallest branch seen so far.  A vertex's
-    own row is a slice, its parents are read and written through the flat
-    index, which names one distinct entry per column."""
-    n, B = parent.shape
-    up = _flat_parents(parent)
-    free = np.ones(n * B, bool)
-    height = np.zeros(n * B, np.int8)
-    m = np.zeros(B, np.int8)
-    D = np.zeros(B, np.int8)
-    for v in range(n - 1, 0, -1):
-        own, p = slice(v * B, (v + 1) * B), up[v - 1]
-        free_p = free[p]
-        matched = free[own] & free_p
-        free[p] = free_p & ~matched
-        m += matched
-        h = height[own] + 1
-        hp = height[p]
-        np.maximum(D, h + hp, out=D)
-        height[p] = np.maximum(hp, h)
-    return m, np.count_nonzero(degree == 1, axis=0), D
 
 
 _PARAMS = {"NM": ("m",), "NMB": ("m", "b"), "NK": ("k",), "ND": ("D",)}
@@ -293,7 +500,7 @@ def classify(tree: TreeWithBoundary) -> list[ClassKey]:
 
 def _cells(key: ClassKey) -> tuple[slice, slice, slice]:
     """Where key's trees sit in an array indexed by the (m, b, D) of
-    _array_invariants: a one-value slice for each invariant the key fixes
+    _composed_invariants: a one-value slice for each invariant the key fixes
     (an NK key fixes b = n - k) and a full slice for the others."""
     b = key.n - key.k if key.variant == "NK" else key.b
     return tuple(slice(None) if x is None else slice(x, x + 1) for x in (key.m, b, key.D))

@@ -11,6 +11,15 @@ three facts numerically on every call.
 
 Interior vertices are always ordered ascending by vertex id; eigenfunctions
 and user-supplied Rayleigh test functions use that ordering.
+
+The sweep eigensolves few of its trees.  A pivot count proves, without
+building a tree, that every eigenvalue lies above a bound x: eliminating
+A - yI children first, A - yI is positive definite iff every pivot is
+positive (Jacobs & Trevisan).  The count composes over a tree's centroid
+branches, as the enumeration composes the trees: one pass over its table
+of rooted trees per vector of bounds gives every branch root's pivot
+(_branch_pivots), and each tree adds only its centroid's, or the last one
+between its two halves (_composed_above).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .errors import (
     TooSmallError,
     ZeroFunctionError,
 )
-from .enumeration import _flat_parents
+from .enumeration import _Rooted
 from .trees import TreeWithBoundary, diameter, from_edge_list
 
 __all__ = [
@@ -54,7 +63,7 @@ DEFAULT_TOL = 1e-10
 # 5,000 interior vertices; a larger interior is refused before allocating.
 MAX_DENSE_INTERIOR = 5_000
 
-# _spectrum_above eliminates at x + _FILTER_SLACK: the pivots prove a bound on
+# _branch_pivots eliminates at x + _FILTER_SLACK: the pivots prove a bound on
 # the exact eigenvalues, while callers compare the float lambda1 of
 # first_eigenpair, which can sit ~1e-14 off the exact value on the interiors
 # a sweep meets; the slack keeps that rounding from crossing x.
@@ -111,16 +120,21 @@ def dirichlet_matrix(tree: TreeWithBoundary) -> DirichletMatrix:
 def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> DirichletSpectrum:
     """Smallest Dirichlet eigenvalue with a positive unit eigenvector.
 
-    The interior sizes in play are tiny, so a dense symmetric eigensolve is
-    both simplest and as accurate as it gets; the residual and positivity
-    contracts are still verified explicitly.  Sign is fixed so the entry of
-    the lowest-index interior vertex is positive.
+    A dense symmetric eigensolve (numpy's eigh), O(k^2) memory and O(k^3)
+    time in the interior size k: simplest and as accurate as it gets for
+    the sweep's interiors of at most 18 vertices, and it still serves
+    single trees up to MAX_DENSE_INTERIOR, in seconds at a few thousand
+    vertices.  The residual and positivity contracts are verified
+    explicitly; on large trees whose ground state is localized, entries
+    far below the largest come out as rounding noise and the positivity
+    check can fail.  Sign is fixed so the entry of the lowest-index
+    interior vertex is positive.
     """
     _check_tol(tol)
     dm = dirichlet_matrix(tree)
     try:
         w, vecs = np.linalg.eigh(dm.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - tiny dense solves
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh converges on these matrices
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     lam = float(w[0])
     f = vecs[:, 0].copy()
@@ -151,39 +165,59 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _spectrum_above(parent: np.ndarray, degree: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """For each column r of a block of trees with leaf boundary, True when
-    every Dirichlet eigenvalue of the tree, and so the lambda1
-    first_eigenpair reports for it, is shown to exceed x[r]; False when that
-    is not shown.  The trees are int8 parent arrays of shape (n, B), one
-    column per tree, in which every parent precedes its children
-    (parent[0, r] = -1), with degrees of the same shape.
+def _branch_pivots(table: _Rooted, x: np.ndarray) -> np.ndarray:
+    """Pivots of shape (entries + 1, len(x)): column j holds, for every
+    entry of an enumeration._rooted table seen as a branch, its root's
+    pivot in eliminating A - yI, y = x[j] + _FILTER_SLACK, children first
+    (Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear Algebra
+    Appl. 434, 2011), or nan when some interior pivot of the branch is below
+    _PIVOT_GUARD.
 
-    Eliminating A - yI, y = x + _FILTER_SLACK, children first (Jacobs &
-    Trevisan, "Locating the eigenvalues of trees", Linear Algebra Appl. 434,
-    2011) gives the pivot d_v = deg(v) - y - sum of 1/d_c over the interior
-    children c of v.  By Sylvester's law of inertia A - yI is positive
-    definite iff every pivot is positive.  A tree fails at its first pivot
-    below _PIVOT_GUARD and divides no further, so it never divides by a
-    small one.  Each vertex is one numpy step over the block: its own row
-    is a slice, and its 1/d_v is added to its parent through the flat index
-    parent * B + column (enumeration._flat_parents), one entry per column.
+    A branch root has one neighbour outside the branch, so its pivot is
+    deg - y - sum of 1/p_c over its children c, and depends on nothing
+    outside.  A one-vertex branch is a leaf, on the boundary and outside
+    the matrix: its pivot is inf, so that 1/p = 0.  A branch that fails is
+    not divided by: its nan reaches every branch and tree that holds it and
+    fails them too.  The last row is the inf of the -1 that pads the
+    table's children.  One pass over the entries, a size at a time, covers
+    all the columns.
     """
-    n, B = parent.shape
     y = np.asarray(x, dtype=float) + _FILTER_SLACK
-    up = _flat_parents(parent)
-    below = np.zeros(n * B)  # sum of 1/d_c over the children seen so far
-    alive = np.ones(B, bool)
-    inverse = np.zeros(B)
-    for v in range(n - 1, -1, -1):
-        pivot = degree[v] - y - below[v * B : (v + 1) * B]
-        interior = degree[v] != 1  # a leaf is boundary, outside the matrix
-        alive &= ~interior | (pivot >= _PIVOT_GUARD)
-        if v:
-            inverse.fill(0.0)
-            np.divide(1.0, pivot, out=inverse, where=alive & interior)
-            below[up[v - 1]] += inverse
-    return alive
+    pivot = np.full((len(table.sequences) + 1, len(y)), math.inf)
+    for s in range(2, table.size + 1):
+        p = table.degree[table.start[s] : table.start[s + 1], None] - y
+        for child in table.children[s].T:  # the j-th child of each entry
+            p -= 1.0 / pivot[child]
+        pivot[table.start[s] : table.start[s + 1]] = np.where(p >= _PIVOT_GUARD, p, math.nan)
+    return pivot
+
+
+def _composed_above(
+    branches: np.ndarray,
+    bicentral: bool,
+    column: np.ndarray,
+    x: np.ndarray,
+    pivot: np.ndarray,
+) -> np.ndarray:
+    """For each row of a chunk of enumeration._chunks, True when every
+    Dirichlet eigenvalue of its tree, and so the lambda1 first_eigenpair
+    reports for it, is shown to exceed x[column[r]]; False when that is not
+    shown.  pivot is _branch_pivots(table, x).
+
+    The centroid is eliminated last: its pivot is deg - y - sum of 1/p_i
+    over its branches.  Two halves A and B are eliminated up to their
+    roots, and then A's root after B's: p_A - 1/p_B.  By Sylvester's law of
+    inertia A - yI is positive definite iff every pivot is positive, and a
+    tree passes only when its last pivot is at least _PIVOT_GUARD, which
+    no nan is.  A column with x = inf has every interior pivot -inf, so
+    nothing there is shown.
+    """
+    if bicentral:
+        a, b = branches.T
+        return pivot[a, column] - 1.0 / pivot[b, column] >= _PIVOT_GUARD
+    y = x[column] + _FILTER_SLACK
+    last = branches.shape[1] - y - (1.0 / pivot[branches, column[:, None]]).sum(axis=1)
+    return last >= _PIVOT_GUARD
 
 
 def zero_extension(tree: TreeWithBoundary, f: Sequence[float]) -> np.ndarray:

@@ -230,18 +230,18 @@ def geodesic_path(tree: TreeWithBoundary, u: int, v: int) -> tuple[int, ...]:
     return tuple(_walk_up(_bfs(tree.adj, [v])[1], u))
 
 
-def _longest_path(tree: TreeWithBoundary) -> list[int]:
-    """A longest path, by the classic double BFS: the last vertex of a BFS
-    order is a farthest one, and a vertex farthest from any vertex ends a
-    longest path."""
-    far = _bfs(tree.adj, [0])[0][-1]
-    order, parent, _ = _bfs(tree.adj, [far])
+def _longest_path(adj: Sequence[Sequence[int]]) -> list[int]:
+    """A longest path of the tree with adjacency lists adj, by the classic
+    double BFS: the last vertex of a BFS order is a farthest one, and a
+    vertex farthest from any vertex ends a longest path."""
+    far = _bfs(adj, [0])[0][-1]
+    order, parent, _ = _bfs(adj, [far])
     return _walk_up(parent, order[-1])
 
 
 def diameter(tree: TreeWithBoundary) -> int:
     """Max pairwise distance: the edge count of a longest path."""
-    return len(_longest_path(tree)) - 1
+    return len(_longest_path(tree.adj)) - 1
 
 
 def inscribed_radius(tree: TreeWithBoundary) -> int:
@@ -285,10 +285,10 @@ def invariants(tree: TreeWithBoundary) -> TreeInvariants:
 
 # -- canonical codes ---------------------------------------------------------
 
-def _centers(tree: TreeWithBoundary) -> list[int]:
-    """The 1 or 2 vertices of minimum eccentricity: the middle of any
-    longest path (C. Jordan, 1869)."""
-    path = _longest_path(tree)
+def _centers(adj: Sequence[Sequence[int]]) -> list[int]:
+    """The 1 or 2 vertices of minimum eccentricity of the tree with
+    adjacency lists adj: the middle of any longest path (C. Jordan, 1869)."""
+    path = _longest_path(adj)
     return sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
@@ -309,7 +309,7 @@ def canonical_code(tree: TreeWithBoundary) -> CanonicalCode:
     """Center-rooted canonical form; equal codes <=> boundary-respecting
     isomorphism.  Rooting at the (invariant) center set makes the min over
     at most two rooted encodings a canonical representative."""
-    cs = _centers(tree)
+    cs = _centers(tree.adj)
     return CanonicalCode(min(_rooted_code(tree, c) for c in cs))
 
 

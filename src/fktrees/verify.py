@@ -12,27 +12,34 @@ conjectured, so their verdicts are CONJECTURE-MATCH (every minimizer is one
 of the conjectured candidates) or CONJECTURE-MISMATCH.
 
 Each theorem speaks about one class variant, so certificates are made per
-order and variant, in one streaming pass over the generator's blocks of
-parent arrays (enumeration._parent_blocks), up to 1,024 trees at a time,
-one column per tree and one row per vertex.  One children-first pass over
-a block's rows gives every column's matching number, leaf count and
-diameter; a table from those to key ids, filled from the keys before the
-first block (enumeration._cells), names the one key each tree may have,
-and np.bincount counts the populations.
+order and variant, in one streaming pass over the order's trees as the
+enumeration composes them around their centroids: chunks of index tuples
+into a table of rooted trees (enumeration._chunks), unit by unit, up to
+enumeration._CHUNK trees at a time.  Sums and gathers over the table give
+every tree's matching number, leaf count and diameter; a table from those
+to key ids, filled from the keys before the first chunk
+(enumeration._cells), names the one key each tree may have, and
+np.bincount counts the populations.
 
 Each key has a threshold, which only falls.  It starts at the first
 eigenvalue of the first predicted tree that is a member of the key (one
-eigensolve per key), or at inf when no predicted tree is.  An O(n) pivot
-count of A - xI over the members' columns (spectral._spectrum_above) at
-x = threshold + tol rules out, without building or eigensolving them, the
-trees whose every eigenvalue lies above x.  The others, the contenders,
-are built with from_edge_list and eigensolved in generator order, and each
-lowers its key's threshold to its lambda1.  At the end of the pass a key's
+eigensolve per key), or at inf when no predicted tree is.  A pivot count
+of A - xI at x = threshold + tol rules out, without building or
+eigensolving them, the trees whose every eigenvalue lies above x.  It
+composes over the branches: one pass over the table per key gives every
+branch root's pivot (spectral._branch_pivots), and each tree adds its
+centroid's (spectral._composed_above).  A key with an infinite threshold
+rules out nothing.  The others, the contenders, are built
+(enumeration._composed_tree) and eigensolved, and each lowers its key's
+threshold to its lambda1; a key's pivots are recomputed at its lowered
+threshold before the next chunk.  At the end of the pass a key's
 lambda_min is the least lambda1 of its contenders and its minimizers are
 the contenders within tol of it; only those are canonically coded.  The
 seed is a member, so the class minimum is at most it, up to the ~1e-15 by
 which relabelling an isomorph may move lambda1 (_FILTER_SLACK covers it):
-no tree within tol of the class minimum is ever ruled out.  Seeds set
+no tree within tol of the class minimum is ever ruled out, whatever the
+order of the trees.  Each contender is relabelled to the level sequence
+the WROM generator yields for it before it is eigensolved, and seeds set
 thresholds and nothing else, so every reported float is the
 first_eigenpair value of a generator-labelled tree, and the certificates
 are those an eigensolve of every member gives, byte for byte.  A single
@@ -58,17 +65,18 @@ from .enumeration import (
     DEFAULT_CAP,
     HARD_CAP,
     ClassKey,
-    _array_invariants,
     _cells,
     _check_cap,
-    _parent_blocks,
-    _parent_edges,
+    _chunks,
+    _composed_invariants,
+    _composed_tree,
+    _rooted,
     classify,
 )
 from .errors import EmptyClassError
 from .families import PredictedExtremal, predicted_extremal
-from .spectral import _check_tol, _spectrum_above, first_eigenpair
-from .trees import TreeWithBoundary, canonical_code, from_edge_list
+from .spectral import _branch_pivots, _check_tol, _composed_above, first_eigenpair
+from .trees import TreeWithBoundary, canonical_code
 
 __all__ = [
     "TIE_TOL",
@@ -127,19 +135,21 @@ def all_match(certs) -> bool:
 def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCertificate]:
     """Certificates for feasible keys of order n (so n >= 3; callers check
     the cap), all of one variant (else ValueError), in the order given, from
-    one pass over the parent-array blocks of that order.
+    one pass over the composed chunks of that order.
 
     threshold[i] starts at the lambda1 of key i's first predicted member,
     or inf, and each contender's lambda1 lowers it.  The class minimum is at
     most the seed (up to the relabelling rounding _FILTER_SLACK covers) and
     at most every contender's lambda1, and the threshold only falls, so a
-    tree _spectrum_above shows to lie above threshold + tol is never within
+    tree _composed_above shows to lie above threshold + tol is never within
     tol of the class minimum: it is counted without being built or
-    eigensolved.  Every contender's (lambda1, tree) is kept, and the
-    minimizers are the contenders within tol of their least lambda1: the
-    trees within tol of the class minimum, by the same float comparison as a
-    filter over the whole class.  Seeds set thresholds only: population,
-    lambda_min and minimizers come from the generator's own trees.
+    eigensolved.  x holds the threshold + tol each key's pivot column was
+    computed at, and a key whose threshold fell is recomputed after the
+    chunk.  Every contender's (lambda1, tree) is kept, and the minimizers
+    are the contenders within tol of their least lambda1: the trees within
+    tol of the class minimum, by the same float comparison as a filter over
+    the whole class.  Seeds set thresholds only: population, lambda_min and
+    minimizers come from the generator's own trees.
     """
     (_variant,) = {key.variant for key in keys}  # one variant: disjoint cells
     predictions = [predicted_extremal(key) for key in keys]
@@ -151,19 +161,26 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     key_id = np.full((n // 2 + 1, n + 1, n), -1, np.intp)  # by (m, b, D); -1 none
     for i, key in enumerate(keys):
         key_id[_cells(key)] = i
+    table = _rooted(n // 2)
+    x = threshold + tol
+    pivot = _branch_pivots(table, x)
     population = np.zeros(len(keys), np.int64)
     contenders: list[list[tuple[float, TreeWithBoundary]]] = [[] for _ in keys]
-    for parent, degree in _parent_blocks(n):
-        kid = key_id[_array_invariants(parent, degree)]
-        cols = np.flatnonzero(kid >= 0)
-        kid = kid[cols]
+    for branches, bicentral in _chunks(table, n):
+        kid = key_id[_composed_invariants(table, branches, bicentral)]
+        rows = np.flatnonzero(kid >= 0)
+        branches, kid = branches[rows], kid[rows]
         population += np.bincount(kid, minlength=len(keys))
-        contender = ~_spectrum_above(parent[:, cols], degree[:, cols], threshold[kid] + tol)
-        for c, i in zip(cols[contender].tolist(), kid[contender].tolist()):
-            tree = from_edge_list(n, _parent_edges(parent[:, c].tolist()))
+        contender = ~_composed_above(branches, bicentral, kid, x, pivot)
+        for row, i in zip(branches[contender].tolist(), kid[contender].tolist()):
+            tree = _composed_tree(table, row, bicentral)
             lam = first_eigenpair(tree).lambda1
             threshold[i] = min(threshold[i], lam)
             contenders[i].append((lam, tree))
+        lowered = np.flatnonzero(threshold + tol < x)
+        if lowered.size:
+            x[lowered] = threshold[lowered] + tol
+            pivot[:, lowered] = _branch_pivots(table, x[lowered])
     return [
         _certificate(key, count, solved, prediction, tol)
         for key, count, solved, prediction in zip(

@@ -238,10 +238,10 @@ def test_verify_bytes_match_golden_certificates(capsys, theorem, jobs):
 
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_verify_bytes_match_golden_across_block_boundaries(capsys, monkeypatch, theorem):
-    # order 11 has 235 trees, one block at the default size; blocks of 7
-    # trees split every order past 6 and leave a short last block, and the
-    # certificates must not notice
-    monkeypatch.setattr(fktrees.enumeration, "_BLOCK", 7)
+    # at the default chunk size each order's units of one width share a
+    # chunk; chunks of 7 trees split the larger units and leave short last
+    # chunks, and the certificates must not notice
+    monkeypatch.setattr(fktrees.enumeration, "_CHUNK", 7)
     golden = Path(__file__).parent / "data" / f"verify_{theorem}_n11.jsonl"
     code, out = run_capture(
         capsys, ["verify", "--theorem", theorem, "--n-max", "11", "--jobs", "1"]
@@ -278,11 +278,21 @@ def test_verify_bytes_match_golden_across_block_boundaries(capsys, monkeypatch, 
             "03d3d584741ac86e6330aa50bd60ce81899db203bc0274c243db9c63d84b11bf",
             id="T13-n18",
         ),
+        pytest.param(
+            ["--theorem", "T14", "--n-max", "18", "--cap", "18"],
+            "1c575dd70db5f0c0be863fe8ada804ebf36fb7280444f15c655c3e8f9e4ea772",
+            id="T14-n18",
+        ),
+        pytest.param(
+            ["--theorem", "T13", "--n-max", "20", "--cap", "20"],
+            "c16770952ee294458d9b0c54810650b3857e11c0d76b8a1f5bb510819375fbc4",
+            id="T13-n20",
+        ),
     ],
 )
 def test_verify_bytes_pinned_past_the_golden_orders(capsys, argv, digest):
     # SHA-256 of the stdout of `fktrees verify ARGV`: the certificate bytes
-    # of the orders past 11, many blocks each, where the pivot filter rules
+    # of the orders past 11, many chunks each, where the pivot filter rules
     # out almost every tree
     code, out = run_capture(capsys, ["verify", *argv])
     assert code == 0

@@ -1,6 +1,7 @@
 """Tree generation soundness, classification, certificates, sweeps."""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fktrees import (
     free_trees,
     from_edge_list,
     invariants,
+    relabel,
     PredictedExtremal,
     predicted_extremal,
     verify_class,
@@ -37,13 +39,16 @@ from fktrees.verify import (
     theorem_keys,
 )
 from fktrees.enumeration import (
-    _BLOCK,
+    _CHUNK,
     HARD_CAP,
-    _array_invariants,
     _cells,
+    _chunks,
+    _composed_invariants,
+    _composed_tree,
     _level_sequences,
-    _parent_blocks,
-    _parent_edges,
+    _rooted,
+    _sequence_edges,
+    _wrom_sequence,
 )
 from fktrees.io import dumps
 from conftest import all_labeled_trees
@@ -101,20 +106,48 @@ def test_level_sequence_stream_pinned_beyond_networkx_range(n):
     assert hashlib.sha256(stream).hexdigest() == _STREAM_SHA256[n]
 
 
-def test_parent_arrays_agree_with_edges_and_classify():
+# free trees per order, OEIS A000055
+_A000055 = [
+    1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
+    48629, 123867, 317955, 823065,
+]
+
+
+def _entry_sizes(table):
+    """The vertex count of every entry of a _rooted table."""
+    return np.repeat(np.arange(len(table.start) - 1), np.diff(table.start))
+
+
+def test_composed_counts_are_the_free_tree_counts():
+    for n in range(3, HARD_CAP + 1):
+        table = _rooted(n // 2)
+        size = _entry_sizes(table)
+        count = 0
+        for branches, bicentral in _chunks(table, n):
+            assert 0 < len(branches) <= _CHUNK
+            # non-increasing entry tuples: one centroid with branches below
+            # n/2 vertices, or two halves of n/2
+            assert (np.diff(branches, axis=1) <= 0).all()
+            sizes = size[branches]
+            if bicentral:
+                assert sizes.shape[1] == 2 and (sizes == n // 2).all()
+            else:
+                assert (sizes.sum(axis=1) == n - 1).all() and (2 * sizes < n).all()
+            count += len(branches)
+        assert count == _A000055[n], n
+
+
+def test_composed_trees_agree_with_free_trees_and_classify():
     for n in range(3, 13):
         keys = _feasible_keys(n)
-        for parents, degrees in _parent_blocks(n):
-            assert parents.shape == degrees.shape and parents.shape[0] == n
-            invariants_ = zip(*(a.tolist() for a in _array_invariants(parents, degrees)))
-            for parent, degree, (m, b, D) in zip(
-                parents.T.tolist(), degrees.T.tolist(), invariants_
-            ):
-                edges = _parent_edges(parent)
-                assert parent[0] == -1 and all(parent[i] < i for i in range(1, n))
-                assert edges == tuple((parent[i], i) for i in range(1, n))
-                tree = from_edge_list(n, edges)
-                assert degree == [tree.degree(v) for v in range(n)]
+        table = _rooted(n // 2)
+        composed = []
+        for branches, bicentral in _chunks(table, n):
+            composed_invariants = _composed_invariants(table, branches, bicentral)
+            invariants_ = zip(*(a.tolist() for a in composed_invariants))
+            for row, (m, b, D) in zip(branches.tolist(), invariants_):
+                tree = _composed_tree(table, row, bicentral)
+                composed.append(tree.edges)
                 assert classify(tree) == [
                     ClassKey("NM", n, m=m),
                     ClassKey("NMB", n, m=m, b=b),
@@ -125,6 +158,48 @@ def test_parent_arrays_agree_with_edges_and_classify():
                 # cells of its own key of each variant and of no other
                 holding = [key for key in keys if _holds(key, (m, b, D))]
                 assert holding == classify(tree)
+        # every composed tree is labelled as the generator labels it, and
+        # each generator tree is composed exactly once
+        generated = [tuple(sorted(edges)) for edges in free_tree_edge_sets(n)]
+        assert sorted(composed) == sorted(generated), n
+
+
+def test_composed_sample_at_hard_cap_agrees_with_classify():
+    # every 997th tree of order HARD_CAP, across all its units, among them
+    # full chunks of _CHUNK rows and the bicentral pairs
+    n, stride = HARD_CAP, 997
+    table = _rooted(n // 2)
+    seen, sampled, full = 0, {False: 0, True: 0}, 0
+    for branches, bicentral in _chunks(table, n):
+        full += len(branches) == _CHUNK
+        rows = np.arange(-seen % stride, len(branches), stride)
+        seen += len(branches)
+        m, b, D = (a[rows].tolist() for a in _composed_invariants(table, branches, bicentral))
+        for r, row in enumerate(branches[rows].tolist()):
+            tree = _composed_tree(table, row, bicentral)
+            assert tree.edges == tuple(sorted(_sequence_edges(_wrom_sequence(tree.adj))))
+            assert classify(tree) == [
+                ClassKey("NM", n, m=m[r]),
+                ClassKey("NMB", n, m=m[r], b=b[r]),
+                ClassKey("NK", n, k=n - b[r]),
+                ClassKey("ND", n, D=D[r]),
+            ]
+            sampled[bicentral] += 1
+    assert seen == _A000055[n] and full > 0
+    assert sampled[False] > 0 and sampled[True] > 0
+
+
+def test_wrom_sequence_of_every_tree_and_a_permuted_copy():
+    # the relabelling of the sweep's contenders: whatever the labels, the
+    # level sequence the generator yields for the tree
+    rng = random.Random(12)
+    for n in range(3, 15):
+        for seq in _level_sequences(n):
+            tree = from_edge_list(n, _sequence_edges(seq))
+            assert _wrom_sequence(tree.adj) == seq
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert _wrom_sequence(relabel(tree, perm).adj) == seq
 
 
 def _feasible_keys(n):
@@ -149,23 +224,6 @@ def test_every_predicted_tree_is_a_member_of_its_key():
     for key in keys:
         trees = predicted_extremal(key).trees
         assert trees and all(key in classify(tree) for tree in trees), key
-
-
-def test_full_width_block_at_hard_cap_agrees_with_classify():
-    # B = _BLOCK trees of order HARD_CAP: the largest flat parent index a
-    # kernel meets, which a narrow dtype would wrap
-    parents, degrees = next(_parent_blocks(HARD_CAP))
-    assert parents.shape == degrees.shape == (HARD_CAP, _BLOCK)
-    m, b, D = _array_invariants(parents, degrees)
-    for r in range(0, _BLOCK, 8):
-        tree = from_edge_list(HARD_CAP, _parent_edges(parents[:, r].tolist()))
-        assert degrees[:, r].tolist() == [tree.degree(v) for v in range(HARD_CAP)]
-        assert classify(tree) == [
-            ClassKey("NM", HARD_CAP, m=int(m[r])),
-            ClassKey("NMB", HARD_CAP, m=int(m[r]), b=int(b[r])),
-            ClassKey("NK", HARD_CAP, k=HARD_CAP - int(b[r])),
-            ClassKey("ND", HARD_CAP, D=int(D[r])),
-        ]
 
 
 def test_pinned_count_n12():

@@ -26,8 +26,8 @@ from fktrees import (
     path_eigenvalue,
     rayleigh_quotient,
 )
-from fktrees.enumeration import _BLOCK, HARD_CAP, _parent_blocks, _parent_edges
-from fktrees.spectral import _spectrum_above
+from fktrees.enumeration import HARD_CAP, _chunks, _composed_tree, _rooted
+from fktrees.spectral import _branch_pivots, _composed_above
 from conftest import random_tree
 
 
@@ -358,20 +358,27 @@ def test_eigenfunction_decreases_along_extremal_tree(t, m, b):
         assert f[j] > f[j + 1]
 
 
+def _above(table, branches, bicentral, x):
+    """The composed pivot filter with every row of a chunk its own key."""
+    rows = np.arange(len(branches))
+    return _composed_above(branches, bicentral, rows, x, _branch_pivots(table, x))
+
+
 def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
     rng = random.Random(20260)
     trees = skipped_below = 0
     for n in range(3, 13):
-        for parents, degrees in _parent_blocks(n):
+        table = _rooted(n // 2)
+        for branches, bicentral in _chunks(table, n):
             spectra, xs = [], []  # per row; xs[r] holds the row's four x values
-            for parent in parents.T.tolist():
-                edges = tuple((parent[i], i) for i in range(1, n))
-                w = np.linalg.eigvalsh(dirichlet_matrix(from_edge_list(n, edges)).entries)
+            for row in branches.tolist():
+                tree = _composed_tree(table, row, bicentral)
+                w = np.linalg.eigvalsh(dirichlet_matrix(tree).entries)
                 lam = w[0]
-                spectra.append((edges, w))
+                spectra.append((tree.edges, w))
                 xs.append((lam - 1e-7, lam + 1e-7, rng.uniform(0, 2), rng.uniform(0, 2)))
             xs = np.array(xs)
-            above = [_spectrum_above(parents, degrees, xs[:, j]) for j in range(4)]
+            above = [_above(table, branches, bicentral, xs[:, j]) for j in range(4)]
             for r, (edges, w) in enumerate(spectra):
                 for j, x in enumerate(xs[r]):
                     if above[j][r]:
@@ -382,16 +389,22 @@ def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
     assert skipped_below == trees == 985
 
 
-def test_pivot_filter_on_a_full_width_block_at_hard_cap():
-    # B = _BLOCK trees of order HARD_CAP, where the flat parent index is
-    # largest: just below lambda1 every sampled tree is skipped, just above
-    # it none is
-    parents, degrees = next(_parent_blocks(HARD_CAP))
-    assert parents.shape == (HARD_CAP, _BLOCK)
-    lam = np.full(_BLOCK, np.nan)
-    for r in range(0, _BLOCK, 8):
-        tree = from_edge_list(HARD_CAP, _parent_edges(parents[:, r].tolist()))
-        lam[r] = np.linalg.eigvalsh(dirichlet_matrix(tree).entries)[0]
-    sample = ~np.isnan(lam)
-    assert _spectrum_above(parents, degrees, lam - 1e-7)[sample].all()
-    assert not _spectrum_above(parents, degrees, lam + 1e-7)[sample].any()
+def test_pivot_filter_on_a_sample_at_hard_cap():
+    # every 997th tree of order HARD_CAP, across all its units: just below
+    # lambda1 every sampled tree is skipped, just above it none is
+    n, stride = HARD_CAP, 997
+    table = _rooted(n // 2)
+    seen = sampled = 0
+    for branches, bicentral in _chunks(table, n):
+        sample = branches[-seen % stride :: stride]
+        seen += len(branches)
+        if not len(sample):
+            continue
+        lam = np.array([
+            np.linalg.eigvalsh(dirichlet_matrix(_composed_tree(table, row, bicentral)).entries)[0]
+            for row in sample.tolist()
+        ])
+        assert _above(table, sample, bicentral, lam - 1e-7).all()
+        assert not _above(table, sample, bicentral, lam + 1e-7).any()
+        sampled += len(sample)
+    assert sampled == -(-seen // stride) > 800

@@ -172,7 +172,7 @@ def test_centers_are_the_minimum_eccentricity_vertices():
                     for j in range(n):
                         d[i][j] = min(d[i][j], d[i][k] + d[k][j])
             ecc = [max(row) for row in d]
-            assert _centers(t) == [v for v in range(n) if ecc[v] == min(ecc)]
+            assert _centers(t.adj) == [v for v in range(n) if ecc[v] == min(ecc)]
 
 
 def test_geodesic_in_T323_realizes_diameter():
