@@ -24,9 +24,10 @@ and leaf count.  A tree of a unit is a non-increasing tuple of entry
 indices, and a unit's trees come in chunks of at most _CHUNK rows
 (_unit_chunks), so memory does not grow with the order.  The (m, b, D) of
 a chunk are sums, maxima and gathers over the table
-(_composed_invariants), with no Python step per tree.  A tree is built only
-on demand (_composed_tree), relabelled to the level sequence WROM yields
-for it (_wrom_sequence), so it is the tree free_trees yields.
+(_composed_invariants), with no Python step per tree.  A tree the sweep
+needs is named by the level sequence WROM yields for it (_composed_sequence,
+_wrom_sequence), a canonical form of its isomorphism class, so it is the
+tree free_trees yields.
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
@@ -391,17 +392,16 @@ def _composed_invariants(
     return m, t.b[branches].sum(axis=1), np.maximum(t.D[branches].max(axis=1), reach)
 
 
-def _composed_tree(table: _Rooted, row: list[int], bicentral: bool) -> TreeWithBoundary:
-    """The tree free_trees yields for a chunk row, labelled as WROM labels
-    it: the _wrom_sequence of the row's level sequence, rooted at the
-    centroid with the branches below it, or at the first half's root with
-    the second half below it."""
+def _composed_sequence(table: _Rooted, row: list[int], bicentral: bool) -> bytes:
+    """The level sequence free_trees yields for the tree of a chunk row:
+    the _wrom_sequence of the row's level sequence, rooted at the centroid
+    with the branches below it, or at the first half's root with the second
+    half below it."""
     if bicentral:
         seq = table.sequences[row[0]] + table.sequences[row[1]].translate(_UP)
     else:
         seq = b"\x00" + b"".join(table.sequences[i] for i in row).translate(_UP)
-    wrom = _wrom_sequence(_sequence_adjacency(seq))
-    return from_edge_list(len(wrom), _sequence_edges(wrom))
+    return _wrom_sequence(_sequence_adjacency(seq))
 
 
 def _check_cap(n: int, cap: int) -> None:

@@ -183,9 +183,10 @@ def predicted_extremal(key: ClassKey) -> PredictedExtremal:
 
     Singleton for every settled case except the t = m = b matching class,
     where the whole one-pendant-per-interior-vertex family is extremal.  For
-    diameter keys with D >= 5 the returned candidates (the fork with arm
-    length floor(D/2) when D is even, plus the comet) come from an open
-    conjecture and are flagged as such.
+    diameter keys with D >= 5 the returned candidates come from an open
+    conjecture and are flagged as such: the comet, plus the fork with arm
+    length D/2 when D is even, or the spider S(j, j, j + 1) when D = 2j + 1
+    and n = 3j + 2.
     """
     if not key.feasible():
         raise EmptyClassError(f"class {key} admits no tree")
@@ -219,9 +220,24 @@ def predicted_extremal(key: ClassKey) -> PredictedExtremal:
     if D == 4:
         return PredictedExtremal((build_fork((n - 1) // 2, 2, n),))
     candidates = [build_comet(n, D - 1)]
+    j = D // 2
     if D % 2 == 0:
-        r = D // 2
-        a = (n - 1) // r
+        a = (n - 1) // j
         if a >= 2:
-            candidates.append(build_fork(a, r, n))
+            candidates.append(build_fork(a, j, n))
+    elif n == 3 * j + 2:
+        # D = 2j + 1 on n = 3j + 2: the spider beats the comet (ND 8 5, 11 7, 14 9)
+        candidates.append(_spider((j, j, j + 1)))
     return PredictedExtremal(tuple(candidates), conjecture=True)
+
+
+def _spider(arms: tuple[int, ...]) -> TreeWithBoundary:
+    """Hub 0 with one path of each length in arms hanging from it, the
+    vertices of each arm numbered outwards after the previous arm's."""
+    edges = []
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, len(edges) + 1))
+            prev = len(edges)
+    return from_edge_list(len(edges) + 1, edges)

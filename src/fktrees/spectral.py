@@ -12,6 +12,14 @@ three facts numerically on every call.
 Interior vertices are always ordered ascending by vertex id; eigenfunctions
 and user-supplied Rayleigh test functions use that ordering.
 
+The sweep names its trees by level sequences, and _sequence_lambdas
+eigensolves them without building a TreeWithBoundary: it assembles each
+Dirichlet matrix from the sequence, groups the matrices by interior size
+and runs one stacked eigh per group.  Both it and first_eigenpair (with a
+stack of one) go through _ground_states, the one place where the residual
+and positivity of a ground state are checked, and the two give the same
+lambda1 bit for bit.
+
 The sweep eigensolves few of its trees.  A pivot count proves, without
 building a tree, that every eigenvalue lies above a bound x: eliminating
 A - yI children first, A - yI is positive definite iff every pivot is
@@ -41,7 +49,7 @@ from .errors import (
     TooSmallError,
     ZeroFunctionError,
 )
-from .enumeration import _Rooted
+from .enumeration import _Rooted, _sequence_edges
 from .trees import TreeWithBoundary, diameter, from_edge_list
 
 __all__ = [
@@ -132,32 +140,85 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
     """
     _check_tol(tol)
     dm = dirichlet_matrix(tree)
+    w, f, residual = _ground_states(dm.entries[None], tol)
+    gap = float(w[0, 1] - w[0, 0]) if dm.order > 1 else None
+    return DirichletSpectrum(
+        lambda1=float(w[0, 0]),
+        eigenfunction=f[0],
+        vertices=dm.vertices,
+        residual=float(residual[0]),
+        gap=gap,
+    )
+
+
+def _ground_states(
+    entries: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, f, residual) of a stack of Dirichlet matrices of shape (g, k, k),
+    from one stacked eigh: w[i] the ascending eigenvalues of matrix i, f[i]
+    its ground state, signed so that its first entry is positive and of
+    unit norm, and residual[i] = max |A f - lambda1 f|.
+
+    The contracts of first_eigenpair, for every matrix: a residual above
+    tol raises NoConvergenceError, and a ground state with an entry <= 0
+    raises NonPositiveEigenvectorError.  eigh solves each matrix of a stack
+    on its own, and the norm and residual are per-matrix dot and matrix-
+    vector products, so a stack of one gives the floats of a single solve.
+    """
     try:
-        w, vecs = np.linalg.eigh(dm.entries)
+        w, vecs = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh converges on these matrices
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
-    lam = float(w[0])
-    f = vecs[:, 0].copy()
-    if f[0] < 0:
-        f = -f
-    f /= np.linalg.norm(f)
-    residual = float(np.max(np.abs(dm.entries @ f - lam * f)))
-    if residual > tol:
-        raise NoConvergenceError(
-            f"residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
+    f = vecs[:, :, 0]
+    f = np.where(f[:, :1] < 0, -f, f)
+    f /= np.sqrt(f[:, None, :] @ f[:, :, None])[:, 0]
+    residual = np.abs((entries @ f[:, :, None])[:, :, 0] - w[:, :1] * f).max(axis=1)
+    worst = float(residual.max())
+    if worst > tol:
+        raise NoConvergenceError(f"residual {worst:.3e} exceeds tolerance {tol:.3e}")
     if np.min(f) <= 0.0:
         raise NonPositiveEigenvectorError(
             "ground-state eigenvector has a non-positive entry"
         )
-    gap = float(w[1] - w[0]) if dm.order > 1 else None
-    return DirichletSpectrum(
-        lambda1=lam,
-        eigenfunction=f,
-        vertices=dm.vertices,
-        residual=residual,
-        gap=gap,
-    )
+    return w, f, residual
+
+
+def _sequence_lambdas(sequences: Sequence[bytes], tol: float = DEFAULT_TOL) -> list[float]:
+    """lambda1 of the tree of each level sequence (n >= 3, its root not a
+    leaf), bit for bit what first_eigenpair(from_edge_list(n,
+    _sequence_edges(seq))).lambda1 gives, without building the trees.
+
+    The Dirichlet matrix comes straight from the sequence: vertex v is
+    position v, its parent the latest earlier vertex one level up, and the
+    interior its non-leaves in ascending order, as dirichlet_matrix orders
+    them.  The matrices are grouped by interior size, each group is one
+    stacked eigensolve, and _ground_states checks every matrix as
+    first_eigenpair checks its one.
+    """
+    _check_tol(tol)
+    groups: dict[int, list[tuple[int, list[int], list[tuple[int, int]]]]] = {}
+    for i, seq in enumerate(sequences):
+        edges = _sequence_edges(seq)
+        degree = [0] + [1] * (len(seq) - 1)  # every vertex but the root has a parent
+        for u, _ in edges:
+            degree[u] += 1
+        row = {}
+        for v, d in enumerate(degree):
+            if d > 1:
+                row[v] = len(row)
+        inner = [(row[u], row[v]) for u, v in edges if u in row and v in row]
+        groups.setdefault(len(row), []).append((i, [degree[v] for v in row], inner))
+    lambdas = [0.0] * len(sequences)
+    for k, members in groups.items():
+        entries = np.zeros((len(members), k, k))
+        for mat, (_, diagonal, inner) in zip(entries, members):
+            mat[range(k), range(k)] = diagonal
+            for r, c in inner:
+                mat[r, c] = mat[c, r] = -1.0
+        w, _, _ = _ground_states(entries, tol)
+        for (i, _, _), lam in zip(members, w[:, 0].tolist()):
+            lambdas[i] = lam
+    return lambdas
 
 
 def _check_tol(tol: float) -> None:

@@ -21,34 +21,43 @@ to key ids, filled from the keys before the first chunk
 (enumeration._cells), names the one key each tree may have, and
 np.bincount counts the populations.
 
-Each key has a threshold, which only falls.  It starts at the first
-eigenvalue of the first predicted tree that is a member of the key (one
-eigensolve per key), or at inf when no predicted tree is.  A pivot count
-of A - xI at x = threshold + tol rules out, without building or
+Trees are named by their WROM level sequences (enumeration._wrom_sequence),
+a canonical form of the isomorphism class, and two dicts that live for one
+order hold each named tree's lambda1 and canonical code, so no tree of an
+order is eigensolved or coded twice.  Every lambda1 comes from
+spectral._sequence_lambdas, which builds the Dirichlet matrices straight
+from the sequences and solves them in stacked batches, bit for bit as
+first_eigenpair solves the tree free_trees yields.
+
+Each key has a threshold, which only falls.  It starts at the least
+lambda1 of the predicted trees that are members of the key, each solved as
+its WROM-labelled tree, or at inf when no predicted tree is a member.  A
+pivot count of A - xI at x = threshold + tol rules out, without naming or
 eigensolving them, the trees whose every eigenvalue lies above x.  It
 composes over the branches: one pass over the table per key gives every
 branch root's pivot (spectral._branch_pivots), and each tree adds its
 centroid's (spectral._composed_above).  A key with an infinite threshold
-rules out nothing.  The others, the contenders, are built
-(enumeration._composed_tree) and eigensolved, and each lowers its key's
-threshold to its lambda1; a key's pivots are recomputed at its lowered
-threshold before the next chunk.  At the end of the pass a key's
-lambda_min is the least lambda1 of its contenders and its minimizers are
-the contenders within tol of it; only those are canonically coded.  The
-seed is a member, so the class minimum is at most it, up to the ~1e-15 by
-which relabelling an isomorph may move lambda1 (_FILTER_SLACK covers it):
-no tree within tol of the class minimum is ever ruled out, whatever the
-order of the trees.  Each contender is relabelled to the level sequence
-the WROM generator yields for it before it is eigensolved, and seeds set
-thresholds and nothing else, so every reported float is the
-first_eigenpair value of a generator-labelled tree, and the certificates
-are those an eigensolve of every member gives, byte for byte.  A single
-key and a theorem sweep share this pass.
+rules out nothing.  The others, the contenders, are named
+(enumeration._composed_sequence), their lambda1 looked up or solved in one
+batch per chunk, and each lowers its key's threshold; a key's pivots are
+recomputed at its lowered threshold before the next chunk.  At the end of
+the pass a key's lambda_min is the least lambda1 of its contenders and its
+minimizers are the contenders within tol of it.  A seed is a member and
+its lambda1 is exactly the one its contender reports, so the class minimum
+is at most the threshold, and no tree within tol of the class minimum is
+ever ruled out, whatever the order of the trees (_FILTER_SLACK covers the
+distance between the float lambda1 and the exact eigenvalues the pivots
+bound).  A minimizer's code is looked up among the predicted trees'; only
+one no predicted tree covers, a MISMATCH, is built and coded.  So every
+reported float is the first_eigenpair value of a generator-labelled tree,
+and the certificates are those an eigensolve of every member gives, byte
+for byte.  A single key and a theorem sweep share this pass.
 
 Sweeps group a theorem's keys by order; with jobs > 1 the orders run in a
 process pool of min(jobs, number of orders, CPU count) workers, each
-returning the certificates of its order.  Results come back in key order,
-so the output is deterministic either way.
+returning the certificates of its order.  Orders are submitted largest
+first, so that the longest one starts at once, and the results are put
+back in key order, so the output is deterministic either way.
 """
 
 from __future__ import annotations
@@ -69,14 +78,16 @@ from .enumeration import (
     _check_cap,
     _chunks,
     _composed_invariants,
-    _composed_tree,
+    _composed_sequence,
     _rooted,
+    _sequence_edges,
+    _wrom_sequence,
     classify,
 )
 from .errors import EmptyClassError
-from .families import PredictedExtremal, predicted_extremal
-from .spectral import _branch_pivots, _check_tol, _composed_above, first_eigenpair
-from .trees import TreeWithBoundary, canonical_code
+from .families import predicted_extremal
+from .spectral import _branch_pivots, _check_tol, _composed_above, _sequence_lambdas
+from .trees import canonical_code, from_edge_list
 
 __all__ = [
     "TIE_TOL",
@@ -137,27 +148,35 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     the cap), all of one variant (else ValueError), in the order given, from
     one pass over the composed chunks of that order.
 
-    threshold[i] starts at the lambda1 of key i's first predicted member,
-    or inf, and each contender's lambda1 lowers it.  The class minimum is at
-    most the seed (up to the relabelling rounding _FILTER_SLACK covers) and
-    at most every contender's lambda1, and the threshold only falls, so a
-    tree _composed_above shows to lie above threshold + tol is never within
-    tol of the class minimum: it is counted without being built or
-    eigensolved.  x holds the threshold + tol each key's pivot column was
-    computed at, and a key whose threshold fell is recomputed after the
-    chunk.  Every contender's (lambda1, tree) is kept, and the minimizers
-    are the contenders within tol of their least lambda1: the trees within
-    tol of the class minimum, by the same float comparison as a filter over
-    the whole class.  Seeds set thresholds only: population, lambda_min and
-    minimizers come from the generator's own trees.
+    Trees are named by their WROM level sequences, and lam and code hold
+    each one's lambda1 and canonical code, so that no tree of the order is
+    eigensolved or coded twice.  threshold[i] starts at the least lambda1
+    of key i's predicted members, or inf, and each contender's lambda1
+    lowers it.  The class minimum is at most every member's lambda1 and the
+    threshold only falls, so a tree _composed_above shows to lie above
+    threshold + tol is never within tol of the class minimum: it is counted
+    without being named or eigensolved.  x holds the threshold + tol each
+    key's pivot column was computed at, and a key whose threshold fell is
+    recomputed after the chunk.  Every contender's (lambda1, sequence) is
+    kept, and the minimizers are the contenders within tol of their least
+    lambda1: the trees within tol of the class minimum, by the same float
+    comparison as a filter over the whole class.
     """
     (_variant,) = {key.variant for key in keys}  # one variant: disjoint cells
-    predictions = [predicted_extremal(key) for key in keys]
-    threshold = np.full(len(keys), math.inf)
-    for i, (key, prediction) in enumerate(zip(keys, predictions)):
-        member = next((t for t in prediction.trees if key in classify(t)), None)
-        if member is not None:
-            threshold[i] = first_eigenpair(member).lambda1
+    lam: dict[bytes, float] = {}
+    code: dict[bytes, str] = {}
+    predicted, conjecture, members = [], [], []
+    for key in keys:
+        prediction = predicted_extremal(key)
+        seqs = [_wrom_sequence(tree.adj) for tree in prediction.trees]
+        for seq, tree in zip(seqs, prediction.trees):
+            if seq not in code:
+                code[seq] = canonical_code(tree).text
+        predicted.append(seqs)
+        conjecture.append(prediction.conjecture)
+        members.append([seq for seq, t in zip(seqs, prediction.trees) if key in classify(t)])
+    _solve(lam, [seq for seqs in members for seq in seqs])
+    threshold = np.array([min((lam[seq] for seq in seqs), default=math.inf) for seqs in members])
     key_id = np.full((n // 2 + 1, n + 1, n), -1, np.intp)  # by (m, b, D); -1 none
     for i, key in enumerate(keys):
         key_id[_cells(key)] = i
@@ -165,45 +184,61 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     x = threshold + tol
     pivot = _branch_pivots(table, x)
     population = np.zeros(len(keys), np.int64)
-    contenders: list[list[tuple[float, TreeWithBoundary]]] = [[] for _ in keys]
+    contenders: list[list[tuple[float, bytes]]] = [[] for _ in keys]
     for branches, bicentral in _chunks(table, n):
         kid = key_id[_composed_invariants(table, branches, bicentral)]
         rows = np.flatnonzero(kid >= 0)
         branches, kid = branches[rows], kid[rows]
         population += np.bincount(kid, minlength=len(keys))
         contender = ~_composed_above(branches, bicentral, kid, x, pivot)
-        for row, i in zip(branches[contender].tolist(), kid[contender].tolist()):
-            tree = _composed_tree(table, row, bicentral)
-            lam = first_eigenpair(tree).lambda1
-            threshold[i] = min(threshold[i], lam)
-            contenders[i].append((lam, tree))
+        named = [
+            (i, _composed_sequence(table, row, bicentral))
+            for row, i in zip(branches[contender].tolist(), kid[contender].tolist())
+        ]
+        _solve(lam, [seq for _, seq in named])
+        for i, seq in named:
+            threshold[i] = min(threshold[i], lam[seq])
+            contenders[i].append((lam[seq], seq))
         lowered = np.flatnonzero(threshold + tol < x)
         if lowered.size:
             x[lowered] = threshold[lowered] + tol
             pivot[:, lowered] = _branch_pivots(table, x[lowered])
     return [
-        _certificate(key, count, solved, prediction, tol)
-        for key, count, solved, prediction in zip(
-            keys, population.tolist(), contenders, predictions
+        _certificate(key, count, solved, seqs, conjectured, code, tol)
+        for key, count, solved, seqs, conjectured in zip(
+            keys, population.tolist(), contenders, predicted, conjecture
         )
     ]
+
+
+def _solve(lam: dict[bytes, float], sequences: list[bytes]) -> None:
+    """Adds to lam the lambda1 of each level sequence it lacks, in one
+    batched eigensolve."""
+    new = [seq for seq in dict.fromkeys(sequences) if seq not in lam]
+    lam.update(zip(new, _sequence_lambdas(new)))
 
 
 def _certificate(
     key: ClassKey,
     population: int,
-    contenders: list[tuple[float, TreeWithBoundary]],
-    prediction: PredictedExtremal,
+    contenders: list[tuple[float, bytes]],
+    predicted_sequences: list[bytes],
+    conjecture: bool,
+    code: dict[bytes, str],
     tol: float,
 ) -> ExtremalCertificate:
+    """The certificate of one key; a minimizer no predicted tree names is
+    built and coded here, once (code holds every predicted tree's)."""
     if not population:
         return empty_class_certificate(key, tol)
     lambda_min = min(lam for lam, _ in contenders)
-    minimizers = tuple(
-        sorted(canonical_code(t).text for lam, t in contenders if lam <= lambda_min + tol)
-    )
-    predicted = tuple(sorted({canonical_code(t).text for t in prediction.trees}))
-    if prediction.conjecture:
+    minimal = [seq for lam, seq in contenders if lam <= lambda_min + tol]
+    for seq in minimal:
+        if seq not in code:
+            code[seq] = canonical_code(from_edge_list(len(seq), _sequence_edges(seq))).text
+    minimizers = tuple(sorted(code[seq] for seq in minimal))
+    predicted = tuple(sorted({code[seq] for seq in predicted_sequences}))
+    if conjecture:
         verdict = (
             "CONJECTURE-MATCH"
             if set(minimizers) <= set(predicted)
@@ -288,11 +323,14 @@ def verify_theorem_sweep(
     for key in keys:
         by_order.setdefault(key.n, []).append(key)
     certify = functools.partial(_certify_order, tol=tol)
+    # largest order first, so that no worker starts the longest job last
+    orders = sorted(by_order, reverse=True)
+    work = [by_order[n] for n in orders]
     workers = min(jobs, len(by_order), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_order = list(pool.map(certify, by_order.keys(), by_order.values()))
+            per_order = dict(zip(orders, pool.map(certify, orders, work)))
     else:
-        per_order = list(map(certify, by_order.keys(), by_order.values()))
+        per_order = dict(zip(orders, map(certify, orders, work)))
     # theorem_keys lists keys by ascending order, so this is key order
-    return [cert for certs in per_order for cert in certs]
+    return [cert for n in by_order for cert in per_order[n]]

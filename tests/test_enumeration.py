@@ -44,13 +44,14 @@ from fktrees.enumeration import (
     _cells,
     _chunks,
     _composed_invariants,
-    _composed_tree,
+    _composed_sequence,
     _level_sequences,
     _rooted,
     _sequence_edges,
     _wrom_sequence,
 )
 from fktrees.io import dumps
+from fktrees.spectral import _sequence_lambdas
 from conftest import all_labeled_trees
 
 
@@ -146,7 +147,7 @@ def test_composed_trees_agree_with_free_trees_and_classify():
             composed_invariants = _composed_invariants(table, branches, bicentral)
             invariants_ = zip(*(a.tolist() for a in composed_invariants))
             for row, (m, b, D) in zip(branches.tolist(), invariants_):
-                tree = _composed_tree(table, row, bicentral)
+                tree = from_edge_list(n, _sequence_edges(_composed_sequence(table, row, bicentral)))
                 composed.append(tree.edges)
                 assert classify(tree) == [
                     ClassKey("NM", n, m=m),
@@ -176,8 +177,9 @@ def test_composed_sample_at_hard_cap_agrees_with_classify():
         seen += len(branches)
         m, b, D = (a[rows].tolist() for a in _composed_invariants(table, branches, bicentral))
         for r, row in enumerate(branches[rows].tolist()):
-            tree = _composed_tree(table, row, bicentral)
-            assert tree.edges == tuple(sorted(_sequence_edges(_wrom_sequence(tree.adj))))
+            seq = _composed_sequence(table, row, bicentral)
+            tree = from_edge_list(n, _sequence_edges(seq))
+            assert _wrom_sequence(tree.adj) == seq
             assert classify(tree) == [
                 ClassKey("NM", n, m=m[r]),
                 ClassKey("NMB", n, m=m[r], b=b[r]),
@@ -447,6 +449,22 @@ def test_conjecture_verdict_for_large_diameter():
     assert cert.verdict == "CONJECTURE-MATCH"
 
 
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_odd_diameter_conjecture_takes_the_spider(j):
+    # on n = 3j + 2 with D = 2j + 1 the comet loses to the spider
+    # S(j, j, j + 1), three arms of j, j and j + 1 edges from one hub
+    n, D = 3 * j + 2, 2 * j + 1
+    edges = []
+    for length in (j, j, j + 1):
+        arm = [0] + list(range(len(edges) + 1, len(edges) + length + 1))
+        edges += zip(arm, arm[1:])
+    spider = canonical_code(from_edge_list(n, edges)).text
+    cert = verify_class(ClassKey("ND", n, D=D))
+    assert cert.verdict == "CONJECTURE-MATCH"
+    assert cert.minimizers == (spider,)
+    assert cert.predicted == tuple(sorted([spider, canonical_code(build_comet(n, D - 1)).text]))
+
+
 # -- streaming certification against materialize-and-filter ----------------------
 
 def _in_class(key, inv):
@@ -492,46 +510,75 @@ def test_streaming_certificates_equal_materialize_and_filter():
             assert cert == _filtered_certificate(cert.key, records[cert.key.n])
 
 
+class _Counted:
+    """Records every level sequence verify eigensolves and counts its
+    canonical codes, through monkeypatched stand-ins."""
+
+    def __init__(self, monkeypatch):
+        self.solved, self.codes = [], 0
+        monkeypatch.setattr(verify_module, "_sequence_lambdas", self._solve)
+        monkeypatch.setattr(verify_module, "canonical_code", self._code)
+
+    def _solve(self, sequences, *args, **kwargs):
+        self.solved.extend(sequences)
+        return _sequence_lambdas(sequences, *args, **kwargs)
+
+    def _code(self, tree):
+        self.codes += 1
+        return canonical_code(tree)
+
+
+def _assert_solved_once(counted, certs):
+    """Each distinct tree is eigensolved at most once; the trees solved are
+    exactly the seeds (every predicted member) and the minimizers; each
+    distinct minimizer and predicted code is computed once."""
+    assert len(counted.solved) == len(set(counted.solved))
+    seeds = {
+        _wrom_sequence(t.adj)
+        for c in certs
+        for t in predicted_extremal(c.key).trees
+        if c.key in classify(t)
+    }
+    minimizers = {c for cert in certs for c in cert.minimizers}
+    generated = {
+        seq
+        for n in {c.key.n for c in certs}
+        for seq in _level_sequences(n)
+        if canonical_code(from_edge_list(n, _sequence_edges(seq))).text in minimizers
+    }
+    assert len(generated) == len(minimizers)
+    assert set(counted.solved) == seeds | generated
+    assert counted.codes == len(minimizers | {c for cert in certs for c in cert.predicted})
+
+
 def test_class_certificate_solves_members_and_codes_minimizers(monkeypatch):
-    calls = {"eigen": 0, "code": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(verify_module, "first_eigenpair", counted("eigen", first_eigenpair))
-    monkeypatch.setattr(verify_module, "canonical_code", counted("code", canonical_code))
+    counted = _Counted(monkeypatch)
     key = ClassKey("ND", 10, D=4)
     cert = verify_class(key)
     # members the pivot filter shows to lie above lambda_min + tol are
     # counted without an eigensolve
-    assert 0 < calls["eigen"] < cert.population < sum(1 for _ in free_trees(10))
-    assert calls["code"] == len(cert.minimizers) + len(predicted_extremal(key).trees)
+    assert 0 < len(counted.solved) < cert.population < sum(1 for _ in free_trees(10))
+    _assert_solved_once(counted, [cert])
 
 
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_sweep_eigensolves_exactly_the_minimizers(monkeypatch, theorem):
     # every threshold starts at the predicted minimum, so the pivot filter
-    # leaves only the minimizers to eigensolve among the generator's trees
-    # (every tree but those predicted_extremal returned)
-    predicted, calls = [], {"generator": 0}
-
-    def recorded(key):
-        prediction = predicted_extremal(key)
-        predicted.extend(prediction.trees)
-        return prediction
-
-    def counted(tree, *args, **kwargs):
-        if not any(tree is t for t in predicted):
-            calls["generator"] += 1
-        return first_eigenpair(tree, *args, **kwargs)
-
-    monkeypatch.setattr(verify_module, "predicted_extremal", recorded)
-    monkeypatch.setattr(verify_module, "first_eigenpair", counted)
+    # leaves only the minimizers to eigensolve, and on a MATCH key they are
+    # the seeds themselves
+    counted = _Counted(monkeypatch)
     certs = verify_theorem_sweep(theorem, 12)
-    assert calls["generator"] == sum(len(c.minimizers) for c in certs) > 0
+    assert all_match(certs)
+    _assert_solved_once(counted, certs)
+    assert len(counted.solved) == counted.codes == sum(len(c.minimizers) for c in certs)
+
+
+def test_sweep_solves_and_codes_each_tree_of_t14_once(monkeypatch):
+    # the sweep-serial job: 196 keys, 236 minimizers, each solved and coded once
+    counted = _Counted(monkeypatch)
+    certs = verify_theorem_sweep("T14", 16)
+    assert len(certs) == 196 and sum(len(c.minimizers) for c in certs) == 236
+    assert len(set(counted.solved)) == len(counted.solved) == counted.codes == 236
 
 
 @pytest.mark.parametrize("stand_in", ["non-member", "non-minimal-member"])
@@ -571,9 +618,11 @@ def test_wrong_predictions_change_only_the_verdict(monkeypatch, stand_in):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the orders
+    in the order they are submitted, runs in-process."""
 
     sizes: list = []
+    submitted: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -584,8 +633,9 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def map(self, fn, orders, *iterables):
+        self.submitted.append(list(orders))
+        return map(fn, orders, *iterables)
 
 
 @pytest.mark.parametrize(
@@ -595,8 +645,13 @@ class _RecordingPool:
 )
 def test_sweep_workers_clamped_to_orders_and_cpus(monkeypatch, cpus, want):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
     monkeypatch.setattr(verify_module, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
     certs = verify_theorem_sweep("T13", 6, jobs=10**6)  # orders 3..6
     assert _RecordingPool.sizes == want
+    # the largest order first, so no worker starts it last; the results
+    # still come back in key order
+    assert _RecordingPool.submitted == [[6, 5, 4, 3]] * len(want)
+    assert [c.key for c in certs] == theorem_keys("T13", 6)
     assert certs == verify_theorem_sweep("T13", 6)

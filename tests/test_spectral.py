@@ -26,8 +26,16 @@ from fktrees import (
     path_eigenvalue,
     rayleigh_quotient,
 )
-from fktrees.enumeration import HARD_CAP, _chunks, _composed_tree, _rooted
-from fktrees.spectral import _branch_pivots, _composed_above
+from fktrees.enumeration import (
+    HARD_CAP,
+    _chunks,
+    _composed_sequence,
+    _level_sequences,
+    _rooted,
+    _sequence_edges,
+)
+from fktrees.errors import NoConvergenceError, NonPositiveEigenvectorError
+from fktrees.spectral import _branch_pivots, _composed_above, _sequence_lambdas
 from conftest import random_tree
 
 
@@ -358,6 +366,10 @@ def test_eigenfunction_decreases_along_extremal_tree(t, m, b):
         assert f[j] > f[j + 1]
 
 
+def _sequence_tree(seq):
+    return from_edge_list(len(seq), _sequence_edges(seq))
+
+
 def _above(table, branches, bicentral, x):
     """The composed pivot filter with every row of a chunk its own key."""
     rows = np.arange(len(branches))
@@ -372,7 +384,7 @@ def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
         for branches, bicentral in _chunks(table, n):
             spectra, xs = [], []  # per row; xs[r] holds the row's four x values
             for row in branches.tolist():
-                tree = _composed_tree(table, row, bicentral)
+                tree = _sequence_tree(_composed_sequence(table, row, bicentral))
                 w = np.linalg.eigvalsh(dirichlet_matrix(tree).entries)
                 lam = w[0]
                 spectra.append((tree.edges, w))
@@ -400,11 +412,58 @@ def test_pivot_filter_on_a_sample_at_hard_cap():
         seen += len(branches)
         if not len(sample):
             continue
-        lam = np.array([
-            np.linalg.eigvalsh(dirichlet_matrix(_composed_tree(table, row, bicentral)).entries)[0]
-            for row in sample.tolist()
-        ])
+        trees = [_sequence_tree(_composed_sequence(table, row, bicentral)) for row in sample.tolist()]
+        lam = np.array([np.linalg.eigvalsh(dirichlet_matrix(t).entries)[0] for t in trees])
         assert _above(table, sample, bicentral, lam - 1e-7).all()
         assert not _above(table, sample, bicentral, lam + 1e-7).any()
         sampled += len(sample)
     assert sampled == -(-seen // stride) > 800
+
+
+# -- the batched solver of the sweep ---------------------------------------------
+
+def _hard_cap_sample(stride=997):
+    """The level sequence of every stride-th tree of order HARD_CAP."""
+    n, seen, sample = HARD_CAP, 0, []
+    table = _rooted(n // 2)
+    for branches, bicentral in _chunks(table, n):
+        for row in branches[-seen % stride :: stride].tolist():
+            sample.append(_composed_sequence(table, row, bicentral))
+        seen += len(branches)
+    return sample
+
+
+def test_sequence_lambdas_are_first_eigenpair_bit_for_bit():
+    # every free tree with 3 <= n <= 12 in one call (interiors of 1 to 10
+    # vertices, so many stacked groups), and a fixed sample of order HARD_CAP
+    small = [seq for n in range(3, 13) for seq in _level_sequences(n)]
+    for sequences in (small, _hard_cap_sample()):
+        want = [first_eigenpair(_sequence_tree(seq)).lambda1 for seq in sequences]
+        assert _sequence_lambdas(sequences) == want
+    assert len(small) == 985
+    assert _sequence_lambdas([]) == []
+
+
+def _second_as_first(eigh):
+    """eigh, but with the first two eigenpairs of each matrix swapped: the
+    second is a true eigenpair, and its vector changes sign."""
+    def swapped(a):
+        w, v = eigh(a)
+        order = [1, 0] + list(range(2, w.shape[-1]))
+        return w[..., order], v[..., order]
+    return swapped
+
+
+def test_both_solvers_check_residual_and_positivity(monkeypatch):
+    sequences = list(_level_sequences(9))
+    tree = _sequence_tree(sequences[0])  # the path: 7 interior vertices, so a second eigenpair
+    with pytest.raises(NoConvergenceError):
+        _sequence_lambdas(sequences, tol=1e-300)
+    with pytest.raises(NoConvergenceError):
+        first_eigenpair(tree, tol=1e-300)
+    assert _sequence_lambdas(sequences, tol=1e-12)
+    monkeypatch.setattr(np.linalg, "eigh", _second_as_first(np.linalg.eigh))
+    with pytest.raises(NonPositiveEigenvectorError):
+        _sequence_lambdas(sequences[:1])
+    with pytest.raises(NonPositiveEigenvectorError):
+        first_eigenpair(tree)
