@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from typing import Iterator, TextIO
 
@@ -193,12 +194,23 @@ def _cmd_family(args) -> int:
     return 0
 
 
+def _function_file(path: str) -> list[float]:
+    """The values of a --function file: a JSON array of finite numbers,
+    numeric strings among them; ValueError for anything else."""
+    try:
+        f = json.loads(fkio.read_capped(path))
+        values = [float(x) for x in f] if isinstance(f, list) else None
+    except (RecursionError, TypeError, OverflowError) as exc:  # nested too deep; not a number
+        raise ValueError(f"--function file: {exc}") from None
+    if values is None or not all(map(math.isfinite, values)):
+        raise ValueError("--function file must hold a JSON array of finite numbers")
+    return values
+
+
 def _cmd_transform(args) -> int:
     tree = fkio.read_tree_file(args.tree)
     if args.function is not None:
-        f = json.loads(fkio.read_capped(args.function))
-        if not isinstance(f, list):
-            raise ValueError("--function file must hold a JSON array")
+        f = _function_file(args.function)
     else:
         f = [float(x) for x in first_eigenpair(tree).eigenfunction]
     move, ids = _parse_move(args.move)

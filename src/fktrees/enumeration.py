@@ -17,17 +17,20 @@ number of trees", Ann. Math. 49, 1948).  So an order is a list of units
 (_units): one per partition of n - 1 into parts of at most (n - 1) // 2,
 whose trees hang one multiset of rooted trees of those sizes from a
 centroid, and for even n the unordered pairs of rooted trees on n/2
-vertices.  The rooted trees of each size come from the Beyer-Hedetniemi
-successor _next_rooted, once per process, into a table (_rooted) whose
-entries hold their children, m, whether the root is left free, height, D
-and leaf count.  A tree of a unit is a non-increasing tuple of entry
-indices, and a unit's trees come in chunks of at most _CHUNK rows
-(_unit_chunks), so memory does not grow with the order.  The (m, b, D) of
-a chunk are sums, maxima and gathers over the table
-(_composed_invariants), with no Python step per tree.  A tree the sweep
-needs is named by the level sequence WROM yields for it (_composed_sequence,
-_wrom_sequence), a canonical form of its isomorphism class, so it is the
-tree free_trees yields.
+vertices.  The rooted trees are composed the same way, once per process,
+into a table (_rooted): a rooted tree on s vertices is a root over a
+multiset of smaller ones whose sizes add up to s - 1, so the trees of size
+s are one unit per partition of s - 1, with no bound on the parts.  An
+entry holds its children, m, whether the root is left free, height, D and
+leaf count.  A tree of a unit is a non-increasing tuple of entry indices,
+and a unit's trees come in chunks of at most _CHUNK rows (_unit_chunks),
+so memory does not grow with the order.  One rule gives the invariants of
+a root over its branches, for a table entry and a centroid alike
+(_root_over), and the (m, b, D) of a chunk are sums, maxima and gathers
+over the table (_composed_invariants), with no Python step per tree.  A
+tree the sweep needs is named by the level sequence WROM yields for it
+(_composed_sequence, _wrom_sequence), a canonical form of its isomorphism
+class, so it is the tree free_trees yields.
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
@@ -201,87 +204,85 @@ def _wrom_sequence(adj: Sequence[Sequence[int]]) -> bytes:
 
 @dataclass(frozen=True, eq=False)
 class _Rooted:
-    """Every canonical rooted tree on at most `size` vertices, one entry
-    each, by size and, within a size, in _next_rooted order (the path
-    first): entries start[s]:start[s + 1] have s vertices.
+    """Every rooted tree on at most `size` vertices, one entry per
+    isomorphism class, by size: entries start[s]:start[s + 1] have s
+    vertices, unit by unit as _rooted composes them.
 
     An entry is seen as a branch, whose root hangs from one vertex outside
     it (a centroid, or the other half), so its root's degree is its child
-    count + 1 and its leaves are its childless vertices.  Per entry: the
-    level sequence, the greedy matching's m (each vertex, children first,
-    matched to its parent when both are free: optimal in any children-first
-    order) and whether it leaves the root free, the height, the diameter D
-    and the leaf count b.  children[s] holds the child entries of the
-    entries of size s, one row each, padded with -1.
+    count + 1 and its leaves are its childless vertices.  Per entry: a
+    level sequence of it, rooted at its root but not necessarily canonical,
+    and the m, b, D, free and height of _root_over.  children[s] holds the
+    child entries of the entries of size s, one row each, padded with -1.
     """
 
     size: int
     start: tuple[int, ...]
     sequences: tuple[bytes, ...]
     children: tuple[np.ndarray, ...]
-    degree: np.ndarray
     m: np.ndarray
+    b: np.ndarray
+    D: np.ndarray
     free: np.ndarray
     height: np.ndarray
-    D: np.ndarray
-    b: np.ndarray
 
     def count(self, s: int) -> int:
         return self.start[s + 1] - self.start[s]
 
 
-_STATS = ("degree", "m", "free", "height", "D", "b")  # _Rooted's per-entry columns
-
-
 @functools.cache
 def _rooted(size: int) -> _Rooted:
-    """The table of the rooted trees on at most size vertices: the table of
-    size - 1 and the trees of this size.  Memoised: a pure function of size."""
-    if size == 0:
-        return _Rooted(0, (0, 0), (), (np.zeros((0, 0), np.intp),), **_columns([]))
+    """The table of the rooted trees on at most size >= 1 vertices: the
+    table of size - 1 and the trees of this size.  A rooted tree on size
+    vertices is a root over a multiset of smaller ones whose sizes add up
+    to size - 1, so its trees are one unit per partition of size - 1
+    (_unit_chunks over the smaller table).  Memoised: a pure function of
+    size."""
+    if size == 1:  # one vertex: a leaf, left free
+        zero = np.zeros(1, np.int8)
+        children = (np.zeros((0, 0), np.intp), np.zeros((1, 0), np.intp))
+        columns = zero, zero + 1, zero, np.ones(1, bool), zero  # m, b, D, free, height
+        return _Rooted(1, (0, 0, 1), (b"\x00",), children, *columns)
     prev = _rooted(size - 1)
-    index = {seq: i for i, seq in enumerate(prev.sequences)}
-    stats = list(zip(*(getattr(prev, name).tolist() for name in _STATS)))
-    sequences, kids = [], []
-    seq = _LEVELS[:size]
-    while seq is not None:
-        # the root's subtrees start at its children, the positions at level 1
-        cuts = [i for i in range(1, size) if seq[i] == 1] + [size]
-        children = [index[seq[i:j].translate(_DOWN)] for i, j in zip(cuts, cuts[1:])]
-        sequences.append(seq)
-        kids.append(children)
-        stats.append(_branch_stats([stats[c] for c in children]))
-        seq = _next_rooted(seq)
-    padded = np.full((len(kids), max(map(len, kids))), -1, np.intp)
-    for row, children in zip(padded, kids):
-        row[: len(children)] = children
+    units = [rows for p in _partitions(size - 1, size - 1) for rows in _unit_chunks(prev, p)]
+    width = size - 1  # the star's children, the most a tree of this size has
+    children = np.concatenate(
+        [np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=-1) for rows in units]
+    )
+    stats = [_root_over(prev, rows) for rows in units]
+    sequences = tuple(_root_sequence(prev, row) for rows in units for row in rows.tolist())
     return _Rooted(
         size,
-        prev.start + (len(stats),),
-        prev.sequences + tuple(sequences),
-        prev.children + (padded,),
-        **_columns(stats),
+        prev.start + (prev.start[-1] + len(children),),
+        prev.sequences + sequences,
+        prev.children + (children,),
+        *map(np.concatenate, zip((prev.m, prev.b, prev.D, prev.free, prev.height), *stats)),
     )
 
 
-def _branch_stats(subtrees: list[tuple]) -> tuple:
-    """The _STATS of a rooted tree from those of its root's subtrees."""
-    if not subtrees:
-        return 1, 0, True, 0, 0, 1  # one vertex: a leaf, left free
-    _, m, free, height, D, b = zip(*subtrees)
-    reach = sorted(h + 1 for h in height)[-2:]  # the two tallest, through the root
-    matched = any(free)  # the root takes a free child
-    return (
-        len(subtrees) + 1, sum(m) + matched, not matched, reach[-1], max(*D, sum(reach)), sum(b)
-    )
+def _root_over(table: _Rooted, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(m, b, D, free, height) of a root over each row of entries, one or
+    more per row.  The root, matched last, takes a branch root the greedy
+    matching left free (each vertex, children first, matched to its parent
+    when both are free: optimal in any children-first order), so m = sum
+    m_i + [some root is free], and the root is left free when none is;
+    b = sum b_i; the height is the tallest branch's + 1; and D is the
+    largest D_i or the longest path through the root, which joins the two
+    tallest branches there, or with one branch ends there."""
+    heights = table.height[rows]
+    taller = np.maximum.accumulate(heights, axis=1)
+    height = taller[:, -1] + 1
+    # the two tallest: the largest h_i + max(h_j, j < i), -1 with one branch
+    pair = (heights[:, 1:] + taller[:, :-1]).max(axis=1, initial=-1)
+    matched = table.free[rows].any(axis=1)
+    m = table.m[rows].sum(axis=1) + matched
+    D = np.maximum(table.D[rows].max(axis=1), np.maximum(pair + 2, height))
+    return m, table.b[rows].sum(axis=1), D, ~matched, height
 
 
-def _columns(stats: list[tuple]) -> dict[str, np.ndarray]:
-    """The _STATS columns of a table, one entry per stats tuple."""
-    return {
-        name: np.array([entry[i] for entry in stats], bool if name == "free" else np.int8)
-        for i, name in enumerate(_STATS)
-    }
+def _root_sequence(table: _Rooted, row: list[int]) -> bytes:
+    """A level sequence of a root over the entries of row."""
+    return b"\x00" + b"".join(table.sequences[i] for i in row).translate(_UP)
 
 
 def _units(n: int) -> list[tuple[tuple[tuple[int, int], ...], bool]]:
@@ -373,23 +374,16 @@ def _composed_invariants(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m, b, D), one entry per row of a chunk of a unit of order n >= 3.
 
-    Around one centroid, whose branches are a row's entries: the centroid,
-    matched last, takes a branch root the greedy matching left free, so
-    m = sum m_i + [some root is free]; b = sum b_i; D is the largest D_i or
-    the two tallest branches joined at the centroid.  Two halves A and B
-    joined by an edge: m = m_A + m_B + [both roots are free], b = b_A + b_B
-    and D = max(D_A, D_B, h_A + 1 + h_B)."""
-    t = table
+    Around one centroid, whose branches are a row's entries, they are those
+    of _root_over.  Two halves A and B joined by an edge: m = m_A + m_B +
+    [both roots are free], b = b_A + b_B and D = max(D_A, D_B, h_A + 1 +
+    h_B)."""
     if bicentral:
         a, c = branches.T
-        m = t.m[a] + t.m[c] + (t.free[a] & t.free[c])
-        D = np.maximum(np.maximum(t.D[a], t.D[c]), t.height[a] + t.height[c] + 1)
-        return m, t.b[a] + t.b[c], D
-    height = t.height[branches]
-    # the two tallest: the largest h_i + max(h_j, j < i)
-    reach = (height[:, 1:] + np.maximum.accumulate(height, axis=1)[:, :-1]).max(axis=1) + 2
-    m = t.m[branches].sum(axis=1) + t.free[branches].any(axis=1)
-    return m, t.b[branches].sum(axis=1), np.maximum(t.D[branches].max(axis=1), reach)
+        m = table.m[a] + table.m[c] + (table.free[a] & table.free[c])
+        D = np.maximum(np.maximum(table.D[a], table.D[c]), table.height[a] + table.height[c] + 1)
+        return m, table.b[a] + table.b[c], D
+    return _root_over(table, branches)[:3]
 
 
 def _composed_sequence(table: _Rooted, row: list[int], bicentral: bool) -> bytes:
@@ -400,7 +394,7 @@ def _composed_sequence(table: _Rooted, row: list[int], bicentral: bool) -> bytes
     if bicentral:
         seq = table.sequences[row[0]] + table.sequences[row[1]].translate(_UP)
     else:
-        seq = b"\x00" + b"".join(table.sequences[i] for i in row).translate(_UP)
+        seq = _root_sequence(table, row)
     return _wrom_sequence(_sequence_adjacency(seq))
 
 

@@ -234,20 +234,21 @@ def _branch_pivots(table: _Rooted, x: np.ndarray) -> np.ndarray:
     Appl. 434, 2011), or nan when some interior pivot of the branch is below
     _PIVOT_GUARD.
 
-    A branch root has one neighbour outside the branch, so its pivot is
-    deg - y - sum of 1/p_c over its children c, and depends on nothing
-    outside.  A one-vertex branch is a leaf, on the boundary and outside
-    the matrix: its pivot is inf, so that 1/p = 0.  A branch that fails is
-    not divided by: its nan reaches every branch and tree that holds it and
-    fails them too.  The last row is the inf of the -1 that pads the
-    table's children.  One pass over the entries, a size at a time, covers
-    all the columns.
+    A branch root has one neighbour outside the branch, so its degree is
+    its child count + 1, its pivot is deg - y - sum of 1/p_c over its
+    children c, and it depends on nothing outside.  A one-vertex branch is
+    a leaf, on the boundary and outside the matrix: its pivot is inf, so
+    that 1/p = 0.  A branch that fails is not divided by: its nan reaches
+    every branch and tree that holds it and fails them too.  The last row
+    is the inf of the -1 that pads the table's children.  One pass over the
+    entries, a size at a time, covers all the columns.
     """
     y = np.asarray(x, dtype=float) + _FILTER_SLACK
     pivot = np.full((len(table.sequences) + 1, len(y)), math.inf)
     for s in range(2, table.size + 1):
-        p = table.degree[table.start[s] : table.start[s + 1], None] - y
-        for child in table.children[s].T:  # the j-th child of each entry
+        children = table.children[s]
+        p = (children >= 0).sum(axis=1, keepdims=True) + 1 - y
+        for child in children.T:  # the j-th child of each entry
             p -= 1.0 / pivot[child]
         pivot[table.start[s] : table.start[s + 1]] = np.where(p >= _PIVOT_GUARD, p, math.nan)
     return pivot

@@ -34,9 +34,10 @@ lambda1 of the predicted trees that are members of the key, each solved as
 its WROM-labelled tree, or at inf when no predicted tree is a member.  A
 pivot count of A - xI at x = threshold + tol rules out, without naming or
 eigensolving them, the trees whose every eigenvalue lies above x.  It
-composes over the branches: one pass over the table per key gives every
-branch root's pivot (spectral._branch_pivots), and each tree adds its
-centroid's (spectral._composed_above).  A key with an infinite threshold
+composes over the branches: one pass over the table per vector of key
+bounds gives every branch root's pivot at each bound
+(spectral._branch_pivots), and each tree adds its centroid's
+(spectral._composed_above).  A key with an infinite threshold
 rules out nothing.  The others, the contenders, are named
 (enumeration._composed_sequence), their lambda1 looked up or solved in one
 batch per chunk, and each lowers its key's threshold; a key's pivots are

@@ -332,6 +332,17 @@ def test_function_file_cap_exits_2(capsys, monkeypatch, p5_file, tmp_path):
     argv = ["transform", "--tree", p5_file, "--move", "shift 1 3 0"]
     argv += ["--function", str(fn_file)]
     assert run_capture(capsys, argv)[0] == 0
+    # an entry that is not a finite number, and an array nested past the
+    # parser's recursion limit (200 KB, under the cap), are malformed input
+    for bad in ("[1.0, {}, 1.0]", "[1.0, null, 1.0]", "[NaN, 1.0, 1.0]",
+                "[" * 100_000 + "]" * 100_000):
+        fn_file.write_text(bad)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("fktrees: error: ")
+        assert captured.err.count("\n") == 1
+    fn_file.write_text('["0.5", "0.7071067811865476", "0.5"]')  # numeric strings
+    assert run_capture(capsys, argv)[0] == 0
     monkeypatch.setattr(fktrees.io, "MAX_TREE_FILE_BYTES", 18)
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -119,6 +119,65 @@ def _entry_sizes(table):
     return np.repeat(np.arange(len(table.start) - 1), np.diff(table.start))
 
 
+# rooted trees per size, OEIS A000081
+_A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+
+def _brute_rooted(seq):
+    """(m, free, height, D, b, shape) of the rooted tree of a level
+    sequence, rooted at position 0: m by a recursion over the largest
+    matchings with the root unmatched and with it free to match, free when
+    some largest matching leaves the root unmatched, D the largest distance
+    over all pairs of vertices, b the childless vertices, and shape nested
+    sorted tuples, equal exactly for isomorphic rooted trees."""
+    n = len(seq)
+    kids = [[] for _ in range(n)]
+    adj = [[] for _ in range(n)]
+    for u, v in _sequence_edges(seq):
+        kids[u].append(v)
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def walk(v):  # (largest matching with v unmatched, largest, height, shape)
+        below = [walk(c) for c in kids[v]]
+        unmatched = sum(best for _, best, _, _ in below)
+        best = max([unmatched] + [unmatched - b + u + 1 for u, b, _, _ in below])
+        height = max((h + 1 for _, _, h, _ in below), default=0)
+        return unmatched, best, height, tuple(sorted(shape for *_, shape in below))
+
+    unmatched, m, height, shape = walk(0)
+    D = 0
+    for source in range(n):  # breadth first: D is the most layers past one
+        seen, layer, far = {source}, [source], -1
+        while layer:
+            far += 1
+            layer = [w for u in layer for w in adj[u] if w not in seen]
+            seen.update(layer)
+        D = max(D, far)
+    return m, unmatched == m, height, D, sum(not k for k in kids), shape
+
+
+def test_rooted_table_against_brute_force():
+    # sizes 11 and 12 are beyond every sweep to HARD_CAP, which needs 10
+    table = _rooted(12)
+    assert [table.count(s) for s in range(1, 13)] == _A000081
+    shapes = set()
+    for s in range(1, 13):
+        for i in range(table.start[s], table.start[s + 1]):
+            seq = table.sequences[i]
+            assert len(seq) == s and seq[0] == 0
+            m, free, height, D, b, shape = _brute_rooted(seq)
+            stats = table.m[i], table.free[i], table.height[i], table.D[i], table.b[i]
+            assert stats == (m, free, height, D, b), seq
+            # the child entries, as many as the root's children
+            row = table.children[s][i - table.start[s]]
+            kids = row[row >= 0]
+            assert len(kids) == seq.count(1)
+            assert sorted(_brute_rooted(table.sequences[c])[5] for c in kids) == list(shape)
+            shapes.add(shape)
+    assert len(shapes) == sum(_A000081)  # pairwise non-isomorphic
+
+
 def test_composed_counts_are_the_free_tree_counts():
     for n in range(3, HARD_CAP + 1):
         table = _rooted(n // 2)
