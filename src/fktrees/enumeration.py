@@ -21,16 +21,20 @@ vertices.  The rooted trees are composed the same way, once per process,
 into a table (_rooted): a rooted tree on s vertices is a root over a
 multiset of smaller ones whose sizes add up to s - 1, so the trees of size
 s are one unit per partition of s - 1, with no bound on the parts.  An
-entry holds its children, m, whether the root is left free, height, D and
-leaf count.  A tree of a unit is a non-increasing tuple of entry indices,
-and a unit's trees come in chunks of at most _CHUNK rows (_unit_chunks),
-so memory does not grow with the order.  One rule gives the invariants of
-a root over its branches, for a table entry and a centroid alike
-(_root_over), and the (m, b, D) of a chunk are sums, maxima and gathers
-over the table (_composed_invariants), with no Python step per tree.  A
-tree the sweep needs is named by the level sequence WROM yields for it
-(_composed_sequence, _wrom_sequence), a canonical form of its isomorphism
-class, so it is the tree free_trees yields.
+entry holds its canonical level sequence, its children, m, whether the
+root is left free, height, D and leaf count.  A tree of a unit is a
+non-increasing tuple of entry indices, and a unit's trees come in chunks
+of at most _CHUNK rows (_unit_chunks), so memory does not grow with the
+order.  One rule gives the invariants of a root over its branches, for a
+table entry and a centroid alike (_root_over), and the (m, b, D) of a
+chunk are sums, maxima and gathers over the table (_composed_invariants),
+with no Python step per tree.  A tree the sweep needs is named by the
+level sequence WROM yields for it, a canonical form of its isomorphism
+class, so it is the tree free_trees yields: a walk over the table's
+canonical sequences from the centroid to the centre finds it, with no
+tree built and no search (_composed_sequence).  One children-first pass
+over such a sequence reads the tree's (m, b, D) and canonical code
+(_read_sequence).
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
@@ -45,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +60,7 @@ from .trees import (
     _bfs,
     _centers,
     _check_leaf_boundary,
+    _vertex_code,
     diameter,
     from_edge_list,
 )
@@ -167,14 +172,11 @@ def free_trees(n: int, cap: int = DEFAULT_CAP) -> Iterator[TreeWithBoundary]:
         yield from_edge_list(n, edges)
 
 
-def _sequence_adjacency(seq: bytes) -> list[list[int]]:
-    """Adjacency lists of the tree of a level sequence, as _sequence_edges
-    labels it."""
-    adj: list[list[int]] = [[] for _ in seq]
-    for u, v in _sequence_edges(seq):
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+def _root_sequence(subtrees: Iterable[bytes]) -> bytes:
+    """The canonical level sequence of a root over rooted trees whose
+    canonical level sequences are subtrees: theirs in descending order,
+    one level down."""
+    return b"\x00" + b"".join(sorted(subtrees, reverse=True)).translate(_UP)
 
 
 def _rooted_sequence(adj: Sequence[Sequence[int]], root: int) -> bytes:
@@ -184,8 +186,7 @@ def _rooted_sequence(adj: Sequence[Sequence[int]], root: int) -> bytes:
     order, parent, _ = _bfs(adj, [root])
     below: dict[int, bytes] = {}
     for v in reversed(order):
-        subtrees = sorted((below[w] for w in adj[v] if w != parent[v]), reverse=True)
-        below[v] = b"\x00" + b"".join(subtrees).translate(_UP)
+        below[v] = _root_sequence(below[w] for w in adj[v] if w != parent[v])
     return below[root]
 
 
@@ -199,6 +200,42 @@ def _wrom_sequence(adj: Sequence[Sequence[int]]) -> bytes:
     return next(seq for seq in rootings if _next_free(seq) == seq)
 
 
+def _read_sequence(seq: bytes) -> tuple[tuple[int, int, int], str]:
+    """(m, b, D) and the canonical code text of the tree of a level
+    sequence _level_sequences yields (n >= 3), with leaf boundary, from one
+    children-first pass over it, labelled as _sequence_edges labels it.
+
+    The matching is greedy, each vertex matched to its parent when both are
+    free, which is optimal in any children-first order.  The root is a
+    centre, so it is no leaf, the leaves are the other vertices with no
+    child, and D is the sum of the heights of its two tallest branches: 2h
+    when they tie, else 2h - 1, and the tree has a second centre, the root
+    of the taller one.  The code is canonical_code's: the code rooted at
+    the centre, or the smaller of those rooted at the two centres, each
+    vertex's made by trees._vertex_code."""
+    n = len(seq)
+    code, below = [b""] * n, [[] for _ in seq]  # below[v]: the codes of v's children
+    free, m = [True] * n, 0
+    for p, v in reversed(_sequence_edges(seq)):  # a child comes after its parent
+        code[v] = _vertex_code(not below[v], below[v])
+        below[p].append(code[v])
+        if free[v] and free[p]:
+            free[v] = free[p] = False
+            m += 1
+    b = sum(not children for children in below[1:])
+    starts = [v for v in range(1, n) if seq[v] == 1]  # the root's children
+    heights = [max(seq[u:w]) for u, w in zip(starts, starts[1:] + [n])]
+    tallest = max(heights)
+    taller = starts[heights.index(tallest)]
+    heights.remove(tallest)
+    runner_up = max(heights)
+    text = _vertex_code(False, below[0])
+    if tallest > runner_up:
+        below[0].remove(code[taller])
+        text = min(text, _vertex_code(False, below[taller] + [_vertex_code(False, below[0])]))
+    return (m, b, tallest + runner_up), text.decode("ascii")
+
+
 # -- the sweep's trees: centroid composition from rooted-tree tables -----------
 
 
@@ -210,15 +247,18 @@ class _Rooted:
 
     An entry is seen as a branch, whose root hangs from one vertex outside
     it (a centroid, or the other half), so its root's degree is its child
-    count + 1 and its leaves are its childless vertices.  Per entry: a
-    level sequence of it, rooted at its root but not necessarily canonical,
-    and the m, b, D, free and height of _root_over.  children[s] holds the
+    count + 1 and its leaves are its childless vertices.  Per entry: its
+    canonical level sequence, rooted at its root (the form
+    _rooted_sequence gives: below each vertex, the subtrees in descending
+    order of their own sequences), its child entries (child_entries), and
+    the m, b, D, free and height of _root_over.  children[s] holds the
     child entries of the entries of size s, one row each, padded with -1.
     """
 
     size: int
     start: tuple[int, ...]
     sequences: tuple[bytes, ...]
+    child_entries: tuple[tuple[int, ...], ...]
     children: tuple[np.ndarray, ...]
     m: np.ndarray
     b: np.ndarray
@@ -242,7 +282,7 @@ def _rooted(size: int) -> _Rooted:
         zero = np.zeros(1, np.int8)
         children = (np.zeros((0, 0), np.intp), np.zeros((1, 0), np.intp))
         columns = zero, zero + 1, zero, np.ones(1, bool), zero  # m, b, D, free, height
-        return _Rooted(1, (0, 0, 1), (b"\x00",), children, *columns)
+        return _Rooted(1, (0, 0, 1), (b"\x00",), ((),), children, *columns)
     prev = _rooted(size - 1)
     units = [rows for p in _partitions(size - 1, size - 1) for rows in _unit_chunks(prev, p)]
     width = size - 1  # the star's children, the most a tree of this size has
@@ -250,11 +290,13 @@ def _rooted(size: int) -> _Rooted:
         [np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=-1) for rows in units]
     )
     stats = [_root_over(prev, rows) for rows in units]
-    sequences = tuple(_root_sequence(prev, row) for rows in units for row in rows.tolist())
+    child_rows = [tuple(row) for rows in units for row in rows.tolist()]
+    sequences = tuple(_root_sequence(prev.sequences[i] for i in row) for row in child_rows)
     return _Rooted(
         size,
         prev.start + (prev.start[-1] + len(children),),
         prev.sequences + sequences,
+        prev.child_entries + tuple(child_rows),
         prev.children + (children,),
         *map(np.concatenate, zip((prev.m, prev.b, prev.D, prev.free, prev.height), *stats)),
     )
@@ -278,11 +320,6 @@ def _root_over(table: _Rooted, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     m = table.m[rows].sum(axis=1) + matched
     D = np.maximum(table.D[rows].max(axis=1), np.maximum(pair + 2, height))
     return m, table.b[rows].sum(axis=1), D, ~matched, height
-
-
-def _root_sequence(table: _Rooted, row: list[int]) -> bytes:
-    """A level sequence of a root over the entries of row."""
-    return b"\x00" + b"".join(table.sequences[i] for i in row).translate(_UP)
 
 
 def _units(n: int) -> list[tuple[tuple[tuple[int, int], ...], bool]]:
@@ -317,7 +354,10 @@ def _unit_chunks(table: _Rooted, groups: tuple[tuple[int, int], ...]) -> Iterato
     whose digits in the mixed radix of the groups' multiset counts are the
     ranks of one multiset of entries per group (_multisets)."""
     counts = [math.comb(table.count(s) + r - 1, r) for s, r in groups]
-    binomials = [_binomials(table.count(s), r) for s, r in groups]
+    binomials = [
+        _binomials(table.count(s), r) if count > 1 else None
+        for (s, r), count in zip(groups, counts)
+    ]
     total = math.prod(counts)
     for first in range(0, total, _CHUNK):
         rank = np.arange(first, min(first + _CHUNK, total))
@@ -387,15 +427,39 @@ def _composed_invariants(
 
 
 def _composed_sequence(table: _Rooted, row: list[int], bicentral: bool) -> bytes:
-    """The level sequence free_trees yields for the tree of a chunk row:
-    the _wrom_sequence of the row's level sequence, rooted at the centroid
-    with the branches below it, or at the first half's root with the second
-    half below it."""
-    if bicentral:
-        seq = table.sequences[row[0]] + table.sequences[row[1]].translate(_UP)
-    else:
-        seq = _root_sequence(table, row)
-    return _wrom_sequence(_sequence_adjacency(seq))
+    """The level sequence free_trees yields for the tree of a chunk row,
+    its _wrom_sequence, found by a walk from the centroid to the centre over
+    the table's canonical sequences, with no tree built.
+
+    The walk starts at the centroid, whose branches are the row's entries,
+    or at the first half's root, whose branches are its children and the
+    second half.  A branch's height is its sequence's largest level.  While
+    the tallest branch is at least 2 higher than every other, the centre
+    lies inside it (moving there lowers the eccentricity), so the walk
+    steps to its root: the branches there are the entry's children and the
+    rest of the tree, one rooted tree above it.  The tallest branch is
+    always an entry, since the rest is no higher than the tallest child.
+    When the two tallest tie, the walk's root is the centre; when they
+    differ by 1, it and the tallest branch's root are the two centres, and
+    of the two canonical rootings the one _next_free keeps is WROM's."""
+    sequences, child_entries = table.sequences, table.child_entries
+    entries = [*child_entries[row[0]], row[1]] if bicentral else list(row)
+    above: list[bytes] = []  # the rest of the tree, once the walk has left its start
+    while True:
+        heights = [max(sequences[e]) for e in entries]
+        tallest = max(heights)
+        i = heights.index(tallest)
+        tall = entries[i]
+        rest = [sequences[e] for e in entries[:i] + entries[i + 1 :]] + above
+        runner_up = max(map(max, rest))
+        if tallest < runner_up + 2:
+            break
+        above = [_root_sequence(rest)]
+        entries = list(child_entries[tall])
+    here = _root_sequence(rest + [sequences[tall]])
+    if tallest == runner_up or _next_free(here) == here:
+        return here
+    return _root_sequence([_root_sequence(rest), *(sequences[e] for e in child_entries[tall])])
 
 
 def _check_cap(n: int, cap: int) -> None:

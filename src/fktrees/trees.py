@@ -292,6 +292,12 @@ def _centers(adj: Sequence[Sequence[int]]) -> list[int]:
     return sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
+def _vertex_code(on_boundary: bool, children: Iterable[bytes]) -> bytes:
+    """The code of a vertex of a rooted tree: its boundary bit, then the
+    codes of its children in ascending order, in parentheses."""
+    return (b"(1" if on_boundary else b"(0") + b"".join(sorted(children)) + b")"
+
+
 def _rooted_code(tree: TreeWithBoundary, root: int) -> bytes:
     """AHU-style encoding of the rooted tree, one boundary bit per vertex."""
     # reversed BFS order codes every child before its parent, with no
@@ -299,9 +305,8 @@ def _rooted_code(tree: TreeWithBoundary, root: int) -> bytes:
     order, parent, _ = _bfs(tree.adj, [root])
     codes: dict[int, bytes] = {}
     for v in reversed(order):
-        children = sorted(codes[w] for w in tree.adj[v] if w != parent[v])
-        bit = b"1" if v in tree.boundary else b"0"
-        codes[v] = b"(" + bit + b"".join(children) + b")"
+        children = (codes[w] for w in tree.adj[v] if w != parent[v])
+        codes[v] = _vertex_code(v in tree.boundary, children)
     return codes[root]
 
 

@@ -21,13 +21,19 @@ to key ids, filled from the keys before the first chunk
 (enumeration._cells), names the one key each tree may have, and
 np.bincount counts the populations.
 
-Trees are named by their WROM level sequences (enumeration._wrom_sequence),
-a canonical form of the isomorphism class, and two dicts that live for one
-order hold each named tree's lambda1 and canonical code, so no tree of an
-order is eigensolved or coded twice.  Every lambda1 comes from
-spectral._sequence_lambdas, which builds the Dirichlet matrices straight
-from the sequences and solves them in stacked batches, bit for bit as
-first_eigenpair solves the tree free_trees yields.
+Trees are named by their WROM level sequences, a canonical form of the
+isomorphism class: a predicted tree by enumeration._wrom_sequence, once,
+and a composed one by the walk from its centroid to its centre
+(enumeration._composed_sequence), with no tree built.  Membership and
+codes come from the sequence too: one children-first pass
+(enumeration._read_sequence) gives a tree's matching number, leaf count,
+diameter and canonical code, and a predicted tree is a member of a key
+when the table that counts the populations takes its (m, b, D) to that
+key.  Two dicts that live for one order hold each named tree's lambda1
+and reading, so no tree of an order is eigensolved or read twice.  Every
+lambda1 comes from spectral._sequence_lambdas, which builds the Dirichlet
+matrices straight from the sequences and solves them in stacked batches,
+bit for bit as first_eigenpair solves the tree free_trees yields.
 
 Each key has a threshold, which only falls.  It starts at the least
 lambda1 of the predicted trees that are members of the key, each solved as
@@ -49,10 +55,10 @@ is at most the threshold, and no tree within tol of the class minimum is
 ever ruled out, whatever the order of the trees (_FILTER_SLACK covers the
 distance between the float lambda1 and the exact eigenvalues the pivots
 bound).  A minimizer's code is looked up among the predicted trees'; only
-one no predicted tree covers, a MISMATCH, is built and coded.  So every
-reported float is the first_eigenpair value of a generator-labelled tree,
-and the certificates are those an eigensolve of every member gives, byte
-for byte.  A single key and a theorem sweep share this pass.
+one no predicted tree covers, a MISMATCH, is read from its sequence.  So
+every reported float is the first_eigenpair value of a generator-labelled
+tree, and the certificates are those an eigensolve of every member gives,
+byte for byte.  A single key and a theorem sweep share this pass.
 
 Sweeps group a theorem's keys by order; with jobs > 1 the orders run in a
 process pool of min(jobs, number of orders, CPU count) workers, each
@@ -80,15 +86,13 @@ from .enumeration import (
     _chunks,
     _composed_invariants,
     _composed_sequence,
+    _read_sequence,
     _rooted,
-    _sequence_edges,
     _wrom_sequence,
-    classify,
 )
 from .errors import EmptyClassError
 from .families import predicted_extremal
 from .spectral import _branch_pivots, _check_tol, _composed_above, _sequence_lambdas
-from .trees import canonical_code, from_edge_list
 
 __all__ = [
     "TIE_TOL",
@@ -149,38 +153,41 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     the cap), all of one variant (else ValueError), in the order given, from
     one pass over the composed chunks of that order.
 
-    Trees are named by their WROM level sequences, and lam and code hold
-    each one's lambda1 and canonical code, so that no tree of the order is
-    eigensolved or coded twice.  threshold[i] starts at the least lambda1
-    of key i's predicted members, or inf, and each contender's lambda1
-    lowers it.  The class minimum is at most every member's lambda1 and the
-    threshold only falls, so a tree _composed_above shows to lie above
-    threshold + tol is never within tol of the class minimum: it is counted
-    without being named or eigensolved.  x holds the threshold + tol each
-    key's pivot column was computed at, and a key whose threshold fell is
-    recomputed after the chunk.  Every contender's (lambda1, sequence) is
-    kept, and the minimizers are the contenders within tol of their least
-    lambda1: the trees within tol of the class minimum, by the same float
-    comparison as a filter over the whole class.
+    Trees are named by their WROM level sequences, and lam and read hold
+    each one's lambda1 and its _read_sequence, the (m, b, D) and canonical
+    code, so that no tree of the order is eigensolved or read twice.  A
+    predicted tree is a member of key i when it has order n and key_id,
+    the table that counts the population, takes its (m, b, D) to i.
+    threshold[i] starts at the least lambda1 of key i's predicted members,
+    or inf, and each contender's lambda1 lowers it.  The class minimum is
+    at most every member's lambda1 and the threshold only falls, so a tree
+    _composed_above shows to lie above threshold + tol is never within tol
+    of the class minimum: it is counted without being named or
+    eigensolved.  x holds the threshold + tol each key's pivot column was
+    computed at, and a key whose threshold fell is recomputed after the
+    chunk.  Every contender's (lambda1, sequence) is kept, and the
+    minimizers are the contenders within tol of their least lambda1: the
+    trees within tol of the class minimum, by the same float comparison as
+    a filter over the whole class.
     """
     (_variant,) = {key.variant for key in keys}  # one variant: disjoint cells
-    lam: dict[bytes, float] = {}
-    code: dict[bytes, str] = {}
-    predicted, conjecture, members = [], [], []
-    for key in keys:
-        prediction = predicted_extremal(key)
-        seqs = [_wrom_sequence(tree.adj) for tree in prediction.trees]
-        for seq, tree in zip(seqs, prediction.trees):
-            if seq not in code:
-                code[seq] = canonical_code(tree).text
-        predicted.append(seqs)
-        conjecture.append(prediction.conjecture)
-        members.append([seq for seq, t in zip(seqs, prediction.trees) if key in classify(t)])
-    _solve(lam, [seq for seqs in members for seq in seqs])
-    threshold = np.array([min((lam[seq] for seq in seqs), default=math.inf) for seqs in members])
     key_id = np.full((n // 2 + 1, n + 1, n), -1, np.intp)  # by (m, b, D); -1 none
     for i, key in enumerate(keys):
         key_id[_cells(key)] = i
+    lam: dict[bytes, float] = {}
+    read: dict[bytes, tuple[tuple[int, int, int], str]] = {}
+    predicted, conjecture, members = [], [], []
+    for i, key in enumerate(keys):
+        prediction = predicted_extremal(key)
+        seqs = [_wrom_sequence(tree.adj) for tree in prediction.trees]
+        for seq in seqs:
+            if seq not in read:
+                read[seq] = _read_sequence(seq)
+        predicted.append(seqs)
+        conjecture.append(prediction.conjecture)
+        members.append([seq for seq in seqs if len(seq) == n and key_id[read[seq][0]] == i])
+    _solve(lam, [seq for seqs in members for seq in seqs])
+    threshold = np.array([min((lam[seq] for seq in seqs), default=math.inf) for seqs in members])
     table = _rooted(n // 2)
     x = threshold + tol
     pivot = _branch_pivots(table, x)
@@ -205,7 +212,7 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
             x[lowered] = threshold[lowered] + tol
             pivot[:, lowered] = _branch_pivots(table, x[lowered])
     return [
-        _certificate(key, count, solved, seqs, conjectured, code, tol)
+        _certificate(key, count, solved, seqs, conjectured, read, tol)
         for key, count, solved, seqs, conjectured in zip(
             keys, population.tolist(), contenders, predicted, conjecture
         )
@@ -225,20 +232,21 @@ def _certificate(
     contenders: list[tuple[float, bytes]],
     predicted_sequences: list[bytes],
     conjecture: bool,
-    code: dict[bytes, str],
+    read: dict[bytes, tuple[tuple[int, int, int], str]],
     tol: float,
 ) -> ExtremalCertificate:
     """The certificate of one key; a minimizer no predicted tree names is
-    built and coded here, once (code holds every predicted tree's)."""
+    read and coded from its sequence here, once (read holds every
+    predicted tree's)."""
     if not population:
         return empty_class_certificate(key, tol)
     lambda_min = min(lam for lam, _ in contenders)
     minimal = [seq for lam, seq in contenders if lam <= lambda_min + tol]
     for seq in minimal:
-        if seq not in code:
-            code[seq] = canonical_code(from_edge_list(len(seq), _sequence_edges(seq))).text
-    minimizers = tuple(sorted(code[seq] for seq in minimal))
-    predicted = tuple(sorted({code[seq] for seq in predicted_sequences}))
+        if seq not in read:
+            read[seq] = _read_sequence(seq)
+    minimizers = tuple(sorted(read[seq][1] for seq in minimal))
+    predicted = tuple(sorted({read[seq][1] for seq in predicted_sequences}))
     if conjecture:
         verdict = (
             "CONJECTURE-MATCH"

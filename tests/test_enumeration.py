@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
 
+import fktrees.enumeration as enumeration_module
 import fktrees.verify as verify_module
 from fktrees import (
     TIE_TOL,
@@ -46,11 +48,13 @@ from fktrees.enumeration import (
     _composed_invariants,
     _composed_sequence,
     _level_sequences,
+    _read_sequence,
     _rooted,
     _sequence_edges,
     _wrom_sequence,
 )
 from fktrees.io import dumps
+from fktrees.trees import _bfs
 from fktrees.spectral import _sequence_lambdas
 from conftest import all_labeled_trees
 
@@ -206,7 +210,8 @@ def test_composed_trees_agree_with_free_trees_and_classify():
             composed_invariants = _composed_invariants(table, branches, bicentral)
             invariants_ = zip(*(a.tolist() for a in composed_invariants))
             for row, (m, b, D) in zip(branches.tolist(), invariants_):
-                tree = from_edge_list(n, _sequence_edges(_composed_sequence(table, row, bicentral)))
+                seq = _composed_sequence(table, row, bicentral)
+                tree = from_edge_list(n, _sequence_edges(seq))
                 composed.append(tree.edges)
                 assert classify(tree) == [
                     ClassKey("NM", n, m=m),
@@ -214,6 +219,8 @@ def test_composed_trees_agree_with_free_trees_and_classify():
                     ClassKey("NK", n, k=n - b),
                     ClassKey("ND", n, D=D),
                 ]
+                # the sequence reader gives the same invariants and code
+                assert _read_sequence(seq) == ((m, b, D), canonical_code(tree).text)
                 # the sweep's key table: each tree's invariants lie in the
                 # cells of its own key of each variant and of no other
                 holding = [key for key in keys if _holds(key, (m, b, D))]
@@ -245,9 +252,47 @@ def test_composed_sample_at_hard_cap_agrees_with_classify():
                 ClassKey("NK", n, k=n - b[r]),
                 ClassKey("ND", n, D=D[r]),
             ]
+            assert _read_sequence(seq) == ((m[r], b[r], D[r]), canonical_code(tree).text)
             sampled[bicentral] += 1
     assert seen == _A000055[n] and full > 0
     assert sampled[False] > 0 and sampled[True] > 0
+
+
+def test_composed_sequences_are_the_generator_sequences():
+    # each order's chunk rows name every WROM sequence once: both walks
+    # (from a centroid and from a first half) and the choice between two
+    # centres
+    for n in range(13, 17):
+        table = _rooted(n // 2)
+        named = [
+            _composed_sequence(table, row, bicentral)
+            for branches, bicentral in _chunks(table, n)
+            for row in branches.tolist()
+        ]
+        assert len(named) == len(set(named)) == _A000055[n]
+        assert set(named) == set(_level_sequences(n)), n
+
+
+def test_composed_sequence_runs_no_search(monkeypatch):
+    # the walk reads the table's sequences; it runs no BFS over a built tree
+    calls = []
+
+    def bfs(*args, **kwargs):
+        calls.append(args)
+        return _bfs(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration_module, "_bfs", bfs)
+    n = 12
+    table = _rooted(n // 2)
+    rows = 0
+    for branches, bicentral in _chunks(table, n):
+        for row in branches.tolist():
+            _composed_sequence(table, row, bicentral)
+            rows += 1
+    assert rows == _A000055[n] and calls == []
+    # the stand-in sees the search _wrom_sequence makes on a built tree
+    _wrom_sequence(build_path(n).adj)
+    assert calls
 
 
 def test_wrom_sequence_of_every_tree_and_a_permuted_copy():
@@ -571,20 +616,21 @@ def test_streaming_certificates_equal_materialize_and_filter():
 
 class _Counted:
     """Records every level sequence verify eigensolves and counts its
-    canonical codes, through monkeypatched stand-ins."""
+    canonical codes, through monkeypatched stand-ins: verify codes a tree
+    by reading its level sequence, one code per reading."""
 
     def __init__(self, monkeypatch):
         self.solved, self.codes = [], 0
         monkeypatch.setattr(verify_module, "_sequence_lambdas", self._solve)
-        monkeypatch.setattr(verify_module, "canonical_code", self._code)
+        monkeypatch.setattr(verify_module, "_read_sequence", self._code)
 
     def _solve(self, sequences, *args, **kwargs):
         self.solved.extend(sequences)
         return _sequence_lambdas(sequences, *args, **kwargs)
 
-    def _code(self, tree):
+    def _code(self, seq):
         self.codes += 1
-        return canonical_code(tree)
+        return _read_sequence(seq)
 
 
 def _assert_solved_once(counted, certs):
@@ -638,6 +684,34 @@ def test_sweep_solves_and_codes_each_tree_of_t14_once(monkeypatch):
     certs = verify_theorem_sweep("T14", 16)
     assert len(certs) == 196 and sum(len(c.minimizers) for c in certs) == 236
     assert len(set(counted.solved)) == len(counted.solved) == counted.codes == 236
+
+
+def test_t14_sweep_builds_and_classifies_no_tree(monkeypatch):
+    # the sweep-serial job names, codes and classifies its trees from level
+    # sequences: past the predicted trees, built before the sweep here,
+    # nothing builds a tree or classifies one
+    predictions = {key: predicted_extremal(key) for key in theorem_keys("T14", 16)}
+    monkeypatch.setattr(verify_module, "predicted_extremal", predictions.__getitem__)
+    calls = []
+
+    def counted(name, function):
+        def stand_in(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return stand_in
+
+    patched = 0
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "fktrees" or module_name.startswith("fktrees."):
+            for name in ("classify", "from_edge_list"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+                    patched += 1
+    assert patched >= 2
+    certs = verify_theorem_sweep("T14", 16)
+    assert len(certs) == 196 and all_match(certs)
+    assert calls == []
 
 
 @pytest.mark.parametrize("stand_in", ["non-member", "non-minimal-member"])
