@@ -54,8 +54,8 @@ from fktrees.enumeration import (
     _wrom_sequence,
 )
 from fktrees.io import dumps
-from fktrees.trees import _bfs
 from fktrees.spectral import _sequence_lambdas
+from fktrees.trees import _bfs
 from conftest import all_labeled_trees
 
 
