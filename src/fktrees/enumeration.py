@@ -179,25 +179,34 @@ def _root_sequence(subtrees: Iterable[bytes]) -> bytes:
     return b"\x00" + b"".join(sorted(subtrees, reverse=True)).translate(_UP)
 
 
-def _rooted_sequence(adj: Sequence[Sequence[int]], root: int) -> bytes:
-    """The canonical level sequence of a tree rooted at root: below each
-    vertex, its subtrees in descending order of their own canonical
-    sequences, which is the form _next_rooted generates."""
-    order, parent, _ = _bfs(adj, [root])
-    below: dict[int, bytes] = {}
-    for v in reversed(order):
-        below[v] = _root_sequence(below[w] for w in adj[v] if w != parent[v])
-    return below[root]
+def _bicentral_sequence(left: list[bytes], right: list[bytes]) -> bytes:
+    """The level sequence _level_sequences yields for a tree with two
+    centres, one a root over the rooted trees of canonical sequences left,
+    the other a root over right (each centre's branches away from the
+    edge between them): of the two canonical rootings at its centres, the
+    one _next_free keeps.  Only one is kept, or both when they are equal
+    (the halves are isomorphic)."""
+    here = _root_sequence([*left, _root_sequence(right)])
+    if _next_free(here) == here:
+        return here
+    return _root_sequence([*right, _root_sequence(left)])
 
 
 def _wrom_sequence(adj: Sequence[Sequence[int]]) -> bytes:
     """The level sequence _level_sequences yields for the isomorphism class
     of the tree with adjacency lists adj, n >= 3, in any labelling: the
-    canonical rooting at a centre that _next_free keeps.  A tree with two
-    centres has one such rooting, or two equal ones when its halves are
-    isomorphic."""
-    rootings = (_rooted_sequence(adj, centre) for centre in _centers(adj))
-    return next(seq for seq in rootings if _next_free(seq) == seq)
+    canonical rooting at its centre, or at the one of two centres
+    _bicentral_sequence keeps.  One BFS from the centres roots each half
+    at its centre; below each vertex are its subtrees in descending order
+    of their own canonical sequences, the form _next_rooted generates."""
+    centres = _centers(adj)
+    order, parent, _ = _bfs(adj, centres)
+    below: dict[int, list[bytes]] = {}  # below[v]: the sequences of v's subtrees
+    for v in reversed(order):
+        below[v] = [_root_sequence(below[w]) for w in adj[v] if parent[w] == v]
+    if len(centres) == 1:
+        return _root_sequence(below[centres[0]])
+    return _bicentral_sequence(*(below[c] for c in centres))
 
 
 def _read_sequence(seq: bytes) -> tuple[tuple[int, int, int], str]:
@@ -248,9 +257,9 @@ class _Rooted:
     An entry is seen as a branch, whose root hangs from one vertex outside
     it (a centroid, or the other half), so its root's degree is its child
     count + 1 and its leaves are its childless vertices.  Per entry: its
-    canonical level sequence, rooted at its root (the form
-    _rooted_sequence gives: below each vertex, the subtrees in descending
-    order of their own sequences), its child entries (child_entries), and
+    canonical level sequence, rooted at its root (the form _root_sequence
+    composes: below each vertex, the subtrees in descending order of their
+    own sequences), its child entries (child_entries), and
     the m, b, D, free and height of _root_over.  children[s] holds the
     child entries of the entries of size s, one row each, padded with -1.
     """
@@ -441,7 +450,7 @@ def _composed_sequence(table: _Rooted, row: list[int], bicentral: bool) -> bytes
     always an entry, since the rest is no higher than the tallest child.
     When the two tallest tie, the walk's root is the centre; when they
     differ by 1, it and the tallest branch's root are the two centres, and
-    of the two canonical rootings the one _next_free keeps is WROM's."""
+    _bicentral_sequence picks WROM's rooting."""
     sequences, child_entries = table.sequences, table.child_entries
     entries = [*child_entries[row[0]], row[1]] if bicentral else list(row)
     above: list[bytes] = []  # the rest of the tree, once the walk has left its start
@@ -456,10 +465,9 @@ def _composed_sequence(table: _Rooted, row: list[int], bicentral: bool) -> bytes
             break
         above = [_root_sequence(rest)]
         entries = list(child_entries[tall])
-    here = _root_sequence(rest + [sequences[tall]])
-    if tallest == runner_up or _next_free(here) == here:
-        return here
-    return _root_sequence([_root_sequence(rest), *(sequences[e] for e in child_entries[tall])])
+    if tallest == runner_up:
+        return _root_sequence(rest + [sequences[tall]])
+    return _bicentral_sequence(rest, [sequences[e] for e in child_entries[tall]])
 
 
 def _check_cap(n: int, cap: int) -> None:

@@ -14,6 +14,17 @@ interior vertices); the alternative reading "attach n-ar leaves" overcounts
 the order by one and is rejected here.  For k >= 3 the characteristic
 polynomial of that matrix factors as (lambda-2)^(k-3) P(lambda, k) with
 cubic P as coded below.
+
+predicted_extremal names each predicted tree by the level sequence
+enumeration._level_sequences yields for it, composed from the family's
+shape with no tree built: T(p, q, b), the comet and the star are
+caterpillars, rooted at the middle of the spine (_caterpillar); the fork
+and the spider are rooted at a centre, from the hub; and a pendant
+forest is its interior tree's WROM sequence with a leaf below every
+vertex (_pendant_forest).  Where a caterpillar or the spider has two
+centres, enumeration._bicentral_sequence picks the rooting, as it does
+for the sweep's trees.  The build_* constructors keep their own
+labelling, which `fktrees family` prints.
 """
 
 from __future__ import annotations
@@ -21,7 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyClassError, InvalidParametersError
-from .enumeration import ClassKey, free_tree_edge_sets
+from .enumeration import (
+    _LEVELS,
+    ClassKey,
+    _bicentral_sequence,
+    _level_sequences,
+    _root_sequence,
+    _sequence_edges,
+)
 from .trees import TreeWithBoundary, from_edge_list
 
 __all__ = [
@@ -163,19 +181,85 @@ def fork_poly_difference(k: int, n: int, lam: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PredictedExtremal:
-    """Predicted minimizer set for a class, with a conjecture flag for the
-    diameter classes where only a conjecture is available (D >= 5)."""
+    """Predicted minimizer set for a class, as the level sequences
+    enumeration._level_sequences yields for its trees, with a conjecture
+    flag for the diameter classes where only a conjecture is available
+    (D >= 5)."""
 
-    trees: tuple[TreeWithBoundary, ...]
+    sequences: tuple[bytes, ...]
     conjecture: bool = False
 
+    @property
+    def trees(self) -> tuple[TreeWithBoundary, ...]:
+        """The predicted trees, labelled as _sequence_edges labels their
+        sequences."""
+        return tuple(from_edge_list(len(seq), _sequence_edges(seq)) for seq in self.sequences)
 
-def _pendant_forest_family(m: int) -> list[TreeWithBoundary]:
-    """All trees on 2m vertices in which every interior vertex carries
-    exactly one leaf: an interior tree on m vertices plus one pendant per
-    vertex.  Distinct interior trees give non-isomorphic results."""
-    pendants = tuple((v, m + v) for v in range(m))
-    return [from_edge_list(2 * m, edges + pendants) for edges in free_tree_edge_sets(m)]
+
+_LEAF = b"\x00"
+
+
+def _arm(pendants: list[int]) -> bytes:
+    """The canonical sequence of a path v_1 .. v_k rooted at v_k, with
+    pendants[i] leaves at v_{i+1}: the path down to v_1, then each
+    vertex's leaves, from v_1's up to v_k's."""
+    k = len(pendants)
+    return _LEVELS[:k] + b"".join(bytes([k - i]) * c for i, c in enumerate(pendants))
+
+
+def _caterpillar(pendants: list[int]) -> bytes:
+    """The WROM sequence of the caterpillar whose spine u_1 .. u_L carries
+    pendants[i] leaves at u_{i+1}, with leaves at both ends of the spine
+    (or L = 1), so that the middle of the spine is the middle of a longest
+    path: one centre for odd L, a root over the two arms and its leaves,
+    and two for even L."""
+    h = (len(pendants) - 1) // 2  # the (first) centre is u_{h+1}
+    left = [_arm(pendants[:h])] if h else []
+    right = [_arm(pendants[: len(pendants) - h - 1 : -1])] if h else []
+    if len(pendants) % 2:
+        return _root_sequence(left + right + [_LEAF] * pendants[h])
+    return _bicentral_sequence(
+        left + [_LEAF] * pendants[h], right + [_LEAF] * pendants[h + 1]
+    )
+
+
+def _T_sequence(p: int, q: int, b: int) -> bytes:
+    """The WROM sequence of build_T(p, q, b), q >= 2."""
+    return _caterpillar([1] + [0] * p + [1] * (q - 2) + [b + 1 - q])
+
+
+def _comet_sequence(n: int, k: int) -> bytes:
+    """The WROM sequence of build_comet(n, k): the star for k = 1."""
+    return _caterpillar([n - 1]) if k == 1 else _T_sequence(k - 2, 2, n - k)
+
+
+def _fork_sequence(a: int, r: int, n: int) -> bytes:
+    """The WROM sequence of build_fork(a, r, n), r >= 2, rooted at the hub,
+    its one centre: a paths of r vertices, the first with the extra leaves
+    at its vertex r - 1 from the hub."""
+    first = _arm([0, n - a * r - 1] + [0] * (r - 2))
+    return _root_sequence([first] + [_LEVELS[:r]] * (a - 1))
+
+
+def _pendant_forest(m: int) -> list[bytes]:
+    """The WROM sequences of all trees on 2m vertices in which every
+    interior vertex carries exactly one leaf: each interior tree on m >= 2
+    vertices, rooted as _level_sequences(m) yields it, with one more leaf
+    below every vertex.  That rooting stays WROM's: the leaves keep the
+    centres, add 1 to every height and double every size, and they keep
+    the order of rooted trees of one size, by which _next_free chooses
+    between two centres.  Distinct interior trees give non-isomorphic
+    results."""
+    family = []
+    for seq in _level_sequences(m):
+        children: list[list[int]] = [[] for _ in seq]
+        for p, v in _sequence_edges(seq):
+            children[p].append(v)
+        below = [b""] * m  # below[v]: v's subtree, each vertex with its leaf
+        for v in range(m - 1, -1, -1):  # a child comes after its parent
+            below[v] = _root_sequence([_LEAF] + [below[w] for w in children[v]])
+        family.append(below[0])
+    return family
 
 
 def predicted_extremal(key: ClassKey) -> PredictedExtremal:
@@ -186,7 +270,8 @@ def predicted_extremal(key: ClassKey) -> PredictedExtremal:
     diameter keys with D >= 5 the returned candidates come from an open
     conjecture and are flagged as such: the comet, plus the fork with arm
     length D/2 when D is even, or the spider S(j, j, j + 1) when D = 2j + 1
-    and n = 3j + 2.
+    and n = 3j + 2.  Each tree is given as its WROM sequence, composed
+    from the family's shape with no tree built.
     """
     if not key.feasible():
         raise EmptyClassError(f"class {key} admits no tree")
@@ -194,50 +279,40 @@ def predicted_extremal(key: ClassKey) -> PredictedExtremal:
     if key.variant == "NM":
         m = key.m
         if m == 1:
-            return PredictedExtremal((build_T(0, 1, n - 1),))
+            return PredictedExtremal((_comet_sequence(n, 1),))  # the star T(0, 1, n - 1)
         if n >= 2 * m + 1:
-            return PredictedExtremal((build_T(2 * m - 3, 2, n + 1 - 2 * m),))
-        return PredictedExtremal((build_T(2 * m - 4, 2, 2),))
+            return PredictedExtremal((_T_sequence(2 * m - 3, 2, n + 1 - 2 * m),))
+        return PredictedExtremal((_T_sequence(2 * m - 4, 2, 2),))
     if key.variant == "NMB":
         m, b, t = key.m, key.b, key.t
         if m == 1:
-            return PredictedExtremal((build_T(0, 1, n - 1),))
+            return PredictedExtremal((_comet_sequence(n, 1),))  # the star T(0, 1, n - 1)
         if t == 1:
-            return PredictedExtremal((build_T(2 * m - 3, 2, b),))
+            return PredictedExtremal((_T_sequence(2 * m - 3, 2, b),))
         if t < m:
-            return PredictedExtremal((build_T(2 * m - 2 * t, t, b),))
+            return PredictedExtremal((_T_sequence(2 * m - 2 * t, t, b),))
         if t == m == b:
-            return PredictedExtremal(tuple(_pendant_forest_family(m)))
-        return PredictedExtremal((build_T(0, m, b),))  # t == m < b
+            return PredictedExtremal(tuple(_pendant_forest(m)))
+        return PredictedExtremal((_T_sequence(0, m, b),))  # t == m < b
     if key.variant == "NK":
-        return PredictedExtremal((build_comet(n, key.k),))
+        return PredictedExtremal((_comet_sequence(n, key.k),))
     # ND
     D = key.D
     if D == 2:
-        return PredictedExtremal((build_star(n),))
+        return PredictedExtremal((_comet_sequence(n, 1),))  # the star
     if D == 3:
-        return PredictedExtremal((build_comet(n, 2),))
+        return PredictedExtremal((_comet_sequence(n, 2),))
     if D == 4:
-        return PredictedExtremal((build_fork((n - 1) // 2, 2, n),))
-    candidates = [build_comet(n, D - 1)]
+        return PredictedExtremal((_fork_sequence((n - 1) // 2, 2, n),))
+    candidates = [_comet_sequence(n, D - 1)]
     j = D // 2
     if D % 2 == 0:
         a = (n - 1) // j
         if a >= 2:
-            candidates.append(build_fork(a, j, n))
+            candidates.append(_fork_sequence(a, j, n))
     elif n == 3 * j + 2:
-        # D = 2j + 1 on n = 3j + 2: the spider beats the comet (ND 8 5, 11 7, 14 9)
-        candidates.append(_spider((j, j, j + 1)))
+        # D = 2j + 1 on n = 3j + 2: the spider beats the comet (ND 8 5, 11 7, 14 9).
+        # Its centres are the hub, over two arms of j vertices, and the
+        # first vertex of the arm of j + 1, over the other j
+        candidates.append(_bicentral_sequence([_LEVELS[:j]] * 2, [_LEVELS[:j]]))
     return PredictedExtremal(tuple(candidates), conjecture=True)
-
-
-def _spider(arms: tuple[int, ...]) -> TreeWithBoundary:
-    """Hub 0 with one path of each length in arms hanging from it, the
-    vertices of each arm numbered outwards after the previous arm's."""
-    edges = []
-    for length in arms:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, len(edges) + 1))
-            prev = len(edges)
-    return from_edge_list(len(edges) + 1, edges)

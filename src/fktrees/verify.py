@@ -22,9 +22,10 @@ to key ids, filled from the keys before the first chunk
 np.bincount counts the populations.
 
 Trees are named by their WROM level sequences, a canonical form of the
-isomorphism class: a predicted tree by enumeration._wrom_sequence, once,
-and a composed one by the walk from its centroid to its centre
-(enumeration._composed_sequence), with no tree built.  Membership and
+isomorphism class, with no tree built: a predicted tree as
+families.predicted_extremal composes it from its family's shape, and a
+composed one by the walk from its centroid to its centre
+(enumeration._composed_sequence).  Membership and
 codes come from the sequence too: one children-first pass
 (enumeration._read_sequence) gives a tree's matching number, leaf count,
 diameter and canonical code, and a predicted tree is a member of a key
@@ -88,10 +89,9 @@ from .enumeration import (
     _composed_sequence,
     _read_sequence,
     _rooted,
-    _wrom_sequence,
 )
 from .errors import EmptyClassError
-from .families import predicted_extremal
+from .families import PredictedExtremal, predicted_extremal
 from .spectral import _branch_pivots, _check_tol, _composed_above, _sequence_lambdas
 
 __all__ = [
@@ -153,9 +153,10 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     the cap), all of one variant (else ValueError), in the order given, from
     one pass over the composed chunks of that order.
 
-    Trees are named by their WROM level sequences, and lam and read hold
-    each one's lambda1 and its _read_sequence, the (m, b, D) and canonical
-    code, so that no tree of the order is eigensolved or read twice.  A
+    Trees are named by their WROM level sequences, the predicted ones as
+    predicted_extremal gives them, and lam and read hold each one's
+    lambda1 and its _read_sequence, the (m, b, D) and canonical code, so
+    that no tree of the order is eigensolved or read twice.  A
     predicted tree is a member of key i when it has order n and key_id,
     the table that counts the population, takes its (m, b, D) to i.
     threshold[i] starts at the least lambda1 of key i's predicted members,
@@ -176,16 +177,15 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
         key_id[_cells(key)] = i
     lam: dict[bytes, float] = {}
     read: dict[bytes, tuple[tuple[int, int, int], str]] = {}
-    predicted, conjecture, members = [], [], []
-    for i, key in enumerate(keys):
-        prediction = predicted_extremal(key)
-        seqs = [_wrom_sequence(tree.adj) for tree in prediction.trees]
-        for seq in seqs:
+    predictions = [predicted_extremal(key) for key in keys]
+    for prediction in predictions:
+        for seq in prediction.sequences:
             if seq not in read:
                 read[seq] = _read_sequence(seq)
-        predicted.append(seqs)
-        conjecture.append(prediction.conjecture)
-        members.append([seq for seq in seqs if len(seq) == n and key_id[read[seq][0]] == i])
+    members = [
+        [seq for seq in prediction.sequences if len(seq) == n and key_id[read[seq][0]] == i]
+        for i, prediction in enumerate(predictions)
+    ]
     _solve(lam, [seq for seqs in members for seq in seqs])
     threshold = np.array([min((lam[seq] for seq in seqs), default=math.inf) for seqs in members])
     table = _rooted(n // 2)
@@ -212,9 +212,9 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
             x[lowered] = threshold[lowered] + tol
             pivot[:, lowered] = _branch_pivots(table, x[lowered])
     return [
-        _certificate(key, count, solved, seqs, conjectured, read, tol)
-        for key, count, solved, seqs, conjectured in zip(
-            keys, population.tolist(), contenders, predicted, conjecture
+        _certificate(key, count, solved, prediction, read, tol)
+        for key, count, solved, prediction in zip(
+            keys, population.tolist(), contenders, predictions
         )
     ]
 
@@ -230,8 +230,7 @@ def _certificate(
     key: ClassKey,
     population: int,
     contenders: list[tuple[float, bytes]],
-    predicted_sequences: list[bytes],
-    conjecture: bool,
+    prediction: PredictedExtremal,
     read: dict[bytes, tuple[tuple[int, int, int], str]],
     tol: float,
 ) -> ExtremalCertificate:
@@ -246,8 +245,8 @@ def _certificate(
         if seq not in read:
             read[seq] = _read_sequence(seq)
     minimizers = tuple(sorted(read[seq][1] for seq in minimal))
-    predicted = tuple(sorted({read[seq][1] for seq in predicted_sequences}))
-    if conjecture:
+    predicted = tuple(sorted({read[seq][1] for seq in prediction.sequences}))
+    if prediction.conjecture:
         verdict = (
             "CONJECTURE-MATCH"
             if set(minimizers) <= set(predicted)

@@ -16,6 +16,7 @@ from fktrees import (
     EmptyClassError,
     EmptyInteriorError,
     build_comet,
+    build_fork,
     build_T,
     build_path,
     build_star,
@@ -324,12 +325,89 @@ def _holds(key, invariants):
 
 def test_every_predicted_tree_is_a_member_of_its_key():
     # the precondition of the sweep's seed: every key's threshold starts at
-    # the eigenvalue of one of its members, the first predicted tree
+    # the least eigenvalue over its predicted members, so every key has one,
+    # by classify of the built tree and by the reading of its sequence
     keys = [key for n in range(3, HARD_CAP + 1) for key in _feasible_keys(n)]
     assert len(keys) == 816
     for key in keys:
-        trees = predicted_extremal(key).trees
-        assert trees and all(key in classify(tree) for tree in trees), key
+        prediction = predicted_extremal(key)
+        assert prediction.sequences, key
+        for seq, tree in zip(prediction.sequences, prediction.trees, strict=True):
+            assert key in classify(tree), key
+            assert _holds(key, _read_sequence(seq)[0]), key
+
+
+def _spider(arms):
+    """A hub with one path of each length in arms hanging from it."""
+    edges = []
+    for length in arms:
+        arm = [0] + list(range(len(edges) + 1, len(edges) + length + 1))
+        edges += zip(arm, arm[1:])
+    return from_edge_list(len(edges) + 1, edges)
+
+
+def _built_predictions(key):
+    """The predicted trees of a feasible key, made by the labelled family
+    builders, in predicted_extremal's order: the oracle for its sequences."""
+    n = key.n
+    if key.variant == "NM":
+        m = key.m
+        if m == 1:
+            return [build_T(0, 1, n - 1)]
+        if n >= 2 * m + 1:
+            return [build_T(2 * m - 3, 2, n + 1 - 2 * m)]
+        return [build_T(2 * m - 4, 2, 2)]
+    if key.variant == "NMB":
+        m, b, t = key.m, key.b, key.t
+        if m == 1:
+            return [build_T(0, 1, n - 1)]
+        if t == 1:
+            return [build_T(2 * m - 3, 2, b)]
+        if t < m:
+            return [build_T(2 * m - 2 * t, t, b)]
+        if t == m == b:  # an interior tree on m vertices, one pendant per vertex
+            pendants = tuple((v, m + v) for v in range(m))
+            return [from_edge_list(2 * m, edges + pendants) for edges in free_tree_edge_sets(m)]
+        return [build_T(0, m, b)]
+    if key.variant == "NK":
+        return [build_comet(n, key.k)]
+    D = key.D
+    if D == 2:
+        return [build_star(n)]
+    if D == 3:
+        return [build_comet(n, 2)]
+    if D == 4:
+        return [build_fork((n - 1) // 2, 2, n)]
+    candidates, j = [build_comet(n, D - 1)], D // 2
+    if D % 2 == 0 and (n - 1) // j >= 2:
+        candidates.append(build_fork((n - 1) // j, j, n))
+    elif D % 2 and n == 3 * j + 2:
+        candidates.append(_spider((j, j, j + 1)))
+    return candidates
+
+
+def test_predicted_sequences_are_those_of_the_built_families():
+    # every prediction through HARD_CAP, composed as level sequences, is
+    # the WROM relabelling of the family builders' trees, in their order:
+    # the caterpillars (T(p, q, b), comets, stars) at one centre and two,
+    # the forks, the odd-D spiders and the pendant forests
+    keys = [key for n in range(3, HARD_CAP + 1) for key in _feasible_keys(n)]
+    shapes = {"spider": 0, "fork": 0, "forest": 0}
+    for key in keys:
+        built = _built_predictions(key)
+        assert list(predicted_extremal(key).sequences) == [
+            _wrom_sequence(tree.adj) for tree in built
+        ], key
+        if key.variant == "ND" and key.D % 2 and len(built) == 2:
+            shapes["spider"] += 1
+        elif key.variant == "ND" and key.D % 2 == 0 and (key.D == 4 or len(built) == 2):
+            shapes["fork"] += 1
+        elif key.variant == "NMB" and key.t == key.m == key.b:
+            shapes["forest"] += 1
+    # not vacuous: ND 8 5, 11 7, 14 9, 17 11 and 20 13; the 16 D4 keys and
+    # all 56 keys with even D >= 6, whose fork always has two arms or more;
+    # m = b = n/2 for n = 4 .. 20
+    assert shapes == {"spider": 5, "fork": 72, "forest": 9}
 
 
 def test_pinned_count_n12():
@@ -558,11 +636,7 @@ def test_odd_diameter_conjecture_takes_the_spider(j):
     # on n = 3j + 2 with D = 2j + 1 the comet loses to the spider
     # S(j, j, j + 1), three arms of j, j and j + 1 edges from one hub
     n, D = 3 * j + 2, 2 * j + 1
-    edges = []
-    for length in (j, j, j + 1):
-        arm = [0] + list(range(len(edges) + 1, len(edges) + length + 1))
-        edges += zip(arm, arm[1:])
-    spider = canonical_code(from_edge_list(n, edges)).text
+    spider = canonical_code(_spider((j, j, j + 1))).text
     cert = verify_class(ClassKey("ND", n, D=D))
     assert cert.verdict == "CONJECTURE-MATCH"
     assert cert.minimizers == (spider,)
@@ -581,6 +655,11 @@ def _in_class(key, inv):
     return inv.D == key.D
 
 
+def _sequence_tree(seq):
+    """The tree of a level sequence, labelled as _sequence_edges labels it."""
+    return from_edge_list(len(seq), _sequence_edges(seq))
+
+
 def _filtered_certificate(key, records):
     """A certificate from every (code, invariants, lambda1) record of the
     order: filter the class, take the minimum, keep codes within TIE_TOL."""
@@ -588,7 +667,9 @@ def _filtered_certificate(key, records):
     lam_min = min(lam for _, lam in members)
     minimizers = tuple(sorted(c for c, lam in members if lam <= lam_min + TIE_TOL))
     prediction = predicted_extremal(key)
-    predicted = tuple(sorted({canonical_code(t).text for t in prediction.trees}))
+    predicted = tuple(
+        sorted({canonical_code(_sequence_tree(seq)).text for seq in prediction.sequences})
+    )
     if prediction.conjecture:
         ok = set(minimizers) <= set(predicted)
         verdict = "CONJECTURE-MATCH" if ok else "CONJECTURE-MISMATCH"
@@ -639,10 +720,10 @@ def _assert_solved_once(counted, certs):
     distinct minimizer and predicted code is computed once."""
     assert len(counted.solved) == len(set(counted.solved))
     seeds = {
-        _wrom_sequence(t.adj)
+        seq
         for c in certs
-        for t in predicted_extremal(c.key).trees
-        if c.key in classify(t)
+        for seq in predicted_extremal(c.key).sequences
+        if c.key in classify(_sequence_tree(seq))
     }
     minimizers = {c for cert in certs for c in cert.minimizers}
     generated = {
@@ -687,11 +768,9 @@ def test_sweep_solves_and_codes_each_tree_of_t14_once(monkeypatch):
 
 
 def test_t14_sweep_builds_and_classifies_no_tree(monkeypatch):
-    # the sweep-serial job names, codes and classifies its trees from level
-    # sequences: past the predicted trees, built before the sweep here,
-    # nothing builds a tree or classifies one
-    predictions = {key: predicted_extremal(key) for key in theorem_keys("T14", 16)}
-    monkeypatch.setattr(verify_module, "predicted_extremal", predictions.__getitem__)
+    # the sweep-serial job names, codes and classifies its trees, the
+    # predicted ones among them, from level sequences: nothing builds a
+    # tree, classifies one or searches one
     calls = []
 
     def counted(name, function):
@@ -704,11 +783,11 @@ def test_t14_sweep_builds_and_classifies_no_tree(monkeypatch):
     patched = 0
     for module_name, module in list(sys.modules.items()):
         if module_name == "fktrees" or module_name.startswith("fktrees."):
-            for name in ("classify", "from_edge_list"):
+            for name in ("classify", "from_edge_list", "_bfs"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
                     patched += 1
-    assert patched >= 2
+    assert patched >= 3
     certs = verify_theorem_sweep("T14", 16)
     assert len(certs) == 196 and all_match(certs)
     assert calls == []
@@ -722,14 +801,14 @@ def test_wrong_predictions_change_only_the_verdict(monkeypatch, stand_in):
     right = {c.key: c for t in ("T13", "T14") for c in verify_theorem_sweep(t, 10)}
     wrong = {}
     for key, cert in right.items():
-        for tree in free_trees(key.n):
+        for seq, tree in zip(_level_sequences(key.n), free_trees(key.n), strict=True):
             member = key in classify(tree)
             if stand_in == "non-member":
                 if not member:
-                    wrong[key] = tree  # the first non-member in WROM order
+                    wrong[key] = seq  # the first non-member in WROM order
                     break
             elif member and canonical_code(tree).text not in cert.minimizers:
-                wrong[key] = tree  # the last non-minimal member in WROM order
+                wrong[key] = seq  # the last non-minimal member in WROM order
     # not vacuous: of the 74 keys, only the two of order 3 have no
     # non-member, and 45 have a member that is not a minimizer
     assert len(right) == 74
