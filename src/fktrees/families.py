@@ -23,8 +23,16 @@ and the spider are rooted at a centre, from the hub; and a pendant
 forest is its interior tree's WROM sequence with a leaf below every
 vertex (_pendant_forest).  Where a caterpillar or the spider has two
 centres, enumeration._bicentral_sequence picks the rooting, as it does
-for the sweep's trees.  The build_* constructors keep their own
-labelling, which `fktrees family` prints.
+for the sweep's trees.
+
+The build_* constructors label their trees through one builder, _hub: a
+hub with arms (paths hanging off it) and pendant leaves, numbered hub
+first, then the arm vertices arm by arm away from the hub, then the
+leaves in the order of the vertices that carry them.  T(p, q, b) is a hub
+u_1 with one arm u_2 .. u_{p+q}, the star a hub with leaves only, and the
+fork a hub with a arms.  These are the labels `fktrees family` prints.
+The spine's leaf counts of T(p, q, b) are written once, in _T_pendants,
+which both build_T and the caterpillar sequence read.
 """
 
 from __future__ import annotations
@@ -55,11 +63,29 @@ __all__ = [
 ]
 
 
+def _hub(arms: list[int], pendants: list[int]) -> TreeWithBoundary:
+    """The one labelled builder of the families: hub 0, a path of arms[i]
+    vertices hanging off it for each i, numbered 1, 2, ... arm by arm away
+    from the hub, and then pendants[v] leaves at each vertex v, numbered in
+    the order of v."""
+    parent: list[int] = []  # parent[v - 1] is vertex v's neighbour towards the hub
+    for length in arms:
+        parent += [0] + list(range(len(parent) + 1, len(parent) + length))
+    for v, count in enumerate(pendants):
+        parent += [v] * count
+    return from_edge_list(len(parent) + 1, [(u, v) for v, u in enumerate(parent, 1)])
+
+
 def build_star(n: int) -> TreeWithBoundary:
     """K_{1,n-1}: center 0, leaves 1..n-1."""
     if n < 3:
         raise InvalidParametersError(f"star with interior needs n >= 3, got {n}")
-    return from_edge_list(n, [(0, i) for i in range(1, n)])
+    return _hub([], [n - 1])
+
+
+def _T_pendants(p: int, q: int, b: int) -> list[int]:
+    """The leaf counts at u_1 .. u_{p+q}, the spine of T(p, q, b), q >= 2."""
+    return [1] + [0] * p + [1] * (q - 2) + [b + 1 - q]
 
 
 def build_T(p: int, q: int, b: int) -> TreeWithBoundary:
@@ -77,21 +103,7 @@ def build_T(p: int, q: int, b: int) -> TreeWithBoundary:
         raise InvalidParametersError(
             f"T(p,q,b) needs p >= 0 and b >= q >= 2, got ({p}, {q}, {b})"
         )
-    path_len = p + q
-    edges = [(i, i + 1) for i in range(path_len - 1)]
-    nxt = path_len
-    # one pendant at u_1
-    edges.append((0, nxt))
-    nxt += 1
-    # one pendant at each of u_{p+2} .. u_{p+q-1}
-    for i in range(p + 2, p + q):
-        edges.append((i - 1, nxt))
-        nxt += 1
-    # b+1-q pendants at u_{p+q}
-    for _ in range(b + 1 - q):
-        edges.append((path_len - 1, nxt))
-        nxt += 1
-    return from_edge_list(nxt, edges)
+    return _hub([p + q - 1], _T_pendants(p, q, b))
 
 
 def build_comet(n: int, k: int) -> TreeWithBoundary:
@@ -110,18 +122,8 @@ def build_fork(a: int, r: int, n: int) -> TreeWithBoundary:
         raise InvalidParametersError(
             f"fork needs a >= 2, r >= 1, n >= a*r+1, got ({a}, {r}, {n})"
         )
-    edges = []
-    for arm in range(a):
-        prev = 0
-        for step in range(r):
-            v = 1 + arm * r + step
-            edges.append((prev, v))
-            prev = v
-    # extras land on the first arm's vertex at distance r-1 (the hub for r=1)
-    anchor = 0 if r == 1 else r - 1
-    for v in range(a * r + 1, n):
-        edges.append((anchor, v))
-    return from_edge_list(n, edges)
+    # the first arm's vertex at distance r - 1 has id r - 1 (the hub for r = 1)
+    return _hub([r] * a, [0] * (r - 1) + [n - a * r - 1])
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ def _caterpillar(pendants: list[int]) -> bytes:
 
 def _T_sequence(p: int, q: int, b: int) -> bytes:
     """The WROM sequence of build_T(p, q, b), q >= 2."""
-    return _caterpillar([1] + [0] * p + [1] * (q - 2) + [b + 1 - q])
+    return _caterpillar(_T_pendants(p, q, b))
 
 
 def _comet_sequence(n: int, k: int) -> bytes:

@@ -12,13 +12,15 @@ three facts numerically on every call.
 Interior vertices are always ordered ascending by vertex id; eigenfunctions
 and user-supplied Rayleigh test functions use that ordering.
 
-The sweep names its trees by level sequences, and _sequence_lambdas
-eigensolves them without building a TreeWithBoundary: it assembles each
-Dirichlet matrix from the sequence, groups the matrices by interior size
-and runs one stacked eigh per group.  Both it and first_eigenpair (with a
-stack of one) go through _ground_states, the one place where the residual
-and positivity of a ground state are checked, and the two give the same
-lambda1 bit for bit.
+Every Dirichlet matrix is assembled by _assemble, from an interior order,
+a degree per vertex and an edge list.  dirichlet_matrix reads those from a
+TreeWithBoundary.  The sweep names its trees by level sequences, and
+_sequence_lambdas eigensolves them without building a TreeWithBoundary: it
+reads the edges and degrees off each sequence, groups the matrices by
+interior size and runs one stacked eigh per group.  Both it and
+first_eigenpair (with a stack of one) go through _ground_states, the one
+place where the residual and positivity of a ground state are checked, and
+with one assembler the two give the same lambda1 bit for bit.
 
 The sweep eigensolves few of its trees.  A pivot count proves, without
 building a tree, that every eigenvalue lies above a bound x: eliminating
@@ -114,15 +116,24 @@ def dirichlet_matrix(tree: TreeWithBoundary) -> DirichletMatrix:
     k = len(interior)
     if k > MAX_DENSE_INTERIOR:
         raise CapExceededError(f"interior of {k} exceeds the dense-solver cap {MAX_DENSE_INTERIOR}")
-    idx = {v: i for i, v in enumerate(interior)}
+    entries = _assemble(interior, [len(a) for a in tree.adj], tree.edges)
+    return DirichletMatrix(order=k, vertices=interior, entries=entries)
+
+
+def _assemble(
+    interior: Sequence[int], degree: Sequence[int], edges: Iterable[tuple[int, int]]
+) -> np.ndarray:
+    """The Dirichlet matrix of a tree, the one place one is assembled: row i
+    is vertex interior[i], with its degree on the diagonal, and each edge
+    with both ends interior puts -1 on both of its entries."""
+    row = {v: i for i, v in enumerate(interior)}
+    k = len(row)
     mat = np.zeros((k, k))
-    for v in interior:
-        mat[idx[v], idx[v]] = tree.degree(v)
-    for u, v in tree.edges:
-        if u in idx and v in idx:
-            mat[idx[u], idx[v]] = -1.0
-            mat[idx[v], idx[u]] = -1.0
-    return DirichletMatrix(order=k, vertices=interior, entries=mat)
+    mat[range(k), range(k)] = [degree[v] for v in interior]
+    for u, v in edges:
+        if u in row and v in row:
+            mat[row[u], row[v]] = mat[row[v], row[u]] = -1.0
+    return mat
 
 
 def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> DirichletSpectrum:
@@ -188,35 +199,27 @@ def _sequence_lambdas(sequences: Sequence[bytes], tol: float = DEFAULT_TOL) -> l
     leaf), bit for bit what first_eigenpair(from_edge_list(n,
     _sequence_edges(seq))).lambda1 gives, without building the trees.
 
-    The Dirichlet matrix comes straight from the sequence: vertex v is
-    position v, its parent the latest earlier vertex one level up, and the
-    interior its non-leaves in ascending order, as dirichlet_matrix orders
-    them.  The matrices are grouped by interior size, each group is one
-    stacked eigensolve, and _ground_states checks every matrix as
+    The Dirichlet matrix comes from the sequence's edges and degrees, with
+    no tree built: vertex v is position v, its parent the latest earlier
+    vertex one level up, and the interior its non-leaves in ascending order,
+    as dirichlet_matrix orders them; _assemble, which dirichlet_matrix calls
+    too, fills it.  The matrices are grouped by interior size, each group is
+    stacked into one eigensolve, and _ground_states checks every matrix as
     first_eigenpair checks its one.
     """
     _check_tol(tol)
-    groups: dict[int, list[tuple[int, list[int], list[tuple[int, int]]]]] = {}
+    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
     for i, seq in enumerate(sequences):
         edges = _sequence_edges(seq)
         degree = [0] + [1] * (len(seq) - 1)  # every vertex but the root has a parent
         for u, _ in edges:
             degree[u] += 1
-        row = {}
-        for v, d in enumerate(degree):
-            if d > 1:
-                row[v] = len(row)
-        inner = [(row[u], row[v]) for u, v in edges if u in row and v in row]
-        groups.setdefault(len(row), []).append((i, [degree[v] for v in row], inner))
+        interior = [v for v, d in enumerate(degree) if d > 1]
+        groups.setdefault(len(interior), []).append((i, _assemble(interior, degree, edges)))
     lambdas = [0.0] * len(sequences)
-    for k, members in groups.items():
-        entries = np.zeros((len(members), k, k))
-        for mat, (_, diagonal, inner) in zip(entries, members):
-            mat[range(k), range(k)] = diagonal
-            for r, c in inner:
-                mat[r, c] = mat[c, r] = -1.0
-        w, _, _ = _ground_states(entries, tol)
-        for (i, _, _), lam in zip(members, w[:, 0].tolist()):
+    for members in groups.values():
+        w, _, _ = _ground_states(np.stack([mat for _, mat in members]), tol)
+        for (i, _), lam in zip(members, w[:, 0].tolist()):
             lambdas[i] = lam
     return lambdas
 

@@ -98,6 +98,54 @@ def test_family_json_emit(capsys):
     assert doc["n"] == 9 and len(doc["edges"]) == 8 and "code" in doc
 
 
+@pytest.mark.parametrize("emit", ["edges", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "T --p 3 --q 2 --b 3",
+        "T --p 0 --q 1 --b 5",
+        "T --p 0 --q 4 --b 6",
+        "comet --n 9 --k 2",
+        "fork --a 3 --r 2 --n 9",
+        "fork --a 4 --r 1 --n 9",
+        "fork --a 3 --r 3 --n 14",
+        "star --n 7",
+        "path --n 6",
+    ],
+)
+def test_family_bytes_match_golden(capsys, argv, emit):
+    # recorded from `fktrees family ARGV --emit EMIT`: the labels the build_*
+    # constructors give, which a relabelling of the same tree would change
+    kind, *flags = argv.split()
+    stem = "family_" + kind + "".join(f"_{f[2:]}{v}" for f, v in zip(flags[::2], flags[1::2]))
+    golden = Path(__file__).parent / "data" / (stem + (".txt" if emit == "edges" else ".json"))
+    code, out = run_capture(capsys, ["family", kind, *flags, "--emit", emit])
+    assert code == 0
+    assert out == golden.read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["eigen"], ["bounds"], ["transform", "--move", "shift 5 9 12"]],
+    ids=["eigen", "bounds", "transform"],
+)
+def test_single_tree_json_bytes_match_golden(capsys, tmp_path, command):
+    # recorded from `fktrees COMMAND --tree` on this 30-vertex caterpillar:
+    # its 11-vertex interior is the spine 0..10, with leaf 11 at the end and
+    # leaf v at v % 7 for v >= 12.  Every float is the dense solve's, down
+    # to the last digit; the shift moves leaf 12 from 5 to 9, its delta read
+    # from the ground state
+    from fktrees import from_edge_list
+
+    tree = from_edge_list(30, [(i, i + 1) for i in range(11)] + [(v % 7, v) for v in range(12, 30)])
+    tree_file = tmp_path / "caterpillar30.txt"
+    tree_file.write_text(format_edge_list_text(tree))
+    golden = Path(__file__).parent / "data" / f"caterpillar30_{command[0]}.json"
+    code, out = run_capture(capsys, [command[0], "--tree", str(tree_file), *command[1:]])
+    assert code == 0
+    assert out == golden.read_text(encoding="ascii")
+
+
 def test_family_missing_parameter(capsys):
     code = run(["family", "comet", "--n", "6"])
     assert code == 2
@@ -287,6 +335,21 @@ def test_verify_bytes_match_golden_across_block_boundaries(capsys, monkeypatch, 
             ["--theorem", "T13", "--n-max", "20", "--cap", "20"],
             "c16770952ee294458d9b0c54810650b3857e11c0d76b8a1f5bb510819375fbc4",
             id="T13-n20",
+        ),
+        pytest.param(
+            ["--theorem", "T14", "--n-max", "20", "--cap", "20"],
+            "3dd185db2ebf56e0a6deb856f9c7f9fcdcc1f5663babbeba46d5236889930807",
+            id="T14-n20",
+        ),
+        pytest.param(
+            ["--theorem", "Kloburstel", "--n-max", "20", "--cap", "20"],
+            "3bfcb8af88be6db79a785130a1696461bb5099f9a4b341296d8baac86fde072b",
+            id="Kloburstel-n20",
+        ),
+        pytest.param(
+            ["--theorem", "D4", "--n-max", "20", "--cap", "20"],
+            "4d59b1a2add8463dc74de16de75cef98b914e46f945c011752584280456988a4",
+            id="D4-n20",
         ),
     ],
 )
