@@ -18,7 +18,8 @@ from .trees import TreeWithBoundary, canonical_code, parse_edge_list_text
 __all__ = ["dumps", "spectrum_json", "tree_json", "read_capped", "read_tree_file"]
 
 # An input file becomes per-vertex Python objects, so its size is capped before
-# parsing: 4 MiB holds a tree of over 250,000 vertices, far past MAX_DENSE_INTERIOR.
+# parsing: 4 MiB holds a tree of over 250,000 vertices.  first_eigenpair solves
+# a large interior in O(k) memory, so this cap is what bounds a single tree.
 MAX_TREE_FILE_BYTES = 4 * 2**20
 
 

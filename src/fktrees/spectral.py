@@ -12,24 +12,40 @@ three facts numerically on every call.
 Interior vertices are always ordered ascending by vertex id; eigenfunctions
 and user-supplied Rayleigh test functions use that ordering.
 
-Every Dirichlet matrix is assembled by _assemble, from an interior order,
-a degree per vertex and an edge list.  dirichlet_matrix reads those from a
-TreeWithBoundary.  The sweep names its trees by level sequences, and
-_sequence_lambdas eigensolves them without building a TreeWithBoundary: it
-reads the edges and degrees off each sequence, groups the matrices by
-interior size and runs one stacked eigh per group.  Both it and
-first_eigenpair (with a stack of one) go through _ground_states, the one
-place where the residual and positivity of a ground state are checked, and
-with one assembler the two give the same lambda1 bit for bit.
+first_eigenpair picks its solver by the interior size k alone.  Up to
+HARD_CAP vertices, which covers every tree a sweep can name, it runs a
+dense eigh on the matrix.  Every such matrix is assembled by _assemble,
+from an interior order, a degree per vertex and an edge list.
+dirichlet_matrix reads those from a TreeWithBoundary.  The sweep names its
+trees by level sequences, and _sequence_lambdas eigensolves them without
+building a TreeWithBoundary: it reads the edges and degrees off each
+sequence, groups the matrices by interior size and runs one stacked eigh
+per group.  Both it and first_eigenpair (with a stack of one) go through
+_ground_states, and with one assembler the two give the same lambda1 bit
+for bit.
 
-The sweep eigensolves few of its trees.  A pivot count proves, without
-building a tree, that every eigenvalue lies above a bound x: eliminating
-A - yI children first, A - yI is positive definite iff every pivot is
-positive (Jacobs & Trevisan).  The count composes over a tree's centroid
-branches, as the enumeration composes the trees: one pass over its table
-of rooted trees per vector of bounds gives every branch root's pivot
-(_branch_pivots), and each tree adds only its centroid's, or the last one
-between its two halves (_composed_above).
+A larger interior is solved on the tree itself, in O(k) memory
+(_tree_eigenpair).  Eliminating A - xI children first, a vertex's pivot is
+deg - x - sum of 1/p over its children, and by Sylvester's law of inertia
+the signs of the pivots count the eigenvalues below, at and above x
+(Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear Algebra
+Appl. 434, 2011).  A zero pivot is handled by their rule, which keeps the
+count exact: its parent's pivot becomes -1/2, the zero child's 2, and the
+edge above the parent is cut (_inertia).  Bisecting the count gives lambda1
+and lambda2.  Just below lambda1, A - sigma I is a nonsingular irreducible
+M-matrix, so its inverse is entrywise positive, and solving with it by the
+same elimination only adds and divides positive numbers: inverse iteration
+keeps the ground state positive in floats, down to entries many decades
+below its largest.  Both solvers pass the same residual and positivity
+checks (_check_ground_state).
+
+The sweep eigensolves few of its trees.  The same pivot count proves,
+without building a tree, that every eigenvalue lies above a bound x:
+A - yI is positive definite iff every pivot is positive.  The count
+composes over a tree's centroid branches, as the enumeration composes the
+trees: one pass over its table of rooted trees per vector of bounds gives
+every branch root's pivot (_branch_pivots), and each tree adds only its
+centroid's, or the last one between its two halves (_composed_above).
 """
 
 from __future__ import annotations
@@ -51,7 +67,7 @@ from .errors import (
     TooSmallError,
     ZeroFunctionError,
 )
-from .enumeration import _Rooted, _sequence_edges
+from .enumeration import HARD_CAP, _Rooted, _sequence_edges
 from .trees import TreeWithBoundary, diameter, from_edge_list
 
 __all__ = [
@@ -69,8 +85,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-# The dense matrix (8k^2 bytes) and eigh's eigenvectors take 400 MB at k =
-# 5,000 interior vertices; a larger interior is refused before allocating.
+# dirichlet_matrix's dense matrix (8k^2 bytes) and eigh's eigenvectors would
+# take 400 MB at k = 5,000 interior vertices; a larger interior is refused
+# before allocating.  first_eigenpair builds no matrix past HARD_CAP, so this
+# bounds only dirichlet_matrix.
 MAX_DENSE_INTERIOR = 5_000
 
 # _branch_pivots eliminates at x + _FILTER_SLACK: the pivots prove a bound on
@@ -139,17 +157,34 @@ def _assemble(
 def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> DirichletSpectrum:
     """Smallest Dirichlet eigenvalue with a positive unit eigenvector.
 
-    A dense symmetric eigensolve (numpy's eigh), O(k^2) memory and O(k^3)
-    time in the interior size k: simplest and as accurate as it gets for
-    the sweep's interiors of at most 18 vertices, and it still serves
-    single trees up to MAX_DENSE_INTERIOR, in seconds at a few thousand
-    vertices.  The residual and positivity contracts are verified
-    explicitly; on large trees whose ground state is localized, entries
-    far below the largest come out as rounding noise and the positivity
-    check can fail.  Sign is fixed so the entry of the lowest-index
-    interior vertex is positive.
+    The interior size k alone picks the solver, with no flag:
+
+    - k <= HARD_CAP, which covers every tree a sweep can name: a dense
+      symmetric eigensolve (numpy's eigh), as accurate as it gets, and the
+      bit-for-bit reference for _sequence_lambdas.
+    - k > HARD_CAP: _tree_eigenpair, which builds no matrix and takes O(k)
+      time per pass over the tree.  lambda1 and lambda2 come from bisecting
+      the Jacobs-Trevisan inertia count, which stays exact at a zero pivot
+      (the parent's pivot becomes -1/2, the zero child's 2, and the edge
+      above the parent is cut).  The ground state comes from inverse
+      iteration at sigma, the largest float the count puts below lambda1:
+      A - sigma I is a nonsingular irreducible M-matrix, so its pivots are
+      positive, its inverse is entrywise positive, and each solve only adds
+      and divides positive numbers, so every iterate stays positive.  Its
+      floats agree with eigh's to about 1e-15 in lambda1 and 1e-13 in the
+      eigenfunction, and its small entries keep their relative accuracy
+      where eigh returns rounding noise.
+
+    Both paths check the contracts in _check_ground_state: residual
+    max |A f - lambda1 f| <= tol, else NoConvergenceError, and every entry
+    > 0, else NonPositiveEigenvectorError (the tree path's remaining case:
+    entries below float64's range underflow to 0).  The eigenvector is
+    signed so that the entry of the lowest-index interior vertex is
+    positive.  gap is lambda2 - lambda1, None for a one-vertex interior.
     """
     _check_tol(tol)
+    if len(tree.interior) > HARD_CAP:
+        return _tree_eigenpair(tree, tol)
     dm = dirichlet_matrix(tree)
     w, f, residual = _ground_states(dm.entries[None], tol)
     gap = float(w[0, 1] - w[0, 0]) if dm.order > 1 else None
@@ -170,11 +205,10 @@ def _ground_states(
     its ground state, signed so that its first entry is positive and of
     unit norm, and residual[i] = max |A f - lambda1 f|.
 
-    The contracts of first_eigenpair, for every matrix: a residual above
-    tol raises NoConvergenceError, and a ground state with an entry <= 0
-    raises NonPositiveEigenvectorError.  eigh solves each matrix of a stack
-    on its own, and the norm and residual are per-matrix dot and matrix-
-    vector products, so a stack of one gives the floats of a single solve.
+    _check_ground_state checks every matrix of the stack.  eigh solves each
+    matrix of a stack on its own, and the norm and residual are per-matrix
+    dot and matrix-vector products, so a stack of one gives the floats of a
+    single solve.
     """
     try:
         w, vecs = np.linalg.eigh(entries)
@@ -184,14 +218,167 @@ def _ground_states(
     f = np.where(f[:, :1] < 0, -f, f)
     f /= np.sqrt(f[:, None, :] @ f[:, :, None])[:, 0]
     residual = np.abs((entries @ f[:, :, None])[:, :, 0] - w[:, :1] * f).max(axis=1)
-    worst = float(residual.max())
-    if worst > tol:
-        raise NoConvergenceError(f"residual {worst:.3e} exceeds tolerance {tol:.3e}")
-    if np.min(f) <= 0.0:
+    _check_ground_state(float(residual.max()), f, tol)
+    return w, f, residual
+
+
+def _check_ground_state(residual: float, f: np.ndarray, tol: float) -> None:
+    """The contracts of first_eigenpair, for either solver: a residual
+    above tol raises NoConvergenceError, and a ground state with an entry
+    <= 0 raises NonPositiveEigenvectorError.  A nan fails both checks."""
+    if not residual <= tol:
+        raise NoConvergenceError(f"residual {residual:.3e} exceeds tolerance {tol:.3e}")
+    if not np.min(f) > 0.0:
         raise NonPositiveEigenvectorError(
             "ground-state eigenvector has a non-positive entry"
         )
-    return w, f, residual
+
+
+def _tree_eigenpair(tree: TreeWithBoundary, tol: float) -> DirichletSpectrum:
+    """first_eigenpair on an interior past HARD_CAP, from passes over the
+    interior tree: no k x k matrix is built.
+
+    lambda1 and lambda2 are bisected on the inertia count (_bisect), and
+    sigma is the lower end of lambda1's bracket, where every pivot is
+    positive.  Two steps of inverse iteration give the ground state.  The
+    first, from the all-ones vector (_solve), finds the vertex r where it
+    peaks.  The second starts from e_r with the tree rooted at r
+    (_twisted_solve): each branch hanging off r has its lowest eigenvalue
+    well above lambda1, so its pivots are accurate, and one step is exact
+    up to rounding, even where the ground state is many decades below its
+    peak (K. V. Fernando, SIAM J. Matrix Anal. Appl. 18, 1997).
+    """
+    nbrs, diag = _interior_tree(tree)
+    k = len(diag)
+    steps = _children_first(nbrs, diag, 0)
+    top = 2.0 * max(diag)  # Gershgorin: every eigenvalue is at most twice the largest degree
+    sigma, lam1 = _bisect(steps, 1, 0.0, top)
+    lam2 = _bisect(steps, 2, sigma, top)[1]
+    first = _solve(steps, sigma, [1.0] * k)
+    peak = max(range(k), key=first.__getitem__)
+    f = np.array(_twisted_solve(_children_first(nbrs, diag, peak), sigma))
+    f /= math.sqrt(float(f @ f))
+    af = [d * fv - sum(f[u] for u in nb) for d, fv, nb in zip(diag, f.tolist(), nbrs)]
+    residual = float(np.abs(np.array(af) - lam1 * f).max())
+    _check_ground_state(residual, f, tol)
+    return DirichletSpectrum(
+        lambda1=lam1, eigenfunction=f, vertices=tree.interior, residual=residual, gap=lam2 - lam1
+    )
+
+
+def _interior_tree(tree: TreeWithBoundary) -> tuple[list[list[int]], list[float]]:
+    """(nbrs, diag): the interior tree on rows 0..k-1, row i the interior
+    vertex tree.interior[i], with its interior neighbours' rows and its
+    degree, the Dirichlet matrix's diagonal entry."""
+    interior = tree.interior
+    row = [-1] * tree.n
+    for i, v in enumerate(interior):
+        row[v] = i
+    nbrs = [[row[u] for u in tree.adj[v] if row[u] >= 0] for v in interior]
+    return nbrs, [float(len(tree.adj[v])) for v in interior]
+
+
+def _children_first(
+    nbrs: Sequence[Sequence[int]], diag: Sequence[float], root: int
+) -> list[tuple[float, int, int]]:
+    """The interior tree rooted at root, as (degree, vertex, parent) steps
+    in children-first order, root last; the root's parent is k, a spare
+    slot past the last row, where a pass can send the root's share."""
+    k = len(nbrs)
+    parent = [k] * k
+    order = [root]
+    for v in order:
+        for u in nbrs[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    return [(diag[v], v, parent[v]) for v in reversed(order)]
+
+
+def _inertia(steps: Sequence[tuple[float, int, int]], x: float) -> tuple[int, int, int]:
+    """(below, at, above): the numbers of eigenvalues of the Dirichlet
+    matrix A below, at and above x, from eliminating A - xI children first
+    (Jacobs & Trevisan, Linear Algebra Appl. 434, 2011).
+
+    A vertex's pivot is deg - x - sum of 1/p over its children, and by
+    Sylvester's law of inertia the pivots' signs count the eigenvalues.  A
+    zero pivot cannot be divided by.  Jacobs and Trevisan's rule keeps the
+    count exact: when a child's pivot is 0, its parent's pivot becomes -1/2,
+    one zero child's becomes 2, and the edge from the parent up is cut, so
+    the parent adds nothing to its own parent.  Here a zero pivot counts as
+    at x and sets its parent's sum to nan, which no later child changes; a
+    parent whose pivot comes out nan then counts as below x, and one zero
+    child moves from at x to above.  Counting a zero pivot as negative
+    instead gets P23 wrong at x = 2.
+    """
+    k = len(steps)
+    acc = [0.0] * (k + 1)  # sum of 1/p over each vertex's children
+    below = at = 0
+    for d, v, par in steps:
+        p = d - x - acc[v]
+        if p > 0.0:
+            acc[par] += 1.0 / p
+        elif p < 0.0:
+            below += 1
+            acc[par] += 1.0 / p
+        elif p == 0.0:
+            at += 1
+            acc[par] = math.nan
+        else:  # nan: a zero child
+            below += 1
+            at -= 1
+    return below, at, k - below - at
+
+
+def _bisect(
+    steps: Sequence[tuple[float, int, int]], j: int, lo: float, hi: float
+) -> tuple[float, float]:
+    """Adjacent floats lo < hi around the j-th smallest eigenvalue: fewer
+    than j eigenvalues are <= lo and at least j are <= hi, so lambda_j lies
+    in (lo, hi].  The bracket passed in must already hold it."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        below, at, _ = _inertia(steps, mid)
+        if below + at < j:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _solve(steps: Sequence[tuple[float, int, int]], sigma: float, b: Sequence[float]) -> list[float]:
+    """(A - sigma I)^{-1} b, by eliminating children first and substituting
+    parents first; every pivot must be positive."""
+    k = len(steps)
+    acc, y, pivot = [0.0] * (k + 1), [*b, 0.0], [0.0] * k
+    for d, v, par in steps:
+        p = pivot[v] = d - sigma - acc[v]
+        acc[par] += 1.0 / p
+        y[par] += y[v] / p
+    x = [0.0] * (k + 1)
+    for _, v, par in reversed(steps):
+        x[v] = (y[v] + x[par]) / pivot[v]
+    return x[:k]
+
+
+def _twisted_solve(steps: Sequence[tuple[float, int, int]], sigma: float) -> list[float]:
+    """(A - sigma I)^{-1} e_r times the root r's pivot: 1 at r, and each
+    other vertex its parent's value over its own pivot.  The root's pivot,
+    which is ~0 at sigma ~ lambda1, is never formed."""
+    k = len(steps)
+    acc, pivot = [0.0] * k, [0.0] * k
+    for d, v, par in steps[:-1]:
+        p = pivot[v] = d - sigma - acc[v]
+        if p <= 0.0:
+            raise NonPositiveEigenvectorError(
+                "ground-state eigenvector has a non-positive entry"
+            )
+        acc[par] += 1.0 / p
+    f = [1.0] * k
+    for _, v, par in reversed(steps[:-1]):
+        f[v] = f[par] / pivot[v]
+    return f
 
 
 def _sequence_lambdas(sequences: Sequence[bytes], tol: float = DEFAULT_TOL) -> list[float]:

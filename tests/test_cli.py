@@ -4,16 +4,20 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fktrees
 from fktrees.cli import run
+from fktrees.errors import NonPositiveEigenvectorError
+from fktrees.spectral import DEFAULT_TOL, _ground_states, dirichlet_matrix, path_eigenvalue
 from fktrees.verify import THEOREMS
-from fktrees import build_path, format_edge_list_text, parse_edge_list_text
+from fktrees import build_path, format_edge_list_text, from_edge_list, parse_edge_list_text
 
 
 @pytest.fixture
@@ -385,6 +389,63 @@ def test_input_caps_exit_2(capsys, monkeypatch, p5_file, command):
     assert run([command, "--tree", p5_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "dense-solver cap 2" in captured.err
+
+
+def _spine_with_random_leaves(k, rng):
+    """A spine 0..k-1 whose vertices get 0-2 random pendant leaves, and the
+    two ends one more: a shape whose ground state localizes."""
+    edges, n = [(i, i + 1) for i in range(k - 1)], k
+    for v in range(k):
+        for _ in range((v in (0, k - 1)) + rng.randrange(3)):
+            edges.append((v, n))
+            n += 1
+    return from_edge_list(n, edges)
+
+
+def test_localized_ground_state_is_solved(capsys, tmp_path):
+    # a 206-vertex tree whose ground state spans 32 decades: eigh's smallest
+    # entries are rounding noise of either sign, so the dense solve fails its
+    # positivity check, while the tree solver gets every entry to about
+    # float64 precision, as the componentwise residual shows
+    tree = _spine_with_random_leaves(100, random.Random(0))
+    assert tree.n == 206
+    with pytest.raises(NonPositiveEigenvectorError):
+        _ground_states(dirichlet_matrix(tree).entries[None], DEFAULT_TOL)
+    tree_file = tmp_path / "spine100.txt"
+    tree_file.write_text(format_edge_list_text(tree))
+    code, out = run_capture(capsys, ["eigen", "--tree", str(tree_file)])
+    assert code == 0
+    doc = json.loads(out)
+    lam, f = doc["lambda1"], doc["eigenfunction"]
+    assert min(f) > 0 and min(f) / max(f) < 1e-32
+    value = dict(zip(tree.interior, f))
+    for v, fv in value.items():
+        af = len(tree.adj[v]) * fv - sum(value.get(u, 0.0) for u in tree.adj[v])
+        assert abs(af - lam * fv) <= 1e-10 * lam * fv
+
+
+def test_long_path_is_past_the_dense_cap(capsys, tmp_path):
+    # 19,999 interior vertices, past MAX_DENSE_INTERIOR
+    length = 20001
+    tree_file = tmp_path / "p20001.txt"
+    tree_file.write_text(f"{length}\n" + "".join(f"{i} {i + 1}\n" for i in range(length - 1)))
+    code, out = run_capture(capsys, ["eigen", "--tree", str(tree_file)])
+    assert code == 0
+    assert abs(json.loads(out)["lambda1"] - path_eigenvalue(length)) <= 1e-15
+
+
+def test_large_tree_builds_no_dense_matrix(capsys, monkeypatch, tmp_path):
+    # a path with 2,000 interior vertices: eigen, bounds and transform all
+    # solve it without a k x k matrix or a dense eigensolve
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(fktrees.spectral, "dirichlet_matrix", refuse)
+    tree_file = tmp_path / "p2002.txt"
+    tree_file.write_text(format_edge_list_text(build_path(2002)))
+    for argv in (["eigen"], ["bounds"], ["transform", "--move", "switch 1 2001 0 2000"]):
+        assert run_capture(capsys, [argv[0], "--tree", str(tree_file), *argv[1:]])[0] == 0
 
 
 def test_function_file_cap_exits_2(capsys, monkeypatch, p5_file, tmp_path):

@@ -35,7 +35,16 @@ from fktrees.enumeration import (
     _sequence_edges,
 )
 from fktrees.errors import NoConvergenceError, NonPositiveEigenvectorError
-from fktrees.spectral import _branch_pivots, _composed_above, _sequence_lambdas
+from fktrees.spectral import (
+    DEFAULT_TOL,
+    _branch_pivots,
+    _children_first,
+    _composed_above,
+    _ground_states,
+    _inertia,
+    _interior_tree,
+    _sequence_lambdas,
+)
 from conftest import random_tree
 
 
@@ -467,3 +476,96 @@ def test_both_solvers_check_residual_and_positivity(monkeypatch):
         _sequence_lambdas(sequences[:1])
     with pytest.raises(NonPositiveEigenvectorError):
         first_eigenpair(tree)
+
+
+# -- the tree solver past HARD_CAP -------------------------------------------------
+
+def _dense(tree):
+    """(w, f, residual) of the dense solve of a tree: the tree solver's oracle."""
+    return _ground_states(dirichlet_matrix(tree).entries[None], DEFAULT_TOL)
+
+
+def test_tree_solver_agrees_with_the_dense_oracle():
+    # uniform random trees with interiors from HARD_CAP + 1 to about 300
+    # vertices.  On a few of them the dense solve fails its own positivity
+    # check: its smallest entries are rounding noise of either sign.  Those
+    # are compared with eigh's vector as it comes, whose noise is far below
+    # the bound on max |delta f|
+    rng = random.Random(18)
+    interiors, noisy = [], 0
+    while len(interiors) < 40:
+        tree = random_tree(rng, rng.randrange(34, 480))
+        if len(tree.interior) <= HARD_CAP:
+            continue
+        interiors.append(len(tree.interior))
+        s = first_eigenpair(tree)
+        try:
+            w, f, _ = _dense(tree)
+            f = f[0]
+        except NonPositiveEigenvectorError:
+            w, vecs = np.linalg.eigh(dirichlet_matrix(tree).entries)
+            w, f = w[None], vecs[:, 0] * np.sign(vecs[:, 0].sum())
+            noisy += 1
+        assert abs(s.lambda1 - w[0, 0]) <= 1e-13
+        assert abs(s.gap - (w[0, 1] - w[0, 0])) <= 1e-12
+        assert np.abs(s.eigenfunction - f).max() <= 1e-10
+        assert s.residual <= DEFAULT_TOL
+        assert s.vertices == tree.interior
+    assert min(interiors) <= 60 and max(interiors) >= 250 and noisy == 1
+
+
+def test_solver_choice_turns_at_hard_cap(monkeypatch):
+    # an interior of HARD_CAP vertices is the dense solve, bit for bit; one
+    # more vertex and eigh is never called
+    at_cap = [build_path(HARD_CAP + 2)]
+    rng = random.Random(7)
+    while len(at_cap) < 6:
+        tree = random_tree(rng, rng.randrange(24, 34))
+        if len(tree.interior) == HARD_CAP:
+            at_cap.append(tree)
+    for tree in at_cap:
+        s = first_eigenpair(tree)
+        w, f, residual = _dense(tree)
+        assert s.lambda1 == w[0, 0] and s.gap == w[0, 1] - w[0, 0]
+        assert np.array_equal(s.eigenfunction, f[0]) and s.residual == residual[0]
+
+    def no_eigh(a):
+        raise AssertionError("dense solve")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(AssertionError):
+        first_eigenpair(build_path(HARD_CAP + 2))
+    assert first_eigenpair(build_path(HARD_CAP + 3)).gap > 0
+
+
+def test_inertia_is_exact_at_a_zero_pivot():
+    # P23 has 21 interior vertices, so the tree path.  x = 2 = 2 - 2 cos(11
+    # pi / 22) is its middle eigenvalue, and every leaf of the interior tree,
+    # eliminated first, has pivot 2 - 2 = 0.  Counting a zero pivot as
+    # negative would put 11 eigenvalues below 2
+    tree = build_path(23)
+    nbrs, diag = _interior_tree(tree)
+    for root in range(21):
+        steps = _children_first(nbrs, diag, root)
+        assert steps[0][0] - 2.0 == 0.0 and len(nbrs[steps[0][1]]) == 1
+        assert _inertia(steps, 2.0) == (10, 1, 10)
+    assert abs(first_eigenpair(tree).lambda1 - path_eigenvalue(23)) <= 1e-15
+    # a vertex with three zero children: one of them turns to 2, two stay 0.
+    # The centre has degree 4 and its three interior neighbours degree 2, so
+    # the eigenvalues are 1, 2, 2 and 5
+    spider = from_edge_list(8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (0, 7)])
+    steps = _children_first(*_interior_tree(spider), 0)
+    assert _inertia(steps, 2.0) == (1, 2, 1)
+    assert [_inertia(steps, x) for x in (1.0, 5.0)] == [(0, 1, 3), (3, 1, 0)]
+
+
+def test_inertia_counts_the_dense_eigenvalues(rng):
+    for _ in range(40):
+        tree = random_tree(rng, rng.randrange(3, 40))
+        w = np.linalg.eigvalsh(dirichlet_matrix(tree).entries)
+        nbrs, diag = _interior_tree(tree)
+        steps = _children_first(nbrs, diag, rng.randrange(len(diag)))
+        for x in [rng.uniform(0, 2 * max(diag)) for _ in range(20)]:
+            if np.abs(w - x).min() > 1e-9:
+                below = int((w < x).sum())
+                assert _inertia(steps, x) == (below, 0, len(w) - below)
