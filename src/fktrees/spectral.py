@@ -31,10 +31,17 @@ the signs of the pivots count the eigenvalues below, at and above x
 (Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear Algebra
 Appl. 434, 2011).  A zero pivot is handled by their rule, which keeps the
 count exact: its parent's pivot becomes -1/2, the zero child's 2, and the
-edge above the parent is cut (_inertia).  Bisecting the count gives lambda1
-and lambda2.  Just below lambda1, A - sigma I is a nonsingular irreducible
-M-matrix, so its inverse is entrywise positive, and solving with it by the
-same elimination only adds and divides positive numbers: inverse iteration
+edge above the parent is cut (_eliminate).  Searching the count down to
+adjacent floats gives lambda1, and lambda2 when gap is read (_search).  The
+same pass gives the root's pivot, a falling function of x between its
+poles, the eigenvalues of the tree without its root, so once the bracket
+holds no such pole its regula falsi point replaces the midpoint.  For
+lambda1 the floats are those plain bisection gives: each float operation
+is monotone, so while every pivot is positive no pivot rises as x grows,
+the x with every pivot positive form a down-set, and one pair of adjacent
+floats brackets it.  Just below lambda1, A - sigma I is a nonsingular irreducible M-matrix,
+so its inverse is entrywise positive, and solving with it by the same
+elimination only adds and divides positive numbers: inverse iteration
 keeps the ground state positive in floats, down to entries many decades
 below its largest.  Both solvers pass the same residual and positivity
 checks (_check_ground_state).
@@ -51,8 +58,10 @@ centroid's, or the last one between its two halves (_composed_above).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import struct
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -117,14 +126,20 @@ class DirichletSpectrum:
 
     eigenfunction has unit Euclidean norm, strictly positive entries, and is
     indexed by ``vertices``.  ``gap`` is lambda2 - lambda1 (None when the
-    interior is a single vertex, where simplicity is vacuous).
+    interior is a single vertex, where simplicity is vacuous).  The dense
+    solve stores it, as a float or None; the tree solver stores a callable
+    that searches for lambda2, and gap calls it on its first read only.
     """
 
     lambda1: float
     eigenfunction: np.ndarray
     vertices: tuple[int, ...]
     residual: float
-    gap: float | None
+    _gap: float | None | Callable[[], float] = field(repr=False)
+
+    @cached_property
+    def gap(self) -> float | None:
+        return self._gap() if callable(self._gap) else self._gap
 
 
 def dirichlet_matrix(tree: TreeWithBoundary) -> DirichletMatrix:
@@ -163,15 +178,20 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
       symmetric eigensolve (numpy's eigh), as accurate as it gets, and the
       bit-for-bit reference for _sequence_lambdas.
     - k > HARD_CAP: _tree_eigenpair, which builds no matrix and takes O(k)
-      time per pass over the tree.  lambda1 and lambda2 come from bisecting
-      the Jacobs-Trevisan inertia count, which stays exact at a zero pivot
+      time per pass over the tree.  lambda1 comes from searching the
+      Jacobs-Trevisan inertia count, which stays exact at a zero pivot
       (the parent's pivot becomes -1/2, the zero child's 2, and the edge
-      above the parent is cut).  The ground state comes from inverse
-      iteration at sigma, the largest float the count puts below lambda1:
-      A - sigma I is a nonsingular irreducible M-matrix, so its pivots are
-      positive, its inverse is entrywise positive, and each solve only adds
-      and divides positive numbers, so every iterate stays positive.  Its
-      floats agree with eigh's to about 1e-15 in lambda1 and 1e-13 in the
+      above the parent is cut), down to adjacent floats: Illinois regula
+      falsi steps on the root's pivot where it is continuous, and
+      bit-pattern midpoints elsewhere, which end on the pair plain
+      bisection gives.  lambda2, and so gap, is searched the same way on
+      the first read of gap only; the bounds and transform commands never
+      read it.  The ground state comes from inverse iteration at sigma, the
+      largest float the count puts below lambda1: A - sigma I is a
+      nonsingular irreducible M-matrix, so its pivots are positive, its
+      inverse is entrywise positive, and each solve only adds and divides
+      positive numbers, so every iterate stays positive.  Its floats agree
+      with eigh's to about 1e-15 in lambda1 and 1e-13 in the
       eigenfunction, and its small entries keep their relative accuracy
       where eigh returns rounding noise.
 
@@ -180,7 +200,8 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
     > 0, else NonPositiveEigenvectorError (the tree path's remaining case:
     entries below float64's range underflow to 0).  The eigenvector is
     signed so that the entry of the lowest-index interior vertex is
-    positive.  gap is lambda2 - lambda1, None for a one-vertex interior.
+    positive.  gap is lambda2 - lambda1, None for a one-vertex interior;
+    the dense path stores it with the rest, since eigh gives it free.
     """
     _check_tol(tol)
     if len(tree.interior) > HARD_CAP:
@@ -193,7 +214,7 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
         eigenfunction=f[0],
         vertices=dm.vertices,
         residual=float(residual[0]),
-        gap=gap,
+        _gap=gap,
     )
 
 
@@ -238,9 +259,10 @@ def _tree_eigenpair(tree: TreeWithBoundary, tol: float) -> DirichletSpectrum:
     """first_eigenpair on an interior past HARD_CAP, from passes over the
     interior tree: no k x k matrix is built.
 
-    lambda1 and lambda2 are bisected on the inertia count (_bisect), and
-    sigma is the lower end of lambda1's bracket, where every pivot is
-    positive.  Two steps of inverse iteration give the ground state.  The
+    lambda1 is searched on the inertia count of the tree rooted at row 0
+    (_search), and sigma is the lower end of its bracket, where every pivot
+    is positive; lambda2 is searched above sigma when gap is first read
+    (_tree_gap).  Two steps of inverse iteration give the ground state.  The
     first, from the all-ones vector (_solve), finds the vertex r where it
     peaks.  The second starts from e_r with the tree rooted at r
     (_twisted_solve): each branch hanging off r has its lowest eigenvalue
@@ -252,18 +274,29 @@ def _tree_eigenpair(tree: TreeWithBoundary, tol: float) -> DirichletSpectrum:
     k = len(diag)
     steps = _children_first(nbrs, diag, 0)
     top = 2.0 * max(diag)  # Gershgorin: every eigenvalue is at most twice the largest degree
-    sigma, lam1 = _bisect(steps, 1, 0.0, top)
-    lam2 = _bisect(steps, 2, sigma, top)[1]
+    sigma, lam1 = _search(steps, 1, 0.0, top)
     first = _solve(steps, sigma, [1.0] * k)
     peak = max(range(k), key=first.__getitem__)
     f = np.array(_twisted_solve(_children_first(nbrs, diag, peak), sigma))
     f /= math.sqrt(float(f @ f))
-    af = [d * fv - sum(f[u] for u in nb) for d, fv, nb in zip(diag, f.tolist(), nbrs)]
+    fl = f.tolist()
+    af = [d * fv - sum(fl[u] for u in nb) for d, fv, nb in zip(diag, fl, nbrs)]
     residual = float(np.abs(np.array(af) - lam1 * f).max())
     _check_ground_state(residual, f, tol)
     return DirichletSpectrum(
-        lambda1=lam1, eigenfunction=f, vertices=tree.interior, residual=residual, gap=lam2 - lam1
+        lambda1=lam1,
+        eigenfunction=f,
+        vertices=tree.interior,
+        residual=residual,
+        _gap=partial(_tree_gap, steps, sigma, top, lam1),
     )
+
+
+def _tree_gap(
+    steps: Sequence[tuple[float, int, int]], sigma: float, top: float, lam1: float
+) -> float:
+    """lambda2 - lambda1 on the tree path, lambda2 searched in (sigma, top]."""
+    return _search(steps, 2, sigma, top)[1] - lam1
 
 
 def _interior_tree(tree: TreeWithBoundary) -> tuple[list[list[int]], list[float]]:
@@ -298,7 +331,15 @@ def _children_first(
 def _inertia(steps: Sequence[tuple[float, int, int]], x: float) -> tuple[int, int, int]:
     """(below, at, above): the numbers of eigenvalues of the Dirichlet
     matrix A below, at and above x, from eliminating A - xI children first
-    (Jacobs & Trevisan, Linear Algebra Appl. 434, 2011).
+    (_eliminate)."""
+    below, at, _ = _eliminate(steps, x)
+    return below, at, len(steps) - below - at
+
+
+def _eliminate(steps: Sequence[tuple[float, int, int]], x: float) -> tuple[int, int, float]:
+    """(below, at, root pivot): one pass of eliminating A - xI children
+    first, the Jacobs-Trevisan count of the eigenvalues of A below and at x
+    (Linear Algebra Appl. 434, 2011), and the last pivot, the root's.
 
     A vertex's pivot is deg - x - sum of 1/p over its children, and by
     Sylvester's law of inertia the pivots' signs count the eigenvalues.  A
@@ -309,10 +350,10 @@ def _inertia(steps: Sequence[tuple[float, int, int]], x: float) -> tuple[int, in
     at x and sets its parent's sum to nan, which no later child changes; a
     parent whose pivot comes out nan then counts as below x, and one zero
     child moves from at x to above.  Counting a zero pivot as negative
-    instead gets P23 wrong at x = 2.
+    instead gets P23 wrong at x = 2.  The root pivot returned is nan when a
+    child of the root has pivot 0.
     """
-    k = len(steps)
-    acc = [0.0] * (k + 1)  # sum of 1/p over each vertex's children
+    acc = [0.0] * (len(steps) + 1)  # sum of 1/p over each vertex's children
     below = at = 0
     for d, v, par in steps:
         p = d - x - acc[v]
@@ -327,24 +368,72 @@ def _inertia(steps: Sequence[tuple[float, int, int]], x: float) -> tuple[int, in
         else:  # nan: a zero child
             below += 1
             at -= 1
-    return below, at, k - below - at
+    return below, at, p
 
 
-def _bisect(
+def _bits(x: float) -> int:
+    """The bit pattern of a float as an integer; for x >= 0 it orders as x."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_bits(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+def _search(
     steps: Sequence[tuple[float, int, int]], j: int, lo: float, hi: float
 ) -> tuple[float, float]:
     """Adjacent floats lo < hi around the j-th smallest eigenvalue: fewer
     than j eigenvalues are <= lo and at least j are <= hi, so lambda_j lies
-    in (lo, hi].  The bracket passed in must already hold it."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo, hi
-        below, at, _ = _inertia(steps, mid)
-        if below + at < j:
-            lo = mid
+    in (lo, hi].  The bracket passed in must already hold it, with lo >= 0.
+
+    Each pass counts at one x inside the bracket (_eliminate) and keeps the
+    end that x does not replace.  When lo counts j - 1 with a positive root
+    pivot and hi counts j with a negative one, the tree without its root
+    has as many eigenvalues <= lo as <= hi, so none between them, and the
+    root pivot, deg - x - sum of 1/p over the root's children, is
+    continuous and falling on [lo, hi] with lambda_j its one zero.  Then x
+    is the regula falsi point of the two ends' pivots, moved one float
+    inside the bracket if it rounds onto an end, and an end kept twice in
+    a row has its pivot halved (the Illinois step: Dowell & Jarratt, BIT
+    11, 1971).  Otherwise x is the float whose bit pattern is the midpoint
+    of the ends' patterns: floats >= 0 order as their patterns, so this
+    halves the number of floats in the bracket, finds lambda_j's binade in
+    a few passes, and closes any bracket in at most 63 passes.
+
+    Rounding can leave the pivots flat near lambda_j, where the tree
+    without its root has an eigenvalue close by.  So when the last three
+    passes did not halve the bracket's float count, both ends' pivots are
+    dropped, and interpolation waits until counts at fresh ends bring new
+    ones: the bracket halves at least every four passes.
+    """
+    a, b = _bits(lo), _bits(hi)
+    p_lo = p_hi = math.nan  # the ends' root pivots, nan where they cannot interpolate
+    kept = 0  # 1 when the last pass kept lo, -1 when it kept hi
+    widths = [b - a] * 3  # the bracket's float count before each pass
+    while b - a > 1:
+        if 2 * (b - a) > widths[-3]:
+            p_lo = p_hi = math.nan
+        if p_lo > 0.0 > p_hi:
+            x = lo + (hi - lo) * (p_lo / (p_lo - p_hi))
+            x = min(max(x, _from_bits(a + 1)), _from_bits(b - 1))
         else:
-            hi = mid
+            x = _from_bits((a + b) // 2)
+        widths.append(b - a)
+        below, at, p = _eliminate(steps, x)
+        if below + at < j:
+            lo, a = x, _bits(x)
+            p_lo = p if below + at == j - 1 and 0.0 < p < math.inf else math.nan
+            if kept == -1:
+                p_hi *= 0.5
+            kept = -1
+        else:
+            hi, b = x, _bits(x)
+            p_hi = p if below + at == j and -math.inf < p < 0.0 else math.nan
+            if kept == 1:
+                p_lo *= 0.5
+            kept = 1
+    return lo, hi
 
 
 def _solve(steps: Sequence[tuple[float, int, int]], sigma: float, b: Sequence[float]) -> list[float]:

@@ -54,6 +54,17 @@ def random_tree(rng: random.Random, n: int):
     return from_edge_list(n, prufer_to_edges(seq, n))
 
 
+def spine_with_random_leaves(k: int, rng: random.Random):
+    """A spine 0..k-1 whose vertices get 0-2 random pendant leaves, and the
+    two ends one more: a shape whose ground state localizes."""
+    edges, n = [(i, i + 1) for i in range(k - 1)], k
+    for v in range(k):
+        for _ in range((v in (0, k - 1)) + rng.randrange(3)):
+            edges.append((v, n))
+            n += 1
+    return from_edge_list(n, edges)
+
+
 def brute_force_max_disjoint(edges) -> int:
     """Max size of a vertex-disjoint subset of the given edges (exponential)."""
     edges = list(edges)

@@ -18,6 +18,7 @@ from fktrees.errors import NonPositiveEigenvectorError
 from fktrees.spectral import DEFAULT_TOL, _ground_states, dirichlet_matrix, path_eigenvalue
 from fktrees.verify import THEOREMS
 from fktrees import build_path, format_edge_list_text, from_edge_list, parse_edge_list_text
+from conftest import spine_with_random_leaves
 
 
 @pytest.fixture
@@ -145,6 +146,45 @@ def test_single_tree_json_bytes_match_golden(capsys, tmp_path, command):
     tree_file = tmp_path / "caterpillar30.txt"
     tree_file.write_text(format_edge_list_text(tree))
     golden = Path(__file__).parent / "data" / f"caterpillar30_{command[0]}.json"
+    code, out = run_capture(capsys, [command[0], "--tree", str(tree_file), *command[1:]])
+    assert code == 0
+    assert out == golden.read_text(encoding="ascii")
+
+
+def _recursive300():
+    """A random recursive interior tree on 0..299, vertex i hanging off a
+    random earlier one, with one pendant leaf at each interior leaf and one
+    more at every seventh vertex; vertex 300 is 0's pendant."""
+    rng = random.Random(300)
+    edges = [(rng.randrange(i), i) for i in range(1, 300)]
+    degree = [0] * 300
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    n = 300
+    for v in range(300):
+        for _ in range((degree[v] < 2) + (v % 7 == 0)):
+            edges.append((v, n))
+            n += 1
+    return from_edge_list(n, edges)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["eigen"], ["bounds"], ["transform", "--move", "shift 0 299 300"]],
+    ids=["eigen", "bounds", "transform"],
+)
+def test_tree_solver_json_bytes_match_golden(capsys, tmp_path, command):
+    # recorded from `fktrees COMMAND --tree` on _recursive300(), whose
+    # 300-vertex interior is past HARD_CAP, with lambda1 and lambda2 from
+    # plain bisection of the inertia count: the tree solver's search must
+    # give the same floats, down to the last digit.  The shift moves leaf
+    # 300 from 0 to 299
+    tree = _recursive300()
+    assert len(tree.interior) == 300 and tree.interior == tuple(range(300))
+    tree_file = tmp_path / "recursive300.txt"
+    tree_file.write_text(format_edge_list_text(tree))
+    golden = Path(__file__).parent / "data" / f"recursive300_{command[0]}.json"
     code, out = run_capture(capsys, [command[0], "--tree", str(tree_file), *command[1:]])
     assert code == 0
     assert out == golden.read_text(encoding="ascii")
@@ -391,23 +431,12 @@ def test_input_caps_exit_2(capsys, monkeypatch, p5_file, command):
     assert captured.out == "" and "dense-solver cap 2" in captured.err
 
 
-def _spine_with_random_leaves(k, rng):
-    """A spine 0..k-1 whose vertices get 0-2 random pendant leaves, and the
-    two ends one more: a shape whose ground state localizes."""
-    edges, n = [(i, i + 1) for i in range(k - 1)], k
-    for v in range(k):
-        for _ in range((v in (0, k - 1)) + rng.randrange(3)):
-            edges.append((v, n))
-            n += 1
-    return from_edge_list(n, edges)
-
-
 def test_localized_ground_state_is_solved(capsys, tmp_path):
     # a 206-vertex tree whose ground state spans 32 decades: eigh's smallest
     # entries are rounding noise of either sign, so the dense solve fails its
     # positivity check, while the tree solver gets every entry to about
     # float64 precision, as the componentwise residual shows
-    tree = _spine_with_random_leaves(100, random.Random(0))
+    tree = spine_with_random_leaves(100, random.Random(0))
     assert tree.n == 206
     with pytest.raises(NonPositiveEigenvectorError):
         _ground_states(dirichlet_matrix(tree).entries[None], DEFAULT_TOL)
@@ -446,6 +475,46 @@ def test_large_tree_builds_no_dense_matrix(capsys, monkeypatch, tmp_path):
     tree_file.write_text(format_edge_list_text(build_path(2002)))
     for argv in (["eigen"], ["bounds"], ["transform", "--move", "switch 1 2001 0 2000"]):
         assert run_capture(capsys, [argv[0], "--tree", str(tree_file), *argv[1:]])[0] == 0
+
+
+def test_gap_is_searched_only_when_read(capsys, monkeypatch, tmp_path):
+    # a path with 2,000 interior vertices: bounds and transform run only
+    # lambda1's search, eigen runs lambda2's too and prints the gap plain
+    # bisection gives, and a second read of gap searches nothing
+    spectral, passes, searches = fktrees.spectral, [0], []
+    eliminate, search = spectral._eliminate, spectral._search
+
+    def counted(steps, x):
+        passes[0] += 1
+        return eliminate(steps, x)
+
+    def recorded(steps, j, lo, hi):
+        start = passes[0]
+        result = search(steps, j, lo, hi)
+        searches.append((j, passes[0] - start))
+        return result
+
+    monkeypatch.setattr(spectral, "_eliminate", counted)
+    monkeypatch.setattr(spectral, "_search", recorded)
+    tree_file = tmp_path / "p2002.txt"
+    tree_file.write_text(format_edge_list_text(build_path(2002)))
+    runs = {}
+    for argv in (["bounds"], ["transform", "--move", "switch 1 2001 0 2000"], ["eigen"]):
+        passes[0], searches[:] = 0, []
+        code, out = run_capture(capsys, [argv[0], "--tree", str(tree_file), *argv[1:]])
+        assert code == 0
+        runs[argv[0]] = [*searches], passes[0], out
+    (lambda1,), total, _ = runs["bounds"]
+    assert lambda1[0] == 1 and total == lambda1[1]
+    assert runs["transform"][:2] == runs["bounds"][:2]
+    eigen_searches, total, out = runs["eigen"]
+    assert eigen_searches[0] == lambda1 and eigen_searches[1][0] == 2
+    assert total == lambda1[1] + eigen_searches[1][1]
+    assert out.endswith(',"gap":7.3947990506528799e-06}\n')
+    searches[:] = []
+    s = fktrees.first_eigenpair(build_path(2002))
+    assert s.gap == s.gap == 7.39479905065288e-06
+    assert [j for j, _ in searches] == [1, 2]
 
 
 def test_function_file_cap_exits_2(capsys, monkeypatch, p5_file, tmp_path):

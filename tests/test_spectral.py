@@ -35,6 +35,7 @@ from fktrees.enumeration import (
     _sequence_edges,
 )
 from fktrees.errors import NoConvergenceError, NonPositiveEigenvectorError
+import fktrees.spectral
 from fktrees.spectral import (
     DEFAULT_TOL,
     _branch_pivots,
@@ -43,9 +44,10 @@ from fktrees.spectral import (
     _ground_states,
     _inertia,
     _interior_tree,
+    _search,
     _sequence_lambdas,
 )
-from conftest import random_tree
+from conftest import random_tree, spine_with_random_leaves
 
 
 def bisect_smallest_root(poly, lo, hi, iters=200):
@@ -569,3 +571,98 @@ def test_inertia_counts_the_dense_eigenvalues(rng):
             if np.abs(w - x).min() > 1e-9:
                 below = int((w < x).sum())
                 assert _inertia(steps, x) == (below, 0, len(w) - below)
+
+
+def _bisect(steps, j, lo, hi):
+    """The reference search: bisect the inertia count down to adjacent
+    floats lo < hi, with fewer than j eigenvalues <= lo and at least j
+    <= hi.  The bracket passed in must already hold lambda_j."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        below, at, _ = _inertia(steps, mid)
+        if below + at < j:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """A one-item list that counts the elimination passes over a tree."""
+    count, eliminate = [0], fktrees.spectral._eliminate
+
+    def counted(steps, x):
+        count[0] += 1
+        return eliminate(steps, x)
+
+    monkeypatch.setattr(fktrees.spectral, "_eliminate", counted)
+    return count
+
+
+def _spider(legs):
+    """Legs of the given lengths from a centre 0; the feet are the leaves."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return from_edge_list(n, edges)
+
+
+def _joined_stars(a, b, length):
+    """Stars with a and b leaves at the ends of a path with length edges:
+    the two ends carry ground states of nearly the same eigenvalue."""
+    edges = [(i, i + 1) for i in range(length)]
+    edges += [(0, length + 1 + i) for i in range(a)]
+    edges += [(length, length + 1 + a + i) for i in range(b)]
+    return from_edge_list(length + 1 + a + b, edges)
+
+
+def _oracle_trees():
+    """The sample on which _search must end where _bisect does."""
+    rng = random.Random(20)
+    trees = [build_path(23), spine_with_random_leaves(100, random.Random(0))]
+    while len(trees) < 22:
+        tree = random_tree(rng, rng.randrange(34, 1100))
+        if 21 <= len(tree.interior) <= 700:
+            trees.append(tree)
+    trees += [spine_with_random_leaves(rng.randrange(21, 400), rng) for _ in range(16)]
+    trees += [
+        _spider([rng.randrange(2, 40) for _ in range(rng.randrange(3, 8))]) for _ in range(16)
+    ]
+    trees += [
+        _joined_stars(rng.randrange(3, 30), rng.randrange(3, 30), rng.randrange(20, 300))
+        for _ in range(16)
+    ]
+    return trees
+
+
+def test_search_ends_on_the_bisection_pair(passes):
+    # for lambda1 the pair is the same by proof (the x with every pivot
+    # positive form a down-set); for lambda2 by this check.  The sample:
+    # random trees with interiors of 21-700, P23 (a zero pivot at x = 2),
+    # the 206-vertex localized spine, spines with random legs, spiders, and
+    # two stars joined by a long path, whose lambda1 and lambda2 nearly meet
+    ours = theirs = 0
+    for tree in _oracle_trees():
+        steps = _children_first(*_interior_tree(tree), 0)
+        top = 2.0 * max(d for d, _, _ in steps)
+        start = passes[0]
+        lambda1 = _bisect(steps, 1, 0.0, top)
+        lambda2 = _bisect(steps, 2, lambda1[0], top)
+        middle = passes[0]
+        assert _search(steps, 1, 0.0, top) == lambda1
+        assert _search(steps, 2, lambda1[0], top) == lambda2
+        theirs += middle - start
+        ours += passes[0] - middle
+    assert ours <= 0.8 * theirs
+
+
+def test_search_on_a_long_path_takes_few_passes(passes):
+    # lambda1 of P2002, 2.46e-6: bisection halves [0, 4] 73 times
+    steps = _children_first(*_interior_tree(build_path(2002)), 0)
+    lambda1 = _bisect(steps, 1, 0.0, 4.0)
+    assert passes[0] == 73
+    passes[0] = 0
+    assert _search(steps, 1, 0.0, 4.0) == lambda1 and passes[0] <= 55
