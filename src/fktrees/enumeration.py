@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -57,8 +57,6 @@ from .errors import CapExceededError, EmptyInteriorError, TooSmallError
 from .matching import matching_number
 from .trees import (
     TreeWithBoundary,
-    _bfs,
-    _centers,
     _check_leaf_boundary,
     _vertex_code,
     diameter,
@@ -190,23 +188,6 @@ def _bicentral_sequence(left: list[bytes], right: list[bytes]) -> bytes:
     if _next_free(here) == here:
         return here
     return _root_sequence([*right, _root_sequence(left)])
-
-
-def _wrom_sequence(adj: Sequence[Sequence[int]]) -> bytes:
-    """The level sequence _level_sequences yields for the isomorphism class
-    of the tree with adjacency lists adj, n >= 3, in any labelling: the
-    canonical rooting at its centre, or at the one of two centres
-    _bicentral_sequence keeps.  One BFS from the centres roots each half
-    at its centre; below each vertex are its subtrees in descending order
-    of their own canonical sequences, the form _next_rooted generates."""
-    centres = _centers(adj)
-    order, parent, _ = _bfs(adj, centres)
-    below: dict[int, list[bytes]] = {}  # below[v]: the sequences of v's subtrees
-    for v in reversed(order):
-        below[v] = [_root_sequence(below[w]) for w in adj[v] if parent[w] == v]
-    if len(centres) == 1:
-        return _root_sequence(below[centres[0]])
-    return _bicentral_sequence(*(below[c] for c in centres))
 
 
 def _read_sequence(seq: bytes) -> tuple[tuple[int, int, int], str]:
@@ -437,8 +418,8 @@ def _composed_invariants(
 
 def _composed_sequence(table: _Rooted, row: list[int], bicentral: bool) -> bytes:
     """The level sequence free_trees yields for the tree of a chunk row,
-    its _wrom_sequence, found by a walk from the centroid to the centre over
-    the table's canonical sequences, with no tree built.
+    found by a walk from the centroid to the centre over the table's
+    canonical sequences, with no tree built.
 
     The walk starts at the centroid, whose branches are the row's entries,
     or at the first half's root, whose branches are its children and the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 from .errors import CapExceededError
@@ -18,8 +19,13 @@ from .trees import TreeWithBoundary, canonical_code, parse_edge_list_text
 __all__ = ["dumps", "spectrum_json", "tree_json", "read_capped", "read_tree_file"]
 
 # An input file becomes per-vertex Python objects, so its size is capped before
-# parsing: 4 MiB holds a tree of over 250,000 vertices.  first_eigenpair solves
-# a large interior in O(k) memory, so this cap is what bounds a single tree.
+# parsing: 4 MiB holds a tree of over 250,000 vertices.  Every single-tree
+# command runs in O(n) memory, so the cap bounds their memory, and their time
+# only loosely: on the worst case, a 315,466-vertex path just under the cap,
+# eigen took 7-9 s, bounds 4-6 s and transform 13 s, at 236-243 MB peak RSS,
+# on a 2-vCPU VM.  transform's time grows with the square of the depth, in
+# the canonical code of its result (each vertex's code is copied once per
+# level above it).
 MAX_TREE_FILE_BYTES = 4 * 2**20
 
 
@@ -61,6 +67,8 @@ def _emit(obj: Any, out: list[str]) -> None:
             out.append(":")
             _emit(v, out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and (flat := _flat_array(obj)) is not None:
+        out.append(flat)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -70,6 +78,20 @@ def _emit(obj: Any, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _flat_array(items: list | tuple) -> str | None:
+    """The JSON of an array of floats, of ints or of [int, int] pairs (an
+    eigenfunction, a boundary, an edge list) in one join, as _emit writes
+    it item by item; None for any other array."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        return "[" + ",".join(map(_float_repr, items)) + "]"
+    if kinds == {int}:
+        return "[" + ",".join(map(str, items)) + "]"
+    if kinds == {list} and set(map(len, items)) == {2} and set(map(type, chain.from_iterable(items))) == {int}:
+        return "[" + ",".join([f"[{u},{v}]" for u, v in items]) + "]"
+    return None
 
 
 def spectrum_json(spectrum: DirichletSpectrum) -> dict:

@@ -280,7 +280,7 @@ def _tree_eigenpair(tree: TreeWithBoundary, tol: float) -> DirichletSpectrum:
     f = np.array(_twisted_solve(_children_first(nbrs, diag, peak), sigma))
     f /= math.sqrt(float(f @ f))
     fl = f.tolist()
-    af = [d * fv - sum(fl[u] for u in nb) for d, fv, nb in zip(diag, fl, nbrs)]
+    af = [d * fv - sum([fl[u] for u in nb]) for d, fv, nb in zip(diag, fl, nbrs)]
     residual = float(np.abs(np.array(af) - lam1 * f).max())
     _check_ground_state(residual, f, tol)
     return DirichletSpectrum(
@@ -326,14 +326,6 @@ def _children_first(
                 parent[u] = v
                 order.append(u)
     return [(diag[v], v, parent[v]) for v in reversed(order)]
-
-
-def _inertia(steps: Sequence[tuple[float, int, int]], x: float) -> tuple[int, int, int]:
-    """(below, at, above): the numbers of eigenvalues of the Dirichlet
-    matrix A below, at and above x, from eliminating A - xI children first
-    (_eliminate)."""
-    below, at, _ = _eliminate(steps, x)
-    return below, at, len(steps) - below - at
 
 
 def _eliminate(steps: Sequence[tuple[float, int, int]], x: float) -> tuple[int, int, float]:

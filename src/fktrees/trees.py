@@ -52,7 +52,8 @@ class TreeWithBoundary:
     """Immutable tree on ``n`` vertices with boundary set ``boundary``.
 
     ``edges`` is a lexicographically sorted tuple of (u, v) pairs with u < v.
-    ``adj`` holds sorted neighbor tuples and is derived data (excluded from
+    ``adj`` holds sorted neighbor tuples and ``interior`` the ascending
+    vertices off the boundary; both are derived data (excluded from
     equality).  Use :func:`from_edge_list` to construct validated instances.
     """
 
@@ -60,10 +61,7 @@ class TreeWithBoundary:
     edges: tuple[tuple[int, int], ...]
     boundary: frozenset[int]
     adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if v not in self.boundary)
+    interior: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def leaves(self) -> tuple[int, ...]:
@@ -137,48 +135,96 @@ def from_edge_list(
     if not isinstance(n, int) or n < 2:
         raise NotATreeError(f"need an integer order n >= 2, got {n!r}")
 
-    seen: set[tuple[int, int]] = set()
-    adj_lists: list[list[int]] = [[] for _ in range(n)]
-    count = 0
-    for e in edges:
-        u, v = e
-        _check_vertex(u, n)
-        _check_vertex(v, n)
-        if u == v:
-            raise NotATreeError(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise NotATreeError(f"duplicate edge {key}")
-        seen.add(key)
-        adj_lists[u].append(v)
-        adj_lists[v].append(u)
-        count += 1
+    ends = _edge_ends(n, edges)
+    count = len(ends) // 2
+    # a repeated edge fails one of the next two tests, and is the error
+    # to report, so it is looked for only when one fails
     if count != n - 1:
+        _raise_repeat(ends)
         raise NotATreeError(f"a tree on {n} vertices has {n - 1} edges, got {count}")
-
+    ids = list(range(n))  # one int object per vertex, for every field of the tree
+    adj_lists: list[list[int]] = [[] for _ in ids]
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        adj_lists[u].append(ids[v])
+        adj_lists[v].append(ids[u])
     # connectivity: n-1 edges + connected <=> tree
     if len(_bfs(adj_lists, [0])[0]) < n:
+        _raise_repeat(ends)
         raise NotATreeError("graph is disconnected")
 
     if boundary is None:
-        # deleting the leaves of a tree with n >= 3 leaves a tree, so the
-        # default interior is connected (n = 2 fails the emptiness check)
-        bset = frozenset(v for v in range(n) if len(adj_lists[v]) == 1)
+        bset = frozenset([v for v, neigh in zip(ids, adj_lists) if len(neigh) == 1])
     else:
         bset = frozenset(_check_vertex(v, n) for v in boundary)
         if not bset:
             raise InvalidBoundaryError("boundary must be nonempty")
-        # an explicit interior must induce a connected subgraph
-        interior = [v for v in range(n) if v not in bset]
-        if len(_bfs(adj_lists, interior[:1], blocked=bset)[0]) < len(interior):
-            raise DisconnectedInteriorError(
-                f"interior {interior} induces a disconnected subgraph"
-            )
-    if len(bset) == n:
+    interior = [v for v in ids if v not in bset]
+    # an explicit interior must induce a connected subgraph; deleting the
+    # leaves of a tree with n >= 3 leaves a tree, so the default one does
+    # (n = 2 fails the emptiness check)
+    if boundary is not None and len(_bfs(adj_lists, interior[:1], blocked=bset)[0]) < len(interior):
+        raise DisconnectedInteriorError(
+            f"interior {interior} induces a disconnected subgraph"
+        )
+    if not interior:
         raise EmptyInteriorError("boundary covers every vertex; interior is empty")
 
-    adj = tuple(tuple(sorted(neigh)) for neigh in adj_lists)
-    return TreeWithBoundary(n=n, edges=tuple(sorted(seen)), boundary=bset, adj=adj)
+    for neigh in adj_lists:
+        neigh.sort()
+    # sorted neighbours list each edge (u, v), u < v, in lexicographic order
+    sorted_edges = tuple([(u, v) for u, neigh in zip(ids, adj_lists) for v in neigh if u < v])
+    return TreeWithBoundary(
+        n=n,
+        edges=sorted_edges,
+        boundary=bset,
+        adj=tuple(map(tuple, adj_lists)),
+        interior=tuple(interior),
+    )
+
+
+def _edge_ends(n: int, edges: Iterable[Sequence[int]]) -> list[int]:
+    """The ends u0, v0, u1, v1, ... of the edges, each edge checked as it
+    is read: InvalidVertexError for an id out of 0..n-1, NotATreeError for
+    a self-loop, and the error of unpacking anything but a pair.  The first
+    repeated edge read before a fault is the error raised instead, as a
+    check of each edge against the ones before it would find.
+
+    Past n - 1 edges the list is no tree's, so a repeat is looked for then
+    and at every doubling of the count: a first repeat at edge p > n stops
+    the reading by edge 2p, and one at p <= n by edge n.
+    """
+    ends: list[int] = []
+    look_back = 2 * n
+    for e in edges:
+        try:
+            u, v = e
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                _check_vertex(u, n)  # True, an int subclass, or the id out of range
+                _check_vertex(v, n)
+            if u == v:
+                raise NotATreeError(f"self-loop at vertex {u}")
+        except Exception:  # whatever the fault, a repeat before it comes first
+            _raise_repeat(ends)
+            raise
+        ends.append(u)
+        ends.append(v)
+        if len(ends) == look_back:
+            look_back *= 2
+            _raise_repeat(ends)
+    return ends
+
+
+def _raise_repeat(ends: Sequence[int]) -> None:
+    """Raise NotATreeError for the first edge of ends (as _edge_ends lists
+    them) that repeats an earlier one; return if none does."""
+    seen: set[tuple[int, int]] = set()
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise NotATreeError(f"duplicate edge {key}") from None
+        seen.add(key)
 
 
 def _bfs(
@@ -298,24 +344,34 @@ def _vertex_code(on_boundary: bool, children: Iterable[bytes]) -> bytes:
     return (b"(1" if on_boundary else b"(0") + b"".join(sorted(children)) + b")"
 
 
-def _rooted_code(tree: TreeWithBoundary, root: int) -> bytes:
-    """AHU-style encoding of the rooted tree, one boundary bit per vertex."""
-    # reversed BFS order codes every child before its parent, with no
-    # recursion that a deep path could push past the limit
-    order, parent, _ = _bfs(tree.adj, [root])
-    codes: dict[int, bytes] = {}
-    for v in reversed(order):
-        children = (codes[w] for w in tree.adj[v] if w != parent[v])
-        codes[v] = _vertex_code(v in tree.boundary, children)
-    return codes[root]
-
-
 def canonical_code(tree: TreeWithBoundary) -> CanonicalCode:
     """Center-rooted canonical form; equal codes <=> boundary-respecting
     isomorphism.  Rooting at the (invariant) center set makes the min over
-    at most two rooted encodings a canonical representative."""
-    cs = _centers(tree.adj)
-    return CanonicalCode(min(_rooted_code(tree, c) for c in cs))
+    at most two rooted encodings a canonical representative.
+
+    AHU-style (Aho, Hopcroft & Ullman 1974), one boundary bit per vertex.
+    One BFS out of the centres codes every vertex once, children first,
+    with no recursion that a deep path could push past the limit.  A code
+    is dropped once its parent's is made, so the codes held at any time
+    are of disjoint subtrees: O(n) memory, though building them still
+    copies each vertex's bytes once per level above it.  Two centres split
+    the tree into halves; rooted at either centre, the other's half hangs
+    below it as one more child.
+    """
+    adj, boundary = tree.adj, tree.boundary
+    centres = _centers(adj)
+    order, parent, _ = _bfs(adj, centres)
+    codes: dict[int, bytes] = {}
+    for v in reversed(order[len(centres):]):
+        codes[v] = _vertex_code(v in boundary, [codes.pop(w) for w in adj[v] if parent[w] == v])
+    below = [[codes.pop(w) for w in adj[c] if parent[w] == c] for c in centres]
+    if len(centres) == 1:
+        return CanonicalCode(_vertex_code(centres[0] in boundary, below[0]))
+    halves = [_vertex_code(c in boundary, children) for c, children in zip(centres, below)]
+    return CanonicalCode(min(
+        _vertex_code(c in boundary, [*children, other])
+        for c, children, other in zip(centres, below, reversed(halves))
+    ))
 
 
 def relabel(tree: TreeWithBoundary, perm: Sequence[int] | Mapping[int, int]) -> TreeWithBoundary:
@@ -333,7 +389,7 @@ def relabel(tree: TreeWithBoundary, perm: Sequence[int] | Mapping[int, int]) -> 
 def parse_edge_list_text(text: str) -> TreeWithBoundary:
     """Parse the edge-list format: line 1 = n; then n-1 lines "u v";
     optional final line "B: i j k ..." for an explicit boundary."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise NotATreeError("empty edge-list input")
     try:

@@ -14,6 +14,20 @@ import random
 import pytest
 
 from fktrees import from_edge_list, geodesic_path, contact_set
+from fktrees.errors import (
+    DisconnectedInteriorError,
+    EmptyInteriorError,
+    InvalidBoundaryError,
+    NotATreeError,
+)
+from fktrees.trees import (
+    CanonicalCode,
+    TreeWithBoundary,
+    _bfs,
+    _centers,
+    _check_vertex,
+    _vertex_code,
+)
 
 
 def prufer_to_edges(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -153,6 +167,105 @@ def jump_moves(tree):
             if u in contacts:
                 moves.append((v1, v2, u))
     return moves
+
+
+# -- reference tree building, parsing and coding -------------------------------
+# The straightforward versions, each edge checked against a set of the ones
+# before it and each centre coded on its own.  The oracles of the one-pass
+# from_edge_list, parse_edge_list_text and canonical_code: equal trees, or
+# the same error type and message, and the same code bytes.
+
+def reference_from_edge_list(n, edges, boundary=None):
+    if not isinstance(n, int) or n < 2:
+        raise NotATreeError(f"need an integer order n >= 2, got {n!r}")
+
+    seen = set()
+    adj_lists = [[] for _ in range(n)]
+    count = 0
+    for e in edges:
+        u, v = e
+        _check_vertex(u, n)
+        _check_vertex(v, n)
+        if u == v:
+            raise NotATreeError(f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise NotATreeError(f"duplicate edge {key}")
+        seen.add(key)
+        adj_lists[u].append(v)
+        adj_lists[v].append(u)
+        count += 1
+    if count != n - 1:
+        raise NotATreeError(f"a tree on {n} vertices has {n - 1} edges, got {count}")
+
+    if len(_bfs(adj_lists, [0])[0]) < n:
+        raise NotATreeError("graph is disconnected")
+
+    if boundary is None:
+        bset = frozenset(v for v in range(n) if len(adj_lists[v]) == 1)
+    else:
+        bset = frozenset(_check_vertex(v, n) for v in boundary)
+        if not bset:
+            raise InvalidBoundaryError("boundary must be nonempty")
+        interior = [v for v in range(n) if v not in bset]
+        if len(_bfs(adj_lists, interior[:1], blocked=bset)[0]) < len(interior):
+            raise DisconnectedInteriorError(
+                f"interior {interior} induces a disconnected subgraph"
+            )
+    if len(bset) == n:
+        raise EmptyInteriorError("boundary covers every vertex; interior is empty")
+
+    adj = tuple(tuple(sorted(neigh)) for neigh in adj_lists)
+    interior = tuple(v for v in range(n) if v not in bset)
+    return TreeWithBoundary(n=n, edges=tuple(sorted(seen)), boundary=bset, adj=adj, interior=interior)
+
+
+def reference_parse_edge_list_text(text):
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise NotATreeError("empty edge-list input")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise NotATreeError(f"first line must be the vertex count, got {lines[0]!r}")
+    if len(lines) < n:
+        raise NotATreeError(f"expected {n - 1} edge lines after the header")
+    edges = []
+    for ln in lines[1:n]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise NotATreeError(f"edge line must be 'u v', got {ln!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    boundary = None
+    rest = lines[n:]
+    if rest:
+        if len(rest) != 1 or not rest[0].startswith("B:"):
+            raise NotATreeError(f"unexpected trailing content: {rest!r}")
+        boundary = [int(tok) for tok in rest[0][2:].split()]
+    return reference_from_edge_list(n, edges, boundary)
+
+
+def _reference_rooted_code(tree, root):
+    order, parent, _ = _bfs(tree.adj, [root])
+    codes = {}
+    for v in reversed(order):
+        children = (codes[w] for w in tree.adj[v] if w != parent[v])
+        codes[v] = _vertex_code(v in tree.boundary, children)
+    return codes[root]
+
+
+def reference_canonical_code(tree):
+    cs = _centers(tree.adj)
+    return CanonicalCode(min(_reference_rooted_code(tree, c) for c in cs))
+
+
+def outcome(build, *args):
+    """What a call does: ("ok", its result) or ("raises", the error's type
+    and message)."""
+    try:
+        return "ok", build(*args)
+    except Exception as exc:
+        return "raises", (type(exc), str(exc))
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fktrees.enumeration as enumeration_module
+import fktrees.trees as trees_module
 import fktrees.verify as verify_module
 from fktrees import (
     TIE_TOL,
@@ -44,15 +45,16 @@ from fktrees.verify import (
 from fktrees.enumeration import (
     _CHUNK,
     HARD_CAP,
+    _bicentral_sequence,
     _cells,
     _chunks,
     _composed_invariants,
     _composed_sequence,
     _level_sequences,
     _read_sequence,
+    _root_sequence,
     _rooted,
     _sequence_edges,
-    _wrom_sequence,
 )
 from fktrees.io import dumps
 from fktrees.spectral import _sequence_lambdas
@@ -274,6 +276,25 @@ def test_composed_sequences_are_the_generator_sequences():
         assert set(named) == set(_level_sequences(n)), n
 
 
+def _wrom_sequence(adj):
+    """The level sequence _level_sequences yields for the isomorphism class
+    of the tree with adjacency lists adj, n >= 3, in any labelling: the
+    canonical rooting at its centre, or at the one of two centres
+    _bicentral_sequence keeps.  One BFS from the centres roots each half
+    at its centre; below each vertex are its subtrees in descending order
+    of their own canonical sequences, the form _next_rooted generates.
+    The oracle of the composed and predicted sequences; the search runs
+    through fktrees.trees, where a test can watch it."""
+    centres = trees_module._centers(adj)
+    order, parent, _ = trees_module._bfs(adj, centres)
+    below = {}  # below[v]: the sequences of v's subtrees
+    for v in reversed(order):
+        below[v] = [_root_sequence(below[w]) for w in adj[v] if parent[w] == v]
+    if len(centres) == 1:
+        return _root_sequence(below[centres[0]])
+    return _bicentral_sequence(*(below[c] for c in centres))
+
+
 def test_composed_sequence_runs_no_search(monkeypatch):
     # the walk reads the table's sequences; it runs no BFS over a built tree
     calls = []
@@ -282,7 +303,7 @@ def test_composed_sequence_runs_no_search(monkeypatch):
         calls.append(args)
         return _bfs(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration_module, "_bfs", bfs)
+    monkeypatch.setattr(trees_module, "_bfs", bfs)
     n = 12
     table = _rooted(n // 2)
     rows = 0

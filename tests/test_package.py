@@ -1,6 +1,9 @@
-"""The package's public names: each module's __all__, and nothing else."""
+"""The package's public names: each module's __all__, and nothing else;
+and no private code that only the tests call."""
 
+import ast
 import importlib
+from pathlib import Path
 from types import ModuleType
 
 import fktrees
@@ -59,3 +62,27 @@ def test_every_module_export_resolves_on_the_package():
         module = importlib.import_module(f"fktrees.{name}")
         for export in _exported(module):
             assert getattr(fktrees, export) is getattr(module, export), (name, export)
+
+
+def _unreferenced_private_definitions(package: Path) -> list[str]:
+    """module.name of each module-level function or class with a private
+    name that no other top-level statement of the package refers to, by
+    name or as an attribute; a function calling itself is no reference."""
+    defined, referenced = [], set()
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.append((path.stem, own))
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(name, str) and name != own:
+                    referenced.add(name)
+    return [f"{module}.{name}" for module, name in defined if name not in referenced]
+
+
+def test_no_private_code_without_a_caller_in_the_package():
+    # code only the tests call belongs in tests/, beside what it checks
+    assert _unreferenced_private_definitions(Path(fktrees.__file__).parent) == []

@@ -1,6 +1,9 @@
 """Tree construction, invariants, geodesics, canonical codes, text formats."""
 
+import enum
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,7 +33,16 @@ from fktrees import (
     parse_edge_list_text,
     relabel,
 )
-from conftest import brute_force_isomorphic, random_tree
+from fktrees.trees import _centers
+from conftest import (
+    brute_force_isomorphic,
+    outcome,
+    prufer_to_edges,
+    random_tree,
+    reference_canonical_code,
+    reference_from_edge_list,
+    reference_parse_edge_list_text,
+)
 
 
 # -- construction -------------------------------------------------------------
@@ -80,6 +92,149 @@ def test_explicit_boundary_validation():
         from_edge_list(5, path, boundary=[])
     with pytest.raises(EmptyInteriorError):
         from_edge_list(5, path, boundary=[0, 1, 2, 3, 4])
+
+
+class _Id(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+_PER_EDGE_FAULTS = {"range", "bool", "enum-out", "float", "loop", "triple", "single", "scalar"}
+
+
+def _fuzzed_edges(rng):
+    """(n, edges, boundary, mutations): a random tree's edge list with up to
+    three mutations at random places, and at times an explicit boundary."""
+    n = rng.randrange(2, 11)
+    pairs = prufer_to_edges([rng.randrange(n) for _ in range(n - 2)], n) if n > 2 else [(0, 1)]
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    rng.shuffle(edges)
+    mutations = []
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        kind = rng.choice([
+            "range", "bool", "enum", "enum-out", "float", "loop", "dup", "dup", "drop",
+            "extra", "flood", "triple", "single", "scalar", "order",
+        ])
+        mutations.append(kind)
+        at = rng.randrange(len(edges) + 1)
+        u, v = rng.randrange(n), rng.randrange(n)
+        if kind == "range":
+            bad = rng.choice([n, n + 3, -1, -n, 10**30])
+            edges.insert(at, (bad, v) if rng.random() < 0.5 else (u, bad))
+        elif kind == "bool":
+            edges.insert(at, (rng.choice([True, False]), v))
+        elif kind in ("enum", "enum-out"):
+            other = rng.randrange(3, n) if n > 3 and kind == "enum" else rng.randrange(n)
+            edges.insert(at, (_Id.ONE if kind == "enum" else _Id.TWO, other))
+        elif kind == "float":
+            edges.insert(at, (float(u), v))
+        elif kind == "loop":
+            edges.insert(at, (u, u))
+        elif kind == "dup":
+            a, b = rng.choice([e for e in edges if isinstance(e, tuple) and len(e) == 2] or pairs)
+            edges.insert(at, (b, a) if rng.random() < 0.5 else (a, b))
+        elif kind == "drop" and edges:
+            del edges[rng.randrange(len(edges))]
+        elif kind == "extra":
+            edges.insert(at, (u, v if v != u else (u + 1) % n))
+        elif kind == "flood":
+            edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n + rng.randrange(2 * n))]
+        elif kind == "triple":
+            edges.insert(at, (u, v, 0))
+        elif kind == "single":
+            edges.insert(at, (u,))
+        elif kind == "scalar":
+            edges.insert(at, u)
+        elif kind == "order":
+            n += rng.choice([-1, 1])
+    boundary = None
+    if rng.random() < 0.3:
+        boundary = rng.sample(range(n + 1), rng.randrange(min(n + 1, 5)))
+        if rng.random() < 0.2:
+            boundary.append(rng.choice([True, -1, n + 2]))
+    return n, edges, boundary, mutations
+
+
+def _edge_forms(edges, rng):
+    """A factory of the same edges as a list of tuples, a list of lists, a
+    tuple or a generator: a fresh iterable on each call."""
+    form = rng.randrange(4)
+    if form == 1:
+        edges = [list(e) if isinstance(e, tuple) else e for e in edges]
+    if form == 2:
+        return lambda: tuple(edges)
+    if form == 3:
+        return lambda: (e for e in edges)
+    return lambda: list(edges)
+
+
+def test_from_edge_list_matches_the_reference():
+    rng = random.Random(2107)
+    messages, precedence = {}, set()
+    for _ in range(4000):
+        n, edges, boundary, mutations = _fuzzed_edges(rng)
+        make = _edge_forms(edges, rng)
+        want = outcome(reference_from_edge_list, n, make(), boundary)
+        got = outcome(from_edge_list, n, make(), boundary)
+        assert got[0] == want[0], (n, edges, boundary, got, want)
+        if want[0] == "raises":
+            assert got == want, (n, edges, boundary)
+            prefix = want[1][1].split(" ")[0]
+            messages[prefix] = messages.get(prefix, 0) + 1
+            faults = _PER_EDGE_FAULTS.intersection(mutations)
+            if "dup" in mutations and faults:
+                precedence.add("duplicate first" if want[1][1].startswith("duplicate") else "fault first")
+        else:
+            tree, ref = got[1], want[1]
+            assert tree == ref and tree.adj == ref.adj
+            assert tree.edges == ref.edges and tree.boundary == ref.boundary
+            assert tree.interior == ref.interior
+            messages["ok"] = messages.get("ok", 0) + 1
+    # every error of from_edge_list, and a duplicate both before and after
+    # another fault of the same list
+    for prefix in ("ok", "vertex", "self-loop", "duplicate", "a", "graph", "need", "boundary",
+                   "interior", "too", "not", "cannot"):
+        assert messages.get(prefix, 0) >= 10, (prefix, messages)
+    assert precedence == {"duplicate first", "fault first"}
+
+
+def test_a_repeated_edge_ends_a_long_edge_stream():
+    # the edges of K4 over and over: n edges are no tree, and the reading
+    # stops at the first repeat, as a check against all earlier edges does
+    k4 = list(itertools.combinations(range(4), 2))
+    for n, stream in ((3, lambda: itertools.repeat((0, 1))), (4, lambda: itertools.cycle(k4))):
+        want = outcome(reference_from_edge_list, n, stream())
+        assert outcome(from_edge_list, n, stream()) == want
+        assert want[1][1].startswith("duplicate edge")
+
+
+def test_edge_count_is_checked_before_allocating_vertices():
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotATreeError, match="has 999999999 edges, got 1"):
+            from_edge_list(10**9, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_interior_is_computed_once():
+    t = build_T(3, 2, 3)
+    assert t.interior is t.interior
+    assert t.interior == tuple(v for v in range(t.n) if v not in t.boundary)
+
+
+def test_a_built_tree_holds_one_int_object_per_vertex():
+    # ids past the small-int cache, parsed afresh on every line: the tree
+    # keeps one object per vertex, whichever list of edges named it
+    n = 1000
+    tree = parse_edge_list_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    objects = {id(v) for v in tree.interior}
+    objects.update(id(v) for neigh in tree.adj for v in neigh)
+    objects.update(id(v) for edge in tree.edges for v in edge)
+    objects.update(id(v) for v in tree.boundary)
+    assert len(objects) == n
 
 
 def test_every_tree_has_n_minus_1_edges_and_is_connected(rng):
@@ -247,6 +402,45 @@ def test_codes_are_ordered_bytes():
     assert c.text == c.code.decode("ascii")
 
 
+def _random_boundary_tree(rng, n):
+    """A random tree on n vertices, with its leaves as the boundary or with
+    some interior vertices added to it where the interior stays connected."""
+    tree = random_tree(rng, n)
+    if rng.random() < 0.5:
+        extra = rng.sample(tree.interior, rng.randrange(len(tree.interior)))
+        got = outcome(from_edge_list, n, tree.edges, [*tree.boundary, *extra])
+        if got[0] == "ok":
+            return got[1]
+    return tree
+
+
+def test_canonical_code_matches_the_reference():
+    rng = random.Random(21)
+    centres = {1: 0, 2: 0}
+    for _ in range(1500):
+        tree = _random_boundary_tree(rng, rng.randrange(3, 40))
+        centres[len(_centers(tree.adj))] += 1
+        assert canonical_code(tree) == reference_canonical_code(tree)
+    for tree in (build_path(2000), build_path(2001), build_T(40, 3, 50)):
+        assert canonical_code(tree) == reference_canonical_code(tree)
+    assert min(centres.values()) >= 500, centres
+
+
+def test_canonical_code_memory_is_linear_on_a_long_path():
+    # the codes held at once are of disjoint subtrees; keeping every
+    # vertex's code until the root's took 288 MB here
+    path = build_path(20_001)
+    tracemalloc.start()
+    try:
+        code = canonical_code(path).code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arm = b"(0" * 9_999 + b"(1)" + b")" * 9_999  # from the centre to a leaf
+    assert code == b"(0" + arm + arm + b")"
+    assert peak < 20 * 2**20
+
+
 # -- text formats ---------------------------------------------------------------
 
 def test_edge_list_round_trip():
@@ -270,6 +464,60 @@ def test_edge_list_rejects_garbage():
         parse_edge_list_text("3\n0 1\n1 2\nextra stuff\n")
     with pytest.raises(NotATreeError):
         parse_edge_list_text("x\n")
+
+
+def _fuzzed_edge_text(rng):
+    """A random tree's edge-list text with up to two mutations: blank and
+    padded lines, bad token counts, bad numbers, bad headers, missing or
+    extra lines, and B: lines good and bad."""
+    n = rng.randrange(3, 9)
+    tree = random_tree(rng, n)
+    lines = [str(n)] + [f"{u} {v}" for u, v in tree.edges]
+    if rng.random() < 0.3:
+        lines.append("B: " + " ".join(map(str, sorted(tree.boundary))))
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        at = rng.randrange(len(lines) + 1)
+        kind = rng.randrange(12)
+        if kind == 0:
+            lines.insert(at, rng.choice(["", "   ", "\t"]))
+        elif kind == 1 and at < len(lines):
+            lines[at] = "  " + lines[at].replace(" ", rng.choice(["  ", "\t", " \t "])) + " "
+        elif kind == 2:
+            lines.insert(at, rng.choice(["1", "1 2 3", "4 5 6 7"]))
+        elif kind == 3:
+            lines.insert(at, rng.choice(["x y", "1 y", "1.5 2", "0x1 2", "1 -"]))
+        elif kind == 4:
+            lines[0] = rng.choice(["x", "3.0", "-1", "0", "1", str(n + 1), str(n - 1), "  "])
+        elif kind == 5 and len(lines) > 1:
+            del lines[rng.randrange(1, len(lines))]
+        elif kind == 6:
+            lines.append(rng.choice(["trailing", "B: 0", "B:", "B: x", "B: 0 99"]))
+        elif kind == 7:
+            lines.insert(at, f"{rng.randrange(n)} {rng.randrange(n)}")
+        elif kind == 8:
+            lines.append("B: " + " ".join(str(rng.randrange(n)) for _ in range(rng.randrange(1, n))))
+    sep = rng.choice(["\n", "\r\n"])
+    return sep.join(lines) + rng.choice(["", "\n", "\n\n"])
+
+
+def test_parse_edge_list_text_matches_the_reference():
+    rng = random.Random(7)
+    kinds = {}
+    for _ in range(3000):
+        text = _fuzzed_edge_text(rng)
+        want = outcome(reference_parse_edge_list_text, text)
+        got = outcome(parse_edge_list_text, text)
+        assert got[0] == want[0], (text, got, want)
+        if want[0] == "raises":
+            assert got == want, text
+            key = want[1][0].__name__ + ":" + want[1][1].split(" ")[0]
+        else:
+            assert got[1] == want[1] and got[1].adj == want[1].adj
+            key = "ok"
+        kinds[key] = kinds.get(key, 0) + 1
+    for key in ("ok", "NotATreeError:edge", "NotATreeError:first", "NotATreeError:expected",
+                "NotATreeError:unexpected", "ValueError:invalid", "InvalidVertexError:vertex"):
+        assert kinds.get(key, 0) >= 10, (key, kinds)
 
 
 def test_graph6_matches_networkx_oracle(rng):
