@@ -28,7 +28,7 @@ from .enumeration import (
 )
 from .errors import EmptyClassError, FKTreesError
 from .families import build_T, build_comet, build_fork, build_star
-from .spectral import build_path, eigenvalue_bounds, first_eigenpair
+from .spectral import DEFAULT_TOL, build_path, eigenvalue_bounds, first_eigenpair
 from .trees import canonical_code, format_edge_list_text
 from .verify import (
     THEOREMS,
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigen", help="first Dirichlet eigenpair of a tree")
     p.add_argument("--tree", required=True, help="edge-list file")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common(p)
 
     p = sub.add_parser("family", help="construct a named extremal family member")
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="diameter/leaf-count eigenvalue sandwich")
     p.add_argument("--tree", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common(p)
 
     return parser

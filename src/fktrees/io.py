@@ -2,7 +2,9 @@
 
 Certificates and spectra must be byte-identical across reruns, so floats are
 always printed with 17 significant digits (enough to round-trip a double)
-and key order is the insertion order of the dicts built here.
+and key order is the insertion order of the dicts built here.  One recursive
+function, dumps, writes every value; an array of floats, of ints or of edge
+pairs is written with one join.
 """
 
 from __future__ import annotations
@@ -40,49 +42,28 @@ def _float_repr(x: float) -> str:
 
 def dumps(obj: Any) -> str:
     """Canonical single-line JSON: floats at 17 significant digits."""
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
-
-
-def _emit(obj: Any, out: list[str]) -> None:
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_float_repr(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)) and (flat := _flat_array(obj)) is not None:
-        out.append(flat)
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _float_repr(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join([f"{json.dumps(str(k))}:{dumps(v)}" for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return _flat_array(obj) or "[" + ",".join(map(dumps, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _flat_array(items: list | tuple) -> str | None:
     """The JSON of an array of floats, of ints or of [int, int] pairs (an
-    eigenfunction, a boundary, an edge list) in one join, as _emit writes
+    eigenfunction, a boundary, an edge list) in one join, as dumps writes
     it item by item; None for any other array."""
     kinds = set(map(type, items))
     if kinds == {float}:

@@ -13,14 +13,16 @@ written with f meaning the zero-extension.  Under the respective ordering
 hypotheses each delta is <= 0, which is how a positive ground state drives a
 tree toward the extremal family.
 
-Every operation validates the hypotheses of its underlying statement and
-returns a brand-new tree; inputs are never mutated.
+Every operation validates the hypotheses of its underlying statement, in
+its own order and with its own messages, then hands the edge substitution
+and its delta to one routine that rebuilds the tree and evaluates the delta.
+Each returns a brand-new tree; inputs are never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,25 +69,39 @@ def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _apply(
+def _rewrite(
     tree: TreeWithBoundary,
-    removed: Sequence[Edge],
-    inserted: Sequence[Edge],
-) -> TreeWithBoundary:
-    """Rebuild the tree with the substituted edges and the same boundary."""
-    edges = set(tree.edges)
-    for e in removed:
-        edges.discard(_norm(*e))
-    for e in inserted:
-        edges.add(_norm(*e))
+    kind: str,
+    removed: tuple[Edge, ...],
+    inserted: tuple[Edge, ...],
+    witness: tuple[int, ...],
+    f: Sequence[float] | None,
+    delta: Callable[[np.ndarray], float],
+) -> tuple[TreeWithBoundary, EdgeRewrite]:
+    """Rebuild the tree with the substituted edges and the same boundary,
+    and record the rewrite with delta of f's zero-extension (None without f).
+
+    The edge set and the boundary go to from_edge_list unsorted, as no error
+    it can raise here depends on their order.  Each move's has_edge checks
+    have range-checked every id, its hypotheses keep every inserted edge
+    from being a loop or an edge of the tree, and a set holds no repeat.
+    An id that only equals a vertex (a float, a bool, a numpy int) passes
+    has_edge, but geodesic_path rejects it as v1 or v2, so at most one
+    inserted edge holds one: at most one edge can fail the per-edge checks,
+    and what is left ("graph is disconnected" and the interior errors)
+    names no edge.
+    """
+    edges = set(tree.edges).difference(removed).union(inserted)
     try:
-        return from_edge_list(tree.n, sorted(edges), sorted(tree.boundary))
+        new_tree = from_edge_list(tree.n, edges, tree.boundary)
     except (DisconnectedInteriorError, EmptyInteriorError) as exc:
         raise PreconditionViolatedError(
             f"rewrite leaves an invalid interior: {exc}"
         ) from exc
     except Exception as exc:
         raise ResultNotTreeError(str(exc)) from exc
+    d = None if f is None else delta(zero_extension(tree, f))
+    return new_tree, EdgeRewrite(kind, removed, inserted, witness, d)
 
 
 def switching(
@@ -113,14 +129,10 @@ def switching(
         raise PreconditionViolatedError(f"u2 = {u2} is not on the v1-v2 path")
     if u1 in path:
         raise PreconditionViolatedError(f"u1 = {u1} lies on the v1-v2 path")
-    removed = (_norm(v1, u1), _norm(v2, u2))
-    inserted = (_norm(v1, v2), _norm(u1, u2))
-    new_tree = _apply(tree, removed, inserted)
-    delta = None
-    if f is not None:
-        fh = zero_extension(tree, f)
-        delta = 2.0 * (fh[v1] - fh[u2]) * (fh[u1] - fh[v2])
-    return new_tree, EdgeRewrite("switching", removed, inserted, (v1, v2, u1, u2), delta)
+    return _rewrite(
+        tree, "switching", (_norm(v1, u1), _norm(v2, u2)), (_norm(v1, v2), _norm(u1, u2)),
+        (v1, v2, u1, u2), f, lambda fh: 2.0 * (fh[v1] - fh[u2]) * (fh[u1] - fh[v2]),
+    )
 
 
 def shifting(
@@ -142,14 +154,10 @@ def shifting(
         raise PreconditionViolatedError(f"uv1 = ({u}, {v1}) is not an edge")
     if u in set(geodesic_path(tree, v1, v2)):
         raise PreconditionViolatedError(f"u = {u} lies on the v1-v2 path")
-    removed = (_norm(u, v1),)
-    inserted = (_norm(u, v2),)
-    new_tree = _apply(tree, removed, inserted)
-    delta = None
-    if f is not None:
-        fh = zero_extension(tree, f)
-        delta = (fh[u] - fh[v2]) ** 2 - (fh[u] - fh[v1]) ** 2
-    return new_tree, EdgeRewrite("shifting", removed, inserted, (v1, v2, u), delta)
+    return _rewrite(
+        tree, "shifting", (_norm(u, v1),), (_norm(u, v2),),
+        (v1, v2, u), f, lambda fh: (fh[u] - fh[v2]) ** 2 - (fh[u] - fh[v1]) ** 2,
+    )
 
 
 def jumping(
@@ -177,14 +185,10 @@ def jumping(
         raise PreconditionViolatedError(f"u = {u} is not on the v1-v2 path")
     if u not in contact_set(tree):
         raise PreconditionViolatedError(f"u = {u} has no boundary neighbor")
-    removed = (_norm(u, v1),)
-    inserted = (_norm(v1, v2),)
-    new_tree = _apply(tree, removed, inserted)
-    delta = None
-    if f is not None:
-        fh = zero_extension(tree, f)
-        delta = (fh[u] - fh[v2]) * (2.0 * fh[v1] - fh[u] - fh[v2])
-    return new_tree, EdgeRewrite("jumping", removed, inserted, (v1, v2, u), delta)
+    return _rewrite(
+        tree, "jumping", (_norm(u, v1),), (_norm(v1, v2),),
+        (v1, v2, u), f, lambda fh: (fh[u] - fh[v2]) * (2.0 * fh[v1] - fh[u] - fh[v2]),
+    )
 
 
 def admissible_switchings(

@@ -406,6 +406,7 @@ def parse_edge_list_text(text: str) -> TreeWithBoundary:
         edges.append((int(parts[0]), int(parts[1])))
     boundary = None
     rest = lines[n:]
+    del lines  # one str per line, freed before the tree is built
     if rest:
         if len(rest) != 1 or not rest[0].startswith("B:"):
             raise NotATreeError(f"unexpected trailing content: {rest!r}")
@@ -438,40 +439,23 @@ def from_graph6(data: bytes | str) -> TreeWithBoundary:
         raise NotATreeError("sparse6/digraph6 input is not supported")
     if not data:
         raise NotATreeError("empty graph6 input")
-
-    def sextets(raw: bytes) -> list[int]:
-        vals = []
-        for byte in raw:
-            if not 63 <= byte <= 126:
-                raise NotATreeError(f"invalid graph6 byte {byte}")
-            vals.append(byte - 63)
-        return vals
-
-    if data[0] == 126:  # '~'
-        if len(data) >= 2 and data[1] == 126:
-            chunk, data = sextets(data[2:8]), data[8:]
-        else:
-            chunk, data = sextets(data[1:4]), data[4:]
-        n = 0
-        for c in chunk:
-            n = (n << 6) | c
+    for byte in data:
+        if not 63 <= byte <= 126:
+            raise NotATreeError(f"invalid graph6 byte {byte}")
+    sextets = [byte - 63 for byte in data]
+    # n takes one sextet below 63, else 3 after one 63, else 6 after two
+    if sextets[0] < 63:
+        size, start = sextets[:1], 1
+    elif sextets[1:2] == [63]:
+        size, start = sextets[2:8], 8
     else:
-        n = data[0] - 63
-        data = data[1:]
-
-    bits_needed = n * (n - 1) // 2
-    vals = sextets(data)
-    if len(vals) * 6 < bits_needed:
+        size, start = sextets[1:4], 4
+    n = 0
+    for c in size:
+        n = (n << 6) | c
+    bits = "".join([format(c, "06b") for c in sextets[start:]])
+    if len(bits) < n * (n - 1) // 2:
         raise NotATreeError("graph6 input truncated")
-    bits = []
-    for c in vals:
-        for k in range(5, -1, -1):
-            bits.append((c >> k) & 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return from_edge_list(n, edges)
+    # the upper triangle, column by column: (0, 1), (0, 2), (1, 2), ...
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return from_edge_list(n, [e for e, bit in zip(pairs, bits) if bit == "1"])

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
+import math
 import random
 
 import pytest
@@ -19,7 +21,11 @@ from fktrees.errors import (
     EmptyInteriorError,
     InvalidBoundaryError,
     NotATreeError,
+    PreconditionViolatedError,
+    ResultNotTreeError,
 )
+from fktrees.spectral import zero_extension
+from fktrees.transforms import EdgeRewrite
 from fktrees.trees import (
     CanonicalCode,
     TreeWithBoundary,
@@ -257,6 +263,190 @@ def _reference_rooted_code(tree, root):
 def reference_canonical_code(tree):
     cs = _centers(tree.adj)
     return CanonicalCode(min(_reference_rooted_code(tree, c) for c in cs))
+
+
+# -- reference JSON writer, edge rewrites and graph6 decoder ------------------
+# The versions that wrote JSON into an accumulator list (here item by item,
+# without the one-join arrays), rebuilt each rewrite from sorted edges, and
+# decoded graph6 through a nested sextet helper.  The oracles of the one
+# recursive dumps, the one rewrite routine and the one-pass from_graph6.
+
+def _reference_float_repr(x):
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"non-finite float {x!r} cannot be serialized")
+    s = format(x, ".17g")
+    if "e" not in s and "E" not in s and "." not in s:
+        s += ".0"
+    return s
+
+
+def reference_dumps(obj):
+    parts = []
+    _reference_emit(obj, parts)
+    return "".join(parts)
+
+
+def _reference_emit(obj, out):
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_reference_float_repr(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(k)))
+            out.append(":")
+            _reference_emit(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _reference_emit(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _norm(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _reference_apply(tree, removed, inserted):
+    edges = set(tree.edges)
+    for e in removed:
+        edges.discard(_norm(*e))
+    for e in inserted:
+        edges.add(_norm(*e))
+    try:
+        return from_edge_list(tree.n, sorted(edges), sorted(tree.boundary))
+    except (DisconnectedInteriorError, EmptyInteriorError) as exc:
+        raise PreconditionViolatedError(
+            f"rewrite leaves an invalid interior: {exc}"
+        ) from exc
+    except Exception as exc:
+        raise ResultNotTreeError(str(exc)) from exc
+
+
+def reference_switching(tree, v1, v2, u1, u2, f=None):
+    if v1 == v2 or tree.has_edge(v1, v2):
+        raise PreconditionViolatedError(f"switching needs v1 !~ v2, got {v1}, {v2}")
+    if not tree.has_edge(v1, u1):
+        raise PreconditionViolatedError(f"v1u1 = ({v1}, {u1}) is not an edge")
+    if not tree.has_edge(v2, u2):
+        raise PreconditionViolatedError(f"v2u2 = ({v2}, {u2}) is not an edge")
+    path = set(geodesic_path(tree, v1, v2))
+    if u2 not in path:
+        raise PreconditionViolatedError(f"u2 = {u2} is not on the v1-v2 path")
+    if u1 in path:
+        raise PreconditionViolatedError(f"u1 = {u1} lies on the v1-v2 path")
+    removed = (_norm(v1, u1), _norm(v2, u2))
+    inserted = (_norm(v1, v2), _norm(u1, u2))
+    new_tree = _reference_apply(tree, removed, inserted)
+    delta = None
+    if f is not None:
+        fh = zero_extension(tree, f)
+        delta = 2.0 * (fh[v1] - fh[u2]) * (fh[u1] - fh[v2])
+    return new_tree, EdgeRewrite("switching", removed, inserted, (v1, v2, u1, u2), delta)
+
+
+def reference_shifting(tree, v1, v2, u, f=None):
+    if v1 == v2:
+        raise PreconditionViolatedError("shifting needs v1 != v2")
+    if not tree.has_edge(u, v1):
+        raise PreconditionViolatedError(f"uv1 = ({u}, {v1}) is not an edge")
+    if u in set(geodesic_path(tree, v1, v2)):
+        raise PreconditionViolatedError(f"u = {u} lies on the v1-v2 path")
+    removed = (_norm(u, v1),)
+    inserted = (_norm(u, v2),)
+    new_tree = _reference_apply(tree, removed, inserted)
+    delta = None
+    if f is not None:
+        fh = zero_extension(tree, f)
+        delta = (fh[u] - fh[v2]) ** 2 - (fh[u] - fh[v1]) ** 2
+    return new_tree, EdgeRewrite("shifting", removed, inserted, (v1, v2, u), delta)
+
+
+def reference_jumping(tree, v1, v2, u, f=None):
+    interior = set(tree.interior)
+    if v1 not in interior or v2 not in interior:
+        raise PreconditionViolatedError("jumping needs interior v1 and v2")
+    if v1 == v2 or tree.has_edge(v1, v2):
+        raise PreconditionViolatedError(f"jumping needs v1 !~ v2, got {v1}, {v2}")
+    if not tree.has_edge(u, v1):
+        raise PreconditionViolatedError(f"uv1 = ({u}, {v1}) is not an edge")
+    if u not in set(geodesic_path(tree, v1, v2)):
+        raise PreconditionViolatedError(f"u = {u} is not on the v1-v2 path")
+    if u not in contact_set(tree):
+        raise PreconditionViolatedError(f"u = {u} has no boundary neighbor")
+    removed = (_norm(u, v1),)
+    inserted = (_norm(v1, v2),)
+    new_tree = _reference_apply(tree, removed, inserted)
+    delta = None
+    if f is not None:
+        fh = zero_extension(tree, f)
+        delta = (fh[u] - fh[v2]) * (2.0 * fh[v1] - fh[u] - fh[v2])
+    return new_tree, EdgeRewrite("jumping", removed, inserted, (v1, v2, u), delta)
+
+
+def reference_from_graph6(data):
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    data = data.strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    if data.startswith(b":") or data.startswith(b"&"):
+        raise NotATreeError("sparse6/digraph6 input is not supported")
+    if not data:
+        raise NotATreeError("empty graph6 input")
+
+    def sextets(raw):
+        vals = []
+        for byte in raw:
+            if not 63 <= byte <= 126:
+                raise NotATreeError(f"invalid graph6 byte {byte}")
+            vals.append(byte - 63)
+        return vals
+
+    if data[0] == 126:  # '~'
+        if len(data) >= 2 and data[1] == 126:
+            chunk, data = sextets(data[2:8]), data[8:]
+        else:
+            chunk, data = sextets(data[1:4]), data[4:]
+        n = 0
+        for c in chunk:
+            n = (n << 6) | c
+    else:
+        n = data[0] - 63
+        data = data[1:]
+
+    bits_needed = n * (n - 1) // 2
+    vals = sextets(data)
+    if len(vals) * 6 < bits_needed:
+        raise NotATreeError("graph6 input truncated")
+    bits = []
+    for c in vals:
+        for k in range(5, -1, -1):
+            bits.append((c >> k) & 1)
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return from_edge_list(n, edges)
 
 
 def outcome(build, *args):

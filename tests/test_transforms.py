@@ -1,8 +1,10 @@
 """Edge rewrites: preconditions, exact numerator deltas, class preservation."""
 
+import numpy as np
 import pytest
 
 from fktrees import (
+    FKTreesError,
     PreconditionViolatedError,
     build_path,
     build_star,
@@ -10,6 +12,7 @@ from fktrees import (
     contact_set,
     first_eigenpair,
     free_trees,
+    from_edge_list,
     geodesic_path,
     rayleigh_quotient,
 )
@@ -21,7 +24,16 @@ from fktrees.transforms import (
     switching,
 )
 from fktrees.spectral import zero_extension
-from conftest import jump_moves, random_tree, shift_moves, switch_moves
+from conftest import (
+    jump_moves,
+    outcome,
+    random_tree,
+    reference_jumping,
+    reference_shifting,
+    reference_switching,
+    shift_moves,
+    switch_moves,
+)
 
 
 def positive_f(rng, tree):
@@ -263,3 +275,87 @@ def test_strictness_margin_ignores_boundary_only_slack():
             assert strictness_margin(t, fh, v1, v2, u1, u2) <= max(
                 fh[v2] - fh[u1], 0.0
             ) + 1e-15
+
+
+# -- the one rewrite routine against the reference --------------------------------
+
+def _random_boundary_tree(rng, n):
+    """A random tree with leaf boundary, or with an explicit boundary: some
+    of its leaves and some inner vertices, redrawn until the interior is
+    nonempty and connected."""
+    tree = random_tree(rng, n)
+    if rng.random() < 0.5:
+        return tree
+    inner = [v for v in range(n) if v not in tree.boundary]
+    for _ in range(20):
+        boundary = rng.sample(sorted(tree.boundary), rng.randrange(1, len(tree.boundary) + 1))
+        boundary += rng.sample(inner, rng.randrange(len(inner)))
+        try:
+            return from_edge_list(n, tree.edges, boundary)
+        except FKTreesError:
+            pass
+    return tree
+
+
+def _assert_same_rewrite(got, want, case):
+    assert got[0] == want[0], case
+    if want[0] == "raises":
+        assert got == want, case
+        return
+    (tree, rw), (ref_tree, ref_rw) = got[1], want[1]
+    assert tree == ref_tree and tree.edges == ref_tree.edges, case
+    assert tree.boundary == ref_tree.boundary and tree.adj == ref_tree.adj, case
+    assert tree.interior == ref_tree.interior, case
+    assert rw.kind == ref_rw.kind and rw.witness == ref_rw.witness, case
+    assert rw.removed == ref_rw.removed and rw.inserted == ref_rw.inserted, case
+    # a bool id indexes the zero-extension as a mask, so delta can be an array
+    assert type(rw.delta) is type(ref_rw.delta), case
+    if rw.delta is not None:
+        assert np.shape(rw.delta) == np.shape(ref_rw.delta), case
+        assert np.asarray(rw.delta).tobytes() == np.asarray(ref_rw.delta).tobytes(), case
+
+
+def test_rewrites_match_the_reference(rng):
+    """Every structurally admissible switching, admissible shifts and jumps,
+    each of those with one id disguised as a float, a bool or a numpy int,
+    and random ids, valid or not (out of range, negative, float, bool, numpy
+    and None ids): equal trees and deltas bit for bit, or the same error
+    type and message."""
+    moves = {
+        "switching": (switching, reference_switching, switch_moves, 4),
+        "shifting": (shifting, reference_shifting, shift_moves, 3),
+        "jumping": (jumping, reference_jumping, jump_moves, 3),
+    }
+    kinds = {}
+    for _ in range(16):
+        tree = _random_boundary_tree(rng, rng.randrange(3, 41))
+        n = tree.n
+        odd_ids = [-1, n, n + 3, 1.0, 2.5, True, np.int64(rng.randrange(n)), None]
+        for kind, (move, reference, admissible, arity) in moves.items():
+            cases = admissible(tree)
+            if kind != "switching":
+                cases = rng.sample(cases, min(len(cases), 30))
+            for ids in rng.sample(cases, min(len(cases), 20)):
+                ids = list(ids)
+                i = rng.randrange(arity)
+                ids[i] = rng.choice([float(ids[i]), np.int64(ids[i]), ids[i] == 1])
+                cases.append(tuple(ids))
+            for _ in range(30):
+                ids = [rng.randrange(n) for _ in range(arity)]
+                if rng.random() < 0.3:
+                    ids[rng.randrange(arity)] = rng.choice(odd_ids)
+                cases.append(tuple(ids))
+            for ids in cases:
+                roll = rng.random()
+                f = None if roll < 0.3 else positive_f(rng, tree)
+                if roll > 0.95:
+                    f = f[1:]  # one entry short
+                want = outcome(reference, tree, *ids, f)
+                _assert_same_rewrite(outcome(move, tree, *ids, f), want, (kind, tree, ids))
+                key = want[0] if want[0] == "ok" else want[1][0].__name__
+                kinds[kind, key] = kinds.get((kind, key), 0) + 1
+    for kind in moves:
+        for key in ("ok", "PreconditionViolatedError", "ValueError"):
+            assert kinds.get((kind, key), 0) >= 10, kinds
+    for key in ("InvalidVertexError", "TypeError", "ResultNotTreeError"):
+        assert sum(c for (_, k), c in kinds.items() if k == key) >= 10, kinds

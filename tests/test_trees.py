@@ -41,6 +41,7 @@ from conftest import (
     random_tree,
     reference_canonical_code,
     reference_from_edge_list,
+    reference_from_graph6,
     reference_parse_edge_list_text,
 )
 
@@ -520,6 +521,20 @@ def test_parse_edge_list_text_matches_the_reference():
         assert kinds.get(key, 0) >= 10, (key, kinds)
 
 
+def test_parsing_frees_the_lines_before_building_the_tree():
+    # a 50,000-vertex path's tree holds 8.1 MiB; with its text's lines
+    # alive while the tree was built, parsing peaked at 2.85 times that
+    text = format_edge_list_text(build_path(50_000))
+    tracemalloc.start()
+    try:
+        tree = parse_edge_list_text(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.n == 50_000
+    assert peak <= 2.7 * held
+
+
 def test_graph6_matches_networkx_oracle(rng):
     for _ in range(30):
         n = rng.randrange(3, 12)
@@ -541,6 +556,96 @@ def test_graph6_rejects_non_trees_and_sparse6():
         from_graph6(nx.to_graph6_bytes(g, header=False))
     with pytest.raises(NotATreeError):
         from_graph6(b":Fa@x^")
+
+
+def test_graph6_checks_the_size_byte():
+    for data, byte in ((b"!", 33), (b"!" + b"?" * 80, 33), (bytes([127]), 127)):
+        with pytest.raises(NotATreeError, match=f"^invalid graph6 byte {byte}$"):
+            from_graph6(data)
+
+
+def _graph6(n, edges, form):
+    """graph6 bytes of a graph, its order written in one, 1 + 3 or 2 + 6
+    size bytes (the longer forms are valid for a small n too)."""
+    width = {"short": 1, "long3": 3, "long6": 6}[form]
+    size = [(n >> (6 * k)) & 63 for k in reversed(range(width))]
+    bits = [(i, j) in edges for j in range(1, n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    body = [sum(b << (5 - k) for k, b in enumerate(bits[i : i + 6])) for i in range(0, len(bits), 6)]
+    prefix = {"short": [], "long3": [63], "long6": [63, 63]}[form]
+    return bytes(c + 63 for c in prefix + size + body)
+
+
+def _fuzzed_graph6(rng):
+    """A random tree's or graph's graph6 bytes with up to two mutations:
+    a byte replaced (size bytes too), a bit flipped, the input cut short or
+    lengthened; sometimes with the header, padding, as str, or empty or
+    sparse6 input."""
+    n = rng.randrange(70)
+    if n >= 3 and rng.random() < 0.7:
+        edges = set(random_tree(rng, n).edges)
+    else:
+        edges = {(i, j) for j in range(1, n) for i in range(j) if rng.random() < 3 / n}
+    form = rng.choice(["long3", "long6"] + ["short"] * 4 * (n < 63))
+    data = bytearray(_graph6(n, edges, form))
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        kind = rng.randrange(4)
+        if kind == 0 and data:
+            data[rng.randrange(len(data))] = rng.choice([rng.randrange(256), rng.randrange(63, 127)])
+        elif kind == 1 and data:
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(6)
+        elif kind == 2:
+            del data[rng.randrange(len(data) + 1) :]
+        else:
+            data += bytes(rng.randrange(63, 127) for _ in range(rng.randrange(1, 4)))
+    data = bytes(data)
+    roll = rng.random()
+    if roll < 0.1:
+        data = b">>graph6<<" + data
+    elif roll < 0.2:
+        data = b" \n" + data + b"\n"
+    elif roll < 0.3:
+        data = data.decode("latin-1")
+    elif roll < 0.33:
+        data = rng.choice([b"", b"  ", b">>graph6<<", b":Fa@x^", b"&C?", b"~", b"~~"])
+    return data
+
+
+def _size_byte(data):
+    """The first byte from_graph6 reads n from, None where it stops earlier."""
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    data = data.strip().removeprefix(b">>graph6<<")
+    if not data or data[:1] in (b":", b"&"):
+        return None
+    return data[0]
+
+
+def test_from_graph6_matches_the_reference():
+    # inputs whose size byte is out of range are left out: they raise
+    # "invalid graph6 byte" now, and read a wrong n in the reference
+    rng = random.Random(6)
+    kinds = {}
+    for _ in range(4000):
+        data = _fuzzed_graph6(rng)
+        if _size_byte(data) is not None and not 63 <= _size_byte(data) <= 126:
+            continue
+        want = outcome(reference_from_graph6, data)
+        got = outcome(from_graph6, data)
+        assert got[0] == want[0], (data, got, want)
+        if want[0] == "raises":
+            assert got == want, data
+            key = f"{want[1][0].__name__}:{want[1][1].split()[0]}"
+        else:
+            assert got[1] == want[1] and got[1].adj == want[1].adj, data
+            key = "ok"
+        kinds[key] = kinds.get(key, 0) + 1
+    for key in ("ok", "NotATreeError:invalid", "NotATreeError:graph6", "NotATreeError:a",
+                "NotATreeError:graph", "NotATreeError:need", "NotATreeError:empty",
+                "NotATreeError:sparse6/digraph6", "UnicodeEncodeError:'ascii'"):
+        assert kinds.get(key, 0) >= 10, (key, kinds)
 
 
 def test_invariants_too_small():
