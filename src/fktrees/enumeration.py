@@ -7,8 +7,9 @@ Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
 Comput. 15, 1986), WROM, the one networkx implements, with the same
 labelling and order; soundness is pinned by tests against a brute-force
 labeled-tree oracle and against networkx.  Each level sequence is a bytes
-object (levels are at most HARD_CAP), the successor steps are bytes
-methods, and the trees are read one sequence at a time (_sequence_edges).
+object (a level is a byte, so n <= 511: _check_levels), the successor
+steps are bytes methods, and the trees are read one sequence at a time
+(_sequence_edges).
 
 The sweep composes its trees instead.  A free tree on n vertices has one
 centroid, whose branches all have fewer than n/2 vertices, or two adjacent
@@ -80,7 +81,14 @@ _CHUNK = 2048  # trees per chunk of a unit (_unit_chunks)
 
 _DOWN = bytes((x - 1) % 256 for x in range(256))  # translate table: level x -> x - 1
 _UP = bytes((x + 1) % 256 for x in range(256))  # level x -> x + 1
-_LEVELS = bytes(range(HARD_CAP + 1))  # _LEVELS[1:h + 2] is a path of height h
+_LEVELS = bytes(range(256))  # _LEVELS[1:h + 2] is a path of height h
+
+
+def _check_levels(n: int) -> None:
+    """A level is a byte, and a tree on n vertices rooted at a centre has
+    height at most n // 2: its level sequences fit for n <= 511."""
+    if n > 511:
+        raise CapExceededError(f"level sequences need n <= 511, got {n}")
 
 
 def _next_rooted(seq: bytes, p: int | None = None) -> bytes | None:
@@ -155,6 +163,7 @@ def free_tree_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     _sequence_edges."""
     if n < 1:
         raise TooSmallError(f"no trees on {n} vertices")
+    _check_levels(n)
     if n == 1:
         yield ()
         return

@@ -80,11 +80,6 @@ class InvalidChoiceError(FKTreesError):
     non-boundary vertex."""
 
 
-class InvalidDemotionError(FKTreesError):
-    """Demoting the requested interior vertices leaves an empty or
-    disconnected interior."""
-
-
 # -- enumeration -------------------------------------------------------------
 
 class CapExceededError(FKTreesError):

@@ -44,6 +44,7 @@ from .enumeration import (
     _LEVELS,
     ClassKey,
     _bicentral_sequence,
+    _check_levels,
     _level_sequences,
     _root_sequence,
     _sequence_edges,
@@ -278,6 +279,7 @@ def predicted_extremal(key: ClassKey) -> PredictedExtremal:
     if not key.feasible():
         raise EmptyClassError(f"class {key} admits no tree")
     n = key.n
+    _check_levels(n)
     if key.variant == "NM":
         m = key.m
         if m == 1:

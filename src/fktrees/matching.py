@@ -1,4 +1,4 @@
-"""Maximum matchings on trees and the matching-theoretic bounds.
+"""Maximum matchings on trees, also through chosen pendant edges.
 
 On a tree a maximum matching can be built greedily: any pendant edge can be
 assumed to lie in some maximum matching, so repeatedly matching a leaf with
@@ -10,9 +10,7 @@ is taken.  The BFS order fixes the witness, so it is deterministic.
 
 The module also exposes the constructive swap argument that upgrades an
 arbitrary maximum matching into one containing a prescribed disjoint set of
-pendant edges (one per contact vertex), plus a report object bundling the
-three counting bounds relating order, matching number, leaf count and the
-contact set.
+pendant edges (one per contact vertex).
 """
 
 from __future__ import annotations
@@ -21,15 +19,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidChoiceError
-from .trees import TreeWithBoundary, _bfs, contact_set, invariants
+from .trees import TreeWithBoundary, _bfs, contact_set
 
 __all__ = [
     "Matching",
     "maximum_matching",
     "matching_number",
     "matching_containing_pendants",
-    "check_matching_bounds",
-    "MatchingBoundsReport",
 ]
 
 
@@ -112,36 +108,3 @@ def matching_containing_pendants(
     assert len(result) == size and result.is_valid_for(tree)
     return result
 
-
-@dataclass(frozen=True)
-class MatchingBoundsReport:
-    """The three counting bounds, with the quantities they relate."""
-
-    n: int
-    m: int
-    b: int
-    t: int
-    contact: int
-    contact_ge_t: bool
-    order_bound: bool  # n <= 2m + b - 1
-    t_bound: bool      # t <= min(b, m)
-
-    @property
-    def all_hold(self) -> bool:
-        return self.contact_ge_t and self.order_bound and self.t_bound
-
-
-def check_matching_bounds(tree: TreeWithBoundary) -> MatchingBoundsReport:
-    """Evaluate contact >= t, n <= 2m+b-1 and t <= min(b, m) for a tree with
-    leaf boundary of order >= 3."""
-    inv = invariants(tree)
-    return MatchingBoundsReport(
-        n=inv.n,
-        m=inv.m,
-        b=inv.b,
-        t=inv.t,
-        contact=inv.contact,
-        contact_ge_t=inv.contact >= inv.t,
-        order_bound=inv.n <= 2 * inv.m + inv.b - 1,
-        t_bound=inv.t <= min(inv.b, inv.m),
-    )

@@ -67,17 +67,14 @@ import numpy as np
 
 from .errors import (
     CapExceededError,
-    DisconnectedInteriorError,
-    EmptyInteriorError,
     InvalidBoundaryError,
-    InvalidDemotionError,
     NoConvergenceError,
     NonPositiveEigenvectorError,
     TooSmallError,
     ZeroFunctionError,
 )
 from .enumeration import HARD_CAP, _Rooted, _sequence_edges
-from .trees import TreeWithBoundary, diameter, from_edge_list
+from .trees import TreeWithBoundary, _bfs, diameter, from_edge_list
 
 __all__ = [
     "DirichletMatrix",
@@ -87,7 +84,6 @@ __all__ = [
     "rayleigh_quotient",
     "path_eigenvalue",
     "eigenvalue_bounds",
-    "extension_monotonicity_check",
     "zero_extension",
     "build_path",
 ]
@@ -317,14 +313,8 @@ def _children_first(
     """The interior tree rooted at root, as (degree, vertex, parent) steps
     in children-first order, root last; the root's parent is k, a spare
     slot past the last row, where a pass can send the root's share."""
-    k = len(nbrs)
-    parent = [k] * k
-    order = [root]
-    for v in order:
-        for u in nbrs[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
+    order, parent, _ = _bfs(nbrs, [root])
+    parent[root] = len(nbrs)
     return [(diag[v], v, parent[v]) for v in reversed(order)]
 
 
@@ -645,39 +635,3 @@ def eigenvalue_bounds(tree: TreeWithBoundary) -> tuple[float, float]:
     upper = len(tree.boundary) / len(tree.interior)
     return lower, upper
 
-
-@dataclass(frozen=True)
-class ExtensionReport:
-    """Eigenvalues before/after demoting interior vertices to the boundary."""
-
-    demoted: tuple[int, ...]
-    lambda_full: float
-    lambda_demoted: float
-    ok: bool
-
-
-def extension_monotonicity_check(
-    tree: TreeWithBoundary, demote: Iterable[int], tol: float = 1e-12
-) -> ExtensionReport:
-    """Check that enlarging the boundary can only raise the first eigenvalue.
-
-    Demoting interior vertices to boundary restricts the Dirichlet problem
-    to a principal submatrix, so lambda1 cannot decrease; the demotion must
-    leave a nonempty connected interior.
-    """
-    demoted = tuple(sorted(set(demote)))
-    interior = set(tree.interior)
-    for v in demoted:
-        if v not in interior:
-            raise InvalidDemotionError(f"vertex {v} is not interior")
-    lam_full = first_eigenpair(tree).lambda1
-    if not demoted:
-        return ExtensionReport(demoted, lam_full, lam_full, True)
-    try:
-        smaller = from_edge_list(
-            tree.n, tree.edges, sorted(tree.boundary | set(demoted))
-        )
-    except (EmptyInteriorError, DisconnectedInteriorError) as exc:
-        raise InvalidDemotionError(str(exc)) from exc
-    lam_dem = first_eigenpair(smaller).lambda1
-    return ExtensionReport(demoted, lam_full, lam_dem, lam_full <= lam_dem + tol)

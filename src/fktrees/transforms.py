@@ -43,7 +43,6 @@ __all__ = [
     "shifting",
     "jumping",
     "admissible_switchings",
-    "strictness_margin",
     "eigenvalue_after_switching_check",
     "SwitchingCheckEntry",
     "SwitchingCheckReport",
@@ -82,14 +81,12 @@ def _rewrite(
     and record the rewrite with delta of f's zero-extension (None without f).
 
     The edge set and the boundary go to from_edge_list unsorted, as no error
-    it can raise here depends on their order.  Each move's has_edge checks
-    have range-checked every id, its hypotheses keep every inserted edge
-    from being a loop or an edge of the tree, and a set holds no repeat.
-    An id that only equals a vertex (a float, a bool, a numpy int) passes
-    has_edge, but geodesic_path rejects it as v1 or v2, so at most one
-    inserted edge holds one: at most one edge can fail the per-edge checks,
-    and what is left ("graph is disconnected" and the interior errors)
-    names no edge.
+    it can raise here depends on their order.  Every id has passed has_edge
+    or geodesic_path, which take only int vertex ids, the move's hypotheses
+    keep every inserted edge from being a loop or an edge of the tree, and
+    a set holds no repeat.  So no edge can fail the per-edge checks, and
+    what is left ("graph is disconnected" and the interior errors) names no
+    edge.
     """
     edges = set(tree.edges).difference(removed).union(inserted)
     try:
@@ -232,30 +229,6 @@ class SwitchingCheckReport:
     @property
     def passed(self) -> bool:
         return all(e.ok for e in self.entries)
-
-
-def strictness_margin(
-    tree: TreeWithBoundary, fhat: np.ndarray, v1: int, v2: int, u1: int, u2: int
-) -> float:
-    """Largest ordering slack that forces a strict eigenvalue decrease.
-
-    If the eigenvalue were unchanged, the ground state of the old tree would
-    also be a ground state of the new one, so the neighbor sums in the
-    eigen-equation must agree at every *interior* vertex whose incident
-    edges changed: that forces fhat(v2) = fhat(u1) when v1 or u2 is
-    interior, and fhat(v1) = fhat(u2) when v2 or u1 is interior.  A strict
-    ordering inequality sitting opposite an interior vertex therefore makes
-    equality impossible.  (The interiorness proviso matters: a switching
-    whose strict inequality only touches boundary vertices can produce an
-    isomorphic tree, with exactly equal eigenvalue.)
-    """
-    interior = set(tree.interior)
-    margin = 0.0
-    if v2 in interior or u1 in interior:
-        margin = max(margin, fhat[v1] - fhat[u2])
-    if v1 in interior or u2 in interior:
-        margin = max(margin, fhat[v2] - fhat[u1])
-    return float(margin)
 
 
 def eigenvalue_after_switching_check(

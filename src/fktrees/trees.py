@@ -74,8 +74,9 @@ class TreeWithBoundary:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        # the range guard keeps a negative u from wrapping around adj
-        return 0 <= u < self.n and v in self.adj[u]
+        # only vertex ids: a negative u would wrap around adj, and a float,
+        # bool or numpy int equal to a vertex would pass as one
+        return _is_vertex(u, self.n) and _is_vertex(v, self.n) and v in self.adj[u]
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,12 @@ class CanonicalCode:
         return self.code.decode("ascii")
 
 
+def _is_vertex(v, n: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
 def _check_vertex(v, n: int) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+    if not _is_vertex(v, n):
         raise InvalidVertexError(f"vertex {v!r} not in range 0..{n - 1}")
     return v
 

@@ -151,6 +151,23 @@ def test_single_tree_json_bytes_match_golden(capsys, tmp_path, command):
     assert out == golden.read_text(encoding="ascii")
 
 
+@pytest.mark.parametrize("command", ["eigen", "bounds"])
+def test_smallest_tree_solver_interior_bytes_match_golden(capsys, tmp_path, command):
+    # recorded from `fktrees COMMAND --tree` on this 32-vertex caterpillar:
+    # its 21-vertex interior, the smallest the tree solver takes, is the
+    # spine 0..20, with leaf 21 at the end and leaf v at v % 7 for v >= 22.
+    # A dense eigh prints other last digits here, so moving the solver
+    # switch (HARD_CAP) moves these bytes
+    tree = from_edge_list(32, [(i, i + 1) for i in range(21)] + [(v % 7, v) for v in range(22, 32)])
+    assert tree.interior == tuple(range(21))
+    tree_file = tmp_path / "caterpillar32.txt"
+    tree_file.write_text(format_edge_list_text(tree))
+    golden = Path(__file__).parent / "data" / f"caterpillar32_{command}.json"
+    code, out = run_capture(capsys, [command, "--tree", str(tree_file)])
+    assert code == 0
+    assert out == golden.read_text(encoding="ascii")
+
+
 def _recursive300():
     """A random recursive interior tree on 0..299, vertex i hanging off a
     random earlier one, with one pendant leaf at each interior leaf and one

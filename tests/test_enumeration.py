@@ -1,6 +1,7 @@
 """Tree generation soundness, classification, certificates, sweeps."""
 
 import hashlib
+import itertools
 import random
 import sys
 
@@ -94,6 +95,22 @@ def test_edge_sets_match_networkx_generator():
             for g in nx.nonisomorphic_trees(n)
         ]
         assert ours == theirs, n
+
+
+def test_edge_sets_past_21_levels_match_networkx():
+    # a level is a byte: paths of more than 21 levels come out whole, and
+    # the centre-rooted path on 512 vertices would need level 256
+    import networkx as nx
+    for n in (42, 45):
+        ours = [tuple(sorted(edges)) for edges in itertools.islice(free_tree_edge_sets(n), 100)]
+        theirs = [
+            tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
+            for g in itertools.islice(nx.nonisomorphic_trees(n), 100)
+        ]
+        assert ours == theirs, n
+    assert len(next(free_tree_edge_sets(511))) == 510
+    with pytest.raises(CapExceededError):
+        next(free_tree_edge_sets(512))
 
 
 # SHA-256 of the level sequences of each order, one byte per level, as the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fktrees import (
+    CapExceededError,
     ClassKey,
     EmptyClassError,
     InvalidParametersError,
@@ -230,6 +231,22 @@ def test_predicted_nk_and_nd():
     got = predicted_extremal(ClassKey("ND", 12, D=5))
     assert got.conjecture
     assert codes(got.trees) == codes([build_comet(12, 4)])
+
+
+def test_predicted_sequences_past_21_levels():
+    # a level is a byte: arms of more than 21 levels come out whole, and
+    # past 511 vertices the levels would wrap, so the key is refused
+    for key, want in [
+        (ClassKey("NM", 50, m=24), [build_T(45, 2, 3)]),
+        (ClassKey("ND", 46, D=44), [build_comet(46, 43), build_fork(2, 22, 46)]),
+        (ClassKey("ND", 60, D=50), [build_comet(60, 49), build_fork(2, 25, 60)]),
+        (ClassKey("ND", 511, D=510), [build_path(511)] * 2),
+    ]:
+        got = predicted_extremal(key)
+        assert [len(seq) for seq in got.sequences] == [key.n] * len(want)
+        assert codes(got.trees) == codes(want)
+    with pytest.raises(CapExceededError):
+        predicted_extremal(ClassKey("ND", 515, D=513))
 
 
 def test_predicted_infeasible_raises():

@@ -1,4 +1,4 @@
-"""Maximum matching, pendant-containing matchings, counting bounds."""
+"""Maximum matching and pendant-containing matchings."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from fktrees import (
     build_T,
     build_path,
     build_star,
-    check_matching_bounds,
     contact_set,
     free_trees,
     matching_containing_pendants,
@@ -102,17 +101,3 @@ def test_pendant_matching_rejects_bad_choice():
     with pytest.raises(InvalidChoiceError):
         matching_containing_pendants(p6, {1: 2, 4: 5})  # 2 is not boundary
 
-
-def test_bounds_star_and_path():
-    rep = check_matching_bounds(build_star(7))
-    assert rep.t == 1 and rep.contact == 1 and rep.all_hold
-    assert rep.n == 2 * rep.m + rep.b - 1
-    rep = check_matching_bounds(build_path(6))
-    assert rep.t == 2 and rep.contact == 2 and rep.all_hold
-    assert rep.n <= 2 * rep.m + rep.b - 1
-
-
-def test_bounds_hold_on_all_trees_through_12():
-    for n in range(3, 13):
-        for t in free_trees(n):
-            assert check_matching_bounds(t).all_hold

@@ -14,27 +14,24 @@ _MODULES = ("errors", "trees", "matching", "spectral", "families", "transforms",
 _PUBLIC = {
     # errors
     "CapExceededError", "DisconnectedInteriorError", "EmptyClassError", "EmptyInteriorError",
-    "FKTreesError", "InvalidBoundaryError", "InvalidChoiceError", "InvalidDemotionError",
-    "InvalidParametersError", "InvalidVertexError", "NoConvergenceError",
-    "NonPositiveEigenvectorError", "NotATreeError", "PreconditionViolatedError",
-    "ResultNotTreeError", "TooSmallError", "ZeroFunctionError",
+    "FKTreesError", "InvalidBoundaryError", "InvalidChoiceError", "InvalidParametersError",
+    "InvalidVertexError", "NoConvergenceError", "NonPositiveEigenvectorError", "NotATreeError",
+    "PreconditionViolatedError", "ResultNotTreeError", "TooSmallError", "ZeroFunctionError",
     # trees
     "CanonicalCode", "TreeInvariants", "TreeWithBoundary", "bfs_distances", "canonical_code",
     "contact_set", "diameter", "from_edge_list", "from_graph6", "format_edge_list_text",
     "geodesic_path", "inscribed_radius", "invariants", "parse_edge_list_text", "relabel",
     # matching
-    "Matching", "MatchingBoundsReport", "check_matching_bounds", "matching_containing_pendants",
-    "matching_number", "maximum_matching",
+    "Matching", "matching_containing_pendants", "matching_number", "maximum_matching",
     # spectral
     "DirichletMatrix", "DirichletSpectrum", "build_path", "dirichlet_matrix", "eigenvalue_bounds",
-    "extension_monotonicity_check", "first_eigenpair", "path_eigenvalue", "rayleigh_quotient",
-    "zero_extension",
+    "first_eigenpair", "path_eigenvalue", "rayleigh_quotient", "zero_extension",
     # families
     "ForkPolynomial", "PredictedExtremal", "build_T", "build_comet", "build_fork", "build_star",
     "fork_char_poly", "fork_poly_difference", "predicted_extremal",
     # transforms
     "EdgeRewrite", "SwitchingCheckEntry", "SwitchingCheckReport", "admissible_switchings",
-    "eigenvalue_after_switching_check", "jumping", "shifting", "strictness_margin", "switching",
+    "eigenvalue_after_switching_check", "jumping", "shifting", "switching",
     # enumeration
     "DEFAULT_CAP", "HARD_CAP", "ClassKey", "classify", "free_tree_edge_sets", "free_trees",
     # verify
@@ -53,7 +50,7 @@ def test_public_names_are_pinned():
     names = {
         n for n, v in vars(fktrees).items() if not n.startswith("_") and not isinstance(v, ModuleType)
     }
-    assert len(_PUBLIC) == 81
+    assert len(_PUBLIC) == 76
     assert names == _PUBLIC
 
 

@@ -17,10 +17,10 @@ from fktrees import (
     rayleigh_quotient,
 )
 from fktrees.transforms import (
+    admissible_switchings,
     eigenvalue_after_switching_check,
     jumping,
     shifting,
-    strictness_margin,
     switching,
 )
 from fktrees.spectral import zero_extension
@@ -264,17 +264,46 @@ def test_raw_rewrite_identity_on_disconnected_intermediate():
         jumping(t, 2, 0, 3)
 
 
-def test_strictness_margin_ignores_boundary_only_slack():
-    # the 5-vertex spider: swapping two leaves yields an isomorphic tree, so
-    # no strict decrease may be demanded even though one ordering is strict
-    t = build_T(1, 2, 2)
-    s = first_eigenpair(t)
-    fh = zero_extension(t, s.eigenfunction)
-    for v1, v2, u1, u2 in switch_moves(t):
-        if v2 in t.boundary and u1 in t.boundary:
-            assert strictness_margin(t, fh, v1, v2, u1, u2) <= max(
-                fh[v2] - fh[u1], 0.0
-            ) + 1e-15
+def test_slack_opposite_an_interior_vertex_lowers_lambda1_strictly():
+    # were lambda1 unchanged, the old ground state would be one of the new
+    # tree too, so the eigen-equation at each interior vertex whose edges
+    # changed would force fhat(v2) = fhat(u1) when v1 or u2 is interior and
+    # fhat(v1) = fhat(u2) when v2 or u1 is: a slack opposite an interior
+    # vertex rules that out.  A slack at boundary vertices only does not
+    # (swapping two leaves of the spider T(1, 2, 2) gives the same tree)
+    strict = moves = 0
+    for n in range(3, 13):
+        for t in free_trees(n):
+            ground = first_eigenpair(t)
+            fh = zero_extension(t, ground.eigenfunction)
+            inner = set(t.interior)
+            for v1, v2, u1, u2 in admissible_switchings(t, fh):
+                moves += 1
+                slack = max(
+                    fh[v1] - fh[u2] if v2 in inner or u1 in inner else 0.0,
+                    fh[v2] - fh[u1] if v1 in inner or u2 in inner else 0.0,
+                )
+                if slack > 1e-6:
+                    strict += 1
+                    after = first_eigenpair(switching(t, v1, v2, u1, u2)[0]).lambda1
+                    assert after < ground.lambda1, (t.edges, (v1, v2, u1, u2))
+    assert (strict, moves) == (2704, 13947)
+
+
+def test_rewrites_refuse_ids_that_only_equal_a_vertex():
+    # a float, bool or numpy int equal to a vertex is no vertex id: each
+    # rewrite refuses it before it builds anything
+    t = from_edge_list(8, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (1, 7)])
+    f = [1.0, 0.8, 0.5, 0.7]
+    assert t.has_edge(1, 2)
+    for u in (1.0, True, np.int64(1)):
+        assert not t.has_edge(u, 2) and not t.has_edge(2, u)
+    with pytest.raises(PreconditionViolatedError):
+        jumping(t, 2, 5, True, f=f)
+    with pytest.raises(PreconditionViolatedError):
+        shifting(t, 2, 5, 3.0, f=f)
+    with pytest.raises(PreconditionViolatedError):
+        switching(build_T(2, 3, 4), 0, 3, 5.0, 2, f=[1.0] * 5)
 
 
 # -- the one rewrite routine against the reference --------------------------------
@@ -357,5 +386,6 @@ def test_rewrites_match_the_reference(rng):
     for kind in moves:
         for key in ("ok", "PreconditionViolatedError", "ValueError"):
             assert kinds.get((kind, key), 0) >= 10, kinds
-    for key in ("InvalidVertexError", "TypeError", "ResultNotTreeError"):
-        assert sum(c for (_, k), c in kinds.items() if k == key) >= 10, kinds
+    assert sum(c for (_, k), c in kinds.items() if k == "InvalidVertexError") >= 10, kinds
+    # an id that is no int vertex id fails a check before anything is built
+    assert not any(k in ("TypeError", "ResultNotTreeError") for _, k in kinds), kinds

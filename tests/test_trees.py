@@ -279,7 +279,7 @@ def test_T323_invariants():
 def test_star_invariants():
     for n in (4, 6, 9):
         inv = invariants(build_star(n))
-        assert (inv.m, inv.b, inv.D, inv.r, inv.t) == (1, n - 1, 2, 1, 1)
+        assert (inv.m, inv.b, inv.D, inv.r, inv.contact, inv.t) == (1, n - 1, 2, 1, 1, 1)
 
 
 def test_invariants_need_leaf_boundary():
@@ -289,7 +289,8 @@ def test_invariants_need_leaf_boundary():
 
 
 def test_t_range_on_all_small_trees():
-    for n in range(3, 10):
+    # the counting bounds: t >= 1 (n <= 2m + b - 1), t <= min(b, m), contact >= t
+    for n in range(3, 13):
         for t in free_trees(n):
             inv = invariants(t)
             assert 1 <= inv.t <= min(inv.b, inv.m)
