@@ -517,8 +517,7 @@ class ClassKey:
             m, b = self.m, self.b
             if m < 1 or not 2 <= b <= n - 1:
                 return False
-            t = 2 * m + b - n
-            return 1 <= t <= min(b, m)
+            return 1 <= self.t <= min(b, m)
         if self.variant == "NK":
             return 1 <= self.k <= n - 2
         return 2 <= self.D <= n - 1  # ND

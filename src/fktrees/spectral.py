@@ -50,9 +50,10 @@ The sweep eigensolves few of its trees.  The same pivot count proves,
 without building a tree, that every eigenvalue lies above a bound x:
 A - yI is positive definite iff every pivot is positive.  The count
 composes over a tree's centroid branches, as the enumeration composes the
-trees: one pass over its table of rooted trees per vector of bounds gives
-every branch root's pivot (_branch_pivots), and each tree adds only its
-centroid's, or the last one between its two halves (_composed_above).
+trees: one pass over its table of rooted trees per order, at the fixed
+bound of each key, gives every branch root's pivot (_branch_pivots), and
+each tree adds only its centroid's, or the last one between its two halves
+(_composed_above).
 """
 
 from __future__ import annotations
@@ -502,7 +503,8 @@ def _branch_pivots(table: _Rooted, x: np.ndarray) -> np.ndarray:
     that 1/p = 0.  A branch that fails is not divided by: its nan reaches
     every branch and tree that holds it and fails them too.  The last row
     is the inf of the -1 that pads the table's children.  One pass over the
-    entries, a size at a time, covers all the columns.
+    entries, a size at a time, covers all the columns, so a sweep computes
+    its pivots once per order, one column per key.
     """
     y = np.asarray(x, dtype=float) + _FILTER_SLACK
     pivot = np.full((len(table.sequences) + 1, len(y)), math.inf)

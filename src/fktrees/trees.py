@@ -17,7 +17,7 @@ construction and every function here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DisconnectedInteriorError,
@@ -39,8 +39,6 @@ __all__ = [
     "contact_set",
     "diameter",
     "inscribed_radius",
-    "bfs_distances",
-    "relabel",
     "parse_edge_list_text",
     "format_edge_list_text",
     "from_graph6",
@@ -268,12 +266,6 @@ def _walk_up(parent: Sequence[int], u: int) -> list[int]:
     return path
 
 
-def bfs_distances(tree: TreeWithBoundary, source: int) -> list[int]:
-    """Distances from ``source`` to every vertex (trees: BFS is exact)."""
-    _check_vertex(source, tree.n)
-    return _bfs(tree.adj, [source])[2]
-
-
 def geodesic_path(tree: TreeWithBoundary, u: int, v: int) -> tuple[int, ...]:
     """The unique u-v path as a vertex sequence (length = distance)."""
     _check_vertex(u, tree.n)
@@ -377,16 +369,6 @@ def canonical_code(tree: TreeWithBoundary) -> CanonicalCode:
         _vertex_code(c in boundary, [*children, other])
         for c, children, other in zip(centres, below, reversed(halves))
     ))
-
-
-def relabel(tree: TreeWithBoundary, perm: Sequence[int] | Mapping[int, int]) -> TreeWithBoundary:
-    """Apply a vertex permutation (perm[old] = new); same boundary image."""
-    mapped = [perm[v] for v in range(tree.n)]
-    if sorted(mapped) != list(range(tree.n)):
-        raise InvalidVertexError("perm is not a permutation of the vertex set")
-    edges = [(mapped[u], mapped[v]) for u, v in tree.edges]
-    boundary = [mapped[v] for v in tree.boundary]
-    return from_edge_list(tree.n, edges, boundary)
 
 
 # -- text formats -------------------------------------------------------------

@@ -36,30 +36,29 @@ lambda1 comes from spectral._sequence_lambdas, which builds the Dirichlet
 matrices straight from the sequences and solves them in stacked batches,
 bit for bit as first_eigenpair solves the tree free_trees yields.
 
-Each key has a threshold, which only falls.  It starts at the least
-lambda1 of the predicted trees that are members of the key, each solved as
-its WROM-labelled tree, or at inf when no predicted tree is a member.  A
-pivot count of A - xI at x = threshold + tol rules out, without naming or
-eigensolving them, the trees whose every eigenvalue lies above x.  It
-composes over the branches: one pass over the table per vector of key
-bounds gives every branch root's pivot at each bound
+Each key has a seed: the least lambda1 of its predicted trees that are
+members of the key, each solved as its WROM-labelled tree, or inf when no
+predicted tree is a member.  The class minimum is at most the seed, so at
+x = seed + tol a pivot count of A - xI never rules out a tree within tol of
+the minimum, and it rules out, without naming or eigensolving them, the
+trees whose every eigenvalue lies above x.  Each key's x is fixed for the
+pass.  The count composes over the branches: one pass over the table per
+order gives every branch root's pivot at each key's x
 (spectral._branch_pivots), and each tree adds its centroid's
-(spectral._composed_above).  A key with an infinite threshold
-rules out nothing.  The others, the contenders, are named
-(enumeration._composed_sequence), their lambda1 looked up or solved in one
-batch per chunk, and each lowers its key's threshold; a key's pivots are
-recomputed at its lowered threshold before the next chunk.  At the end of
-the pass a key's lambda_min is the least lambda1 of its contenders and its
-minimizers are the contenders within tol of it.  A seed is a member and
-its lambda1 is exactly the one its contender reports, so the class minimum
-is at most the threshold, and no tree within tol of the class minimum is
-ever ruled out, whatever the order of the trees (_FILTER_SLACK covers the
-distance between the float lambda1 and the exact eigenvalues the pivots
-bound).  A minimizer's code is looked up among the predicted trees'; only
-one no predicted tree covers, a MISMATCH, is read from its sequence.  So
-every reported float is the first_eigenpair value of a generator-labelled
-tree, and the certificates are those an eigensolve of every member gives,
-byte for byte.  A single key and a theorem sweep share this pass.
+(spectral._composed_above).  A key with no seed rules out nothing.  The
+others, the contenders, are named (enumeration._composed_sequence) and
+their lambda1 looked up or solved in one batch per chunk, so the trees
+named and solved do not depend on the chunking or on the order of the
+trees.  At the end of the pass a key's lambda_min is the least lambda1 of
+its contenders and its minimizers are the contenders within tol of it
+(_FILTER_SLACK covers the distance between the float lambda1 and the exact
+eigenvalues the pivots bound, and a seed's lambda1 is exactly the one its
+contender reports).  A minimizer's code is looked up among the predicted
+trees'; only one no predicted tree covers, a MISMATCH, is read from its
+sequence.  So every reported float is the first_eigenpair value of a
+generator-labelled tree, and the certificates are those an eigensolve of
+every member gives, byte for byte.  A single key and a theorem sweep share
+this pass.
 
 Sweeps group a theorem's keys by order; with jobs > 1 the orders run in a
 process pool of min(jobs, number of orders, CPU count) workers, each
@@ -159,14 +158,12 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     that no tree of the order is eigensolved or read twice.  A
     predicted tree is a member of key i when it has order n and key_id,
     the table that counts the population, takes its (m, b, D) to i.
-    threshold[i] starts at the least lambda1 of key i's predicted members,
-    or inf, and each contender's lambda1 lowers it.  The class minimum is
-    at most every member's lambda1 and the threshold only falls, so a tree
-    _composed_above shows to lie above threshold + tol is never within tol
-    of the class minimum: it is counted without being named or
-    eigensolved.  x holds the threshold + tol each key's pivot column was
-    computed at, and a key whose threshold fell is recomputed after the
-    chunk.  Every contender's (lambda1, sequence) is kept, and the
+    x[i] is key i's seed + tol, the seed being the least lambda1 of its
+    predicted members, or inf, and it is fixed for the pass.  The class
+    minimum is at most the seed, so a tree _composed_above shows to lie
+    above x[i] is never within tol of the class minimum: it is counted
+    without being named or eigensolved, and one _branch_pivots call serves
+    every chunk.  Every contender's (lambda1, sequence) is kept, and the
     minimizers are the contenders within tol of their least lambda1: the
     trees within tol of the class minimum, by the same float comparison as
     a filter over the whole class.
@@ -187,9 +184,8 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
         for i, prediction in enumerate(predictions)
     ]
     _solve(lam, [seq for seqs in members for seq in seqs])
-    threshold = np.array([min((lam[seq] for seq in seqs), default=math.inf) for seqs in members])
+    x = np.array([min((lam[seq] for seq in seqs), default=math.inf) for seqs in members]) + tol
     table = _rooted(n // 2)
-    x = threshold + tol
     pivot = _branch_pivots(table, x)
     population = np.zeros(len(keys), np.int64)
     contenders: list[list[tuple[float, bytes]]] = [[] for _ in keys]
@@ -205,12 +201,7 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
         ]
         _solve(lam, [seq for _, seq in named])
         for i, seq in named:
-            threshold[i] = min(threshold[i], lam[seq])
             contenders[i].append((lam[seq], seq))
-        lowered = np.flatnonzero(threshold + tol < x)
-        if lowered.size:
-            x[lowered] = threshold[lowered] + tol
-            pivot[:, lowered] = _branch_pivots(table, x[lowered])
     return [
         _certificate(key, count, solved, prediction, read, tol)
         for key, count, solved, prediction in zip(

@@ -74,6 +74,12 @@ def random_tree(rng: random.Random, n: int):
     return from_edge_list(n, prufer_to_edges(seq, n))
 
 
+def relabel(tree, perm):
+    """The same tree with each vertex v renamed perm[v], boundary too."""
+    edges = [(perm[u], perm[v]) for u, v in tree.edges]
+    return from_edge_list(tree.n, edges, [perm[v] for v in tree.boundary])
+
+
 def spine_with_random_leaves(k: int, rng: random.Random):
     """A spine 0..k-1 whose vertices get 0-2 random pendant leaves, and the
     two ends one more: a shape whose ground state localizes."""

@@ -17,7 +17,19 @@ from fktrees.cli import run
 from fktrees.errors import NonPositiveEigenvectorError
 from fktrees.spectral import DEFAULT_TOL, _ground_states, dirichlet_matrix, path_eigenvalue
 from fktrees.verify import THEOREMS
-from fktrees import build_path, format_edge_list_text, from_edge_list, parse_edge_list_text
+from fktrees import (
+    ClassKey,
+    PredictedExtremal,
+    build_path,
+    canonical_code,
+    classify,
+    format_edge_list_text,
+    free_trees,
+    from_edge_list,
+    parse_edge_list_text,
+    predicted_extremal,
+)
+from fktrees.enumeration import _level_sequences
 from conftest import spine_with_random_leaves
 
 
@@ -275,6 +287,33 @@ def test_verify_class_empty(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "EMPTY_CLASS"
     assert code == 1  # only MATCH/CONJECTURE-MATCH exit 0
+
+
+def test_verify_mismatch_exits_1(capsys, monkeypatch):
+    # one key predicts a member that is not minimal: only its line changes,
+    # to the same population, lambda_min and minimizers with a MISMATCH
+    argv = ["verify", "--theorem", "T13", "--n-max", "8"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    right = out.splitlines()
+    key = ClassKey("NM", 8, m=3)
+    (line,) = [i for i, ln in enumerate(right) if json.loads(ln)["key"] == str(key)]
+    want = json.loads(right[line])
+    seq, code_text = next(
+        (seq, canonical_code(tree).text)
+        for seq, tree in zip(_level_sequences(8), free_trees(8), strict=True)
+        if key in classify(tree) and canonical_code(tree).text not in want["minimizers"]
+    )
+
+    def predicted(k):
+        return PredictedExtremal((seq,)) if k == key else predicted_extremal(k)
+
+    monkeypatch.setattr(fktrees.verify, "predicted_extremal", predicted)
+    code, out = run_capture(capsys, argv)
+    assert code == 1
+    wrong = out.splitlines()
+    assert json.loads(wrong[line]) == {**want, "predicted": [code_text], "verdict": "MISMATCH"}
+    assert wrong[:line] + wrong[line + 1 :] == right[:line] + right[line + 1 :]
 
 
 def test_verify_sweep(capsys):

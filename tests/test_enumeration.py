@@ -29,7 +29,6 @@ from fktrees import (
     free_trees,
     from_edge_list,
     invariants,
-    relabel,
     PredictedExtremal,
     predicted_extremal,
     verify_class,
@@ -60,7 +59,7 @@ from fktrees.enumeration import (
 from fktrees.io import dumps
 from fktrees.spectral import _sequence_lambdas
 from fktrees.trees import _bfs
-from conftest import all_labeled_trees
+from conftest import all_labeled_trees, relabel
 
 
 # -- generator soundness ---------------------------------------------------------
@@ -865,6 +864,66 @@ def test_wrong_predictions_change_only_the_verdict(monkeypatch, stand_in):
             assert cert.lambda_min == want.lambda_min
             assert cert.minimizers == want.minimizers
             assert cert.verdict == ("MISMATCH" if cert.key in wrong else want.verdict)
+
+
+def _wrong_sweeps(monkeypatch, stand_in, chunk):
+    """The T13 and T14 certificates to n = 10 with the stand-ins of
+    test_wrong_predictions_change_only_the_verdict and chunks of chunk
+    trees, the sequences eigensolved, and the calls of _certify_order and
+    _branch_pivots."""
+    wrong = {}
+    for cert in (c for t in ("T13", "T14") for c in verify_theorem_sweep(t, 10)):
+        key = cert.key
+        for seq, tree in zip(_level_sequences(key.n), free_trees(key.n), strict=True):
+            member = key in classify(tree)
+            if stand_in == "non-member" and not member:
+                wrong[key] = seq  # the first non-member in WROM order
+                break
+            if member and stand_in == "non-minimal-member":
+                if canonical_code(tree).text not in cert.minimizers:
+                    wrong[key] = seq  # the last non-minimal member
+
+    def predicted(key):
+        return PredictedExtremal((wrong[key],)) if key in wrong else predicted_extremal(key)
+
+    calls = {"_certify_order": 0, "_branch_pivots": 0}
+
+    def counted(name):
+        function = getattr(verify_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, name, wrapper)
+
+    counted("_certify_order")
+    counted("_branch_pivots")
+    counted_solves = _Counted(monkeypatch)
+    monkeypatch.setattr(verify_module, "predicted_extremal", predicted)
+    monkeypatch.setattr(enumeration_module, "_CHUNK", chunk)
+    certs = [c for t in ("T13", "T14") for c in verify_theorem_sweep(t, 10)]
+    monkeypatch.undo()
+    return certs, set(counted_solves.solved), calls
+
+
+@pytest.mark.parametrize("stand_in", ["non-member", "non-minimal-member"])
+def test_each_order_computes_its_pivots_once(monkeypatch, stand_in):
+    # each key's filter bound is its seed + tol for the whole pass, so wrong
+    # predictions, which leave bounds loose, still take one pivot pass per
+    # order
+    certs, _, calls = _wrong_sweeps(monkeypatch, stand_in, 7)
+    assert any(c.verdict == "MISMATCH" for c in certs)
+    assert calls["_certify_order"] == 16
+    assert calls["_branch_pivots"] == calls["_certify_order"]
+
+
+@pytest.mark.parametrize("stand_in", ["non-member", "non-minimal-member"])
+def test_contenders_do_not_depend_on_chunking(monkeypatch, stand_in):
+    # with fixed bounds the trees named and eigensolved are those the pivot
+    # count cannot place above them, however the order's trees are chunked
+    runs = [_wrong_sweeps(monkeypatch, stand_in, chunk)[:2] for chunk in (1, 7, 2048)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 class _RecordingPool:

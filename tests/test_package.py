@@ -18,9 +18,9 @@ _PUBLIC = {
     "InvalidVertexError", "NoConvergenceError", "NonPositiveEigenvectorError", "NotATreeError",
     "PreconditionViolatedError", "ResultNotTreeError", "TooSmallError", "ZeroFunctionError",
     # trees
-    "CanonicalCode", "TreeInvariants", "TreeWithBoundary", "bfs_distances", "canonical_code",
-    "contact_set", "diameter", "from_edge_list", "from_graph6", "format_edge_list_text",
-    "geodesic_path", "inscribed_radius", "invariants", "parse_edge_list_text", "relabel",
+    "CanonicalCode", "TreeInvariants", "TreeWithBoundary", "canonical_code", "contact_set",
+    "diameter", "from_edge_list", "from_graph6", "format_edge_list_text", "geodesic_path",
+    "inscribed_radius", "invariants", "parse_edge_list_text",
     # matching
     "Matching", "matching_containing_pendants", "matching_number", "maximum_matching",
     # spectral
@@ -50,7 +50,7 @@ def test_public_names_are_pinned():
     names = {
         n for n, v in vars(fktrees).items() if not n.startswith("_") and not isinstance(v, ModuleType)
     }
-    assert len(_PUBLIC) == 76
+    assert len(_PUBLIC) == 74
     assert names == _PUBLIC
 
 
@@ -61,25 +61,58 @@ def test_every_module_export_resolves_on_the_package():
             assert getattr(fktrees, export) is getattr(module, export), (name, export)
 
 
-def _unreferenced_private_definitions(package: Path) -> list[str]:
-    """module.name of each module-level function or class with a private
-    name that no other top-level statement of the package refers to, by
-    name or as an attribute; a function calling itself is no reference."""
+# public functions and classes no module of the package calls, each with
+# the consumer it is kept for (the criteria are tests/test_acceptance.py's)
+_KEPT_WITHOUT_A_CALLER = {
+    "trees.invariants": "criterion 2, and a perfbench span",
+    "spectral.rayleigh_quotient": "criterion 3",
+    "transforms.eigenvalue_after_switching_check": "criterion 4",
+    "families.fork_char_poly": "criteria 8 and 9",
+    "families.fork_poly_difference": "criteria 8 and 9",
+    "matching.matching_containing_pendants": "criterion 11",
+    "trees.from_graph6": "README's input API",
+}
+
+
+def _unreferenced_definitions(package: Path) -> list[str]:
+    """module.name of each module-level function or class, dunders aside,
+    that no other top-level statement of the package refers to: by name, as
+    an attribute, or as a string that is an identifier (cli looks its moves
+    up by name).  A function calling itself is no reference, and neither is
+    an __all__ entry."""
     defined, referenced = [], set()
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in stmt.targets
+            ):
+                continue
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = stmt.name
-                if own.startswith("_") and not own.startswith("__"):
+                if not own.startswith("__"):
                     defined.append((path.stem, own))
             for node in ast.walk(stmt):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value if node.value.isidentifier() else None
                 if isinstance(name, str) and name != own:
                     referenced.add(name)
     return [f"{module}.{name}" for module, name in defined if name not in referenced]
 
 
+def _unreferenced_private_definitions(package: Path) -> list[str]:
+    return [d for d in _unreferenced_definitions(package) if d.split(".")[1].startswith("_")]
+
+
 def test_no_private_code_without_a_caller_in_the_package():
     # code only the tests call belongs in tests/, beside what it checks
     assert _unreferenced_private_definitions(Path(fktrees.__file__).parent) == []
+
+
+def test_no_public_code_without_a_consumer():
+    # public API that nothing in the package calls is deleted, unless it is
+    # kept for a consumer named in _KEPT_WITHOUT_A_CALLER
+    unreferenced = _unreferenced_definitions(Path(fktrees.__file__).parent)
+    public = [d for d in unreferenced if not d.split(".")[1].startswith("_")]
+    assert sorted(public) == sorted(_KEPT_WITHOUT_A_CALLER)

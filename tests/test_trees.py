@@ -31,14 +31,14 @@ from fktrees import (
     inscribed_radius,
     invariants,
     parse_edge_list_text,
-    relabel,
 )
-from fktrees.trees import _centers
+from fktrees.trees import _bfs, _centers
 from conftest import (
     brute_force_isomorphic,
     outcome,
     prufer_to_edges,
     random_tree,
+    relabel,
     reference_canonical_code,
     reference_from_edge_list,
     reference_from_graph6,
@@ -340,12 +340,10 @@ def test_geodesic_in_T323_realizes_diameter():
 
 
 def test_inscribed_radius_matches_definition(rng):
-    from fktrees.trees import bfs_distances
-
     for _ in range(25):
         t = random_tree(rng, rng.randrange(3, 11))
         want = max(
-            min(bfs_distances(t, v)[b] for b in t.boundary) for v in range(t.n)
+            min(_bfs(t.adj, [v])[2][b] for b in t.boundary) for v in range(t.n)
         )
         assert inscribed_radius(t) == want
 
