@@ -192,12 +192,6 @@ class PredictedExtremal:
     sequences: tuple[bytes, ...]
     conjecture: bool = False
 
-    @property
-    def trees(self) -> tuple[TreeWithBoundary, ...]:
-        """The predicted trees, labelled as _sequence_edges labels their
-        sequences."""
-        return tuple(from_edge_list(len(seq), _sequence_edges(seq)) for seq in self.sequences)
-
 
 _LEAF = b"\x00"
 

@@ -13,9 +13,9 @@ Interior vertices are always ordered ascending by vertex id; eigenfunctions
 and user-supplied Rayleigh test functions use that ordering.
 
 first_eigenpair picks its solver by the interior size k alone.  Up to
-HARD_CAP vertices, which covers every tree a sweep can name, it runs a
-dense eigh on the matrix.  Every such matrix is assembled by _assemble,
-from an interior order, a degree per vertex and an edge list.
+_DENSE_SOLVE_MAX vertices, which covers every interior a sweep can name,
+it runs a dense eigh on the matrix.  Every such matrix is assembled by
+_assemble, from an interior order, a degree per vertex and an edge list.
 dirichlet_matrix reads those from a TreeWithBoundary.  The sweep names its
 trees by level sequences, and _sequence_lambdas eigensolves them without
 building a TreeWithBoundary: it reads the edges and degrees off each
@@ -24,8 +24,10 @@ per group.  Both it and first_eigenpair (with a stack of one) go through
 _ground_states, and with one assembler the two give the same lambda1 bit
 for bit.
 
-A larger interior is solved on the tree itself, in O(k) memory
-(_tree_eigenpair).  Eliminating A - xI children first, a vertex's pivot is
+A larger interior is solved on the tree itself, with its vertex ids and
+lists of one slot per vertex: O(n) memory, the size of the tree already
+held (_tree_eigenpair).  The searches root the interior tree at its least
+vertex id.  Eliminating A - xI children first, a vertex's pivot is
 deg - x - sum of 1/p over its children, and by Sylvester's law of inertia
 the signs of the pivots count the eigenvalues below, at and above x
 (Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear Algebra
@@ -74,7 +76,7 @@ from .errors import (
     TooSmallError,
     ZeroFunctionError,
 )
-from .enumeration import HARD_CAP, _Rooted, _sequence_edges
+from .enumeration import _Rooted, _sequence_edges
 from .trees import TreeWithBoundary, _bfs, diameter, from_edge_list
 
 __all__ = [
@@ -93,9 +95,15 @@ DEFAULT_TOL = 1e-10
 
 # dirichlet_matrix's dense matrix (8k^2 bytes) and eigh's eigenvectors would
 # take 400 MB at k = 5,000 interior vertices; a larger interior is refused
-# before allocating.  first_eigenpair builds no matrix past HARD_CAP, so this
-# bounds only dirichlet_matrix.
+# before allocating.  first_eigenpair builds no matrix past _DENSE_SOLVE_MAX,
+# so this bounds only dirichlet_matrix.
 MAX_DENSE_INTERIOR = 5_000
+
+# first_eigenpair's switch: a dense eigh up to this many interior vertices,
+# the tree solver past it.  _sequence_lambdas always solves densely and must
+# give first_eigenpair's lambda1 bit for bit, so it must cover every interior
+# a sweep can name: at most HARD_CAP - 2, as every tree has two leaves.
+_DENSE_SOLVE_MAX = 20
 
 # _branch_pivots eliminates at x + _FILTER_SLACK: the pivots prove a bound on
 # the exact eigenvalues, while callers compare the float lambda1 of
@@ -171,12 +179,13 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
 
     The interior size k alone picks the solver, with no flag:
 
-    - k <= HARD_CAP, which covers every tree a sweep can name: a dense
-      symmetric eigensolve (numpy's eigh), as accurate as it gets, and the
-      bit-for-bit reference for _sequence_lambdas.
-    - k > HARD_CAP: _tree_eigenpair, which builds no matrix and takes O(k)
-      time per pass over the tree.  lambda1 comes from searching the
-      Jacobs-Trevisan inertia count, which stays exact at a zero pivot
+    - k <= _DENSE_SOLVE_MAX, which covers every interior a sweep can name:
+      a dense symmetric eigensolve (numpy's eigh), as accurate as it gets,
+      and the bit-for-bit reference for _sequence_lambdas.
+    - k > _DENSE_SOLVE_MAX: _tree_eigenpair, which builds no matrix and
+      works on the tree with its own vertex ids, in O(n) memory, the size
+      of the tree.  lambda1 comes from searching the Jacobs-Trevisan
+      inertia count, which stays exact at a zero pivot
       (the parent's pivot becomes -1/2, the zero child's 2, and the edge
       above the parent is cut), down to adjacent floats: Illinois regula
       falsi steps on the root's pivot where it is continuous, and
@@ -196,12 +205,12 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
     max |A f - lambda1 f| <= tol, else NoConvergenceError, and every entry
     > 0, else NonPositiveEigenvectorError (the tree path's remaining case:
     entries below float64's range underflow to 0).  The eigenvector is
-    signed so that the entry of the lowest-index interior vertex is
+    signed so that the entry of the interior vertex of least id is
     positive.  gap is lambda2 - lambda1, None for a one-vertex interior;
     the dense path stores it with the rest, since eigh gives it free.
     """
     _check_tol(tol)
-    if len(tree.interior) > HARD_CAP:
+    if len(tree.interior) > _DENSE_SOLVE_MAX:
         return _tree_eigenpair(tree, tol)
     dm = dirichlet_matrix(tree)
     w, f, residual = _ground_states(dm.entries[None], tol)
@@ -253,37 +262,40 @@ def _check_ground_state(residual: float, f: np.ndarray, tol: float) -> None:
 
 
 def _tree_eigenpair(tree: TreeWithBoundary, tol: float) -> DirichletSpectrum:
-    """first_eigenpair on an interior past HARD_CAP, from passes over the
-    interior tree: no k x k matrix is built.
+    """first_eigenpair on an interior past _DENSE_SOLVE_MAX, from passes
+    over the interior tree, with vertex ids throughout: no k x k matrix is
+    built.
 
-    lambda1 is searched on the inertia count of the tree rooted at row 0
-    (_search), and sigma is the lower end of its bracket, where every pivot
-    is positive; lambda2 is searched above sigma when gap is first read
-    (_tree_gap).  Two steps of inverse iteration give the ground state.  The
-    first, from the all-ones vector (_solve), finds the vertex r where it
-    peaks.  The second starts from e_r with the tree rooted at r
-    (_twisted_solve): each branch hanging off r has its lowest eigenvalue
-    well above lambda1, so its pivots are accurate, and one step is exact
-    up to rounding, even where the ground state is many decades below its
-    peak (K. V. Fernando, SIAM J. Matrix Anal. Appl. 18, 1997).
+    lambda1 is searched on the inertia count of the interior tree rooted at
+    its least vertex id (_search), and sigma is the lower end of its
+    bracket, where every pivot is positive; lambda2 is searched above sigma
+    when gap is first read (_tree_gap).  Two steps of inverse iteration give
+    the ground state.  The first, from the all-ones vector (_solve), finds
+    the interior vertex r where it peaks, the least id among ties.  The
+    second starts from e_r with the tree rooted at r (_twisted_solve): each
+    branch hanging off r has its lowest eigenvalue well above lambda1, so
+    its pivots are accurate, and one step is exact up to rounding, even
+    where the ground state is many decades below its peak (K. V. Fernando,
+    SIAM J. Matrix Anal. Appl. 18, 1997).  The residual is read off the
+    ground state's zero extension, whose boundary entries add exact zeros.
     """
-    nbrs, diag = _interior_tree(tree)
-    k = len(diag)
-    steps = _children_first(nbrs, diag, 0)
-    top = 2.0 * max(diag)  # Gershgorin: every eigenvalue is at most twice the largest degree
+    interior = tree.interior
+    steps = _children_first(tree, interior[0])
+    # Gershgorin: every eigenvalue is at most twice the largest degree
+    top = 2.0 * max(d for d, _, _ in steps)
     sigma, lam1 = _search(steps, 1, 0.0, top)
-    first = _solve(steps, sigma, [1.0] * k)
-    peak = max(range(k), key=first.__getitem__)
-    f = np.array(_twisted_solve(_children_first(nbrs, diag, peak), sigma))
+    first = _solve(steps, sigma, [1.0] * tree.n)
+    peak = max(interior, key=first.__getitem__)
+    f = np.array(_twisted_solve(_children_first(tree, peak), sigma))[list(interior)]
     f /= math.sqrt(float(f @ f))
-    fl = f.tolist()
-    af = [d * fv - sum([fl[u] for u in nb]) for d, fv, nb in zip(diag, fl, nbrs)]
+    fl = zero_extension(tree, f).tolist()
+    af = [len(tree.adj[v]) * fl[v] - sum([fl[u] for u in tree.adj[v]]) for v in interior]
     residual = float(np.abs(np.array(af) - lam1 * f).max())
     _check_ground_state(residual, f, tol)
     return DirichletSpectrum(
         lambda1=lam1,
         eigenfunction=f,
-        vertices=tree.interior,
+        vertices=interior,
         residual=residual,
         _gap=partial(_tree_gap, steps, sigma, top, lam1),
     )
@@ -296,27 +308,15 @@ def _tree_gap(
     return _search(steps, 2, sigma, top)[1] - lam1
 
 
-def _interior_tree(tree: TreeWithBoundary) -> tuple[list[list[int]], list[float]]:
-    """(nbrs, diag): the interior tree on rows 0..k-1, row i the interior
-    vertex tree.interior[i], with its interior neighbours' rows and its
-    degree, the Dirichlet matrix's diagonal entry."""
-    interior = tree.interior
-    row = [-1] * tree.n
-    for i, v in enumerate(interior):
-        row[v] = i
-    nbrs = [[row[u] for u in tree.adj[v] if row[u] >= 0] for v in interior]
-    return nbrs, [float(len(tree.adj[v])) for v in interior]
-
-
-def _children_first(
-    nbrs: Sequence[Sequence[int]], diag: Sequence[float], root: int
-) -> list[tuple[float, int, int]]:
-    """The interior tree rooted at root, as (degree, vertex, parent) steps
-    in children-first order, root last; the root's parent is k, a spare
-    slot past the last row, where a pass can send the root's share."""
-    order, parent, _ = _bfs(nbrs, [root])
-    parent[root] = len(nbrs)
-    return [(diag[v], v, parent[v]) for v in reversed(order)]
+def _children_first(tree: TreeWithBoundary, root: int) -> list[tuple[float, int, int]]:
+    """The interior tree rooted at the interior vertex root, as (degree,
+    vertex, parent) steps in children-first order, root last.  Interior
+    neighbours are visited in ascending id order.  The root's parent is n,
+    a spare slot past the last vertex id, where a pass can send the root's
+    share; the passes size their lists by it."""
+    order, parent, _ = _bfs(tree.adj, [root], tree.boundary)
+    parent[root] = tree.n
+    return [(float(len(tree.adj[v])), v, parent[v]) for v in reversed(order)]
 
 
 def _eliminate(steps: Sequence[tuple[float, int, int]], x: float) -> tuple[int, int, float]:
@@ -336,7 +336,7 @@ def _eliminate(steps: Sequence[tuple[float, int, int]], x: float) -> tuple[int, 
     instead gets P23 wrong at x = 2.  The root pivot returned is nan when a
     child of the root has pivot 0.
     """
-    acc = [0.0] * (len(steps) + 1)  # sum of 1/p over each vertex's children
+    acc = [0.0] * (steps[-1][2] + 1)  # sum of 1/p over each vertex's children
     below = at = 0
     for d, v, par in steps:
         p = d - x - acc[v]
@@ -421,25 +421,27 @@ def _search(
 
 def _solve(steps: Sequence[tuple[float, int, int]], sigma: float, b: Sequence[float]) -> list[float]:
     """(A - sigma I)^{-1} b, by eliminating children first and substituting
-    parents first; every pivot must be positive."""
-    k = len(steps)
-    acc, y, pivot = [0.0] * (k + 1), [*b, 0.0], [0.0] * k
+    parents first; every pivot must be positive.  b and the result have one
+    entry per vertex id, and only the interior ones are read or written."""
+    n = steps[-1][2]
+    acc, y, pivot = [0.0] * (n + 1), [*b, 0.0], [0.0] * n
     for d, v, par in steps:
         p = pivot[v] = d - sigma - acc[v]
         acc[par] += 1.0 / p
         y[par] += y[v] / p
-    x = [0.0] * (k + 1)
+    x = [0.0] * (n + 1)
     for _, v, par in reversed(steps):
         x[v] = (y[v] + x[par]) / pivot[v]
-    return x[:k]
+    return x[:n]
 
 
 def _twisted_solve(steps: Sequence[tuple[float, int, int]], sigma: float) -> list[float]:
     """(A - sigma I)^{-1} e_r times the root r's pivot: 1 at r, and each
     other vertex its parent's value over its own pivot.  The root's pivot,
-    which is ~0 at sigma ~ lambda1, is never formed."""
-    k = len(steps)
-    acc, pivot = [0.0] * k, [0.0] * k
+    which is ~0 at sigma ~ lambda1, is never formed.  The result has one
+    entry per vertex id, and only the interior ones are the solve's."""
+    n = steps[-1][2]
+    acc, pivot = [0.0] * n, [0.0] * n
     for d, v, par in steps[:-1]:
         p = pivot[v] = d - sigma - acc[v]
         if p <= 0.0:
@@ -447,7 +449,7 @@ def _twisted_solve(steps: Sequence[tuple[float, int, int]], sigma: float) -> lis
                 "ground-state eigenvector has a non-positive entry"
             )
         acc[par] += 1.0 / p
-    f = [1.0] * k
+    f = [1.0] * n
     for _, v, par in reversed(steps[:-1]):
         f[v] = f[par] / pivot[v]
     return f

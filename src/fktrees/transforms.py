@@ -226,10 +226,6 @@ class SwitchingCheckEntry:
 class SwitchingCheckReport:
     entries: tuple[SwitchingCheckEntry, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
 
 def eigenvalue_after_switching_check(
     tree: TreeWithBoundary,

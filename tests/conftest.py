@@ -7,15 +7,19 @@ exponential subset search, isomorphism from permutation search.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
 import math
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from fktrees import from_edge_list, geodesic_path, contact_set
+from fktrees import ClassKey, from_edge_list, geodesic_path, contact_set
+from fktrees.enumeration import _sequence_edges
 from fktrees.errors import (
     DisconnectedInteriorError,
     EmptyInteriorError,
@@ -72,6 +76,12 @@ def random_tree(rng: random.Random, n: int):
         return from_edge_list(3, [(0, 1), (1, 2)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return from_edge_list(n, prufer_to_edges(seq, n))
+
+
+def predicted_trees(prediction):
+    """The trees of a PredictedExtremal, labelled as _sequence_edges labels
+    their level sequences."""
+    return tuple(from_edge_list(len(seq), _sequence_edges(seq)) for seq in prediction.sequences)
 
 
 def relabel(tree, perm):
@@ -269,6 +279,109 @@ def _reference_rooted_code(tree, root):
 def reference_canonical_code(tree):
     cs = _centers(tree.adj)
     return CanonicalCode(min(_reference_rooted_code(tree, c) for c in cs))
+
+
+# -- an independent oracle of the certificate stream ----------------------------
+# Every tree of an order from networkx's nonisomorphic_trees; its matching
+# number by leaf stripping and its diameter by a double BFS; its lambda1
+# from a Dirichlet matrix built here, one stacked eigvalsh per interior
+# size; and the minimizers' codes from reference_canonical_code.  Of the
+# package it uses ClassKey, to name keys, and the reference coder's helpers.
+
+# the key of each theorem a tree of order n with matching number m, b
+# leaves and diameter D has, or None
+ORACLE_THEOREM_KEYS = {
+    "T13": lambda n, m, b, D: ClassKey("NM", n, m=m),
+    "T14": lambda n, m, b, D: ClassKey("NMB", n, m=m, b=b),
+    "Kloburstel": lambda n, m, b, D: ClassKey("NK", n, k=n - b),
+    "D4": lambda n, m, b, D: ClassKey("ND", n, D=D) if D == 4 else None,
+}
+
+
+def _oracle_matching_number(adj):
+    """Maximum matching of a tree: a leaf and its neighbour are in some
+    maximum matching, so match them, delete both, and repeat."""
+    degree = [len(a) for a in adj]
+    alive = [True] * len(adj)
+    leaves = [v for v, d in enumerate(degree) if d == 1]
+    m = 0
+    while leaves:
+        v = leaves.pop()
+        if not alive[v] or degree[v] != 1:
+            continue
+        (u,) = [w for w in adj[v] if alive[w]]
+        alive[v] = alive[u] = False
+        m += 1
+        for w in adj[u]:
+            if alive[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    return m
+
+
+def _oracle_eccentricity(adj, source):
+    """(the farthest vertex from source, its distance)."""
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    far = max(dist, key=dist.get)
+    return far, dist[far]
+
+
+@functools.cache
+def _oracle_trees(n):
+    """(m, b, D, lambda1, adj) of each tree on n >= 3 vertices, leaves on
+    the boundary."""
+    import networkx as nx
+
+    rows, matrices = [], {}
+    for graph in nx.nonisomorphic_trees(n):
+        adj = [sorted(graph[v]) for v in range(n)]
+        interior = [v for v in range(n) if len(adj[v]) > 1]
+        index = {v: i for i, v in enumerate(interior)}
+        mat = np.diag([float(len(adj[v])) for v in interior])
+        for v in interior:
+            for w in adj[v]:
+                if w in index:
+                    mat[index[v], index[w]] = -1.0
+        matrices.setdefault(len(interior), []).append((len(rows), mat))
+        far, _ = _oracle_eccentricity(adj, 0)
+        D = _oracle_eccentricity(adj, far)[1]
+        rows.append([_oracle_matching_number(adj), n - len(interior), D, None, adj])
+    for group in matrices.values():
+        lambdas = np.linalg.eigvalsh(np.stack([mat for _, mat in group]))[:, 0]
+        for (i, _), lam in zip(group, lambdas.tolist()):
+            rows[i][3] = lam
+    return [tuple(row) for row in rows]
+
+
+def oracle_certificates(key_of, n_max, tol):
+    """{key: (population, lambda_min, minimizer codes)} for each key that
+    key_of(n, m, b, D) gives some tree of order 3..n_max; the minimizers
+    are the trees within tol of lambda_min, as sorted code texts."""
+    members = {}
+    for n in range(3, n_max + 1):
+        for m, b, D, lam, adj in _oracle_trees(n):
+            key = key_of(n, m, b, D)
+            if key is not None:
+                members.setdefault(key, []).append((lam, adj))
+    found = {}
+    for key, trees in members.items():
+        lambda_min = min(lam for lam, _ in trees)
+        codes = [_oracle_code(adj) for lam, adj in trees if lam <= lambda_min + tol]
+        found[key] = (len(trees), lambda_min, tuple(sorted(codes)))
+    return found
+
+
+def _oracle_code(adj):
+    """The canonical code text of a tree with its leaves on the boundary."""
+    leaves = frozenset(v for v, a in enumerate(adj) if len(a) == 1)
+    return reference_canonical_code(SimpleNamespace(adj=adj, boundary=leaves)).text
 
 
 # -- reference JSON writer, edge rewrites and graph6 decoder ------------------

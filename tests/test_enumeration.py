@@ -59,7 +59,13 @@ from fktrees.enumeration import (
 from fktrees.io import dumps
 from fktrees.spectral import _sequence_lambdas
 from fktrees.trees import _bfs
-from conftest import all_labeled_trees, relabel
+from conftest import (
+    ORACLE_THEOREM_KEYS,
+    all_labeled_trees,
+    oracle_certificates,
+    predicted_trees,
+    relabel,
+)
 
 
 # -- generator soundness ---------------------------------------------------------
@@ -369,7 +375,7 @@ def test_every_predicted_tree_is_a_member_of_its_key():
     for key in keys:
         prediction = predicted_extremal(key)
         assert prediction.sequences, key
-        for seq, tree in zip(prediction.sequences, prediction.trees, strict=True):
+        for seq, tree in zip(prediction.sequences, predicted_trees(prediction), strict=True):
             assert key in classify(tree), key
             assert _holds(key, _read_sequence(seq)[0]), key
 
@@ -641,6 +647,27 @@ def test_kloburstel_sweep_small():
 def test_d4_sweep_small():
     certs = verify_theorem_sweep("D4", 9)
     assert all(c.verdict == "MATCH" for c in certs)
+
+
+def test_certificates_agree_with_an_independent_oracle():
+    # the population, lambda_min and minimizers of every certificate of the
+    # four theorems, and of every ND key through verify_class, at n <= 14,
+    # against conftest's oracle: trees from networkx, with their invariants,
+    # matrices and codes computed in the tests.  A sweep's keys are exactly
+    # those some tree has
+    checked = []
+    for theorem, key_of in ORACLE_THEOREM_KEYS.items():
+        want = oracle_certificates(key_of, 14, TIE_TOL)
+        certs = verify_theorem_sweep(theorem, 14)
+        assert {cert.key for cert in certs} == set(want), theorem
+        checked += [(cert, want[cert.key]) for cert in certs]
+    nd = oracle_certificates(lambda n, m, b, D: ClassKey("ND", n, D=D), 14, TIE_TOL)
+    checked += [(verify_class(key), want) for key, want in nd.items()]
+    assert len(checked) == 347
+    for cert, (population, lambda_min, minimizers) in checked:
+        assert cert.population == population, cert.key
+        assert abs(cert.lambda_min - lambda_min) <= 1e-12, cert.key
+        assert cert.minimizers == minimizers, cert.key
 
 
 def test_sweep_jobs_parallel_matches_serial():

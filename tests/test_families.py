@@ -22,6 +22,7 @@ from fktrees import (
     invariants,
     predicted_extremal,
 )
+from conftest import predicted_trees
 
 
 def codes(ts):
@@ -177,17 +178,17 @@ def test_smallest_fork_root_in_unit_interval():
 def test_predicted_nm_cases():
     got = predicted_extremal(ClassKey("NM", 8, m=3))
     assert not got.conjecture
-    assert codes(got.trees) == codes([build_T(3, 2, 3)])
+    assert codes(predicted_trees(got)) == codes([build_T(3, 2, 3)])
     got = predicted_extremal(ClassKey("NM", 6, m=3))
-    assert codes(got.trees) == codes([build_T(2, 2, 2)]) == codes([build_path(6)])
+    assert codes(predicted_trees(got)) == codes([build_T(2, 2, 2)]) == codes([build_path(6)])
     got = predicted_extremal(ClassKey("NM", 7, m=1))
-    assert codes(got.trees) == codes([build_star(7)])
+    assert codes(predicted_trees(got)) == codes([build_star(7)])
 
 
 def test_predicted_nmb_pendant_family():
     got = predicted_extremal(ClassKey("NMB", 8, m=4, b=4))
-    assert len(got.trees) == 2  # interior P_4 and K_{1,3}
-    for t in got.trees:
+    assert len(predicted_trees(got)) == 2  # interior P_4 and K_{1,3}
+    for t in predicted_trees(got):
         inv = invariants(t)
         assert (inv.n, inv.m, inv.b) == (8, 4, 4)
         lam = first_eigenpair(t).lambda1
@@ -203,7 +204,7 @@ def test_predicted_nmb_all_cases_round_trip():
                     with pytest.raises(EmptyClassError):
                         predicted_extremal(key)
                     continue
-                for t in predicted_extremal(key).trees:
+                for t in predicted_trees(predicted_extremal(key)):
                     inv = invariants(t)
                     assert (inv.n, inv.m, inv.b) == (n, m, b)
 
@@ -211,26 +212,26 @@ def test_predicted_nmb_all_cases_round_trip():
 def test_predicted_nm_round_trip():
     for n in range(3, 13):
         for m in range(1, n // 2 + 1):
-            for t in predicted_extremal(ClassKey("NM", n, m=m)).trees:
+            for t in predicted_trees(predicted_extremal(ClassKey("NM", n, m=m))):
                 inv = invariants(t)
                 assert (inv.n, inv.m) == (n, m)
 
 
 def test_predicted_nk_and_nd():
     got = predicted_extremal(ClassKey("NK", 9, k=4))
-    assert codes(got.trees) == codes([build_comet(9, 4)])
+    assert codes(predicted_trees(got)) == codes([build_comet(9, 4)])
     got = predicted_extremal(ClassKey("ND", 9, D=3))
-    assert codes(got.trees) == codes([build_comet(9, 2)])
+    assert codes(predicted_trees(got)) == codes([build_comet(9, 2)])
     got = predicted_extremal(ClassKey("ND", 9, D=4))
-    assert codes(got.trees) == codes([build_fork(4, 2, 9)])
+    assert codes(predicted_trees(got)) == codes([build_fork(4, 2, 9)])
     got = predicted_extremal(ClassKey("ND", 12, D=6))
     assert got.conjecture
-    assert len(got.trees) == 2  # comet + fork candidates
-    for t in got.trees:
+    assert len(predicted_trees(got)) == 2  # comet + fork candidates
+    for t in predicted_trees(got):
         assert invariants(t).D == 6
     got = predicted_extremal(ClassKey("ND", 12, D=5))
     assert got.conjecture
-    assert codes(got.trees) == codes([build_comet(12, 4)])
+    assert codes(predicted_trees(got)) == codes([build_comet(12, 4)])
 
 
 def test_predicted_sequences_past_21_levels():
@@ -244,7 +245,7 @@ def test_predicted_sequences_past_21_levels():
     ]:
         got = predicted_extremal(key)
         assert [len(seq) for seq in got.sequences] == [key.n] * len(want)
-        assert codes(got.trees) == codes(want)
+        assert codes(predicted_trees(got)) == codes(want)
     with pytest.raises(CapExceededError):
         predicted_extremal(ClassKey("ND", 515, D=513))
 

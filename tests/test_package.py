@@ -61,8 +61,9 @@ def test_every_module_export_resolves_on_the_package():
             assert getattr(fktrees, export) is getattr(module, export), (name, export)
 
 
-# public functions and classes no module of the package calls, each with
-# the consumer it is kept for (the criteria are tests/test_acceptance.py's)
+# public functions, classes, methods and properties no module of the
+# package calls, each with the consumer it is kept for (the criteria are
+# tests/test_acceptance.py's)
 _KEPT_WITHOUT_A_CALLER = {
     "trees.invariants": "criterion 2, and a perfbench span",
     "spectral.rayleigh_quotient": "criterion 3",
@@ -71,6 +72,7 @@ _KEPT_WITHOUT_A_CALLER = {
     "families.fork_poly_difference": "criteria 8 and 9",
     "matching.matching_containing_pendants": "criterion 11",
     "trees.from_graph6": "README's input API",
+    "trees.TreeWithBoundary.neighbors": "criteria 2 and 11",
 }
 
 
@@ -79,7 +81,8 @@ def _unreferenced_definitions(package: Path) -> list[str]:
     that no other top-level statement of the package refers to: by name, as
     an attribute, or as a string that is an identifier (cli looks its moves
     up by name).  A function calling itself is no reference, and neither is
-    an __all__ entry."""
+    an __all__ entry.  Also module.Class.name of each public method or
+    property of a public class whose name nothing refers to."""
     defined, referenced = [], set()
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -92,13 +95,23 @@ def _unreferenced_definitions(package: Path) -> list[str]:
                 own = stmt.name
                 if not own.startswith("__"):
                     defined.append((path.stem, own))
+            if isinstance(stmt, ast.ClassDef) and not own.startswith("_"):
+                defined += [
+                    (path.stem, f"{own}.{member.name}")
+                    for member in stmt.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                ]
             for node in ast.walk(stmt):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
                     name = node.value if node.value.isidentifier() else None
                 if isinstance(name, str) and name != own:
                     referenced.add(name)
-    return [f"{module}.{name}" for module, name in defined if name not in referenced]
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if name.rpartition(".")[2] not in referenced
+    ]
 
 
 def _unreferenced_private_definitions(package: Path) -> list[str]:

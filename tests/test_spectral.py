@@ -38,15 +38,15 @@ from fktrees.errors import NoConvergenceError, NonPositiveEigenvectorError
 import fktrees.spectral
 from fktrees.spectral import (
     DEFAULT_TOL,
+    _DENSE_SOLVE_MAX,
     _branch_pivots,
     _children_first,
     _composed_above,
     _ground_states,
-    _interior_tree,
     _search,
     _sequence_lambdas,
 )
-from conftest import random_tree, spine_with_random_leaves
+from conftest import random_tree, relabel, spine_with_random_leaves
 
 
 def bisect_smallest_root(poly, lo, hi, iters=200):
@@ -471,24 +471,39 @@ def test_both_solvers_check_residual_and_positivity(monkeypatch):
         first_eigenpair(tree)
 
 
-# -- the tree solver past HARD_CAP -------------------------------------------------
+# -- the tree solver past _DENSE_SOLVE_MAX -----------------------------------------
 
 def _dense(tree):
     """(w, f, residual) of the dense solve of a tree: the tree solver's oracle."""
     return _ground_states(dirichlet_matrix(tree).entries[None], DEFAULT_TOL)
 
 
+def _with_vertex_0_on_the_boundary(tree):
+    """The tree relabelled so that vertex 0 is a non-leaf on the boundary:
+    the interior vertex of least id with one interior neighbour, which the
+    interior loses and so stays connected, swaps ids with vertex 0."""
+    interior = set(tree.interior)
+    v = next(v for v in tree.interior if len(interior.intersection(tree.adj[v])) == 1)
+    perm = list(range(tree.n))
+    perm[0], perm[v] = v, 0
+    moved = relabel(tree, perm)
+    return from_edge_list(tree.n, moved.edges, [*moved.boundary, 0])
+
+
 def test_tree_solver_agrees_with_the_dense_oracle():
-    # uniform random trees with interiors from HARD_CAP + 1 to about 300
-    # vertices.  On a few of them the dense solve fails its own positivity
-    # check: its smallest entries are rounding noise of either sign.  Those
-    # are compared with eigh's vector as it comes, whose noise is far below
-    # the bound on max |delta f|
+    # uniform random trees with interiors from _DENSE_SOLVE_MAX + 1 to about
+    # 300 vertices, and then trees with an explicit boundary: vertex 0, a
+    # non-leaf, on it.  On a few of them the dense solve fails its own
+    # positivity check: its smallest entries are rounding noise of either
+    # sign.  Those are compared with eigh's vector as it comes, whose noise
+    # is far below the bound on max |delta f|
     rng = random.Random(18)
     interiors, noisy = [], 0
-    while len(interiors) < 40:
+    while len(interiors) < 48:
         tree = random_tree(rng, rng.randrange(34, 480))
-        if len(tree.interior) <= HARD_CAP:
+        if len(interiors) >= 40:
+            tree = _with_vertex_0_on_the_boundary(tree)
+        if len(tree.interior) <= _DENSE_SOLVE_MAX:
             continue
         interiors.append(len(tree.interior))
         s = first_eigenpair(tree)
@@ -507,14 +522,21 @@ def test_tree_solver_agrees_with_the_dense_oracle():
     assert min(interiors) <= 60 and max(interiors) >= 250 and noisy == 1
 
 
+def test_the_dense_solve_covers_every_interior_a_sweep_names():
+    # _sequence_lambdas always solves densely, and each swept lambda1 must
+    # be first_eigenpair's bit for bit.  A tree has two leaves, so a sweep's
+    # interiors have at most HARD_CAP - 2 vertices: the path's, at HARD_CAP
+    assert len(build_path(HARD_CAP).interior) == HARD_CAP - 2 <= _DENSE_SOLVE_MAX
+
+
 def test_solver_choice_turns_at_hard_cap(monkeypatch):
-    # an interior of HARD_CAP vertices is the dense solve, bit for bit; one
-    # more vertex and eigh is never called
-    at_cap = [build_path(HARD_CAP + 2)]
+    # the switch is _DENSE_SOLVE_MAX: an interior of that many vertices is
+    # the dense solve, bit for bit; one more vertex and eigh is never called
+    at_cap = [build_path(_DENSE_SOLVE_MAX + 2)]
     rng = random.Random(7)
     while len(at_cap) < 6:
         tree = random_tree(rng, rng.randrange(24, 34))
-        if len(tree.interior) == HARD_CAP:
+        if len(tree.interior) == _DENSE_SOLVE_MAX:
             at_cap.append(tree)
     for tree in at_cap:
         s = first_eigenpair(tree)
@@ -527,8 +549,8 @@ def test_solver_choice_turns_at_hard_cap(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     with pytest.raises(AssertionError):
-        first_eigenpair(build_path(HARD_CAP + 2))
-    assert first_eigenpair(build_path(HARD_CAP + 3)).gap > 0
+        first_eigenpair(build_path(_DENSE_SOLVE_MAX + 2))
+    assert first_eigenpair(build_path(_DENSE_SOLVE_MAX + 3)).gap > 0
 
 
 def _inertia(steps, x):
@@ -542,21 +564,20 @@ def _inertia(steps, x):
 
 def test_inertia_is_exact_at_a_zero_pivot():
     # P23 has 21 interior vertices, so the tree path.  x = 2 = 2 - 2 cos(11
-    # pi / 22) is its middle eigenvalue, and every leaf of the interior tree,
-    # eliminated first, has pivot 2 - 2 = 0.  Counting a zero pivot as
-    # negative would put 11 eigenvalues below 2
+    # pi / 22) is its middle eigenvalue, and every leaf of the interior tree
+    # (vertex 1 or 21), eliminated first, has pivot 2 - 2 = 0.  Counting a
+    # zero pivot as negative would put 11 eigenvalues below 2
     tree = build_path(23)
-    nbrs, diag = _interior_tree(tree)
-    for root in range(21):
-        steps = _children_first(nbrs, diag, root)
-        assert steps[0][0] - 2.0 == 0.0 and len(nbrs[steps[0][1]]) == 1
+    for root in tree.interior:
+        steps = _children_first(tree, root)
+        assert steps[0][0] - 2.0 == 0.0 and steps[0][1] in (1, 21)
         assert _inertia(steps, 2.0) == (10, 1, 10)
     assert abs(first_eigenpair(tree).lambda1 - path_eigenvalue(23)) <= 1e-15
     # a vertex with three zero children: one of them turns to 2, two stay 0.
     # The centre has degree 4 and its three interior neighbours degree 2, so
     # the eigenvalues are 1, 2, 2 and 5
     spider = from_edge_list(8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (0, 7)])
-    steps = _children_first(*_interior_tree(spider), 0)
+    steps = _children_first(spider, 0)
     assert _inertia(steps, 2.0) == (1, 2, 1)
     assert [_inertia(steps, x) for x in (1.0, 5.0)] == [(0, 1, 3), (3, 1, 0)]
 
@@ -565,9 +586,8 @@ def test_inertia_counts_the_dense_eigenvalues(rng):
     for _ in range(40):
         tree = random_tree(rng, rng.randrange(3, 40))
         w = np.linalg.eigvalsh(dirichlet_matrix(tree).entries)
-        nbrs, diag = _interior_tree(tree)
-        steps = _children_first(nbrs, diag, rng.randrange(len(diag)))
-        for x in [rng.uniform(0, 2 * max(diag)) for _ in range(20)]:
+        steps = _children_first(tree, rng.choice(tree.interior))
+        for x in [rng.uniform(0, 2 * max(d for d, _, _ in steps)) for _ in range(20)]:
             if np.abs(w - x).min() > 1e-9:
                 below = int((w < x).sum())
                 assert _inertia(steps, x) == (below, 0, len(w) - below)
@@ -646,7 +666,7 @@ def test_search_ends_on_the_bisection_pair(passes):
     # two stars joined by a long path, whose lambda1 and lambda2 nearly meet
     ours = theirs = 0
     for tree in _oracle_trees():
-        steps = _children_first(*_interior_tree(tree), 0)
+        steps = _children_first(tree, tree.interior[0])
         top = 2.0 * max(d for d, _, _ in steps)
         start = passes[0]
         lambda1 = _bisect(steps, 1, 0.0, top)
@@ -661,7 +681,7 @@ def test_search_ends_on_the_bisection_pair(passes):
 
 def test_search_on_a_long_path_takes_few_passes(passes):
     # lambda1 of P2002, 2.46e-6: bisection halves [0, 4] 73 times
-    steps = _children_first(*_interior_tree(build_path(2002)), 0)
+    steps = _children_first(build_path(2002), 1)
     lambda1 = _bisect(steps, 1, 0.0, 4.0)
     assert passes[0] == 73
     passes[0] = 0
