@@ -14,40 +14,43 @@ steps are bytes methods, and the trees are read one sequence at a time
 The sweep composes its trees instead.  A free tree on n vertices has one
 centroid, whose branches all have fewer than n/2 vertices, or two adjacent
 ones, whose edge splits it into halves of n/2 (Jordan 1869; Otter, "The
-number of trees", Ann. Math. 49, 1948).  So an order is a list of units
-(_units): one per partition of n - 1 into parts of at most (n - 1) // 2,
-whose trees hang one multiset of rooted trees of those sizes from a
-centroid, and for even n the unordered pairs of rooted trees on n/2
-vertices.  The rooted trees are composed the same way, once per process,
-into a table (_rooted): a rooted tree on s vertices is a root over a
-multiset of smaller ones whose sizes add up to s - 1, so the trees of size
-s are one unit per partition of s - 1, with no bound on the parts.  An
-entry holds its canonical level sequence, its children, m, whether the
-root is left free, height, D and leaf count.  A tree of a unit is a
-non-increasing tuple of entry indices, and a unit's trees come in chunks
-of at most _CHUNK rows (_unit_chunks), so memory does not grow with the
-order.  One rule gives the invariants of a root over its branches, for a
-table entry and a centroid alike (_root_over), and the (m, b, D) of a
-chunk are sums, maxima and gathers over the table (_composed_invariants),
-with no Python step per tree.  A tree the sweep needs is named by the
-level sequence WROM yields for it, a canonical form of its isomorphism
+number of trees", Ann. Math. 49, 1948).  Either way the sweep roots it at
+a centroid, and a tree is the entries of the branches there, whose sizes
+add up to n - 1: for one centroid, one multiset of rooted trees of sizes
+below n/2 per partition of n - 1 into parts of at most (n - 1) // 2 (a
+unit); for two, the children of the first half's root and then the second
+half, for each unordered pair of rooted trees on n/2 vertices.  Only
+_chunks, which lists an order's trees (with _halves), tells the two apart.
+The rooted trees are composed the same way, once per process, into a table
+(_rooted): a rooted tree on s vertices is a root over a multiset of
+smaller ones whose sizes add up to s - 1, so the trees of size s are one
+unit per partition of s - 1, with no bound on the parts.  An entry holds
+its canonical level sequence, its children, m, whether the root is left
+free, height, D and leaf count.  A tree of a unit is a non-increasing
+tuple of entry indices, and a unit's trees come in chunks of at most
+_CHUNK rows (_unit_chunks), so memory does not grow with the order.  One
+rule gives the invariants of a root over its branches, for a table entry
+and a centroid alike (_root_over): sums, maxima and gathers over the
+table, with no Python step per tree.  A tree the sweep needs is named by
+the level sequence WROM yields for it, a canonical form of its isomorphism
 class, so it is the tree free_trees yields: a walk over the table's
-canonical sequences from the centroid to the centre finds it, with no
-tree built and no search (_composed_sequence).  One children-first pass
-over such a sequence reads the tree's (m, b, D) and canonical code
+canonical sequences from the centroid to the centre finds it, with no tree
+built and no search (_composed_sequence).  One children-first pass over
+such a sequence reads the tree's (m, b, D) and canonical code
 (_read_sequence).
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
 count), NK (order, interior count) and ND (order, diameter).  _PARAMS says
 which parameters each variant takes.  classify gives a tree's four keys,
-and _cells says which (m, b, D) of _composed_invariants a key holds, so the
-sweep's table from invariants to keys is built from the keys alone.
+and _cells says which (m, b, D) of _root_over a key holds, so the sweep's
+table from invariants to keys is built from the keys alone.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
@@ -186,7 +189,7 @@ def _root_sequence(subtrees: Iterable[bytes]) -> bytes:
     return b"\x00" + b"".join(sorted(subtrees, reverse=True)).translate(_UP)
 
 
-def _bicentral_sequence(left: list[bytes], right: list[bytes]) -> bytes:
+def _two_centre_sequence(left: list[bytes], right: list[bytes]) -> bytes:
     """The level sequence _level_sequences yields for a tree with two
     centres, one a root over the rooted trees of canonical sequences left,
     the other a root over right (each centre's branches away from the
@@ -245,7 +248,7 @@ class _Rooted:
     vertices, unit by unit as _rooted composes them.
 
     An entry is seen as a branch, whose root hangs from one vertex outside
-    it (a centroid, or the other half), so its root's degree is its child
+    it (the root it is a branch of), so its root's degree is its child
     count + 1 and its leaves are its childless vertices.  Per entry: its
     canonical level sequence, rooted at its root (the form _root_sequence
     composes: below each vertex, the subtrees in descending order of their
@@ -275,15 +278,16 @@ def _rooted(size: int) -> _Rooted:
     table of size - 1 and the trees of this size.  A rooted tree on size
     vertices is a root over a multiset of smaller ones whose sizes add up
     to size - 1, so its trees are one unit per partition of size - 1
-    (_unit_chunks over the smaller table).  Memoised: a pure function of
-    size."""
+    (_unit_chunks over the smaller table), listed by their number of
+    parts, so that the entries of a size come by child count.  Memoised: a
+    pure function of size."""
     if size == 1:  # one vertex: a leaf, left free
         zero = np.zeros(1, np.int8)
         children = (np.zeros((0, 0), np.intp), np.zeros((1, 0), np.intp))
         columns = zero, zero + 1, zero, np.ones(1, bool), zero  # m, b, D, free, height
         return _Rooted(1, (0, 0, 1), (b"\x00",), ((),), children, *columns)
     prev = _rooted(size - 1)
-    units = [rows for p in _partitions(size - 1, size - 1) for rows in _unit_chunks(prev, p)]
+    units = [rows for p in _by_parts(size - 1, size - 1) for rows in _unit_chunks(prev, p)]
     width = size - 1  # the star's children, the most a tree of this size has
     children = np.concatenate(
         [np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=-1) for rows in units]
@@ -321,18 +325,11 @@ def _root_over(table: _Rooted, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return m, table.b[rows].sum(axis=1), D, ~matched, height
 
 
-def _units(n: int) -> list[tuple[tuple[tuple[int, int], ...], bool]]:
-    """The units of the free trees on n >= 3 vertices, as (groups,
-    bicentral): one per partition of n - 1 into parts of at most
-    (n - 1) // 2, whose groups are its (part, multiplicity) pairs by
-    descending part, listed by their number of parts; and for even n, last,
-    the pair of halves ((n // 2, 2),)."""
-    partitions = _partitions(n - 1, (n - 1) // 2)
-    by_parts = sorted(partitions, key=lambda groups: sum(r for _, r in groups))
-    units = [(groups, False) for groups in by_parts]
-    if n % 2 == 0:
-        units.append((((n // 2, 2),), True))
-    return units
+@functools.cache
+def _by_parts(total: int, most: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """_partitions(total, most), listed by their number of parts.  Memoised:
+    a pure function of its arguments, which every pass over an order reads."""
+    return tuple(sorted(_partitions(total, most), key=lambda groups: sum(r for _, r in groups)))
 
 
 def _partitions(total: int, most: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -370,25 +367,48 @@ def _unit_chunks(table: _Rooted, groups: tuple[tuple[int, int], ...]) -> Iterato
         yield np.concatenate(columns, axis=1)
 
 
-def _chunks(table: _Rooted, n: int) -> Iterator[tuple[np.ndarray, bool]]:
-    """The trees of order n >= 3 as (branches, bicentral) chunks of at most
-    _CHUNK rows of _unit_chunks, unit by unit.  Consecutive units with as
-    many branches share chunks, so that the many small units of an order
-    cost few numpy steps."""
+def _halves(table: _Rooted, half: int) -> Iterator[np.ndarray]:
+    """The rows _chunks gives the trees with two centroids, on 2 * half
+    vertices: for each pair of halves a >= b, entries of size half in the
+    order _unit_chunks lists them, the tree rooted at a's root, whose
+    branches are a's children and then b.  The rows of a block share a
+    width, so a chunk of pairs is split where a's child count changes;
+    _rooted lists the entries of a size by child count, so the blocks come
+    by width."""
+    children = table.children[half]
+    width = (children >= 0).sum(axis=1)
+    for pairs in _unit_chunks(table, ((half, 2),)):
+        a = pairs[:, 0] - table.start[half]
+        for piece in np.split(np.arange(len(a)), np.flatnonzero(np.diff(width[a])) + 1):
+            yield np.column_stack([children[a[piece], : width[a[piece[0]]]], pairs[piece, 1]])
+
+
+def _chunks(table: _Rooted, n: int) -> Iterator[np.ndarray]:
+    """The trees of order n >= 3 in chunks of at most _CHUNK rows, each row
+    the entries of the branches at a centroid of one tree, whose sizes add
+    up to n - 1: the units of the trees with one centroid, one per
+    partition of n - 1 into parts of at most (n - 1) // 2, listed by their
+    number of parts, and, for even n, merged in by width, the trees with
+    two (_halves).  Consecutive blocks of rows with as many branches share
+    chunks, so that the many small units of an order cost few numpy
+    steps."""
+    partitions = _by_parts(n - 1, (n - 1) // 2)
+    blocks = (rows for groups in partitions for rows in _unit_chunks(table, groups))
+    if n % 2 == 0:
+        blocks = heapq.merge(blocks, _halves(table, n // 2), key=lambda rows: rows.shape[1])
     held: list[np.ndarray] = []
-    for groups, bicentral in _units(n):
-        for rows in _unit_chunks(table, groups):
-            kind = rows.shape[1], bicentral
-            if held and (kind != held_kind or len(rows) + sum(map(len, held)) > _CHUNK):
-                yield np.concatenate(held), held_kind[1]
-                held = []
-            held.append(rows)
-            held_kind = kind
-    yield np.concatenate(held), held_kind[1]
+    for rows in blocks:
+        if held and (rows.shape[1] != held[0].shape[1] or len(rows) + sum(map(len, held)) > _CHUNK):
+            yield np.concatenate(held)
+            held = []
+        held.append(rows)
+    yield np.concatenate(held)
 
 
+@functools.cache
 def _binomials(size: int, r: int) -> list[np.ndarray]:
-    """C(c, k) for c in range(size + k - 1), for k = r, r - 1, ..., 2."""
+    """C(c, k) for c in range(size + k - 1), for k = r, r - 1, ..., 2.
+    Memoised, and read only: a pure function of size and r."""
     return [np.array([math.comb(c, k) for c in range(size + k - 1)]) for k in range(r, 1, -1)]
 
 
@@ -408,41 +428,23 @@ def _multisets(binomials: list[np.ndarray], r: int, rank: np.ndarray) -> np.ndar
     return rows
 
 
-def _composed_invariants(
-    table: _Rooted, branches: np.ndarray, bicentral: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, b, D), one entry per row of a chunk of a unit of order n >= 3.
-
-    Around one centroid, whose branches are a row's entries, they are those
-    of _root_over.  Two halves A and B joined by an edge: m = m_A + m_B +
-    [both roots are free], b = b_A + b_B and D = max(D_A, D_B, h_A + 1 +
-    h_B)."""
-    if bicentral:
-        a, c = branches.T
-        m = table.m[a] + table.m[c] + (table.free[a] & table.free[c])
-        D = np.maximum(np.maximum(table.D[a], table.D[c]), table.height[a] + table.height[c] + 1)
-        return m, table.b[a] + table.b[c], D
-    return _root_over(table, branches)[:3]
-
-
-def _composed_sequence(table: _Rooted, row: list[int], bicentral: bool) -> bytes:
+def _composed_sequence(table: _Rooted, row: list[int]) -> bytes:
     """The level sequence free_trees yields for the tree of a chunk row,
     found by a walk from the centroid to the centre over the table's
     canonical sequences, with no tree built.
 
-    The walk starts at the centroid, whose branches are the row's entries,
-    or at the first half's root, whose branches are its children and the
-    second half.  A branch's height is its sequence's largest level.  While
-    the tallest branch is at least 2 higher than every other, the centre
-    lies inside it (moving there lowers the eccentricity), so the walk
-    steps to its root: the branches there are the entry's children and the
-    rest of the tree, one rooted tree above it.  The tallest branch is
-    always an entry, since the rest is no higher than the tallest child.
-    When the two tallest tie, the walk's root is the centre; when they
-    differ by 1, it and the tallest branch's root are the two centres, and
-    _bicentral_sequence picks WROM's rooting."""
+    The walk starts at the centroid, whose branches are the row's entries.
+    A branch's height is its sequence's largest level.  While the tallest
+    branch is at least 2 higher than every other, the centre lies inside
+    it (moving there lowers the eccentricity), so the walk steps to its
+    root: the branches there are the entry's children and the rest of the
+    tree, one rooted tree above it.  The tallest branch is always an entry,
+    since the rest is no higher than the tallest child.  When the two
+    tallest tie, the walk's root is the centre; when they differ by 1, it
+    and the tallest branch's root are the two centres, and
+    _two_centre_sequence picks WROM's rooting."""
     sequences, child_entries = table.sequences, table.child_entries
-    entries = [*child_entries[row[0]], row[1]] if bicentral else list(row)
+    entries = list(row)
     above: list[bytes] = []  # the rest of the tree, once the walk has left its start
     while True:
         heights = [max(sequences[e]) for e in entries]
@@ -457,7 +459,7 @@ def _composed_sequence(table: _Rooted, row: list[int], bicentral: bool) -> bytes
         entries = list(child_entries[tall])
     if tallest == runner_up:
         return _root_sequence(rest + [sequences[tall]])
-    return _bicentral_sequence(rest, [sequences[e] for e in child_entries[tall]])
+    return _two_centre_sequence(rest, [sequences[e] for e in child_entries[tall]])
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -554,8 +556,8 @@ def classify(tree: TreeWithBoundary) -> list[ClassKey]:
 
 
 def _cells(key: ClassKey) -> tuple[slice, slice, slice]:
-    """Where key's trees sit in an array indexed by the (m, b, D) of
-    _composed_invariants: a one-value slice for each invariant the key fixes
-    (an NK key fixes b = n - k) and a full slice for the others."""
+    """Where key's trees sit in an array indexed by the (m, b, D) that
+    _root_over gives a chunk row: a one-value slice for each invariant the
+    key fixes (an NK key fixes b = n - k) and a full slice for the others."""
     b = key.n - key.k if key.variant == "NK" else key.b
     return tuple(slice(None) if x is None else slice(x, x + 1) for x in (key.m, b, key.D))

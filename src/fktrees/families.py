@@ -22,7 +22,7 @@ caterpillars, rooted at the middle of the spine (_caterpillar); the fork
 and the spider are rooted at a centre, from the hub; and a pendant
 forest is its interior tree's WROM sequence with a leaf below every
 vertex (_pendant_forest).  Where a caterpillar or the spider has two
-centres, enumeration._bicentral_sequence picks the rooting, as it does
+centres, enumeration._two_centre_sequence picks the rooting, as it does
 for the sweep's trees.
 
 The build_* constructors label their trees through one builder, _hub: a
@@ -43,11 +43,11 @@ from .errors import EmptyClassError, InvalidParametersError
 from .enumeration import (
     _LEVELS,
     ClassKey,
-    _bicentral_sequence,
     _check_levels,
     _level_sequences,
     _root_sequence,
     _sequence_edges,
+    _two_centre_sequence,
 )
 from .trees import TreeWithBoundary, from_edge_list
 
@@ -215,7 +215,7 @@ def _caterpillar(pendants: list[int]) -> bytes:
     right = [_arm(pendants[: len(pendants) - h - 1 : -1])] if h else []
     if len(pendants) % 2:
         return _root_sequence(left + right + [_LEAF] * pendants[h])
-    return _bicentral_sequence(
+    return _two_centre_sequence(
         left + [_LEAF] * pendants[h], right + [_LEAF] * pendants[h + 1]
     )
 
@@ -312,5 +312,5 @@ def predicted_extremal(key: ClassKey) -> PredictedExtremal:
         # D = 2j + 1 on n = 3j + 2: the spider beats the comet (ND 8 5, 11 7, 14 9).
         # Its centres are the hub, over two arms of j vertices, and the
         # first vertex of the arm of j + 1, over the other j
-        candidates.append(_bicentral_sequence([_LEVELS[:j]] * 2, [_LEVELS[:j]]))
+        candidates.append(_two_centre_sequence([_LEVELS[:j]] * 2, [_LEVELS[:j]]))
     return PredictedExtremal(tuple(candidates), conjecture=True)

@@ -54,8 +54,7 @@ A - yI is positive definite iff every pivot is positive.  The count
 composes over a tree's centroid branches, as the enumeration composes the
 trees: one pass over its table of rooted trees per order, at the fixed
 bound of each key, gives every branch root's pivot (_branch_pivots), and
-each tree adds only its centroid's, or the last one between its two halves
-(_composed_above).
+each tree adds only its centroid's (_composed_above).
 """
 
 from __future__ import annotations
@@ -520,28 +519,20 @@ def _branch_pivots(table: _Rooted, x: np.ndarray) -> np.ndarray:
 
 
 def _composed_above(
-    branches: np.ndarray,
-    bicentral: bool,
-    column: np.ndarray,
-    x: np.ndarray,
-    pivot: np.ndarray,
+    branches: np.ndarray, column: np.ndarray, x: np.ndarray, pivot: np.ndarray
 ) -> np.ndarray:
     """For each row of a chunk of enumeration._chunks, True when every
     Dirichlet eigenvalue of its tree, and so the lambda1 first_eigenpair
     reports for it, is shown to exceed x[column[r]]; False when that is not
     shown.  pivot is _branch_pivots(table, x).
 
-    The centroid is eliminated last: its pivot is deg - y - sum of 1/p_i
-    over its branches.  Two halves A and B are eliminated up to their
-    roots, and then A's root after B's: p_A - 1/p_B.  By Sylvester's law of
+    The centroid the row roots its tree at is eliminated last: its pivot is
+    deg - y - sum of 1/p_i over its branches.  By Sylvester's law of
     inertia A - yI is positive definite iff every pivot is positive, and a
     tree passes only when its last pivot is at least _PIVOT_GUARD, which
     no nan is.  A column with x = inf has every interior pivot -inf, so
     nothing there is shown.
     """
-    if bicentral:
-        a, b = branches.T
-        return pivot[a, column] - 1.0 / pivot[b, column] >= _PIVOT_GUARD
     y = x[column] + _FILTER_SLACK
     last = branches.shape[1] - y - (1.0 / pivot[branches, column[:, None]]).sum(axis=1)
     return last >= _PIVOT_GUARD

@@ -65,9 +65,6 @@ class TreeWithBoundary:
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if len(self.adj[v]) == 1)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 

@@ -13,13 +13,14 @@ of the conjectured candidates) or CONJECTURE-MISMATCH.
 
 Each theorem speaks about one class variant, so certificates are made per
 order and variant, in one streaming pass over the order's trees as the
-enumeration composes them around their centroids: chunks of index tuples
-into a table of rooted trees (enumeration._chunks), unit by unit, up to
-enumeration._CHUNK trees at a time.  Sums and gathers over the table give
-every tree's matching number, leaf count and diameter; a table from those
-to key ids, filled from the keys before the first chunk
-(enumeration._cells), names the one key each tree may have, and
-np.bincount counts the populations.
+enumeration composes them around their centroids: chunks of rows of
+indices into a table of rooted trees, each row the branches at a centroid
+of one tree (enumeration._chunks), up to enumeration._CHUNK trees at a
+time.  The rule of a root over its branches (enumeration._root_over), as
+sums and gathers over the table, gives every tree's matching number, leaf
+count and diameter; a table from those to key ids, filled from the keys
+before the first chunk (enumeration._cells), names the one key each tree
+may have, and np.bincount counts the populations.
 
 Trees are named by their WROM level sequences, a canonical form of the
 isomorphism class, with no tree built: a predicted tree as
@@ -84,9 +85,9 @@ from .enumeration import (
     _cells,
     _check_cap,
     _chunks,
-    _composed_invariants,
     _composed_sequence,
     _read_sequence,
+    _root_over,
     _rooted,
 )
 from .errors import EmptyClassError
@@ -189,14 +190,14 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     pivot = _branch_pivots(table, x)
     population = np.zeros(len(keys), np.int64)
     contenders: list[list[tuple[float, bytes]]] = [[] for _ in keys]
-    for branches, bicentral in _chunks(table, n):
-        kid = key_id[_composed_invariants(table, branches, bicentral)]
+    for branches in _chunks(table, n):
+        kid = key_id[_root_over(table, branches)[:3]]
         rows = np.flatnonzero(kid >= 0)
         branches, kid = branches[rows], kid[rows]
         population += np.bincount(kid, minlength=len(keys))
-        contender = ~_composed_above(branches, bicentral, kid, x, pivot)
+        contender = ~_composed_above(branches, kid, x, pivot)
         named = [
-            (i, _composed_sequence(table, row, bicentral))
+            (i, _composed_sequence(table, row))
             for row, i in zip(branches[contender].tolist(), kid[contender].tolist())
         ]
         _solve(lam, [seq for _, seq in named])

@@ -284,9 +284,11 @@ def reference_canonical_code(tree):
 # -- an independent oracle of the certificate stream ----------------------------
 # Every tree of an order from networkx's nonisomorphic_trees; its matching
 # number by leaf stripping and its diameter by a double BFS; its lambda1
-# from a Dirichlet matrix built here, one stacked eigvalsh per interior
-# size; and the minimizers' codes from reference_canonical_code.  Of the
-# package it uses ClassKey, to name keys, and the reference coder's helpers.
+# from a Dirichlet matrix built here, stacked eigvalsh calls per interior
+# size; and the minimizers' codes from reference_canonical_code.  The trees
+# stream past: an order is summed up per (m, b, D), and only trees that can
+# still be minimizers are held.  Of the package it uses ClassKey, to name
+# keys, and the reference coder's helpers.
 
 # the key of each theorem a tree of order n with matching number m, b
 # leaves and diameter D has, or None
@@ -333,13 +335,14 @@ def _oracle_eccentricity(adj, source):
     return far, dist[far]
 
 
-@functools.cache
-def _oracle_trees(n):
+def _oracle_trees(n, group=1024):
     """(m, b, D, lambda1, adj) of each tree on n >= 3 vertices, leaves on
-    the boundary."""
+    the boundary, as a stream: the matrices of one interior size are solved
+    in one stacked eigvalsh once `group` of them have gathered, or at the
+    end, and then dropped."""
     import networkx as nx
 
-    rows, matrices = [], {}
+    pending = {}  # interior size -> [(m, b, D, adj, matrix)]
     for graph in nx.nonisomorphic_trees(n):
         adj = [sorted(graph[v]) for v in range(n)]
         interior = [v for v in range(n) if len(adj[v]) > 1]
@@ -349,32 +352,58 @@ def _oracle_trees(n):
             for w in adj[v]:
                 if w in index:
                     mat[index[v], index[w]] = -1.0
-        matrices.setdefault(len(interior), []).append((len(rows), mat))
         far, _ = _oracle_eccentricity(adj, 0)
         D = _oracle_eccentricity(adj, far)[1]
-        rows.append([_oracle_matching_number(adj), n - len(interior), D, None, adj])
-    for group in matrices.values():
-        lambdas = np.linalg.eigvalsh(np.stack([mat for _, mat in group]))[:, 0]
-        for (i, _), lam in zip(group, lambdas.tolist()):
-            rows[i][3] = lam
-    return [tuple(row) for row in rows]
+        batch = pending.setdefault(len(interior), [])
+        batch.append((_oracle_matching_number(adj), n - len(interior), D, adj, mat))
+        if len(batch) == group:
+            yield from _oracle_solved(pending.pop(len(interior)))
+    for batch in pending.values():
+        yield from _oracle_solved(batch)
+
+
+def _oracle_solved(batch):
+    lambdas = np.linalg.eigvalsh(np.stack([row[4] for row in batch]))[:, 0]
+    for (m, b, D, adj, _), lam in zip(batch, lambdas.tolist()):
+        yield m, b, D, lam, adj
+
+
+@functools.cache
+def _oracle_cells(n, tol):
+    """{(m, b, D): (population, [(lambda1, adj), ...])} over the trees on n
+    vertices, from one pass over _oracle_trees(n): each cell keeps only its
+    trees within tol of its least lambda1 so far.  A key's minimizers are
+    within tol of the least lambda1 of their own cell, which is no less
+    than the key's, so these are all the trees a certificate can name."""
+    cells = {}
+    for m, b, D, lam, adj in _oracle_trees(n):
+        cell = cells.setdefault((m, b, D), [0, math.inf, []])
+        cell[0] += 1
+        if lam < cell[1]:
+            cell[1] = lam
+            cell[2] = [(x, a) for x, a in cell[2] if x <= lam + tol]
+        if lam <= cell[1] + tol:
+            cell[2].append((lam, adj))
+    return {cell: (count, kept) for cell, (count, _, kept) in cells.items()}
 
 
 def oracle_certificates(key_of, n_max, tol):
     """{key: (population, lambda_min, minimizer codes)} for each key that
     key_of(n, m, b, D) gives some tree of order 3..n_max; the minimizers
     are the trees within tol of lambda_min, as sorted code texts."""
-    members = {}
+    members = {}  # key -> [population, the trees its cells kept]
     for n in range(3, n_max + 1):
-        for m, b, D, lam, adj in _oracle_trees(n):
+        for (m, b, D), (count, kept) in _oracle_cells(n, tol).items():
             key = key_of(n, m, b, D)
             if key is not None:
-                members.setdefault(key, []).append((lam, adj))
+                entry = members.setdefault(key, [0, []])
+                entry[0] += count
+                entry[1] += kept
     found = {}
-    for key, trees in members.items():
+    for key, (population, trees) in members.items():
         lambda_min = min(lam for lam, _ in trees)
         codes = [_oracle_code(adj) for lam, adj in trees if lam <= lambda_min + tol]
-        found[key] = (len(trees), lambda_min, tuple(sorted(codes)))
+        found[key] = (population, lambda_min, tuple(sorted(codes)))
     return found
 
 

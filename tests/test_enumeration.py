@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import sys
 
@@ -45,16 +46,16 @@ from fktrees.verify import (
 from fktrees.enumeration import (
     _CHUNK,
     HARD_CAP,
-    _bicentral_sequence,
     _cells,
     _chunks,
-    _composed_invariants,
     _composed_sequence,
     _level_sequences,
     _read_sequence,
+    _root_over,
     _root_sequence,
     _rooted,
     _sequence_edges,
+    _two_centre_sequence,
 )
 from fktrees.io import dumps
 from fktrees.spectral import _sequence_lambdas
@@ -212,18 +213,43 @@ def test_composed_counts_are_the_free_tree_counts():
         table = _rooted(n // 2)
         size = _entry_sizes(table)
         count = 0
-        for branches, bicentral in _chunks(table, n):
+        for branches in _chunks(table, n):
             assert 0 < len(branches) <= _CHUNK
-            # non-increasing entry tuples: one centroid with branches below
-            # n/2 vertices, or two halves of n/2
-            assert (np.diff(branches, axis=1) <= 0).all()
+            # each row the branches at a centroid, n - 1 vertices in all: a
+            # non-increasing entry tuple of branches below n/2 vertices, or
+            # such a tuple of n/2 - 1 vertices, the children of a first
+            # half, and then a second half of n/2
             sizes = size[branches]
-            if bicentral:
-                assert sizes.shape[1] == 2 and (sizes == n // 2).all()
-            else:
-                assert (sizes.sum(axis=1) == n - 1).all() and (2 * sizes < n).all()
+            assert (sizes.sum(axis=1) == n - 1).all()
+            assert (np.diff(branches[:, :-1], axis=1) <= 0).all()
+            assert (2 * sizes[:, :-1] < n).all() and (2 * sizes[:, -1] <= n).all()
+            half = 2 * sizes[:, -1] == n
+            assert (half | (branches[:, -1] <= branches[:, -2])).all()
             count += len(branches)
         assert count == _A000055[n], n
+
+
+def test_two_centroid_rows_are_the_pairs_of_halves():
+    # for every even order, the rows that end in a half of n/2 vertices are
+    # the pairs a >= b of entries of that size, each once, rooted at a's
+    # root: a's children, then b; and _root_over gives each the (m, b, D)
+    # of two halves joined by an edge
+    for n in range(4, HARD_CAP + 1, 2):
+        table = _rooted(n // 2)
+        lo, hi = table.start[n // 2], table.start[n // 2 + 1]
+        first = {table.child_entries[a]: a for a in range(lo, hi)}
+        pairs, got = [], []
+        for branches in _chunks(table, n):
+            rows = np.flatnonzero(branches[:, -1] >= lo)
+            pairs += [(first[tuple(row[:-1])], row[-1]) for row in branches[rows].tolist()]
+            got += zip(*(x[rows].tolist() for x in _root_over(table, branches)[:3]))
+        c = hi - lo
+        assert len(pairs) == math.comb(c + 1, 2), n
+        assert sorted(pairs) == [(a, b) for a in range(lo, hi) for b in range(lo, a + 1)]
+        a, b = np.array(pairs).T
+        m = table.m[a] + table.m[b] + (table.free[a] & table.free[b])
+        D = np.maximum(np.maximum(table.D[a], table.D[b]), table.height[a] + table.height[b] + 1)
+        assert got == list(zip(m.tolist(), (table.b[a] + table.b[b]).tolist(), D.tolist())), n
 
 
 def test_composed_trees_agree_with_free_trees_and_classify():
@@ -231,11 +257,10 @@ def test_composed_trees_agree_with_free_trees_and_classify():
         keys = _feasible_keys(n)
         table = _rooted(n // 2)
         composed = []
-        for branches, bicentral in _chunks(table, n):
-            composed_invariants = _composed_invariants(table, branches, bicentral)
-            invariants_ = zip(*(a.tolist() for a in composed_invariants))
+        for branches in _chunks(table, n):
+            invariants_ = zip(*(a.tolist() for a in _root_over(table, branches)[:3]))
             for row, (m, b, D) in zip(branches.tolist(), invariants_):
-                seq = _composed_sequence(table, row, bicentral)
+                seq = _composed_sequence(table, row)
                 tree = from_edge_list(n, _sequence_edges(seq))
                 composed.append(tree.edges)
                 assert classify(tree) == [
@@ -258,17 +283,18 @@ def test_composed_trees_agree_with_free_trees_and_classify():
 
 def test_composed_sample_at_hard_cap_agrees_with_classify():
     # every 997th tree of order HARD_CAP, across all its units, among them
-    # full chunks of _CHUNK rows and the bicentral pairs
+    # full chunks of _CHUNK rows, and rows with a half of n/2 vertices (two
+    # centroids) and without
     n, stride = HARD_CAP, 997
     table = _rooted(n // 2)
     seen, sampled, full = 0, {False: 0, True: 0}, 0
-    for branches, bicentral in _chunks(table, n):
+    for branches in _chunks(table, n):
         full += len(branches) == _CHUNK
         rows = np.arange(-seen % stride, len(branches), stride)
         seen += len(branches)
-        m, b, D = (a[rows].tolist() for a in _composed_invariants(table, branches, bicentral))
+        m, b, D = (a[rows].tolist() for a in _root_over(table, branches)[:3])
         for r, row in enumerate(branches[rows].tolist()):
-            seq = _composed_sequence(table, row, bicentral)
+            seq = _composed_sequence(table, row)
             tree = from_edge_list(n, _sequence_edges(seq))
             assert _wrom_sequence(tree.adj) == seq
             assert classify(tree) == [
@@ -278,20 +304,20 @@ def test_composed_sample_at_hard_cap_agrees_with_classify():
                 ClassKey("ND", n, D=D[r]),
             ]
             assert _read_sequence(seq) == ((m[r], b[r], D[r]), canonical_code(tree).text)
-            sampled[bicentral] += 1
+            sampled[row[-1] >= table.start[n // 2]] += 1
     assert seen == _A000055[n] and full > 0
     assert sampled[False] > 0 and sampled[True] > 0
 
 
 def test_composed_sequences_are_the_generator_sequences():
-    # each order's chunk rows name every WROM sequence once: both walks
-    # (from a centroid and from a first half) and the choice between two
+    # each order's chunk rows name every WROM sequence once: the walks from
+    # one centroid and from the first of two, and the choice between two
     # centres
     for n in range(13, 17):
         table = _rooted(n // 2)
         named = [
-            _composed_sequence(table, row, bicentral)
-            for branches, bicentral in _chunks(table, n)
+            _composed_sequence(table, row)
+            for branches in _chunks(table, n)
             for row in branches.tolist()
         ]
         assert len(named) == len(set(named)) == _A000055[n]
@@ -302,7 +328,7 @@ def _wrom_sequence(adj):
     """The level sequence _level_sequences yields for the isomorphism class
     of the tree with adjacency lists adj, n >= 3, in any labelling: the
     canonical rooting at its centre, or at the one of two centres
-    _bicentral_sequence keeps.  One BFS from the centres roots each half
+    _two_centre_sequence keeps.  One BFS from the centres roots each half
     at its centre; below each vertex are its subtrees in descending order
     of their own canonical sequences, the form _next_rooted generates.
     The oracle of the composed and predicted sequences; the search runs
@@ -314,7 +340,7 @@ def _wrom_sequence(adj):
         below[v] = [_root_sequence(below[w]) for w in adj[v] if parent[w] == v]
     if len(centres) == 1:
         return _root_sequence(below[centres[0]])
-    return _bicentral_sequence(*(below[c] for c in centres))
+    return _two_centre_sequence(*(below[c] for c in centres))
 
 
 def test_composed_sequence_runs_no_search(monkeypatch):
@@ -329,9 +355,9 @@ def test_composed_sequence_runs_no_search(monkeypatch):
     n = 12
     table = _rooted(n // 2)
     rows = 0
-    for branches, bicentral in _chunks(table, n):
+    for branches in _chunks(table, n):
         for row in branches.tolist():
-            _composed_sequence(table, row, bicentral)
+            _composed_sequence(table, row)
             rows += 1
     assert rows == _A000055[n] and calls == []
     # the stand-in sees the search _wrom_sequence makes on a built tree

@@ -82,8 +82,9 @@ def _unreferenced_definitions(package: Path) -> list[str]:
     an attribute, or as a string that is an identifier (cli looks its moves
     up by name).  A function calling itself is no reference, and neither is
     an __all__ entry.  Also module.Class.name of each public method or
-    property of a public class whose name nothing refers to."""
-    defined, referenced = [], set()
+    property of a public class that no attribute read (x.name) refers to:
+    a local variable or string of the same name is no use of a member."""
+    defined, referenced, attributes = [], set(), set()
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, ast.Assign) and any(
@@ -102,6 +103,8 @@ def _unreferenced_definitions(package: Path) -> list[str]:
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
                 ]
             for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
                     name = node.value if node.value.isidentifier() else None
@@ -110,7 +113,7 @@ def _unreferenced_definitions(package: Path) -> list[str]:
     return [
         f"{module}.{name}"
         for module, name in defined
-        if name.rpartition(".")[2] not in referenced
+        if name.rpartition(".")[2] not in (attributes if "." in name else referenced)
     ]
 
 

@@ -372,10 +372,10 @@ def _sequence_tree(seq):
     return from_edge_list(len(seq), _sequence_edges(seq))
 
 
-def _above(table, branches, bicentral, x):
+def _above(table, branches, x):
     """The composed pivot filter with every row of a chunk its own key."""
     rows = np.arange(len(branches))
-    return _composed_above(branches, bicentral, rows, x, _branch_pivots(table, x))
+    return _composed_above(branches, rows, x, _branch_pivots(table, x))
 
 
 def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
@@ -383,16 +383,16 @@ def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
     trees = skipped_below = 0
     for n in range(3, 13):
         table = _rooted(n // 2)
-        for branches, bicentral in _chunks(table, n):
+        for branches in _chunks(table, n):
             spectra, xs = [], []  # per row; xs[r] holds the row's four x values
             for row in branches.tolist():
-                tree = _sequence_tree(_composed_sequence(table, row, bicentral))
+                tree = _sequence_tree(_composed_sequence(table, row))
                 w = np.linalg.eigvalsh(dirichlet_matrix(tree).entries)
                 lam = w[0]
                 spectra.append((tree.edges, w))
                 xs.append((lam - 1e-7, lam + 1e-7, rng.uniform(0, 2), rng.uniform(0, 2)))
             xs = np.array(xs)
-            above = [_above(table, branches, bicentral, xs[:, j]) for j in range(4)]
+            above = [_above(table, branches, xs[:, j]) for j in range(4)]
             for r, (edges, w) in enumerate(spectra):
                 for j, x in enumerate(xs[r]):
                     if above[j][r]:
@@ -409,17 +409,33 @@ def test_pivot_filter_on_a_sample_at_hard_cap():
     n, stride = HARD_CAP, 997
     table = _rooted(n // 2)
     seen = sampled = 0
-    for branches, bicentral in _chunks(table, n):
+    for branches in _chunks(table, n):
         sample = branches[-seen % stride :: stride]
         seen += len(branches)
         if not len(sample):
             continue
-        trees = [_sequence_tree(_composed_sequence(table, row, bicentral)) for row in sample.tolist()]
+        trees = [_sequence_tree(_composed_sequence(table, row)) for row in sample.tolist()]
         lam = np.array([np.linalg.eigvalsh(dirichlet_matrix(t).entries)[0] for t in trees])
-        assert _above(table, sample, bicentral, lam - 1e-7).all()
-        assert not _above(table, sample, bicentral, lam + 1e-7).any()
+        assert _above(table, sample, lam - 1e-7).all()
+        assert not _above(table, sample, lam + 1e-7).any()
         sampled += len(sample)
     assert sampled == -(-seen // stride) > 800
+
+
+def test_pivot_guard_fails_a_branch_pivot_just_below_zero():
+    # the spider with three legs of two vertices (n = 7) is the row [e, e, e]
+    # of the size-2 entry e, a root over one leaf, and its lambda1 is
+    # (5 - sqrt 13) / 2 ~ 0.697.  At x = 2 - 5e-10, e's pivot is
+    # 2 - (x + _FILTER_SLACK) ~ -5e-10: below _PIVOT_GUARD, so the branch
+    # fails and the tree is not shown to lie above x, which it does not
+    table = _rooted(3)
+    e = table.start[2]
+    x = np.array([2 - 5e-10])
+    pivot = _branch_pivots(table, x)
+    assert math.isnan(pivot[e, 0])
+    assert not _composed_above(np.array([[e, e, e]]), np.array([0]), x, pivot)[0]
+    spider = from_edge_list(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    assert first_eigenpair(spider).lambda1 == pytest.approx((5 - math.sqrt(13)) / 2)
 
 
 # -- the batched solver of the sweep ---------------------------------------------
@@ -428,9 +444,9 @@ def _hard_cap_sample(stride=997):
     """The level sequence of every stride-th tree of order HARD_CAP."""
     n, seen, sample = HARD_CAP, 0, []
     table = _rooted(n // 2)
-    for branches, bicentral in _chunks(table, n):
+    for branches in _chunks(table, n):
         for row in branches[-seen % stride :: stride].tolist():
-            sample.append(_composed_sequence(table, row, bicentral))
+            sample.append(_composed_sequence(table, row))
         seen += len(branches)
     return sample
 
