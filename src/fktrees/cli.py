@@ -267,17 +267,20 @@ def _cmd_verify_class(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    """One JSON line per tree, written as each tree is generated."""
+    """One line per tree, written as each tree is generated: a JSON object,
+    or as text its canonical code and, with --classify, its class keys,
+    two spaces apart."""
     _check_order(args.n, args.cap)  # before --output is created
     with _sink(args) as out:
         for tree in free_trees(args.n, cap=args.cap):
-            doc = {
-                "n": tree.n,
-                "edges": [[u, v] for u, v in tree.edges],
-                "code": canonical_code(tree).text,
-            }
+            code = canonical_code(tree).text
+            classes = [str(k) for k in classify(tree)] if args.classify else []
+            if args.format == "text":
+                out.write("  ".join([code, *classes]) + "\n")
+                continue
+            doc = {"n": tree.n, "edges": [[u, v] for u, v in tree.edges], "code": code}
             if args.classify:
-                doc["classes"] = [str(k) for k in classify(tree)]
+                doc["classes"] = classes
             out.write(fkio.dumps(doc) + "\n")
     return 0
 

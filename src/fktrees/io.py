@@ -24,10 +24,11 @@ __all__ = ["dumps", "spectrum_json", "tree_json", "read_capped", "read_tree_file
 # parsing: 4 MiB holds a tree of over 250,000 vertices.  Every single-tree
 # command runs in O(n) memory, so the cap bounds their memory, and their time
 # only loosely: on the worst case, a 315,466-vertex path just under the cap,
-# eigen took 7-9 s, bounds 4-6 s and transform 13 s, at 236-243 MB peak RSS,
-# on a 2-vCPU VM.  transform's time grows with the square of the depth, in
-# the canonical code of its result (each vertex's code is copied once per
-# level above it).
+# eigen took 3.7-4.6 s, bounds 2.6-3.5 s and transform 10.4-12.0 s, at
+# 205-229 MB peak RSS, each a fresh process on a 2-vCPU VM with Python
+# 3.11.  transform's time grows with the square of the depth, in the
+# canonical code of its result (each vertex's code is copied once per level
+# above it).
 MAX_TREE_FILE_BYTES = 4 * 2**20
 
 

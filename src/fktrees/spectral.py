@@ -26,23 +26,34 @@ for bit.
 
 A larger interior is solved on the tree itself, with its vertex ids and
 lists of one slot per vertex: O(n) memory, the size of the tree already
-held (_tree_eigenpair).  The searches root the interior tree at its least
-vertex id.  Eliminating A - xI children first, a vertex's pivot is
-deg - x - sum of 1/p over its children, and by Sylvester's law of inertia
-the signs of the pivots count the eigenvalues below, at and above x
-(Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear Algebra
-Appl. 434, 2011).  A zero pivot is handled by their rule, which keeps the
-count exact: its parent's pivot becomes -1/2, the zero child's 2, and the
-edge above the parent is cut (_eliminate).  Searching the count down to
-adjacent floats gives lambda1, and lambda2 when gap is read (_search).  The
-same pass gives the root's pivot, a falling function of x between its
-poles, the eigenvalues of the tree without its root, so once the bracket
-holds no such pole its regula falsi point replaces the midpoint.  For
-lambda1 the floats are those plain bisection gives: each float operation
-is monotone, so while every pivot is positive no pivot rises as x grows,
-the x with every pivot positive form a down-set, and one pair of adjacent
-floats brackets it.  Just below lambda1, A - sigma I is a nonsingular irreducible M-matrix,
-so its inverse is entrywise positive, and solving with it by the same
+held (_tree_eigenpair).  Eliminating A - xI children first on the interior
+tree rooted at some vertex, a vertex's pivot is deg - x - sum of 1/p over
+its children, and by Sylvester's law of inertia the signs of the pivots
+count the eigenvalues below, at and above x (Jacobs & Trevisan, "Locating
+the eigenvalues of trees", Linear Algebra Appl. 434, 2011).  A zero pivot
+is handled by their rule, which keeps the count exact: its parent's pivot
+becomes -1/2, the zero child's 2, and the edge above the parent is cut
+(_eliminate).  Searching the count down to adjacent floats gives lambda1,
+and lambda2 when gap is read (_search).  The same pass gives the root's
+pivot, a falling function of x between its poles, the eigenvalues of the
+tree without its root, so once the bracket holds no such pole its regula
+falsi point replaces the midpoint.
+
+lambda1's pair is fixed by the count rooted at the least interior id,
+count0: each float operation is monotone, so while every pivot is
+positive no pivot rises as x grows, the x with every count0 pivot
+positive form a down-set, and exactly one pair of adjacent floats lo < hi
+has count0(lo) = 0 and count0(hi) >= 1, the pair plain bisection gives.
+Any route that ends on such a pair gives the same bytes, so lambda1 is
+found from the landscape u = A^{-1} 1 (Filoche & Mayboroda, PNAS 109,
+2012), one solve: it brackets lambda1 between 1/max u and u's Rayleigh
+quotient, and the count rooted at its peak, whose pivot has no pole near
+lambda1 where the peak carries the ground state, is searched first; count0
+then checks its pair (_first_pair).  A pass reads x only through d - x for
+the degrees d, so every search skips an x whose differences it has
+already counted (_counter): exact, so no route moves.  At sigma = lo,
+just below lambda1, A - sigma I is a nonsingular irreducible M-matrix, so
+its inverse is entrywise positive, and solving with it by the same
 elimination only adds and divides positive numbers: inverse iteration
 keeps the ground state positive in floats, down to entries many decades
 below its largest.  Both solvers pass the same residual and positivity
@@ -113,6 +124,14 @@ _FILTER_SLACK = 1e-9
 # entry; demanding every pivot be at least _PIVOT_GUARD, far above that
 # rounding, keeps a pivot that is truly zero or negative from passing.
 _PIVOT_GUARD = 1e-9
+
+# _first_pair widens the landscape bracket on lambda1 by this relative
+# amount against the rounding of the landscape solve and of its sums; a
+# count confirms each end before it is used.
+_LANDSCAPE_SLACK = 2.0**-20
+
+# x -> (below, at, root pivot), one inertia count of a rooted interior tree
+_Count = Callable[[float], tuple[int, int, float]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,15 +207,18 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
       (the parent's pivot becomes -1/2, the zero child's 2, and the edge
       above the parent is cut), down to adjacent floats: Illinois regula
       falsi steps on the root's pivot where it is continuous, and
-      bit-pattern midpoints elsewhere, which end on the pair plain
-      bisection gives.  lambda2, and so gap, is searched the same way on
-      the first read of gap only; the bounds and transform commands never
-      read it.  The ground state comes from inverse iteration at sigma, the
-      largest float the count puts below lambda1: A - sigma I is a
-      nonsingular irreducible M-matrix, so its pivots are positive, its
-      inverse is entrywise positive, and each solve only adds and divides
-      positive numbers, so every iterate stays positive.  Its floats agree
-      with eigh's to about 1e-15 in lambda1 and 1e-13 in the
+      bit-pattern midpoints elsewhere.  The search starts from the bracket
+      the landscape A^{-1} 1 proves, on the tree rooted at the landscape's
+      peak, and ends on the count rooted at the least interior id, on the
+      pair plain bisection of that count gives.  No search runs a pass
+      whose result it already has.  lambda2, and so gap, is searched the
+      same way on the first read of gap only; the bounds and transform
+      commands never read it.  The ground state comes from inverse
+      iteration at sigma, the largest float the count puts below lambda1:
+      A - sigma I is a nonsingular irreducible M-matrix, so its pivots are
+      positive, its inverse is entrywise positive, and each solve only adds
+      and divides positive numbers, so every iterate stays positive.  Its
+      floats agree with eigh's to about 1e-15 in lambda1 and 1e-13 in the
       eigenfunction, and its small entries keep their relative accuracy
       where eigh returns rounding noise.
 
@@ -265,27 +287,32 @@ def _tree_eigenpair(tree: TreeWithBoundary, tol: float) -> DirichletSpectrum:
     over the interior tree, with vertex ids throughout: no k x k matrix is
     built.
 
-    lambda1 is searched on the inertia count of the interior tree rooted at
-    its least vertex id (_search), and sigma is the lower end of its
-    bracket, where every pivot is positive; lambda2 is searched above sigma
-    when gap is first read (_tree_gap).  Two steps of inverse iteration give
-    the ground state.  The first, from the all-ones vector (_solve), finds
-    the interior vertex r where it peaks, the least id among ties.  The
-    second starts from e_r with the tree rooted at r (_twisted_solve): each
-    branch hanging off r has its lowest eigenvalue well above lambda1, so
-    its pivots are accurate, and one step is exact up to rounding, even
-    where the ground state is many decades below its peak (K. V. Fernando,
-    SIAM J. Matrix Anal. Appl. 18, 1997).  The residual is read off the
-    ground state's zero extension, whose boundary entries add exact zeros.
+    lambda1 is searched by _first_pair, and sigma is the lower end of its
+    bracket, where every pivot of the count rooted at the least interior id
+    is positive; lambda2 is searched above sigma when gap is first read
+    (_tree_gap).  Two steps of inverse iteration give the ground state.
+    The first, from the all-ones vector (_solve), finds the interior vertex
+    r where it peaks, the least id among ties.  The second starts from e_r
+    with the tree rooted at r (_twisted_solve): each branch hanging off r
+    has its lowest eigenvalue well above lambda1, so its pivots are
+    accurate, and one step is exact up to rounding, even where the ground
+    state is many decades below its peak (K. V. Fernando, SIAM J. Matrix
+    Anal. Appl. 18, 1997).  Where r is the landscape's peak, as it mostly
+    is, the steps _first_pair rooted there serve, and no third BFS runs.
+    The residual is read off the ground state's zero extension, whose
+    boundary entries add exact zeros.
     """
     interior = tree.interior
     steps = _children_first(tree, interior[0])
     # Gershgorin: every eigenvalue is at most twice the largest degree
     top = 2.0 * max(d for d, _, _ in steps)
-    sigma, lam1 = _search(steps, 1, 0.0, top)
+    count = _counter(steps)
+    sigma, lam1, peak_steps = _first_pair(tree, steps, count, top)
     first = _solve(steps, sigma, [1.0] * tree.n)
     peak = max(interior, key=first.__getitem__)
-    f = np.array(_twisted_solve(_children_first(tree, peak), sigma))[list(interior)]
+    if peak_steps[-1][1] != peak:
+        peak_steps = _children_first(tree, peak)
+    f = np.array(_twisted_solve(peak_steps, sigma))[list(interior)]
     f /= math.sqrt(float(f @ f))
     fl = zero_extension(tree, f).tolist()
     af = [len(tree.adj[v]) * fl[v] - sum([fl[u] for u in tree.adj[v]]) for v in interior]
@@ -296,15 +323,114 @@ def _tree_eigenpair(tree: TreeWithBoundary, tol: float) -> DirichletSpectrum:
         eigenfunction=f,
         vertices=interior,
         residual=residual,
-        _gap=partial(_tree_gap, steps, sigma, top, lam1),
+        _gap=partial(_tree_gap, count, sigma, top, lam1),
     )
 
 
-def _tree_gap(
-    steps: Sequence[tuple[float, int, int]], sigma: float, top: float, lam1: float
-) -> float:
+def _tree_gap(count: _Count, sigma: float, top: float, lam1: float) -> float:
     """lambda2 - lambda1 on the tree path, lambda2 searched in (sigma, top]."""
-    return _search(steps, 2, sigma, top)[1] - lam1
+    return _search(count, 2, sigma, top)[1] - lam1
+
+
+def _first_pair(
+    tree: TreeWithBoundary, steps: Sequence[tuple[float, int, int]], count: _Count, top: float
+) -> tuple[float, float, Sequence[tuple[float, int, int]]]:
+    """(lo, hi, peak steps): the adjacent floats lo < hi on which count, the
+    inertia count of steps, the interior tree rooted at its least id, puts
+    no eigenvalue <= lo and at least one <= hi, and the steps of the
+    interior tree rooted at the landscape's peak.
+
+    The landscape u = A^{-1} 1 (Filoche & Mayboroda, PNAS 109, 2012), one
+    solve, brackets lambda1.  A is a nonsingular M-matrix, so A^{-1} >= 0,
+    and the row sums of A^{-1} are the entries of u, so
+    rho(A^{-1}) <= max u, that is lambda1 >= 1 / max u.  And u.Au = sum u,
+    so u's Rayleigh quotient gives lambda1 <= sum u / sum u^2.  Each end,
+    widened by _LANDSCAPE_SLACK against rounding, is confirmed by a count
+    before it is used: an end the count refutes becomes the other end, and
+    0 or top the missing one.  A landscape that is not finite and positive
+    leaves the bracket [0, top].
+
+    The search runs on the count rooted at the landscape's peak p, the
+    least id among ties.  The root pivot's poles are the eigenvalues of the
+    tree without p, and where p carries the ground state they sit well
+    above lambda1, so _search's regula falsi steps take over at once.  Its
+    pair is then checked on count.  An end count refutes becomes the other
+    end, the missing end gallops outward from it by 1, 2, 4, ... floats
+    until count confirms it, and count is searched between the two.  The
+    module docstring shows that count reads 0 and >= 1 on one pair of
+    adjacent floats only, so the route does not move the result.  Where p
+    is the least id, the two searches are one.
+    """
+    interior = tree.interior
+    peak, lo, hi = interior[0], 0.0, top
+    u = _solve(steps, 0.0, [1.0] * tree.n)
+    if all([0.0 < u[v] < math.inf for v in interior]):
+        landscape_peak = max(interior, key=u.__getitem__)
+        lower, upper = 1.0 / u[landscape_peak], math.fsum(u) / math.fsum([x * x for x in u])
+        if 0.0 < lower <= upper < top:
+            peak, lo = landscape_peak, lower * (1.0 - _LANDSCAPE_SLACK)
+            hi = min(upper * (1.0 + _LANDSCAPE_SLACK), top)
+    peak_steps = steps if peak == interior[0] else _children_first(tree, peak)
+    peak_count = count if peak == interior[0] else _counter(peak_steps)
+    if lo > 0.0:
+        if _holds(peak_count, lo):
+            lo, hi = 0.0, lo
+        elif not _holds(peak_count, hi):
+            lo, hi = hi, top
+    lo, hi = _search(peak_count, 1, lo, hi)
+    if peak != interior[0]:
+        if _holds(count, lo):
+            lo, hi = _gallop(count, lo, -1, 0.0), lo
+        elif not _holds(count, hi):
+            lo, hi = hi, _gallop(count, hi, 1, top)
+        lo, hi = _search(count, 1, lo, hi)
+    return lo, hi, peak_steps
+
+
+def _holds(count: _Count, x: float) -> bool:
+    """Whether count puts lambda1 at or below x."""
+    below, at, _ = count(x)
+    return below + at >= 1
+
+
+def _gallop(count: _Count, x: float, sign: int, end: float) -> float:
+    """The first of x - 1, 2, 4, ... floats (sign -1) or x + 1, 2, 4, ...
+    floats (sign 1), stopped at end, where _holds is False (sign -1) or
+    True (sign 1).  end must be such a point; it is not counted."""
+    step = 1
+    while True:
+        b = _bits(x) + sign * step
+        if (b - _bits(end)) * sign >= 0:
+            return end
+        y = _from_bits(b)
+        if _holds(count, y) == (sign > 0):
+            return y
+        step *= 2
+
+
+def _counter(steps: Sequence[tuple[float, int, int]]) -> _Count:
+    """x -> _eliminate(steps, x), with each distinct pass run once.
+
+    _eliminate reads x only as d - x, a vertex's degree less x: Python
+    evaluates d - x - acc[v] as (d - x) - acc[v].  So two x that give the
+    same d - x for every degree d of the steps give the same (below, at,
+    root pivot), bit for bit, and the count keeps each result under that
+    tuple of differences.  This matters where x is far smaller than the
+    degrees: on a long path lambda1 ~ 2.5e-6 has floats 4e-22 apart, while
+    2 - x moves only every 4.4e-16.  _eliminate is looked up on the module
+    at each pass, so a wrapper rebound there sees every pass that runs.
+    """
+    degrees = sorted({d for d, _, _ in steps})
+    seen: dict[tuple[float, ...], tuple[int, int, float]] = {}
+
+    def count(x: float) -> tuple[int, int, float]:
+        key = tuple([d - x for d in degrees])
+        result = seen.get(key)
+        if result is None:
+            result = seen[key] = _eliminate(steps, x)
+        return result
+
+    return count
 
 
 def _children_first(tree: TreeWithBoundary, root: int) -> list[tuple[float, int, int]]:
@@ -362,26 +488,25 @@ def _from_bits(b: int) -> float:
     return struct.unpack("<d", struct.pack("<q", b))[0]
 
 
-def _search(
-    steps: Sequence[tuple[float, int, int]], j: int, lo: float, hi: float
-) -> tuple[float, float]:
+def _search(count: _Count, j: int, lo: float, hi: float) -> tuple[float, float]:
     """Adjacent floats lo < hi around the j-th smallest eigenvalue: fewer
     than j eigenvalues are <= lo and at least j are <= hi, so lambda_j lies
     in (lo, hi].  The bracket passed in must already hold it, with lo >= 0.
 
-    Each pass counts at one x inside the bracket (_eliminate) and keeps the
-    end that x does not replace.  When lo counts j - 1 with a positive root
-    pivot and hi counts j with a negative one, the tree without its root
-    has as many eigenvalues <= lo as <= hi, so none between them, and the
-    root pivot, deg - x - sum of 1/p over the root's children, is
-    continuous and falling on [lo, hi] with lambda_j its one zero.  Then x
-    is the regula falsi point of the two ends' pivots, moved one float
-    inside the bracket if it rounds onto an end, and an end kept twice in
-    a row has its pivot halved (the Illinois step: Dowell & Jarratt, BIT
-    11, 1971).  Otherwise x is the float whose bit pattern is the midpoint
-    of the ends' patterns: floats >= 0 order as their patterns, so this
-    halves the number of floats in the bracket, finds lambda_j's binade in
-    a few passes, and closes any bracket in at most 63 passes.
+    Each pass counts at one x inside the bracket (count, a _counter) and
+    keeps the end that x does not replace.  When lo counts j - 1 with a
+    positive root pivot and hi counts j with a negative one, the tree
+    without its root has as many eigenvalues <= lo as <= hi, so none
+    between them, and the root pivot, deg - x - sum of 1/p over the root's
+    children, is continuous and falling on [lo, hi] with lambda_j its one
+    zero.  Then x is the regula falsi point of the two ends' pivots, moved
+    one float inside the bracket if it rounds onto an end, and an end kept
+    twice in a row has its pivot halved (the Illinois step: Dowell &
+    Jarratt, BIT 11, 1971).  Otherwise x is the float whose bit pattern is
+    the midpoint of the ends' patterns: floats >= 0 order as their
+    patterns, so this halves the number of floats in the bracket, finds
+    lambda_j's binade in a few passes, and closes any bracket in at most 63
+    passes.
 
     Rounding can leave the pivots flat near lambda_j, where the tree
     without its root has an eigenvalue close by.  So when the last three
@@ -402,7 +527,7 @@ def _search(
         else:
             x = _from_bits((a + b) // 2)
         widths.append(b - a)
-        below, at, p = _eliminate(steps, x)
+        below, at, p = count(x)
         if below + at < j:
             lo, a = x, _bits(x)
             p_lo = p if below + at == j - 1 and 0.0 < p < math.inf else math.nan
@@ -546,8 +671,7 @@ def zero_extension(tree: TreeWithBoundary, f: Sequence[float]) -> np.ndarray:
             f"function has {len(f)} entries, interior has {len(interior)}"
         )
     fhat = np.zeros(tree.n)
-    for value, v in zip(f, interior):
-        fhat[v] = value
+    fhat[list(interior)] = f
     return fhat
 
 

@@ -347,6 +347,21 @@ def test_enumerate_classify(capsys):
     assert all(len(d["classes"]) == 4 for d in docs)
 
 
+def test_enumerate_text_lines_are_codes_and_keys(capsys):
+    # one line per tree: its canonical code, then with --classify its class
+    # keys, fields two spaces apart; the JSON lines keep their bytes
+    code, out = run_capture(capsys, ["enumerate", "--n", "7", "--classify"])
+    docs = [json.loads(ln) for ln in out.splitlines()]
+    for argv, fields in ((["--format", "text"], 1), (["--classify", "--format", "text"], 5)):
+        code, text = run_capture(capsys, ["enumerate", "--n", "7", *argv])
+        assert code == 0
+        lines = [ln.split("  ") for ln in text.splitlines()]
+        assert [ln[0] for ln in lines] == [d["code"] for d in docs]
+        assert all(len(ln) == fields for ln in lines)
+        if fields > 1:
+            assert [ln[1:] for ln in lines] == [d["classes"] for d in docs]
+
+
 def test_enumerate_streams_one_write_per_tree(monkeypatch, tmp_path, capsys):
     class Recorder:
         def __init__(self):
@@ -535,8 +550,9 @@ def test_large_tree_builds_no_dense_matrix(capsys, monkeypatch, tmp_path):
 
 def test_gap_is_searched_only_when_read(capsys, monkeypatch, tmp_path):
     # a path with 2,000 interior vertices: bounds and transform run only
-    # lambda1's search, eigen runs lambda2's too and prints the gap plain
-    # bisection gives, and a second read of gap searches nothing
+    # lambda1's searches, in at most 16 passes, eigen runs the same passes
+    # and one lambda2 search and prints the gap plain bisection gives, and
+    # a second read of gap runs no pass
     spectral, passes, searches = fktrees.spectral, [0], []
     eliminate, search = spectral._eliminate, spectral._search
 
@@ -544,9 +560,9 @@ def test_gap_is_searched_only_when_read(capsys, monkeypatch, tmp_path):
         passes[0] += 1
         return eliminate(steps, x)
 
-    def recorded(steps, j, lo, hi):
+    def recorded(count, j, lo, hi):
         start = passes[0]
-        result = search(steps, j, lo, hi)
+        result = search(count, j, lo, hi)
         searches.append((j, passes[0] - start))
         return result
 
@@ -560,17 +576,19 @@ def test_gap_is_searched_only_when_read(capsys, monkeypatch, tmp_path):
         code, out = run_capture(capsys, [argv[0], "--tree", str(tree_file), *argv[1:]])
         assert code == 0
         runs[argv[0]] = [*searches], passes[0], out
-    (lambda1,), total, _ = runs["bounds"]
-    assert lambda1[0] == 1 and total == lambda1[1]
+    lambda1, total, _ = runs["bounds"]
+    assert lambda1 and all(j == 1 for j, _ in lambda1) and total <= 16
     assert runs["transform"][:2] == runs["bounds"][:2]
-    eigen_searches, total, out = runs["eigen"]
-    assert eigen_searches[0] == lambda1 and eigen_searches[1][0] == 2
-    assert total == lambda1[1] + eigen_searches[1][1]
+    eigen_searches, eigen_total, out = runs["eigen"]
+    assert eigen_searches[:-1] == lambda1 and eigen_searches[-1][0] == 2
+    assert eigen_total == total + eigen_searches[-1][1]
     assert out.endswith(',"gap":7.3947990506528799e-06}\n')
     searches[:] = []
     s = fktrees.first_eigenpair(build_path(2002))
-    assert s.gap == s.gap == 7.39479905065288e-06
-    assert [j for j, _ in searches] == [1, 2]
+    assert s.gap == 7.39479905065288e-06
+    read = passes[0]
+    assert s.gap == 7.39479905065288e-06 and passes[0] == read
+    assert [j for j, _ in searches] == [j for j, _ in eigen_searches]
 
 
 def test_function_file_cap_exits_2(capsys, monkeypatch, p5_file, tmp_path):

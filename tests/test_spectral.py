@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fktrees import (
     DisconnectedInteriorError,
@@ -39,14 +40,18 @@ import fktrees.spectral
 from fktrees.spectral import (
     DEFAULT_TOL,
     _DENSE_SOLVE_MAX,
+    _bits,
     _branch_pivots,
     _children_first,
     _composed_above,
+    _counter,
+    _first_pair,
+    _from_bits,
     _ground_states,
     _search,
     _sequence_lambdas,
 )
-from conftest import random_tree, relabel, spine_with_random_leaves
+from conftest import prufer_to_edges, random_tree, relabel, spine_with_random_leaves
 
 
 def bisect_smallest_root(poly, lo, hi, iters=200):
@@ -688,8 +693,8 @@ def test_search_ends_on_the_bisection_pair(passes):
         lambda1 = _bisect(steps, 1, 0.0, top)
         lambda2 = _bisect(steps, 2, lambda1[0], top)
         middle = passes[0]
-        assert _search(steps, 1, 0.0, top) == lambda1
-        assert _search(steps, 2, lambda1[0], top) == lambda2
+        assert _search(_counter(steps), 1, 0.0, top) == lambda1
+        assert _search(_counter(steps), 2, lambda1[0], top) == lambda2
         theirs += middle - start
         ours += passes[0] - middle
     assert ours <= 0.8 * theirs
@@ -701,4 +706,160 @@ def test_search_on_a_long_path_takes_few_passes(passes):
     lambda1 = _bisect(steps, 1, 0.0, 4.0)
     assert passes[0] == 73
     passes[0] = 0
-    assert _search(steps, 1, 0.0, 4.0) == lambda1 and passes[0] <= 55
+    assert _search(_counter(steps), 1, 0.0, 4.0) == lambda1 and passes[0] <= 55
+
+
+def _uncached(steps):
+    """The count _search ran before passes were reused: every x it visits
+    is a pass."""
+    return lambda x: fktrees.spectral._eliminate(steps, x)
+
+
+def _lambda1_setup(tree):
+    """(steps, top, _bisect's lambda1 pair) of the count rooted at the least
+    interior id, the count _first_pair must end on."""
+    steps = _children_first(tree, tree.interior[0])
+    top = 2.0 * max(d for d, _, _ in steps)
+    return steps, top, _bisect(steps, 1, 0.0, top)
+
+
+def _flat_caterpillar(k):
+    """A spine of k vertices, each with one more pendant leaf than degree 2
+    needs, labelled so that the middle of the spine is vertex 0: the
+    landscape is 1.0 at every spine vertex away from the ends, so its peak
+    ties, and the least id among the ties is the least interior id."""
+    label = [(i + k // 2) % k for i in range(k)]
+    edges, n = [(label[i], label[i + 1]) for i in range(k - 1)], k
+    for i in range(k):
+        for _ in range(1 + (i in (0, k - 1))):
+            edges.append((label[i], n))
+            n += 1
+    return from_edge_list(n, edges)
+
+
+def test_lambda1_route_ends_on_the_bisection_pair(passes):
+    # the landscape bracket, the search rooted at the landscape's peak and
+    # the finish on the count rooted at the least id end on the pair that
+    # bisection of that count gives, on the oracle sample (P23, with its
+    # zero pivot at x = 2, among it), a flat caterpillar whose peak is the
+    # least id, so the two searches are one, and trees with vertex 0 a
+    # non-leaf on an explicit boundary.  On the sample the route takes at
+    # most half the passes of today's search from [0, top]
+    rng = random.Random(29)
+    boundary_trees = []
+    while len(boundary_trees) < 3:
+        tree = _with_vertex_0_on_the_boundary(random_tree(rng, rng.randrange(60, 400)))
+        if len(tree.interior) > _DENSE_SOLVE_MAX:
+            boundary_trees.append(tree)
+    sample = _oracle_trees()
+    ours = theirs = 0
+    for i, tree in enumerate([*sample, _flat_caterpillar(1500), *boundary_trees]):
+        steps, top, lambda1 = _lambda1_setup(tree)
+        start = passes[0]
+        lo, hi, peak_steps = _first_pair(tree, steps, _counter(steps), top)
+        assert (lo, hi) == lambda1
+        if i < len(sample):
+            middle = passes[0]
+            assert _search(_uncached(steps), 1, 0.0, top) == lambda1
+            ours += middle - start
+            theirs += passes[0] - middle
+        elif i == len(sample):
+            assert peak_steps is steps
+    assert ours <= 0.5 * theirs
+
+
+def test_lambda1_route_on_a_long_path_takes_few_passes(passes):
+    # P2002: the landscape's peak is the middle vertex, where the root
+    # pivot has no pole near lambda1, and the passes that would repeat a
+    # 2 - x already counted are not run
+    tree = build_path(2002)
+    steps, top, lambda1 = _lambda1_setup(tree)
+    passes[0] = 0
+    assert _first_pair(tree, steps, _counter(steps), top)[:2] == lambda1
+    assert passes[0] <= 16
+
+
+def test_lambda1_route_recovers_from_a_bad_bracket_and_a_bad_pair(monkeypatch):
+    # landscape ends narrowed past lambda1, so that a count refutes the
+    # lower end on some trees and the upper end on others, and a pair from
+    # the search at the peak moved some floats off: the checks find each
+    # out, and the route still ends on bisection's pair
+    search = fktrees.spectral._search
+    brackets = set()
+
+    def first_bracket(count, j, lo, hi):
+        brackets.add((lo == 0.0, hi == top))
+        return search(count, j, lo, hi)
+
+    for seed, slack in ((3, -0.5), (8, -0.33)):
+        tree = random_tree(random.Random(seed), 400)
+        steps, top, lambda1 = _lambda1_setup(tree)
+        monkeypatch.setattr(fktrees.spectral, "_LANDSCAPE_SLACK", slack)
+        monkeypatch.setattr(fktrees.spectral, "_search", first_bracket)
+        assert _first_pair(tree, steps, _counter(steps), top)[:2] == lambda1
+        monkeypatch.undo()
+    assert {(True, False), (False, True)} <= brackets
+    # a gallop stops at its end, uncounted, when nothing before it holds
+    assert fktrees.spectral._gallop(lambda x: (0, 0, 1.0), 1.0, 1, 1.5) == 1.5
+    assert fktrees.spectral._gallop(lambda x: (1, 0, -1.0), 1.0, -1, 0.0) == 0.0
+    for shift in (-1000, -3, -1, 1, 2, 40):
+        calls = []
+
+        def shifted(count, j, lo, hi):
+            lo, hi = search(count, j, lo, hi)
+            calls.append(j)
+            if len(calls) == 1:
+                lo, hi = _from_bits(_bits(lo) + shift), _from_bits(_bits(hi) + shift)
+            return lo, hi
+
+        monkeypatch.setattr(fktrees.spectral, "_search", shifted)
+        lo, hi, peak_steps = _first_pair(tree, steps, _counter(steps), top)
+        assert (lo, hi) == lambda1 and peak_steps is not steps and calls == [1, 1]
+
+
+def test_pass_reuse_keeps_the_lambda2_route(passes):
+    # lambda2 has no uniqueness proof, so its search must visit the same x
+    # as before passes were reused; it ends on the same pair, in no more
+    # passes
+    ours = theirs = 0
+    for tree in _oracle_trees():
+        steps = _children_first(tree, tree.interior[0])
+        top = 2.0 * max(d for d, _, _ in steps)
+        count = _counter(steps)
+        lo = _first_pair(tree, steps, count, top)[0]
+        start = passes[0]
+        pair = _search(_uncached(steps), 2, lo, top)
+        middle = passes[0]
+        assert _search(count, 2, lo, top) == pair
+        theirs += middle - start
+        ours += passes[0] - middle
+    assert ours <= theirs
+
+
+def _same_pass(r, s):
+    """Two (below, at, root pivot) results equal bit for bit, nan too."""
+    return r[:2] == s[:2] and _bits(r[2]) == _bits(s[2])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(24, 300),
+    st.integers(0, 2**32),
+    st.one_of(st.floats(0.0, 1e-5), st.floats(0.0, 12.0)),
+    st.integers(-(2**24), 2**24),
+)
+def test_a_pass_is_fixed_by_degree_minus_x(n, seed, x, offset):
+    # _eliminate reads x only as d - x: two x with the same d - x for every
+    # degree d of the steps give the same result bit for bit, which is what
+    # lets _counter answer from the passes it already ran
+    rng = random.Random(seed)
+    tree = from_edge_list(n, prufer_to_edges([rng.randrange(n) for _ in range(n - 2)], n))
+    steps = _children_first(tree, rng.choice(tree.interior))
+    degrees = {d for d, _, _ in steps}
+    y = _from_bits(max(_bits(x) + offset, 0))
+    first = fktrees.spectral._eliminate(steps, x)
+    if all(d - x == d - y for d in degrees):
+        assert _same_pass(fktrees.spectral._eliminate(steps, y), first)
+    count = _counter(steps)
+    count(x)
+    assert _same_pass(count(y), fktrees.spectral._eliminate(steps, y))
