@@ -23,13 +23,15 @@ from .enumeration import (
     DEFAULT_CAP,
     ClassKey,
     _check_order,
-    classify,
-    free_trees,
+    _keys,
+    _level_sequences,
+    _read_sequence,
+    _sequence_edges,
 )
 from .errors import EmptyClassError, FKTreesError
 from .families import build_T, build_comet, build_fork, build_star
 from .spectral import DEFAULT_TOL, build_path, eigenvalue_bounds, first_eigenpair
-from .trees import canonical_code, format_edge_list_text
+from .trees import format_edge_list_text
 from .verify import (
     THEOREMS,
     TIE_TOL,
@@ -269,16 +271,20 @@ def _cmd_verify_class(args) -> int:
 def _cmd_enumerate(args) -> int:
     """One line per tree, written as each tree is generated: a JSON object,
     or as text its canonical code and, with --classify, its class keys,
-    two spaces apart."""
+    two spaces apart.  The trees are free_trees', read off their WROM level
+    sequences with no tree built: one _read_sequence pass gives the code
+    and the (m, b, D) of the keys, and the edges, each (parent, v) with
+    parent < v, sort into from_edge_list's order."""
     _check_order(args.n, args.cap)  # before --output is created
     with _sink(args) as out:
-        for tree in free_trees(args.n, cap=args.cap):
-            code = canonical_code(tree).text
-            classes = [str(k) for k in classify(tree)] if args.classify else []
+        for seq in _level_sequences(args.n):
+            (m, b, D), code = _read_sequence(seq)
+            classes = [str(k) for k in _keys(args.n, m, b, D)] if args.classify else []
             if args.format == "text":
                 out.write("  ".join([code, *classes]) + "\n")
                 continue
-            doc = {"n": tree.n, "edges": [[u, v] for u, v in tree.edges], "code": code}
+            edges = [list(e) for e in sorted(_sequence_edges(seq))]
+            doc = {"n": args.n, "edges": edges, "code": code}
             if args.classify:
                 doc["classes"] = classes
             out.write(fkio.dumps(doc) + "\n")

@@ -42,9 +42,10 @@ such a sequence reads the tree's (m, b, D) and canonical code
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
 count), NK (order, interior count) and ND (order, diameter).  _PARAMS says
-which parameters each variant takes.  classify gives a tree's four keys,
-and _cells says which (m, b, D) of _root_over a key holds, so the sweep's
-table from invariants to keys is built from the keys alone.
+which parameters each variant takes.  _keys gives the four keys of a
+tree's (m, b, D), as _read_sequence reads them, and _cells says which
+(m, b, D) of _root_over a key holds, so the sweep's table from invariants
+to keys is built from the keys alone.
 """
 
 from __future__ import annotations
@@ -58,14 +59,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import CapExceededError, EmptyInteriorError, TooSmallError
-from .matching import matching_number
-from .trees import (
-    TreeWithBoundary,
-    _check_leaf_boundary,
-    _vertex_code,
-    diameter,
-    from_edge_list,
-)
+from .trees import TreeWithBoundary, _vertex_code, from_edge_list
 
 __all__ = [
     "DEFAULT_CAP",
@@ -73,7 +67,6 @@ __all__ = [
     "ClassKey",
     "free_tree_edge_sets",
     "free_trees",
-    "classify",
 ]
 
 DEFAULT_CAP = 16
@@ -543,15 +536,14 @@ class ClassKey:
         return ClassKey(variant, nums[0], **dict(zip(params, nums[1:])))
 
 
-def classify(tree: TreeWithBoundary) -> list[ClassKey]:
-    """The NM, NMB, NK and ND keys of a tree with leaf boundary and n >= 3."""
-    _check_leaf_boundary(tree)
-    n, m, b = tree.n, matching_number(tree), len(tree.boundary)
+def _keys(n: int, m: int, b: int, D: int) -> list[ClassKey]:
+    """The NM, NMB, NK and ND keys of a tree on n >= 3 vertices with leaf
+    boundary, matching number m, b leaves and diameter D."""
     return [
         ClassKey("NM", n, m=m),
         ClassKey("NMB", n, m=m, b=b),
         ClassKey("NK", n, k=n - b),
-        ClassKey("ND", n, D=diameter(tree)),
+        ClassKey("ND", n, D=D),
     ]
 
 

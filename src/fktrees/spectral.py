@@ -48,16 +48,17 @@ Any route that ends on such a pair gives the same bytes, so lambda1 is
 found from the landscape u = A^{-1} 1 (Filoche & Mayboroda, PNAS 109,
 2012), one solve: it brackets lambda1 between 1/max u and u's Rayleigh
 quotient, and the count rooted at its peak, whose pivot has no pole near
-lambda1 where the peak carries the ground state, is searched first; count0
-then checks its pair (_first_pair).  A pass reads x only through d - x for
-the degrees d, so every search skips an x whose differences it has
-already counted (_counter): exact, so no route moves.  At sigma = lo,
-just below lambda1, A - sigma I is a nonsingular irreducible M-matrix, so
-its inverse is entrywise positive, and solving with it by the same
-elimination only adds and divides positive numbers: inverse iteration
-keeps the ground state positive in floats, down to entries many decades
-below its largest.  Both solvers pass the same residual and positivity
-checks (_check_ground_state).
+lambda1 where the peak carries the ground state, is searched first, with
+no check of the bracket; count0 then checks the pair that search ends on,
+the one check that decides the bytes (_first_pair).  A pass reads x only
+through d - x for the degrees d, so every search skips an x whose
+differences it has already counted (_counter): exact, so no route moves.
+At sigma = lo, just below lambda1, A - sigma I is a nonsingular
+irreducible M-matrix, so its inverse is entrywise positive, and solving
+with it by the same elimination only adds and divides positive numbers:
+inverse iteration keeps the ground state positive in floats, down to
+entries many decades below its largest.  Both solvers pass the same
+residual and positivity checks (_check_ground_state).
 
 The sweep eigensolves few of its trees.  The same pivot count proves,
 without building a tree, that every eigenvalue lies above a bound x:
@@ -127,7 +128,7 @@ _PIVOT_GUARD = 1e-9
 
 # _first_pair widens the landscape bracket on lambda1 by this relative
 # amount against the rounding of the landscape solve and of its sums; a
-# count confirms each end before it is used.
+# bracket that still misses lambda1 costs only a gallop on count0.
 _LANDSCAPE_SLACK = 2.0**-20
 
 # x -> (below, at, root pivot), one inertia count of a rooted interior tree
@@ -344,22 +345,22 @@ def _first_pair(
     solve, brackets lambda1.  A is a nonsingular M-matrix, so A^{-1} >= 0,
     and the row sums of A^{-1} are the entries of u, so
     rho(A^{-1}) <= max u, that is lambda1 >= 1 / max u.  And u.Au = sum u,
-    so u's Rayleigh quotient gives lambda1 <= sum u / sum u^2.  Each end,
-    widened by _LANDSCAPE_SLACK against rounding, is confirmed by a count
-    before it is used: an end the count refutes becomes the other end, and
-    0 or top the missing one.  A landscape that is not finite and positive
-    leaves the bracket [0, top].
+    so u's Rayleigh quotient gives lambda1 <= sum u / sum u^2.  Each end is
+    widened by _LANDSCAPE_SLACK against rounding.  A landscape that is not
+    finite and positive leaves the bracket [0, top].
 
     The search runs on the count rooted at the landscape's peak p, the
     least id among ties.  The root pivot's poles are the eigenvalues of the
     tree without p, and where p carries the ground state they sit well
-    above lambda1, so _search's regula falsi steps take over at once.  Its
-    pair is then checked on count.  An end count refutes becomes the other
+    above lambda1, so _search's regula falsi steps take over at once.  It
+    ends on adjacent floats even where the bracket misses lambda1, and
+    only count checks its pair.  An end count refutes becomes the other
     end, the missing end gallops outward from it by 1, 2, 4, ... floats
     until count confirms it, and count is searched between the two.  The
     module docstring shows that count reads 0 and >= 1 on one pair of
     adjacent floats only, so the route does not move the result.  Where p
-    is the least id, the two searches are one.
+    is the least id, the two searches are one, and the check reads ends
+    the search has already counted.
     """
     interior = tree.interior
     peak, lo, hi = interior[0], 0.0, top
@@ -371,19 +372,12 @@ def _first_pair(
             peak, lo = landscape_peak, lower * (1.0 - _LANDSCAPE_SLACK)
             hi = min(upper * (1.0 + _LANDSCAPE_SLACK), top)
     peak_steps = steps if peak == interior[0] else _children_first(tree, peak)
-    peak_count = count if peak == interior[0] else _counter(peak_steps)
-    if lo > 0.0:
-        if _holds(peak_count, lo):
-            lo, hi = 0.0, lo
-        elif not _holds(peak_count, hi):
-            lo, hi = hi, top
-    lo, hi = _search(peak_count, 1, lo, hi)
-    if peak != interior[0]:
-        if _holds(count, lo):
-            lo, hi = _gallop(count, lo, -1, 0.0), lo
-        elif not _holds(count, hi):
-            lo, hi = hi, _gallop(count, hi, 1, top)
-        lo, hi = _search(count, 1, lo, hi)
+    lo, hi = _search(count if peak == interior[0] else _counter(peak_steps), 1, lo, hi)
+    if _holds(count, lo):
+        lo, hi = _gallop(count, lo, -1, 0.0), lo
+    elif not _holds(count, hi):
+        lo, hi = hi, _gallop(count, hi, 1, top)
+    lo, hi = _search(count, 1, lo, hi)
     return lo, hi, peak_steps
 
 
@@ -491,7 +485,8 @@ def _from_bits(b: int) -> float:
 def _search(count: _Count, j: int, lo: float, hi: float) -> tuple[float, float]:
     """Adjacent floats lo < hi around the j-th smallest eigenvalue: fewer
     than j eigenvalues are <= lo and at least j are <= hi, so lambda_j lies
-    in (lo, hi].  The bracket passed in must already hold it, with lo >= 0.
+    in (lo, hi].  lo >= 0.  A bracket that misses lambda_j still ends on
+    adjacent floats, at its end nearer lambda_j, with no claim about them.
 
     Each pass counts at one x inside the bracket (count, a _counter) and
     keeps the end that x does not replace.  When lo counts j - 1 with a

@@ -228,9 +228,7 @@ def _certificate(
 ) -> ExtremalCertificate:
     """The certificate of one key; a minimizer no predicted tree names is
     read and coded from its sequence here, once (read holds every
-    predicted tree's)."""
-    if not population:
-        return empty_class_certificate(key, tol)
+    predicted tree's).  Every feasible key has a member, so population >= 1."""
     lambda_min = min(lam for lam, _ in contenders)
     minimal = [seq for lam, seq in contenders if lam <= lambda_min + tol]
     for seq in minimal:

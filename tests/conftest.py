@@ -335,6 +335,24 @@ def _oracle_eccentricity(adj, source):
     return far, dist[far]
 
 
+def reference_keys(tree):
+    """The NM, NMB, NK and ND keys of a tree on n >= 3 vertices with leaf
+    boundary, from its adjacency alone: the matching number by leaf
+    stripping and the diameter by a double BFS."""
+    adj, n = tree.adj, tree.n
+    b = sum(len(a) == 1 for a in adj)
+    assert len(tree.boundary) == b and all(len(adj[v]) == 1 for v in tree.boundary)
+    m = _oracle_matching_number(adj)
+    far, _ = _oracle_eccentricity(adj, 0)
+    D = _oracle_eccentricity(adj, far)[1]
+    return [
+        ClassKey("NM", n, m=m),
+        ClassKey("NMB", n, m=m, b=b),
+        ClassKey("NK", n, k=n - b),
+        ClassKey("ND", n, D=D),
+    ]
+
+
 def _oracle_trees(n, group=1024):
     """(m, b, D, lambda1, adj) of each tree on n >= 3 vertices, leaves on
     the boundary, as a stream: the matrices of one interior size are solved

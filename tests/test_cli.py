@@ -22,7 +22,6 @@ from fktrees import (
     PredictedExtremal,
     build_path,
     canonical_code,
-    classify,
     format_edge_list_text,
     free_trees,
     from_edge_list,
@@ -30,7 +29,7 @@ from fktrees import (
     predicted_extremal,
 )
 from fktrees.enumeration import _level_sequences
-from conftest import spine_with_random_leaves
+from conftest import reference_dumps, reference_keys, spine_with_random_leaves
 
 
 @pytest.fixture
@@ -302,7 +301,7 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     seq, code_text = next(
         (seq, canonical_code(tree).text)
         for seq, tree in zip(_level_sequences(8), free_trees(8), strict=True)
-        if key in classify(tree) and canonical_code(tree).text not in want["minimizers"]
+        if key in reference_keys(tree) and canonical_code(tree).text not in want["minimizers"]
     )
 
     def predicted(k):
@@ -360,6 +359,26 @@ def test_enumerate_text_lines_are_codes_and_keys(capsys):
         assert all(len(ln) == fields for ln in lines)
         if fields > 1:
             assert [ln[1:] for ln in lines] == [d["classes"] for d in docs]
+
+
+def test_enumerate_lines_match_built_trees(capsys):
+    # each line enumerate reads off a level sequence is the line of the
+    # tree free_trees builds: its edges, canonical_code and the reference keys
+    for n in range(3, 13):
+        for flag in ([], ["--classify"]):
+            json_lines, text_lines = [], []
+            for tree in free_trees(n):
+                code = canonical_code(tree).text
+                keys = [str(k) for k in reference_keys(tree)] if flag else []
+                doc = {"n": n, "edges": [list(e) for e in tree.edges], "code": code}
+                if flag:
+                    doc["classes"] = keys
+                json_lines.append(reference_dumps(doc) + "\n")
+                text_lines.append("  ".join([code, *keys]) + "\n")
+            for fmt, want in (("json", json_lines), ("text", text_lines)):
+                rc, out = run_capture(capsys, ["enumerate", "--n", str(n), *flag, "--format", fmt])
+                assert rc == 0
+                assert out == "".join(want), (n, flag, fmt)
 
 
 def test_enumerate_streams_one_write_per_tree(monkeypatch, tmp_path, capsys):

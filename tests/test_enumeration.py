@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import sys
@@ -12,6 +13,7 @@ import pytest
 import fktrees.enumeration as enumeration_module
 import fktrees.trees as trees_module
 import fktrees.verify as verify_module
+from fktrees.cli import run
 from fktrees import (
     TIE_TOL,
     CapExceededError,
@@ -24,7 +26,6 @@ from fktrees import (
     build_path,
     build_star,
     canonical_code,
-    classify,
     first_eigenpair,
     free_tree_edge_sets,
     free_trees,
@@ -65,6 +66,7 @@ from conftest import (
     all_labeled_trees,
     oracle_certificates,
     predicted_trees,
+    reference_keys,
     relabel,
 )
 
@@ -252,7 +254,7 @@ def test_two_centroid_rows_are_the_pairs_of_halves():
         assert got == list(zip(m.tolist(), (table.b[a] + table.b[b]).tolist(), D.tolist())), n
 
 
-def test_composed_trees_agree_with_free_trees_and_classify():
+def test_composed_trees_agree_with_free_trees_and_reference_keys():
     for n in range(3, 13):
         keys = _feasible_keys(n)
         table = _rooted(n // 2)
@@ -263,7 +265,7 @@ def test_composed_trees_agree_with_free_trees_and_classify():
                 seq = _composed_sequence(table, row)
                 tree = from_edge_list(n, _sequence_edges(seq))
                 composed.append(tree.edges)
-                assert classify(tree) == [
+                assert reference_keys(tree) == [
                     ClassKey("NM", n, m=m),
                     ClassKey("NMB", n, m=m, b=b),
                     ClassKey("NK", n, k=n - b),
@@ -274,14 +276,14 @@ def test_composed_trees_agree_with_free_trees_and_classify():
                 # the sweep's key table: each tree's invariants lie in the
                 # cells of its own key of each variant and of no other
                 holding = [key for key in keys if _holds(key, (m, b, D))]
-                assert holding == classify(tree)
+                assert holding == reference_keys(tree)
         # every composed tree is labelled as the generator labels it, and
         # each generator tree is composed exactly once
         generated = [tuple(sorted(edges)) for edges in free_tree_edge_sets(n)]
         assert sorted(composed) == sorted(generated), n
 
 
-def test_composed_sample_at_hard_cap_agrees_with_classify():
+def test_composed_sample_at_hard_cap_agrees_with_reference_keys():
     # every 997th tree of order HARD_CAP, across all its units, among them
     # full chunks of _CHUNK rows, and rows with a half of n/2 vertices (two
     # centroids) and without
@@ -297,7 +299,7 @@ def test_composed_sample_at_hard_cap_agrees_with_classify():
             seq = _composed_sequence(table, row)
             tree = from_edge_list(n, _sequence_edges(seq))
             assert _wrom_sequence(tree.adj) == seq
-            assert classify(tree) == [
+            assert reference_keys(tree) == [
                 ClassKey("NM", n, m=m[r]),
                 ClassKey("NMB", n, m=m[r], b=b[r]),
                 ClassKey("NK", n, k=n - b[r]),
@@ -395,14 +397,14 @@ def _holds(key, invariants):
 def test_every_predicted_tree_is_a_member_of_its_key():
     # the precondition of the sweep's seed: every key's threshold starts at
     # the least eigenvalue over its predicted members, so every key has one,
-    # by classify of the built tree and by the reading of its sequence
+    # by the reference keys of the built tree and by the reading of its sequence
     keys = [key for n in range(3, HARD_CAP + 1) for key in _feasible_keys(n)]
     assert len(keys) == 816
     for key in keys:
         prediction = predicted_extremal(key)
         assert prediction.sequences, key
         for seq, tree in zip(prediction.sequences, predicted_trees(prediction), strict=True):
-            assert key in classify(tree), key
+            assert key in reference_keys(tree), key
             assert _holds(key, _read_sequence(seq)[0]), key
 
 
@@ -506,13 +508,17 @@ def test_cap_and_degenerate_orders():
 
 # -- classification ----------------------------------------------------------------
 
-def test_classify_examples():
-    keys = {str(k) for k in classify(build_path(6))}
-    assert keys == {"NM 6 3", "NMB 6 3 2", "NK 6 4", "ND 6 5"}
-    keys = {str(k) for k in classify(build_star(5))}
-    assert keys == {"NM 5 1", "NMB 5 1 4", "NK 5 1", "ND 5 2"}
-    keys = {str(k) for k in classify(build_T(3, 2, 3))}
-    assert keys == {"NM 8 3", "NMB 8 3 3", "NK 8 5", "ND 8 6"}
+def test_classify_examples(capsys):
+    # the keys `enumerate --classify` prints on the line of each example tree
+    def keys(tree):
+        assert run(["enumerate", "--n", str(tree.n), "--classify"]) == 0
+        docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        (doc,) = [d for d in docs if d["code"] == canonical_code(tree).text]
+        return set(doc["classes"])
+
+    assert keys(build_path(6)) == {"NM 6 3", "NMB 6 3 2", "NK 6 4", "ND 6 5"}
+    assert keys(build_star(5)) == {"NM 5 1", "NMB 5 1 4", "NK 5 1", "ND 5 2"}
+    assert keys(build_T(3, 2, 3)) == {"NM 8 3", "NMB 8 3 3", "NK 8 5", "ND 8 6"}
 
 
 def test_key_parse_round_trip():
@@ -813,7 +819,7 @@ def _assert_solved_once(counted, certs):
         seq
         for c in certs
         for seq in predicted_extremal(c.key).sequences
-        if c.key in classify(_sequence_tree(seq))
+        if c.key in reference_keys(_sequence_tree(seq))
     }
     minimizers = {c for cert in certs for c in cert.minimizers}
     generated = {
@@ -860,7 +866,7 @@ def test_sweep_solves_and_codes_each_tree_of_t14_once(monkeypatch):
 def test_t14_sweep_builds_and_classifies_no_tree(monkeypatch):
     # the sweep-serial job names, codes and classifies its trees, the
     # predicted ones among them, from level sequences: nothing builds a
-    # tree, classifies one or searches one
+    # tree or searches one
     calls = []
 
     def counted(name, function):
@@ -873,7 +879,7 @@ def test_t14_sweep_builds_and_classifies_no_tree(monkeypatch):
     patched = 0
     for module_name, module in list(sys.modules.items()):
         if module_name == "fktrees" or module_name.startswith("fktrees."):
-            for name in ("classify", "from_edge_list", "_bfs"):
+            for name in ("from_edge_list", "_bfs"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
                     patched += 1
@@ -892,7 +898,7 @@ def test_wrong_predictions_change_only_the_verdict(monkeypatch, stand_in):
     wrong = {}
     for key, cert in right.items():
         for seq, tree in zip(_level_sequences(key.n), free_trees(key.n), strict=True):
-            member = key in classify(tree)
+            member = key in reference_keys(tree)
             if stand_in == "non-member":
                 if not member:
                     wrong[key] = seq  # the first non-member in WROM order
@@ -928,7 +934,7 @@ def _wrong_sweeps(monkeypatch, stand_in, chunk):
     for cert in (c for t in ("T13", "T14") for c in verify_theorem_sweep(t, 10)):
         key = cert.key
         for seq, tree in zip(_level_sequences(key.n), free_trees(key.n), strict=True):
-            member = key in classify(tree)
+            member = key in reference_keys(tree)
             if stand_in == "non-member" and not member:
                 wrong[key] = seq  # the first non-member in WROM order
                 break

@@ -776,29 +776,31 @@ def test_lambda1_route_on_a_long_path_takes_few_passes(passes):
     steps, top, lambda1 = _lambda1_setup(tree)
     passes[0] = 0
     assert _first_pair(tree, steps, _counter(steps), top)[:2] == lambda1
-    assert passes[0] <= 16
+    assert passes[0] <= 11
 
 
 def test_lambda1_route_recovers_from_a_bad_bracket_and_a_bad_pair(monkeypatch):
-    # landscape ends narrowed past lambda1, so that a count refutes the
-    # lower end on some trees and the upper end on others, and a pair from
-    # the search at the peak moved some floats off: the checks find each
-    # out, and the route still ends on bisection's pair
-    search = fktrees.spectral._search
-    brackets = set()
-
-    def first_bracket(count, j, lo, hi):
-        brackets.add((lo == 0.0, hi == top))
-        return search(count, j, lo, hi)
+    # landscape ends narrowed past lambda1, so that the search at the peak
+    # ends above lambda1 on one tree and below it on the other, and a pair
+    # from that search moved some floats off: count0's check finds each
+    # out, gallops towards lambda1, and the route still ends on
+    # bisection's pair
+    search, gallop = fktrees.spectral._search, fktrees.spectral._gallop
+    signs = {}
 
     for seed, slack in ((3, -0.5), (8, -0.33)):
         tree = random_tree(random.Random(seed), 400)
         steps, top, lambda1 = _lambda1_setup(tree)
+
+        def recorded(count, x, sign, end, seed=seed):
+            signs.setdefault(seed, []).append(sign)
+            return gallop(count, x, sign, end)
+
         monkeypatch.setattr(fktrees.spectral, "_LANDSCAPE_SLACK", slack)
-        monkeypatch.setattr(fktrees.spectral, "_search", first_bracket)
+        monkeypatch.setattr(fktrees.spectral, "_gallop", recorded)
         assert _first_pair(tree, steps, _counter(steps), top)[:2] == lambda1
         monkeypatch.undo()
-    assert {(True, False), (False, True)} <= brackets
+    assert signs == {3: [-1], 8: [1]}
     # a gallop stops at its end, uncounted, when nothing before it holds
     assert fktrees.spectral._gallop(lambda x: (0, 0, 1.0), 1.0, 1, 1.5) == 1.5
     assert fktrees.spectral._gallop(lambda x: (1, 0, -1.0), 1.0, -1, 0.0) == 0.0
