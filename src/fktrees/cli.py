@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -272,19 +273,21 @@ def _cmd_enumerate(args) -> int:
     """One line per tree, written as each tree is generated: a JSON object,
     or as text its canonical code and, with --classify, its class keys,
     two spaces apart.  The trees are free_trees', read off their WROM level
-    sequences with no tree built: one _read_sequence pass gives the code
-    and the (m, b, D) of the keys, and the edges, each (parent, v) with
-    parent < v, sort into from_edge_list's order."""
+    sequences with no tree built: each sequence's edges are read once, one
+    _read_sequence pass over them gives the code and the (m, b, D), whose
+    keys are made once per distinct (m, b, D), and the edges, each
+    (parent, v) with parent < v, sort into from_edge_list's order."""
     _check_order(args.n, args.cap)  # before --output is created
+    classes_of = functools.cache(lambda mbD: [str(k) for k in _keys(args.n, *mbD)])
     with _sink(args) as out:
         for seq in _level_sequences(args.n):
-            (m, b, D), code = _read_sequence(seq)
-            classes = [str(k) for k in _keys(args.n, m, b, D)] if args.classify else []
+            edges = _sequence_edges(seq)
+            mbD, code = _read_sequence(seq, edges)
+            classes = classes_of(mbD) if args.classify else []
             if args.format == "text":
                 out.write("  ".join([code, *classes]) + "\n")
                 continue
-            edges = [list(e) for e in sorted(_sequence_edges(seq))]
-            doc = {"n": args.n, "edges": edges, "code": code}
+            doc = {"n": args.n, "edges": [list(e) for e in sorted(edges)], "code": code}
             if args.classify:
                 doc["classes"] = classes
             out.write(fkio.dumps(doc) + "\n")

@@ -195,10 +195,12 @@ def _two_centre_sequence(left: list[bytes], right: list[bytes]) -> bytes:
     return _root_sequence([*right, _root_sequence(left)])
 
 
-def _read_sequence(seq: bytes) -> tuple[tuple[int, int, int], str]:
+def _read_sequence(seq: bytes, edges: tuple = ()) -> tuple[tuple[int, int, int], str]:
     """(m, b, D) and the canonical code text of the tree of a level
     sequence _level_sequences yields (n >= 3), with leaf boundary, from one
-    children-first pass over it, labelled as _sequence_edges labels it.
+    children-first pass over it, labelled as _sequence_edges labels it;
+    edges, when given, is _sequence_edges(seq), which a caller that also
+    needs the edges reads once.
 
     The matching is greedy, each vertex matched to its parent when both are
     free, which is optimal in any children-first order.  The root is a
@@ -211,7 +213,7 @@ def _read_sequence(seq: bytes) -> tuple[tuple[int, int, int], str]:
     n = len(seq)
     code, below = [b""] * n, [[] for _ in seq]  # below[v]: the codes of v's children
     free, m = [True] * n, 0
-    for p, v in reversed(_sequence_edges(seq)):  # a child comes after its parent
+    for p, v in reversed(edges or _sequence_edges(seq)):  # a child comes after its parent
         code[v] = _vertex_code(not below[v], below[v])
         below[p].append(code[v])
         if free[v] and free[p]:

@@ -74,7 +74,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -298,21 +298,24 @@ def _tree_eigenpair(tree: TreeWithBoundary, tol: float) -> DirichletSpectrum:
     has its lowest eigenvalue well above lambda1, so its pivots are
     accurate, and one step is exact up to rounding, even where the ground
     state is many decades below its peak (K. V. Fernando, SIAM J. Matrix
-    Anal. Appl. 18, 1997).  Where r is the landscape's peak, as it mostly
-    is, the steps _first_pair rooted there serve, and no third BFS runs.
-    The residual is read off the ground state's zero extension, whose
-    boundary entries add exact zeros.
+    Anal. Appl. 18, 1997).  The solve keeps two memos by root, rooted
+    (the steps of _children_first) and counted (their _counter), so that
+    no rooting is built twice: the least id, the landscape's peak and r
+    are often the same vertex.  Both are emptied before the second step,
+    which frees the landscape peak's rooting where r is another vertex, and
+    gap keeps only count0.  The residual is read off the ground state's zero extension,
+    whose boundary entries add exact zeros.
     """
     interior = tree.interior
-    steps = _children_first(tree, interior[0])
+    rooted = cache(partial(_children_first, tree))
+    counted = cache(lambda root: _counter(rooted(root)))
+    steps = rooted(interior[0])
     # Gershgorin: every eigenvalue is at most twice the largest degree
     top = 2.0 * max(d for d, _, _ in steps)
-    count = _counter(steps)
-    sigma, lam1, peak_steps = _first_pair(tree, steps, count, top)
+    sigma, lam1 = _first_pair(tree, rooted, counted, top)
     first = _solve(steps, sigma, [1.0] * tree.n)
-    peak = max(interior, key=first.__getitem__)
-    if peak_steps[-1][1] != peak:
-        peak_steps = _children_first(tree, peak)
+    peak_steps, count = rooted(max(interior, key=first.__getitem__)), counted(interior[0])
+    rooted.cache_clear(), counted.cache_clear()
     f = np.array(_twisted_solve(peak_steps, sigma))[list(interior)]
     f /= math.sqrt(float(f @ f))
     fl = zero_extension(tree, f).tolist()
@@ -334,12 +337,15 @@ def _tree_gap(count: _Count, sigma: float, top: float, lam1: float) -> float:
 
 
 def _first_pair(
-    tree: TreeWithBoundary, steps: Sequence[tuple[float, int, int]], count: _Count, top: float
-) -> tuple[float, float, Sequence[tuple[float, int, int]]]:
-    """(lo, hi, peak steps): the adjacent floats lo < hi on which count, the
-    inertia count of steps, the interior tree rooted at its least id, puts
-    no eigenvalue <= lo and at least one <= hi, and the steps of the
-    interior tree rooted at the landscape's peak.
+    tree: TreeWithBoundary,
+    rooted: Callable[[int], Sequence[tuple[float, int, int]]],
+    counted: Callable[[int], _Count],
+    top: float,
+) -> tuple[float, float]:
+    """The adjacent floats lo < hi on which count0, the inertia count of the
+    interior tree rooted at its least id, puts no eigenvalue <= lo and at
+    least one <= hi.  rooted and counted give the steps and the count of the
+    interior tree rooted at a vertex, each built once per root.
 
     The landscape u = A^{-1} 1 (Filoche & Mayboroda, PNAS 109, 2012), one
     solve, brackets lambda1.  A is a nonsingular M-matrix, so A^{-1} >= 0,
@@ -354,31 +360,30 @@ def _first_pair(
     tree without p, and where p carries the ground state they sit well
     above lambda1, so _search's regula falsi steps take over at once.  It
     ends on adjacent floats even where the bracket misses lambda1, and
-    only count checks its pair.  An end count refutes becomes the other
+    only count0 checks its pair.  An end count0 refutes becomes the other
     end, the missing end gallops outward from it by 1, 2, 4, ... floats
-    until count confirms it, and count is searched between the two.  The
-    module docstring shows that count reads 0 and >= 1 on one pair of
+    until count0 confirms it, and count0 is searched between the two.  The
+    module docstring shows that count0 reads 0 and >= 1 on one pair of
     adjacent floats only, so the route does not move the result.  Where p
-    is the least id, the two searches are one, and the check reads ends
+    is the least id, counted gives count0 itself, and the check reads ends
     the search has already counted.
     """
     interior = tree.interior
+    count = counted(interior[0])
     peak, lo, hi = interior[0], 0.0, top
-    u = _solve(steps, 0.0, [1.0] * tree.n)
+    u = _solve(rooted(interior[0]), 0.0, [1.0] * tree.n)
     if all([0.0 < u[v] < math.inf for v in interior]):
         landscape_peak = max(interior, key=u.__getitem__)
         lower, upper = 1.0 / u[landscape_peak], math.fsum(u) / math.fsum([x * x for x in u])
         if 0.0 < lower <= upper < top:
             peak, lo = landscape_peak, lower * (1.0 - _LANDSCAPE_SLACK)
             hi = min(upper * (1.0 + _LANDSCAPE_SLACK), top)
-    peak_steps = steps if peak == interior[0] else _children_first(tree, peak)
-    lo, hi = _search(count if peak == interior[0] else _counter(peak_steps), 1, lo, hi)
+    lo, hi = _search(counted(peak), 1, lo, hi)
     if _holds(count, lo):
         lo, hi = _gallop(count, lo, -1, 0.0), lo
     elif not _holds(count, hi):
         lo, hi = hi, _gallop(count, hi, 1, top)
-    lo, hi = _search(count, 1, lo, hi)
-    return lo, hi, peak_steps
+    return _search(count, 1, lo, hi)
 
 
 def _holds(count: _Count, x: float) -> bool:

@@ -31,8 +31,8 @@ codes come from the sequence too: one children-first pass
 (enumeration._read_sequence) gives a tree's matching number, leaf count,
 diameter and canonical code, and a predicted tree is a member of a key
 when the table that counts the populations takes its (m, b, D) to that
-key.  Two dicts that live for one order hold each named tree's lambda1
-and reading, so no tree of an order is eigensolved or read twice.  Every
+key.  A dict of lambda1 and a memo of readings, both made per order, keep
+any tree of an order from being eigensolved or read twice.  Every
 lambda1 comes from spectral._sequence_lambdas, which builds the Dirichlet
 matrices straight from the sequences and solves them in stacked batches,
 bit for bit as first_eigenpair solves the tree free_trees yields.
@@ -75,6 +75,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -154,34 +155,30 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     one pass over the composed chunks of that order.
 
     Trees are named by their WROM level sequences, the predicted ones as
-    predicted_extremal gives them, and lam and read hold each one's
-    lambda1 and its _read_sequence, the (m, b, D) and canonical code, so
-    that no tree of the order is eigensolved or read twice.  A
-    predicted tree is a member of key i when it has order n and key_id,
-    the table that counts the population, takes its (m, b, D) to i.
-    x[i] is key i's seed + tol, the seed being the least lambda1 of its
-    predicted members, or inf, and it is fixed for the pass.  The class
-    minimum is at most the seed, so a tree _composed_above shows to lie
-    above x[i] is never within tol of the class minimum: it is counted
-    without being named or eigensolved, and one _branch_pivots call serves
-    every chunk.  Every contender's (lambda1, sequence) is kept, and the
-    minimizers are the contenders within tol of their least lambda1: the
-    trees within tol of the class minimum, by the same float comparison as
-    a filter over the whole class.
+    predicted_extremal gives them.  lam holds each one's lambda1, and read, a
+    memo of _read_sequence looked up on the module when the order starts,
+    its (m, b, D) and canonical code, so that no tree of the order is
+    eigensolved or read twice.  A predicted tree is a member of key i when
+    it has order n and key_id, the table that counts the population, takes
+    its (m, b, D) to i.  x[i] is key i's seed + tol, the seed being the
+    least lambda1 of its predicted members, or inf, and it is fixed for the
+    pass.  The class minimum is at most the seed, so a tree _composed_above
+    shows to lie above x[i] is never within tol of the class minimum: it is
+    counted without being named or eigensolved, and one _branch_pivots call
+    serves every chunk.  Every contender's (lambda1, sequence) is kept, and
+    the minimizers are the contenders within tol of their least lambda1: the
+    trees within tol of the class minimum, by the same float comparison as a
+    filter over the whole class.
     """
     (_variant,) = {key.variant for key in keys}  # one variant: disjoint cells
     key_id = np.full((n // 2 + 1, n + 1, n), -1, np.intp)  # by (m, b, D); -1 none
     for i, key in enumerate(keys):
         key_id[_cells(key)] = i
     lam: dict[bytes, float] = {}
-    read: dict[bytes, tuple[tuple[int, int, int], str]] = {}
+    read = functools.cache(_read_sequence)
     predictions = [predicted_extremal(key) for key in keys]
-    for prediction in predictions:
-        for seq in prediction.sequences:
-            if seq not in read:
-                read[seq] = _read_sequence(seq)
     members = [
-        [seq for seq in prediction.sequences if len(seq) == n and key_id[read[seq][0]] == i]
+        [seq for seq in prediction.sequences if len(seq) == n and key_id[read(seq)[0]] == i]
         for i, prediction in enumerate(predictions)
     ]
     _solve(lam, [seq for seqs in members for seq in seqs])
@@ -223,19 +220,14 @@ def _certificate(
     population: int,
     contenders: list[tuple[float, bytes]],
     prediction: PredictedExtremal,
-    read: dict[bytes, tuple[tuple[int, int, int], str]],
+    read: Callable[[bytes], tuple[tuple[int, int, int], str]],
     tol: float,
 ) -> ExtremalCertificate:
-    """The certificate of one key; a minimizer no predicted tree names is
-    read and coded from its sequence here, once (read holds every
-    predicted tree's).  Every feasible key has a member, so population >= 1."""
+    """The certificate of one key, its codes from read, the order's memo of
+    _read_sequence.  Every feasible key has a member, so population >= 1."""
     lambda_min = min(lam for lam, _ in contenders)
-    minimal = [seq for lam, seq in contenders if lam <= lambda_min + tol]
-    for seq in minimal:
-        if seq not in read:
-            read[seq] = _read_sequence(seq)
-    minimizers = tuple(sorted(read[seq][1] for seq in minimal))
-    predicted = tuple(sorted({read[seq][1] for seq in prediction.sequences}))
+    minimizers = tuple(sorted(read(seq)[1] for lam, seq in contenders if lam <= lambda_min + tol))
+    predicted = tuple(sorted({read(seq)[1] for seq in prediction.sequences}))
     if prediction.conjecture:
         verdict = (
             "CONJECTURE-MATCH"

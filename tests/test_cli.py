@@ -401,6 +401,40 @@ def test_enumerate_streams_one_write_per_tree(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_enumerate_walks_each_sequence_once(monkeypatch, capsys):
+    # one _sequence_edges walk per tree serves both the reading and the
+    # printed edges
+    walked, sequence_edges = [], fktrees.enumeration._sequence_edges
+
+    def counted(seq):
+        walked.append(seq)
+        return sequence_edges(seq)
+
+    monkeypatch.setattr(fktrees.enumeration, "_sequence_edges", counted)
+    monkeypatch.setattr(fktrees.cli, "_sequence_edges", counted)
+    code, out = run_capture(capsys, ["enumerate", "--n", "8"])
+    assert code == 0 and len(out.splitlines()) == len(walked) == 23
+
+
+def test_enumerate_makes_the_keys_of_each_invariant_triple_once(monkeypatch, capsys):
+    # a tree's four class keys depend on its (m, b, D) alone, so --classify
+    # makes at most four ClassKeys per distinct (m, b, D) of the order
+    triples = set()
+    for tree in free_trees(10):
+        nm, nmb, _, nd = reference_keys(tree)
+        triples.add((nm.m, nmb.b, nd.D))
+    made, post_init = [0], ClassKey.__post_init__
+
+    def counted(key):
+        made[0] += 1
+        post_init(key)
+
+    monkeypatch.setattr(ClassKey, "__post_init__", counted)
+    code, out = run_capture(capsys, ["enumerate", "--n", "10", "--classify"])
+    assert code == 0 and len(out.splitlines()) == 106
+    assert 0 < made[0] <= 4 * len(triples) < 106
+
+
 @pytest.mark.parametrize(
     "theorem, jobs",
     [pytest.param(t, "1", id=t) for t in THEOREMS]

@@ -133,3 +133,13 @@ def test_no_public_code_without_a_consumer():
     unreferenced = _unreferenced_definitions(Path(fktrees.__file__).parent)
     public = [d for d in unreferenced if not d.split(".")[1].startswith("_")]
     assert sorted(public) == sorted(_KEPT_WITHOUT_A_CALLER)
+
+
+def test_ci_workflow_runs_the_tier1_command():
+    # GitHub Actions cannot run offline, so the workflow is read as text: it
+    # installs the test extras and runs the tier-1 command verbatim
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    lines = [line.strip() for line in workflow.read_text().splitlines()]
+    assert 'run: pip install -e ".[test]"' in lines
+    command = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+    assert f"run: {command}" in lines

@@ -1,5 +1,6 @@
 """Dirichlet matrices, eigenpairs, Rayleigh quotients, bounds, monotonicity."""
 
+import functools
 import math
 import random
 
@@ -642,6 +643,26 @@ def passes(monkeypatch):
     return count
 
 
+@pytest.fixture
+def rootings(monkeypatch):
+    """The root of every _children_first call, in call order."""
+    roots, children_first = [], fktrees.spectral._children_first
+
+    def counted(tree, root):
+        roots.append(root)
+        return children_first(tree, root)
+
+    monkeypatch.setattr(fktrees.spectral, "_children_first", counted)
+    return roots
+
+
+def _memos(tree):
+    """(rooted, counted): the memos by root that _tree_eigenpair hands
+    _first_pair, rooting through the module's _children_first."""
+    rooted = functools.cache(lambda root: fktrees.spectral._children_first(tree, root))
+    return rooted, functools.cache(lambda root: _counter(rooted(root)))
+
+
 def _spider(legs):
     """Legs of the given lengths from a centre 0; the feet are the leaves."""
     edges, n = [], 1
@@ -737,14 +758,15 @@ def _flat_caterpillar(k):
     return from_edge_list(n, edges)
 
 
-def test_lambda1_route_ends_on_the_bisection_pair(passes):
+def test_lambda1_route_ends_on_the_bisection_pair(passes, rootings):
     # the landscape bracket, the search rooted at the landscape's peak and
     # the finish on the count rooted at the least id end on the pair that
     # bisection of that count gives, on the oracle sample (P23, with its
     # zero pivot at x = 2, among it), a flat caterpillar whose peak is the
-    # least id, so the two searches are one, and trees with vertex 0 a
-    # non-leaf on an explicit boundary.  On the sample the route takes at
-    # most half the passes of today's search from [0, top]
+    # least id, so the two searches are one and the tree is rooted once,
+    # and trees with vertex 0 a non-leaf on an explicit boundary.  On the
+    # sample the route takes at most half the passes of today's search from
+    # [0, top]
     rng = random.Random(29)
     boundary_trees = []
     while len(boundary_trees) < 3:
@@ -755,16 +777,15 @@ def test_lambda1_route_ends_on_the_bisection_pair(passes):
     ours = theirs = 0
     for i, tree in enumerate([*sample, _flat_caterpillar(1500), *boundary_trees]):
         steps, top, lambda1 = _lambda1_setup(tree)
-        start = passes[0]
-        lo, hi, peak_steps = _first_pair(tree, steps, _counter(steps), top)
-        assert (lo, hi) == lambda1
+        start, built = passes[0], len(rootings)
+        assert _first_pair(tree, *_memos(tree), top) == lambda1
         if i < len(sample):
             middle = passes[0]
             assert _search(_uncached(steps), 1, 0.0, top) == lambda1
             ours += middle - start
             theirs += passes[0] - middle
         elif i == len(sample):
-            assert peak_steps is steps
+            assert rootings[built:] == [tree.interior[0]]
     assert ours <= 0.5 * theirs
 
 
@@ -775,11 +796,11 @@ def test_lambda1_route_on_a_long_path_takes_few_passes(passes):
     tree = build_path(2002)
     steps, top, lambda1 = _lambda1_setup(tree)
     passes[0] = 0
-    assert _first_pair(tree, steps, _counter(steps), top)[:2] == lambda1
+    assert _first_pair(tree, *_memos(tree), top) == lambda1
     assert passes[0] <= 11
 
 
-def test_lambda1_route_recovers_from_a_bad_bracket_and_a_bad_pair(monkeypatch):
+def test_lambda1_route_recovers_from_a_bad_bracket_and_a_bad_pair(monkeypatch, rootings):
     # landscape ends narrowed past lambda1, so that the search at the peak
     # ends above lambda1 on one tree and below it on the other, and a pair
     # from that search moved some floats off: count0's check finds each
@@ -796,10 +817,10 @@ def test_lambda1_route_recovers_from_a_bad_bracket_and_a_bad_pair(monkeypatch):
             signs.setdefault(seed, []).append(sign)
             return gallop(count, x, sign, end)
 
-        monkeypatch.setattr(fktrees.spectral, "_LANDSCAPE_SLACK", slack)
-        monkeypatch.setattr(fktrees.spectral, "_gallop", recorded)
-        assert _first_pair(tree, steps, _counter(steps), top)[:2] == lambda1
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(fktrees.spectral, "_LANDSCAPE_SLACK", slack)
+            patch.setattr(fktrees.spectral, "_gallop", recorded)
+            assert _first_pair(tree, *_memos(tree), top) == lambda1
     assert signs == {3: [-1], 8: [1]}
     # a gallop stops at its end, uncounted, when nothing before it holds
     assert fktrees.spectral._gallop(lambda x: (0, 0, 1.0), 1.0, 1, 1.5) == 1.5
@@ -815,8 +836,11 @@ def test_lambda1_route_recovers_from_a_bad_bracket_and_a_bad_pair(monkeypatch):
             return lo, hi
 
         monkeypatch.setattr(fktrees.spectral, "_search", shifted)
-        lo, hi, peak_steps = _first_pair(tree, steps, _counter(steps), top)
-        assert (lo, hi) == lambda1 and peak_steps is not steps and calls == [1, 1]
+        built = len(rootings)
+        assert _first_pair(tree, *_memos(tree), top) == lambda1 and calls == [1, 1]
+        # the landscape peaks away from the least id: two roots, one rooting each
+        least, peak = rootings[built:]
+        assert least == tree.interior[0] != peak
 
 
 def test_pass_reuse_keeps_the_lambda2_route(passes):
@@ -825,17 +849,70 @@ def test_pass_reuse_keeps_the_lambda2_route(passes):
     # passes
     ours = theirs = 0
     for tree in _oracle_trees():
-        steps = _children_first(tree, tree.interior[0])
+        rooted, counted = _memos(tree)
+        steps = rooted(tree.interior[0])
         top = 2.0 * max(d for d, _, _ in steps)
-        count = _counter(steps)
-        lo = _first_pair(tree, steps, count, top)[0]
+        lo = _first_pair(tree, rooted, counted, top)[0]
         start = passes[0]
         pair = _search(_uncached(steps), 2, lo, top)
         middle = passes[0]
-        assert _search(count, 2, lo, top) == pair
+        assert _search(counted(tree.interior[0]), 2, lo, top) == pair
         theirs += middle - start
         ours += passes[0] - middle
     assert ours <= theirs
+
+
+def _single_tree_shape(shape, k, rng):
+    """A tree of the shape of perfbench's single-tree inputs: a path, a
+    caterpillar or a random recursive tree on k interior vertices, each
+    padded with pendant leaves to degree 2 (every caterpillar spine vertex
+    with one more), randomly labelled."""
+    if shape == "recursive":
+        edges = [(rng.randrange(i), i) for i in range(1, k)]
+    else:
+        edges = [(i, i + 1) for i in range(k - 1)]
+    degree, n = [0] * k, k
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    for v in range(k):
+        for _ in range(max(0, 2 - degree[v]) + (shape == "caterpillar")):
+            edges.append((v, n))
+            n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edge_list(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def test_a_solve_roots_the_tree_once_per_root(rootings):
+    # _tree_eigenpair keeps the rootings it builds in a memo by root, on the
+    # oracle sample and on twelve trees of each single-tree shape.  Where
+    # the least id, the landscape's peak and the ground state's peak are
+    # three vertices, the tree relabelled so that the ground state peaks at
+    # the least id is rooted at most twice, and never twice at the least id
+    rng = random.Random(12)
+    shapes = [
+        _single_tree_shape(shape, k, rng)
+        for _ in range(12)
+        for shape, k in (("path", 2000), ("caterpillar", 1500), ("recursive", 1250))
+    ]
+    relabelled = []
+    for tree in [*_oracle_trees(), *shapes]:
+        rootings.clear()
+        assert first_eigenpair(tree).gap > 0
+        assert 1 <= len(rootings) == len(set(rootings)) <= 3
+        if len(rootings) == 3:
+            least, _, peak = rootings
+            perm = list(range(tree.n))
+            perm[least], perm[peak] = peak, least
+            relabelled.append(relabel(tree, perm))
+    assert len(relabelled) >= 10
+    for tree in relabelled:
+        # on a path the landscape's mirror-image peaks tie, and then it too
+        # peaks at the least id: one rooting
+        rootings.clear()
+        first_eigenpair(tree)
+        assert rootings[0] == tree.interior[0] and len(rootings) == len(set(rootings)) <= 2
 
 
 def _same_pass(r, s):
