@@ -31,13 +31,14 @@ tuple of entry indices, and a unit's trees come in chunks of at most
 _CHUNK rows (_unit_chunks), so memory does not grow with the order.  One
 rule gives the invariants of a root over its branches, for a table entry
 and a centroid alike (_root_over): sums, maxima and gathers over the
-table, with no Python step per tree.  A tree the sweep needs is named by
-the level sequence WROM yields for it, a canonical form of its isomorphism
-class, so it is the tree free_trees yields: a walk over the table's
-canonical sequences from the centroid to the centre finds it, with no tree
-built and no search (_composed_sequence).  One children-first pass over
-such a sequence reads the tree's (m, b, D) and canonical code
-(_read_sequence).
+table, with no Python step per tree.  A tree is named by the level
+sequence WROM yields for it, a canonical form of its isomorphism class, so
+it is the tree free_trees yields: from the canonical sequences of the
+branches at any vertex, a walk to the centre finds it, with no tree built
+and no search (_centre_sequence).  The sweep starts the walk at a
+centroid, from a row's table sequences, and families.predicted_extremal at
+a vertex of the family's shape.  One children-first pass over such a
+sequence reads the tree's (m, b, D) and canonical code (_read_sequence).
 
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
@@ -195,6 +196,40 @@ def _two_centre_sequence(left: list[bytes], right: list[bytes]) -> bytes:
     return _root_sequence([*right, _root_sequence(left)])
 
 
+def _children(seq: bytes) -> list[bytes]:
+    """The canonical sequences of the children of the root of a canonical
+    sequence: its blocks that start at level 1, one level up."""
+    return [b"\x00" + child for child in seq[1:].translate(_DOWN).split(b"\x00")[1:]]
+
+
+def _centre_sequence(branches: list[bytes]) -> bytes:
+    """The level sequence _level_sequences yields for the tree whose
+    branches at some vertex have canonical sequences branches (two or
+    more), found by a walk from that vertex to the centre, with no tree
+    built.
+
+    A branch's height is its sequence's largest level.  While the tallest
+    branch is at least 2 higher than every other, the centre lies inside
+    it (moving there lowers the eccentricity), so the walk steps to its
+    root: the branches there are its children (_children) and the rest of
+    the tree, one branch above of height runner-up + 1.  When the two
+    tallest tie, the walk's vertex is the centre; when they differ by 1, it
+    and the tallest branch's root are the two centres, and
+    _two_centre_sequence picks WROM's rooting."""
+    rest = list(branches)
+    while True:
+        heights = list(map(max, rest))
+        i = heights.index(max(heights))
+        tall, tallest = rest.pop(i), heights.pop(i)
+        runner_up = max(heights)
+        if tallest < runner_up + 2:
+            break
+        rest = _children(tall) + [_root_sequence(rest)]
+    if tallest == runner_up:
+        return _root_sequence(rest + [tall])
+    return _two_centre_sequence(rest, _children(tall))
+
+
 def _read_sequence(seq: bytes, edges: tuple = ()) -> tuple[tuple[int, int, int], str]:
     """(m, b, D) and the canonical code text of the tree of a level
     sequence _level_sequences yields (n >= 3), with leaf boundary, from one
@@ -247,15 +282,15 @@ class _Rooted:
     count + 1 and its leaves are its childless vertices.  Per entry: its
     canonical level sequence, rooted at its root (the form _root_sequence
     composes: below each vertex, the subtrees in descending order of their
-    own sequences), its child entries (child_entries), and
-    the m, b, D, free and height of _root_over.  children[s] holds the
-    child entries of the entries of size s, one row each, padded with -1.
+    own sequences), whose blocks at level 1 are its children's
+    (_children), and the m, b, D, free and height of _root_over.
+    children[s] holds the child entries of the entries of size s, one row
+    each, padded with -1.
     """
 
     size: int
     start: tuple[int, ...]
     sequences: tuple[bytes, ...]
-    child_entries: tuple[tuple[int, ...], ...]
     children: tuple[np.ndarray, ...]
     m: np.ndarray
     b: np.ndarray
@@ -280,7 +315,7 @@ def _rooted(size: int) -> _Rooted:
         zero = np.zeros(1, np.int8)
         children = (np.zeros((0, 0), np.intp), np.zeros((1, 0), np.intp))
         columns = zero, zero + 1, zero, np.ones(1, bool), zero  # m, b, D, free, height
-        return _Rooted(1, (0, 0, 1), (b"\x00",), ((),), children, *columns)
+        return _Rooted(1, (0, 0, 1), (b"\x00",), children, *columns)
     prev = _rooted(size - 1)
     units = [rows for p in _by_parts(size - 1, size - 1) for rows in _unit_chunks(prev, p)]
     width = size - 1  # the star's children, the most a tree of this size has
@@ -288,13 +323,13 @@ def _rooted(size: int) -> _Rooted:
         [np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=-1) for rows in units]
     )
     stats = [_root_over(prev, rows) for rows in units]
-    child_rows = [tuple(row) for rows in units for row in rows.tolist()]
-    sequences = tuple(_root_sequence(prev.sequences[i] for i in row) for row in child_rows)
+    sequences = tuple(
+        _root_sequence(prev.sequences[i] for i in row) for rows in units for row in rows.tolist()
+    )
     return _Rooted(
         size,
         prev.start + (prev.start[-1] + len(children),),
         prev.sequences + sequences,
-        prev.child_entries + tuple(child_rows),
         prev.children + (children,),
         *map(np.concatenate, zip((prev.m, prev.b, prev.D, prev.free, prev.height), *stats)),
     )
@@ -421,40 +456,6 @@ def _multisets(binomials: list[np.ndarray], r: int, rank: np.ndarray) -> np.ndar
         rows[:, j] = c - (r - 1 - j)
     rows[:, -1] = rank
     return rows
-
-
-def _composed_sequence(table: _Rooted, row: list[int]) -> bytes:
-    """The level sequence free_trees yields for the tree of a chunk row,
-    found by a walk from the centroid to the centre over the table's
-    canonical sequences, with no tree built.
-
-    The walk starts at the centroid, whose branches are the row's entries.
-    A branch's height is its sequence's largest level.  While the tallest
-    branch is at least 2 higher than every other, the centre lies inside
-    it (moving there lowers the eccentricity), so the walk steps to its
-    root: the branches there are the entry's children and the rest of the
-    tree, one rooted tree above it.  The tallest branch is always an entry,
-    since the rest is no higher than the tallest child.  When the two
-    tallest tie, the walk's root is the centre; when they differ by 1, it
-    and the tallest branch's root are the two centres, and
-    _two_centre_sequence picks WROM's rooting."""
-    sequences, child_entries = table.sequences, table.child_entries
-    entries = list(row)
-    above: list[bytes] = []  # the rest of the tree, once the walk has left its start
-    while True:
-        heights = [max(sequences[e]) for e in entries]
-        tallest = max(heights)
-        i = heights.index(tallest)
-        tall = entries[i]
-        rest = [sequences[e] for e in entries[:i] + entries[i + 1 :]] + above
-        runner_up = max(map(max, rest))
-        if tallest < runner_up + 2:
-            break
-        above = [_root_sequence(rest)]
-        entries = list(child_entries[tall])
-    if tallest == runner_up:
-        return _root_sequence(rest + [sequences[tall]])
-    return _two_centre_sequence(rest, [sequences[e] for e in child_entries[tall]])
 
 
 def _check_cap(n: int, cap: int) -> None:

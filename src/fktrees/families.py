@@ -16,14 +16,14 @@ polynomial of that matrix factors as (lambda-2)^(k-3) P(lambda, k) with
 cubic P as coded below.
 
 predicted_extremal names each predicted tree by the level sequence
-enumeration._level_sequences yields for it, composed from the family's
-shape with no tree built: T(p, q, b), the comet and the star are
-caterpillars, rooted at the middle of the spine (_caterpillar); the fork
-and the spider are rooted at a centre, from the hub; and a pendant
-forest is its interior tree's WROM sequence with a leaf below every
-vertex (_pendant_forest).  Where a caterpillar or the spider has two
-centres, enumeration._two_centre_sequence picks the rooting, as it does
-for the sweep's trees.
+enumeration._level_sequences yields for it, with no tree built: the
+family's shape gives the branches at one convenient vertex, and
+enumeration._centre_sequence walks from there to the centre, as it does
+for the sweep's trees.  T(p, q, b), the comet and the star are
+caterpillars, composed at the middle of the spine (_caterpillar); the
+fork and the spider at the hub; and a pendant forest at the root of its
+interior tree's WROM sequence, with a leaf below every vertex
+(_pendant_forest).
 
 The build_* constructors label their trees through one builder, _hub: a
 hub with arms (paths hanging off it) and pendant leaves, numbered hub
@@ -43,11 +43,11 @@ from .errors import EmptyClassError, InvalidParametersError
 from .enumeration import (
     _LEVELS,
     ClassKey,
+    _centre_sequence,
     _check_levels,
     _level_sequences,
     _root_sequence,
     _sequence_edges,
-    _two_centre_sequence,
 )
 from .trees import TreeWithBoundary, from_edge_list
 
@@ -206,18 +206,13 @@ def _arm(pendants: list[int]) -> bytes:
 
 def _caterpillar(pendants: list[int]) -> bytes:
     """The WROM sequence of the caterpillar whose spine u_1 .. u_L carries
-    pendants[i] leaves at u_{i+1}, with leaves at both ends of the spine
-    (or L = 1), so that the middle of the spine is the middle of a longest
-    path: one centre for odd L, a root over the two arms and its leaves,
-    and two for even L."""
-    h = (len(pendants) - 1) // 2  # the (first) centre is u_{h+1}
-    left = [_arm(pendants[:h])] if h else []
-    right = [_arm(pendants[: len(pendants) - h - 1 : -1])] if h else []
-    if len(pendants) % 2:
-        return _root_sequence(left + right + [_LEAF] * pendants[h])
-    return _two_centre_sequence(
-        left + [_LEAF] * pendants[h], right + [_LEAF] * pendants[h + 1]
-    )
+    pendants[i] leaves at u_{i+1}, with a leaf at each end of the spine (or
+    L = 1), from the branches at u_{h+1}, h = (L - 1) // 2: the arms
+    u_1 .. u_h and u_L .. u_{h+2}, where they have vertices, and its
+    leaves."""
+    h = (len(pendants) - 1) // 2
+    arms = [_arm(pendants[:h]), _arm(pendants[:h:-1])]
+    return _centre_sequence([arm for arm in arms if arm] + [_LEAF] * pendants[h])
 
 
 def _T_sequence(p: int, q: int, b: int) -> bytes:
@@ -231,31 +226,28 @@ def _comet_sequence(n: int, k: int) -> bytes:
 
 
 def _fork_sequence(a: int, r: int, n: int) -> bytes:
-    """The WROM sequence of build_fork(a, r, n), r >= 2, rooted at the hub,
-    its one centre: a paths of r vertices, the first with the extra leaves
-    at its vertex r - 1 from the hub."""
+    """The WROM sequence of build_fork(a, r, n), r >= 2, from the branches
+    at the hub: a paths of r vertices, the first with the extra leaves at
+    its vertex r - 1 from the hub."""
     first = _arm([0, n - a * r - 1] + [0] * (r - 2))
-    return _root_sequence([first] + [_LEVELS[:r]] * (a - 1))
+    return _centre_sequence([first] + [_LEVELS[:r]] * (a - 1))
 
 
 def _pendant_forest(m: int) -> list[bytes]:
     """The WROM sequences of all trees on 2m vertices in which every
     interior vertex carries exactly one leaf: each interior tree on m >= 2
-    vertices, rooted as _level_sequences(m) yields it, with one more leaf
-    below every vertex.  That rooting stays WROM's: the leaves keep the
-    centres, add 1 to every height and double every size, and they keep
-    the order of rooted trees of one size, by which _next_free chooses
-    between two centres.  Distinct interior trees give non-isomorphic
-    results."""
+    vertices, as _level_sequences(m) yields it, with one more leaf at
+    every vertex, from the branches at its root.  Distinct interior trees
+    give non-isomorphic results."""
     family = []
     for seq in _level_sequences(m):
         children: list[list[int]] = [[] for _ in seq]
         for p, v in _sequence_edges(seq):
             children[p].append(v)
-        below = [b""] * m  # below[v]: v's subtree, each vertex with its leaf
+        below = [[]] * m  # below[v]: the branches below v, its leaf and its children's
         for v in range(m - 1, -1, -1):  # a child comes after its parent
-            below[v] = _root_sequence([_LEAF] + [below[w] for w in children[v]])
-        family.append(below[0])
+            below[v] = [_LEAF] + [_root_sequence(below[w]) for w in children[v]]
+        family.append(_centre_sequence(below[0]))
     return family
 
 
@@ -309,8 +301,7 @@ def predicted_extremal(key: ClassKey) -> PredictedExtremal:
         if a >= 2:
             candidates.append(_fork_sequence(a, j, n))
     elif n == 3 * j + 2:
-        # D = 2j + 1 on n = 3j + 2: the spider beats the comet (ND 8 5, 11 7, 14 9).
-        # Its centres are the hub, over two arms of j vertices, and the
-        # first vertex of the arm of j + 1, over the other j
-        candidates.append(_two_centre_sequence([_LEVELS[:j]] * 2, [_LEVELS[:j]]))
+        # D = 2j + 1 on n = 3j + 2: the spider S(j, j, j + 1) beats the comet
+        # (ND 8 5, 11 7, 14 9); its branches at the hub are its three arms
+        candidates.append(_centre_sequence([_LEVELS[:j]] * 2 + [_LEVELS[: j + 1]]))
     return PredictedExtremal(tuple(candidates), conjecture=True)

@@ -23,10 +23,10 @@ before the first chunk (enumeration._cells), names the one key each tree
 may have, and np.bincount counts the populations.
 
 Trees are named by their WROM level sequences, a canonical form of the
-isomorphism class, with no tree built: a predicted tree as
-families.predicted_extremal composes it from its family's shape, and a
-composed one by the walk from its centroid to its centre
-(enumeration._composed_sequence).  Membership and
+isomorphism class, with no tree built, each by the walk from the branches
+at one vertex to the centre (enumeration._centre_sequence): a predicted
+tree as families.predicted_extremal composes it from its family's shape,
+and a composed one from its row's branches at a centroid.  Membership and
 codes come from the sequence too: one children-first pass
 (enumeration._read_sequence) gives a tree's matching number, leaf count,
 diameter and canonical code, and a predicted tree is a member of a key
@@ -47,7 +47,7 @@ pass.  The count composes over the branches: one pass over the table per
 order gives every branch root's pivot at each key's x
 (spectral._branch_pivots), and each tree adds its centroid's
 (spectral._composed_above).  A key with no seed rules out nothing.  The
-others, the contenders, are named (enumeration._composed_sequence) and
+others, the contenders, are named (enumeration._centre_sequence) and
 their lambda1 looked up or solved in one batch per chunk, so the trees
 named and solved do not depend on the chunking or on the order of the
 trees.  At the end of the pass a key's lambda_min is the least lambda1 of
@@ -84,9 +84,9 @@ from .enumeration import (
     HARD_CAP,
     ClassKey,
     _cells,
+    _centre_sequence,
     _check_cap,
     _chunks,
-    _composed_sequence,
     _read_sequence,
     _root_over,
     _rooted,
@@ -194,7 +194,7 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
         population += np.bincount(kid, minlength=len(keys))
         contender = ~_composed_above(branches, kid, x, pivot)
         named = [
-            (i, _composed_sequence(table, row))
+            (i, _centre_sequence([table.sequences[e] for e in row]))
             for row, i in zip(branches[contender].tolist(), kid[contender].tolist())
         ]
         _solve(lam, [seq for _, seq in named])

@@ -48,8 +48,8 @@ from fktrees.enumeration import (
     _CHUNK,
     HARD_CAP,
     _cells,
+    _centre_sequence,
     _chunks,
-    _composed_sequence,
     _level_sequences,
     _read_sequence,
     _root_over,
@@ -239,7 +239,8 @@ def test_two_centroid_rows_are_the_pairs_of_halves():
     for n in range(4, HARD_CAP + 1, 2):
         table = _rooted(n // 2)
         lo, hi = table.start[n // 2], table.start[n // 2 + 1]
-        first = {table.child_entries[a]: a for a in range(lo, hi)}
+        children = table.children[n // 2].tolist()
+        first = {tuple(e for e in row if e >= 0): lo + a for a, row in enumerate(children)}
         pairs, got = [], []
         for branches in _chunks(table, n):
             rows = np.flatnonzero(branches[:, -1] >= lo)
@@ -262,7 +263,7 @@ def test_composed_trees_agree_with_free_trees_and_reference_keys():
         for branches in _chunks(table, n):
             invariants_ = zip(*(a.tolist() for a in _root_over(table, branches)[:3]))
             for row, (m, b, D) in zip(branches.tolist(), invariants_):
-                seq = _composed_sequence(table, row)
+                seq = _centre_sequence([table.sequences[e] for e in row])
                 tree = from_edge_list(n, _sequence_edges(seq))
                 composed.append(tree.edges)
                 assert reference_keys(tree) == [
@@ -296,7 +297,7 @@ def test_composed_sample_at_hard_cap_agrees_with_reference_keys():
         seen += len(branches)
         m, b, D = (a[rows].tolist() for a in _root_over(table, branches)[:3])
         for r, row in enumerate(branches[rows].tolist()):
-            seq = _composed_sequence(table, row)
+            seq = _centre_sequence([table.sequences[e] for e in row])
             tree = from_edge_list(n, _sequence_edges(seq))
             assert _wrom_sequence(tree.adj) == seq
             assert reference_keys(tree) == [
@@ -318,7 +319,7 @@ def test_composed_sequences_are_the_generator_sequences():
     for n in range(13, 17):
         table = _rooted(n // 2)
         named = [
-            _composed_sequence(table, row)
+            _centre_sequence([table.sequences[e] for e in row])
             for branches in _chunks(table, n)
             for row in branches.tolist()
         ]
@@ -359,12 +360,39 @@ def test_composed_sequence_runs_no_search(monkeypatch):
     rows = 0
     for branches in _chunks(table, n):
         for row in branches.tolist():
-            _composed_sequence(table, row)
+            _centre_sequence([table.sequences[e] for e in row])
             rows += 1
     assert rows == _A000055[n] and calls == []
     # the stand-in sees the search _wrom_sequence makes on a built tree
     _wrom_sequence(build_path(n).adj)
     assert calls
+
+
+def test_centre_sequence_from_the_branches_at_every_vertex():
+    # the walk starts at any vertex: at every vertex of degree >= 2 of every
+    # tree, the branches there, each the canonical sequence a BFS from that
+    # vertex gives it, name the tree by its generator sequence.  The walk
+    # takes as many steps as the vertex is far from its nearest centre
+    centres_seen, steps = set(), set()
+    for n in range(3, 13):
+        for seq in _level_sequences(n):
+            tree = from_edge_list(n, _sequence_edges(seq))
+            centres = trees_module._centers(tree.adj)
+            away = _bfs(tree.adj, centres)[2]
+            for v in range(n):
+                if len(tree.adj[v]) < 2:
+                    continue
+                order, parent, _ = _bfs(tree.adj, [v])
+                below = {}  # below[u]: the sequences of u's subtrees
+                for u in reversed(order):
+                    below[u] = [_root_sequence(below[w]) for w in tree.adj[u] if parent[w] == u]
+                assert _centre_sequence(below[v]) == seq, (seq, v)
+                centres_seen.add(len(centres))
+                steps.add(away[v])
+    # not vacuous: one centre and two, and walks of up to 4 steps (P11 and
+    # P12 from a neighbour of an end)
+    assert centres_seen == {1, 2}
+    assert steps == {0, 1, 2, 3, 4}
 
 
 def test_wrom_sequence_of_every_tree_and_a_permuted_copy():

@@ -143,3 +143,19 @@ def test_ci_workflow_runs_the_tier1_command():
     assert 'run: pip install -e ".[test]"' in lines
     command = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
     assert f"run: {command}" in lines
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml is read as text (3.10 has no tomllib): every module of
+    # the package parses with the grammar of the requires-python floor, and
+    # the workflow runs the tests on that version too
+    root = Path(__file__).resolve().parents[1]
+    (line,) = [
+        line for line in (root / "pyproject.toml").read_text().splitlines()
+        if line.startswith("requires-python")
+    ]
+    major, minor = map(int, line.split('">=')[1].rstrip('"').split("."))
+    for path in sorted((root / "src" / "fktrees").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    assert f'"{major}.{minor}"' in workflow

@@ -30,8 +30,8 @@ from fktrees import (
 )
 from fktrees.enumeration import (
     HARD_CAP,
+    _centre_sequence,
     _chunks,
-    _composed_sequence,
     _level_sequences,
     _rooted,
     _sequence_edges,
@@ -392,7 +392,7 @@ def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
         for branches in _chunks(table, n):
             spectra, xs = [], []  # per row; xs[r] holds the row's four x values
             for row in branches.tolist():
-                tree = _sequence_tree(_composed_sequence(table, row))
+                tree = _sequence_tree(_centre_sequence([table.sequences[e] for e in row]))
                 w = np.linalg.eigvalsh(dirichlet_matrix(tree).entries)
                 lam = w[0]
                 spectra.append((tree.edges, w))
@@ -420,7 +420,10 @@ def test_pivot_filter_on_a_sample_at_hard_cap():
         seen += len(branches)
         if not len(sample):
             continue
-        trees = [_sequence_tree(_composed_sequence(table, row)) for row in sample.tolist()]
+        trees = [
+            _sequence_tree(_centre_sequence([table.sequences[e] for e in row]))
+            for row in sample.tolist()
+        ]
         lam = np.array([np.linalg.eigvalsh(dirichlet_matrix(t).entries)[0] for t in trees])
         assert _above(table, sample, lam - 1e-7).all()
         assert not _above(table, sample, lam + 1e-7).any()
@@ -452,7 +455,7 @@ def _hard_cap_sample(stride=997):
     table = _rooted(n // 2)
     for branches in _chunks(table, n):
         for row in branches[-seen % stride :: stride].tolist():
-            sample.append(_composed_sequence(table, row))
+            sample.append(_centre_sequence([table.sequences[e] for e in row]))
         seen += len(branches)
     return sample
 
