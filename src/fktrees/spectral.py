@@ -4,10 +4,13 @@ The Dirichlet matrix acts on functions supported on the interior: the
 diagonal carries the full degree of each interior vertex in the host tree
 (boundary neighbors contribute, since the extension by zero pays for those
 edges), and off-diagonal entries are -1 exactly for interior-interior
-edges.  With a connected interior the matrix is irreducibly diagonally
-dominant, hence positive definite, the smallest eigenvalue is simple, and
-its eigenvector can be chosen strictly positive; first_eigenpair checks all
-three facts numerically on every call.
+edges.  With a connected interior, which from_edge_list checks, the
+matrix is irreducibly diagonally dominant, hence positive definite, the
+smallest eigenvalue is simple, and its eigenvector can be chosen strictly
+positive.  On every call first_eigenpair checks numerically only the
+residual of the pair it returns and the positivity of its eigenvector
+(_check_ground_state); positive definiteness and simplicity follow from
+the connected interior and are not checked.
 
 Interior vertices are always ordered ascending by vertex id; eigenfunctions
 and user-supplied Rayleigh test functions use that ordering.
@@ -15,14 +18,10 @@ and user-supplied Rayleigh test functions use that ordering.
 first_eigenpair picks its solver by the interior size k alone.  Up to
 _DENSE_SOLVE_MAX vertices, which covers every interior a sweep can name,
 it runs a dense eigh on the matrix.  Every such matrix is assembled by
-_assemble, from an interior order, a degree per vertex and an edge list.
-dirichlet_matrix reads those from a TreeWithBoundary.  The sweep names its
-trees by level sequences, and _sequence_lambdas eigensolves them without
-building a TreeWithBoundary: it reads the edges and degrees off each
-sequence, groups the matrices by interior size and runs one stacked eigh
-per group.  Both it and first_eigenpair (with a stack of one) go through
-_ground_states, and with one assembler the two give the same lambda1 bit
-for bit.
+_assemble, from an interior order, a degree per vertex and an edge list,
+which dirichlet_matrix reads from a TreeWithBoundary, and solved by
+_ground_states, in a stack of one.  verify._solve feeds level sequences
+to the same two, so the sweep's lambda1 is first_eigenpair's bit for bit.
 
 A larger interior is solved on the tree itself, with its vertex ids and
 lists of one slot per vertex: O(n) memory, the size of the tree already
@@ -59,14 +58,6 @@ with it by the same elimination only adds and divides positive numbers:
 inverse iteration keeps the ground state positive in floats, down to
 entries many decades below its largest.  Both solvers pass the same
 residual and positivity checks (_check_ground_state).
-
-The sweep eigensolves few of its trees.  The same pivot count proves,
-without building a tree, that every eigenvalue lies above a bound x:
-A - yI is positive definite iff every pivot is positive.  The count
-composes over a tree's centroid branches, as the enumeration composes the
-trees: one pass over its table of rooted trees per order, at the fixed
-bound of each key, gives every branch root's pivot (_branch_pivots), and
-each tree adds only its centroid's (_composed_above).
 """
 
 from __future__ import annotations
@@ -87,7 +78,6 @@ from .errors import (
     TooSmallError,
     ZeroFunctionError,
 )
-from .enumeration import _Rooted, _sequence_edges
 from .trees import TreeWithBoundary, _bfs, diameter, from_edge_list
 
 __all__ = [
@@ -111,20 +101,10 @@ DEFAULT_TOL = 1e-10
 MAX_DENSE_INTERIOR = 5_000
 
 # first_eigenpair's switch: a dense eigh up to this many interior vertices,
-# the tree solver past it.  _sequence_lambdas always solves densely and must
+# the tree solver past it.  verify._solve always solves densely and must
 # give first_eigenpair's lambda1 bit for bit, so it must cover every interior
 # a sweep can name: at most HARD_CAP - 2, as every tree has two leaves.
 _DENSE_SOLVE_MAX = 20
-
-# _branch_pivots eliminates at x + _FILTER_SLACK: the pivots prove a bound on
-# the exact eigenvalues, while callers compare the float lambda1 of
-# first_eigenpair, which can sit ~1e-14 off the exact value on the interiors
-# a sweep meets; the slack keeps that rounding from crossing x.
-_FILTER_SLACK = 1e-9
-# Rounded pivots are the exact pivots of a matrix perturbed by a few ulps per
-# entry; demanding every pivot be at least _PIVOT_GUARD, far above that
-# rounding, keeps a pivot that is truly zero or negative from passing.
-_PIVOT_GUARD = 1e-9
 
 # _first_pair widens the landscape bracket on lambda1 by this relative
 # amount against the rounding of the landscape solve and of its sums; a
@@ -200,7 +180,7 @@ def first_eigenpair(tree: TreeWithBoundary, tol: float = DEFAULT_TOL) -> Dirichl
 
     - k <= _DENSE_SOLVE_MAX, which covers every interior a sweep can name:
       a dense symmetric eigensolve (numpy's eigh), as accurate as it gets,
-      and the bit-for-bit reference for _sequence_lambdas.
+      and the bit-for-bit reference for verify._solve.
     - k > _DENSE_SOLVE_MAX: _tree_eigenpair, which builds no matrix and
       works on the tree with its own vertex ids, in O(n) memory, the size
       of the tree.  lambda1 comes from searching the Jacobs-Trevisan
@@ -313,7 +293,7 @@ def _tree_eigenpair(tree: TreeWithBoundary, tol: float) -> DirichletSpectrum:
     # Gershgorin: every eigenvalue is at most twice the largest degree
     top = 2.0 * max(d for d, _, _ in steps)
     sigma, lam1 = _first_pair(tree, rooted, counted, top)
-    first = _solve(steps, sigma, [1.0] * tree.n)
+    first = _solve(steps, sigma)
     peak_steps, count = rooted(max(interior, key=first.__getitem__)), counted(interior[0])
     rooted.cache_clear(), counted.cache_clear()
     f = np.array(_twisted_solve(peak_steps, sigma))[list(interior)]
@@ -371,7 +351,7 @@ def _first_pair(
     interior = tree.interior
     count = counted(interior[0])
     peak, lo, hi = interior[0], 0.0, top
-    u = _solve(rooted(interior[0]), 0.0, [1.0] * tree.n)
+    u = _solve(rooted(interior[0]), 0.0)
     if all([0.0 < u[v] < math.inf for v in interior]):
         landscape_peak = max(interior, key=u.__getitem__)
         lower, upper = 1.0 / u[landscape_peak], math.fsum(u) / math.fsum([x * x for x in u])
@@ -543,12 +523,12 @@ def _search(count: _Count, j: int, lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _solve(steps: Sequence[tuple[float, int, int]], sigma: float, b: Sequence[float]) -> list[float]:
-    """(A - sigma I)^{-1} b, by eliminating children first and substituting
-    parents first; every pivot must be positive.  b and the result have one
-    entry per vertex id, and only the interior ones are read or written."""
+def _solve(steps: Sequence[tuple[float, int, int]], sigma: float) -> list[float]:
+    """(A - sigma I)^{-1} 1, by eliminating children first and substituting
+    parents first; every pivot must be positive.  The result has one entry
+    per vertex id, and only the interior ones are the solve's."""
     n = steps[-1][2]
-    acc, y, pivot = [0.0] * (n + 1), [*b, 0.0], [0.0] * n
+    acc, y, pivot = [0.0] * (n + 1), [1.0] * n + [0.0], [0.0] * n
     for d, v, par in steps:
         p = pivot[v] = d - sigma - acc[v]
         acc[par] += 1.0 / p
@@ -579,88 +559,9 @@ def _twisted_solve(steps: Sequence[tuple[float, int, int]], sigma: float) -> lis
     return f
 
 
-def _sequence_lambdas(sequences: Sequence[bytes], tol: float = DEFAULT_TOL) -> list[float]:
-    """lambda1 of the tree of each level sequence (n >= 3, its root not a
-    leaf), bit for bit what first_eigenpair(from_edge_list(n,
-    _sequence_edges(seq))).lambda1 gives, without building the trees.
-
-    The Dirichlet matrix comes from the sequence's edges and degrees, with
-    no tree built: vertex v is position v, its parent the latest earlier
-    vertex one level up, and the interior its non-leaves in ascending order,
-    as dirichlet_matrix orders them; _assemble, which dirichlet_matrix calls
-    too, fills it.  The matrices are grouped by interior size, each group is
-    stacked into one eigensolve, and _ground_states checks every matrix as
-    first_eigenpair checks its one.
-    """
-    _check_tol(tol)
-    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for i, seq in enumerate(sequences):
-        edges = _sequence_edges(seq)
-        degree = [0] + [1] * (len(seq) - 1)  # every vertex but the root has a parent
-        for u, _ in edges:
-            degree[u] += 1
-        interior = [v for v, d in enumerate(degree) if d > 1]
-        groups.setdefault(len(interior), []).append((i, _assemble(interior, degree, edges)))
-    lambdas = [0.0] * len(sequences)
-    for members in groups.values():
-        w, _, _ = _ground_states(np.stack([mat for _, mat in members]), tol)
-        for (i, _), lam in zip(members, w[:, 0].tolist()):
-            lambdas[i] = lam
-    return lambdas
-
-
 def _check_tol(tol: float) -> None:
     if not 0 < tol < math.inf:  # nan too: it would switch every check off
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-
-def _branch_pivots(table: _Rooted, x: np.ndarray) -> np.ndarray:
-    """Pivots of shape (entries + 1, len(x)): column j holds, for every
-    entry of an enumeration._rooted table seen as a branch, its root's
-    pivot in eliminating A - yI, y = x[j] + _FILTER_SLACK, children first
-    (Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear Algebra
-    Appl. 434, 2011), or nan when some interior pivot of the branch is below
-    _PIVOT_GUARD.
-
-    A branch root has one neighbour outside the branch, so its degree is
-    its child count + 1, its pivot is deg - y - sum of 1/p_c over its
-    children c, and it depends on nothing outside.  A one-vertex branch is
-    a leaf, on the boundary and outside the matrix: its pivot is inf, so
-    that 1/p = 0.  A branch that fails is not divided by: its nan reaches
-    every branch and tree that holds it and fails them too.  The last row
-    is the inf of the -1 that pads the table's children.  One pass over the
-    entries, a size at a time, covers all the columns, so a sweep computes
-    its pivots once per order, one column per key.
-    """
-    y = np.asarray(x, dtype=float) + _FILTER_SLACK
-    pivot = np.full((len(table.sequences) + 1, len(y)), math.inf)
-    for s in range(2, table.size + 1):
-        children = table.children[s]
-        p = (children >= 0).sum(axis=1, keepdims=True) + 1 - y
-        for child in children.T:  # the j-th child of each entry
-            p -= 1.0 / pivot[child]
-        pivot[table.start[s] : table.start[s + 1]] = np.where(p >= _PIVOT_GUARD, p, math.nan)
-    return pivot
-
-
-def _composed_above(
-    branches: np.ndarray, column: np.ndarray, x: np.ndarray, pivot: np.ndarray
-) -> np.ndarray:
-    """For each row of a chunk of enumeration._chunks, True when every
-    Dirichlet eigenvalue of its tree, and so the lambda1 first_eigenpair
-    reports for it, is shown to exceed x[column[r]]; False when that is not
-    shown.  pivot is _branch_pivots(table, x).
-
-    The centroid the row roots its tree at is eliminated last: its pivot is
-    deg - y - sum of 1/p_i over its branches.  By Sylvester's law of
-    inertia A - yI is positive definite iff every pivot is positive, and a
-    tree passes only when its last pivot is at least _PIVOT_GUARD, which
-    no nan is.  A column with x = inf has every interior pivot -inf, so
-    nothing there is shown.
-    """
-    y = x[column] + _FILTER_SLACK
-    last = branches.shape[1] - y - (1.0 / pivot[branches, column[:, None]]).sum(axis=1)
-    return last >= _PIVOT_GUARD
 
 
 def zero_extension(tree: TreeWithBoundary, f: Sequence[float]) -> np.ndarray:

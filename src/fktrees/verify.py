@@ -33,33 +33,40 @@ diameter and canonical code, and a predicted tree is a member of a key
 when the table that counts the populations takes its (m, b, D) to that
 key.  A dict of lambda1 and a memo of readings, both made per order, keep
 any tree of an order from being eigensolved or read twice.  Every
-lambda1 comes from spectral._sequence_lambdas, which builds the Dirichlet
-matrices straight from the sequences and solves them in stacked batches,
-bit for bit as first_eigenpair solves the tree free_trees yields.
+lambda1 comes from _solve, which reads the edges and degrees of each
+sequence it lacks, assembles its Dirichlet matrix with spectral._assemble
+and solves the matrices in stacks by interior size with
+spectral._ground_states: bit for bit as first_eigenpair solves the tree
+free_trees yields, since first_eigenpair goes through the same two.
 
 Each key has a seed: the least lambda1 of its predicted trees that are
 members of the key, each solved as its WROM-labelled tree, or inf when no
-predicted tree is a member.  The class minimum is at most the seed, so at
-x = seed + tol a pivot count of A - xI never rules out a tree within tol of
-the minimum, and it rules out, without naming or eigensolving them, the
-trees whose every eigenvalue lies above x.  Each key's x is fixed for the
-pass.  The count composes over the branches: one pass over the table per
-order gives every branch root's pivot at each key's x
-(spectral._branch_pivots), and each tree adds its centroid's
-(spectral._composed_above).  A key with no seed rules out nothing.  The
-others, the contenders, are named (enumeration._centre_sequence) and
-their lambda1 looked up or solved in one batch per chunk, so the trees
-named and solved do not depend on the chunking or on the order of the
-trees.  At the end of the pass a key's lambda_min is the least lambda1 of
-its contenders and its minimizers are the contenders within tol of it
-(_FILTER_SLACK covers the distance between the float lambda1 and the exact
-eigenvalues the pivots bound, and a seed's lambda1 is exactly the one its
-contender reports).  A minimizer's code is looked up among the predicted
-trees'; only one no predicted tree covers, a MISMATCH, is read from its
-sequence.  So every reported float is the first_eigenpair value of a
-generator-labelled tree, and the certificates are those an eigensolve of
-every member gives, byte for byte.  A single key and a theorem sweep share
-this pass.
+predicted tree is a member.  The class minimum is at most the seed, so no
+tree whose every eigenvalue lies above seed + tol is within tol of the
+minimum, and a pivot count rules such trees out without naming or
+eigensolving them.  Eliminating A - yI children first on a tree rooted at
+some vertex, a vertex's pivot is deg - y - sum of 1/p over its children,
+and by Sylvester's law of inertia A - yI is positive definite iff every
+pivot is positive (Jacobs & Trevisan, "Locating the eigenvalues of
+trees", Linear Algebra Appl. 434, 2011).  Each key's y = seed + tol +
+_FILTER_SLACK is fixed for the pass: the slack covers the distance
+between the float lambda1 and the exact eigenvalues the pivots bound, and
+_PIVOT_GUARD the rounding of the pivots.  The count composes over a
+tree's centroid branches, as the enumeration composes the trees: one pass
+over the table per order gives every branch root's pivot at each key's y
+(_branch_pivots), and each tree adds its centroid's (_composed_above).  A
+key with no seed rules out nothing.  The others, the contenders, are
+named (enumeration._centre_sequence) and their lambda1 looked up or
+solved in one batch per chunk, so the trees named and solved do not
+depend on the chunking or on the order of the trees.  At the end of the
+pass a key's lambda_min is the least lambda1 of its contenders and its
+minimizers are the contenders within tol of it (a seed's lambda1 is
+exactly the one its contender reports).  A minimizer's code is looked up
+among the predicted trees'; only one no predicted tree covers, a
+MISMATCH, is read from its sequence.  So every reported float is the
+first_eigenpair value of a generator-labelled tree, and the certificates
+are those an eigensolve of every member gives, byte for byte.  A single
+key and a theorem sweep share this pass.
 
 Sweeps group a theorem's keys by order; with jobs > 1 the orders run in a
 process pool of min(jobs, number of orders, CPU count) workers, each
@@ -89,11 +96,13 @@ from .enumeration import (
     _chunks,
     _read_sequence,
     _root_over,
+    _Rooted,
     _rooted,
+    _sequence_edges,
 )
 from .errors import EmptyClassError
 from .families import PredictedExtremal, predicted_extremal
-from .spectral import _branch_pivots, _check_tol, _composed_above, _sequence_lambdas
+from .spectral import DEFAULT_TOL, _assemble, _check_tol, _ground_states
 
 __all__ = [
     "TIE_TOL",
@@ -108,6 +117,17 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-8
+
+# The pivot filter eliminates at seed + tol + _FILTER_SLACK: the pivots prove
+# a bound on the exact eigenvalues, while certificates compare the float
+# lambda1 of first_eigenpair, which can sit ~1e-14 off the exact value on the
+# interiors a sweep meets; the slack keeps that rounding from crossing the
+# bound.
+_FILTER_SLACK = 1e-9
+# Rounded pivots are the exact pivots of a matrix perturbed by a few ulps per
+# entry; demanding every pivot be at least _PIVOT_GUARD, far above that
+# rounding, keeps a pivot that is truly zero or negative from passing.
+_PIVOT_GUARD = 1e-9
 
 # the class keys of order n each theorem speaks about; theorem_keys keeps the
 # feasible ones
@@ -160,10 +180,11 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     its (m, b, D) and canonical code, so that no tree of the order is
     eigensolved or read twice.  A predicted tree is a member of key i when
     it has order n and key_id, the table that counts the population, takes
-    its (m, b, D) to i.  x[i] is key i's seed + tol, the seed being the
-    least lambda1 of its predicted members, or inf, and it is fixed for the
-    pass.  The class minimum is at most the seed, so a tree _composed_above
-    shows to lie above x[i] is never within tol of the class minimum: it is
+    its (m, b, D) to i.  y[i] is key i's seed + tol + _FILTER_SLACK, the
+    seed being the least lambda1 of its predicted members, or inf, and it is
+    fixed for the pass.  The class minimum is at most the seed, so a tree
+    _composed_above shows to lie above y[i] is never within tol of the class
+    minimum: it is
     counted without being named or eigensolved, and one _branch_pivots call
     serves every chunk.  Every contender's (lambda1, sequence) is kept, and
     the minimizers are the contenders within tol of their least lambda1: the
@@ -182,9 +203,10 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
         for i, prediction in enumerate(predictions)
     ]
     _solve(lam, [seq for seqs in members for seq in seqs])
-    x = np.array([min((lam[seq] for seq in seqs), default=math.inf) for seqs in members]) + tol
+    seeds = [min((lam[seq] for seq in seqs), default=math.inf) for seqs in members]
+    y = np.array(seeds) + tol + _FILTER_SLACK
     table = _rooted(n // 2)
-    pivot = _branch_pivots(table, x)
+    pivot = _branch_pivots(table, y)
     population = np.zeros(len(keys), np.int64)
     contenders: list[list[tuple[float, bytes]]] = [[] for _ in keys]
     for branches in _chunks(table, n):
@@ -192,7 +214,7 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
         rows = np.flatnonzero(kid >= 0)
         branches, kid = branches[rows], kid[rows]
         population += np.bincount(kid, minlength=len(keys))
-        contender = ~_composed_above(branches, kid, x, pivot)
+        contender = ~_composed_above(branches, kid, y, pivot)
         named = [
             (i, _centre_sequence([table.sequences[e] for e in row]))
             for row, i in zip(branches[contender].tolist(), kid[contender].tolist())
@@ -209,10 +231,74 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
 
 
 def _solve(lam: dict[bytes, float], sequences: list[bytes]) -> None:
-    """Adds to lam the lambda1 of each level sequence it lacks, in one
-    batched eigensolve."""
-    new = [seq for seq in dict.fromkeys(sequences) if seq not in lam]
-    lam.update(zip(new, _sequence_lambdas(new)))
+    """Adds to lam the lambda1 of the tree of each level sequence it lacks
+    (n >= 3, its root not a leaf), bit for bit what
+    first_eigenpair(from_edge_list(n, _sequence_edges(seq))).lambda1 gives,
+    without building the trees.
+
+    The Dirichlet matrix comes from the sequence's edges and degrees: vertex
+    v is position v, its parent the latest earlier vertex one level up, and
+    the interior its non-leaves in ascending order, as dirichlet_matrix
+    orders them; spectral._assemble, which dirichlet_matrix calls too, fills
+    it.  The matrices are stacked by interior size, one eigensolve a stack,
+    and spectral._ground_states checks every matrix at DEFAULT_TOL as
+    first_eigenpair checks its one.
+    """
+    stacks: dict[int, dict[bytes, np.ndarray]] = {}
+    for seq in dict.fromkeys(sequences):
+        if seq not in lam:
+            edges = _sequence_edges(seq)
+            degree = [0] + [1] * (len(seq) - 1)  # every vertex but the root has a parent
+            for u, _ in edges:
+                degree[u] += 1
+            interior = [v for v, d in enumerate(degree) if d > 1]
+            stacks.setdefault(len(interior), {})[seq] = _assemble(interior, degree, edges)
+    for stack in stacks.values():
+        w, _, _ = _ground_states(np.stack(list(stack.values())), DEFAULT_TOL)
+        lam.update(zip(stack, w[:, 0].tolist()))
+
+
+def _branch_pivots(table: _Rooted, y: np.ndarray) -> np.ndarray:
+    """Pivots of shape (entries + 1, len(y)): column j holds, for every
+    entry of an enumeration._rooted table seen as a branch, its root's
+    pivot in eliminating A - y[j] I children first, or nan when some
+    interior pivot of the branch is below _PIVOT_GUARD.
+
+    A branch root has one neighbour outside the branch, so its degree is
+    its child count + 1, its pivot is deg - y - sum of 1/p_c over its
+    children c, and it depends on nothing outside.  A one-vertex branch is
+    a leaf, on the boundary and outside the matrix: its pivot is inf, so
+    that 1/p = 0.  A branch that fails is not divided by: its nan reaches
+    every branch and tree that holds it and fails them too.  The last row
+    is the inf of the -1 that pads the table's children.  One pass over the
+    entries, a size at a time, covers all the columns, so a sweep computes
+    its pivots once per order, one column per key.
+    """
+    pivot = np.full((len(table.sequences) + 1, len(y)), math.inf)
+    for s in range(2, table.size + 1):
+        children = table.children[s]
+        p = (children >= 0).sum(axis=1, keepdims=True) + 1 - y
+        for child in children.T:  # the j-th child of each entry
+            p -= 1.0 / pivot[child]
+        pivot[table.start[s] : table.start[s + 1]] = np.where(p >= _PIVOT_GUARD, p, math.nan)
+    return pivot
+
+
+def _composed_above(
+    branches: np.ndarray, column: np.ndarray, y: np.ndarray, pivot: np.ndarray
+) -> np.ndarray:
+    """For each row of a chunk of enumeration._chunks, True when every
+    Dirichlet eigenvalue of its tree is shown to exceed y[column[r]]; False
+    when that is not shown.  pivot is _branch_pivots(table, y).
+
+    The centroid the row roots its tree at is eliminated last: its pivot is
+    deg - y - sum of 1/p_i over its branches.  A - yI is positive definite
+    iff every pivot is positive, and a tree passes only when its last pivot
+    is at least _PIVOT_GUARD, which no nan is.  A column with y = inf has
+    every interior pivot -inf, so nothing there is shown.
+    """
+    last = branches.shape[1] - y[column] - (1.0 / pivot[branches, column[:, None]]).sum(axis=1)
+    return last >= _PIVOT_GUARD
 
 
 def _certificate(

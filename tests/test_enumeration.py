@@ -41,6 +41,7 @@ from fktrees.verify import (
     ExtremalCertificate,
     all_match,
     certificate_json,
+    _solve,
     empty_class_certificate,
     theorem_keys,
 )
@@ -59,7 +60,6 @@ from fktrees.enumeration import (
     _two_centre_sequence,
 )
 from fktrees.io import dumps
-from fktrees.spectral import _sequence_lambdas
 from fktrees.trees import _bfs
 from conftest import (
     ORACLE_THEOREM_KEYS,
@@ -821,17 +821,18 @@ def test_streaming_certificates_equal_materialize_and_filter():
 
 class _Counted:
     """Records every level sequence verify eigensolves and counts its
-    canonical codes, through monkeypatched stand-ins: verify codes a tree
-    by reading its level sequence, one code per reading."""
+    canonical codes, through monkeypatched stand-ins: verify eigensolves
+    the sequences not yet in its order's lambda1 memo, and codes a tree by
+    reading its level sequence, one code per reading."""
 
     def __init__(self, monkeypatch):
         self.solved, self.codes = [], 0
-        monkeypatch.setattr(verify_module, "_sequence_lambdas", self._solve)
+        monkeypatch.setattr(verify_module, "_solve", self._solve)
         monkeypatch.setattr(verify_module, "_read_sequence", self._code)
 
-    def _solve(self, sequences, *args, **kwargs):
-        self.solved.extend(sequences)
-        return _sequence_lambdas(sequences, *args, **kwargs)
+    def _solve(self, lam, sequences):
+        self.solved.extend(seq for seq in dict.fromkeys(sequences) if seq not in lam)
+        _solve(lam, sequences)
 
     def _code(self, seq):
         self.codes += 1

@@ -143,6 +143,20 @@ def test_ci_workflow_runs_the_tier1_command():
     assert 'run: pip install -e ".[test]"' in lines
     command = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
     assert f"run: {command}" in lines
+    # a hung process-pool worker cannot hold a runner past this
+    assert "timeout-minutes: 30" in lines
+
+
+def test_spectral_imports_only_errors_and_trees():
+    # spectral is about one tree: the sweep's numerics, which need the
+    # rooted table and the level sequences, live in verify
+    path = Path(fktrees.__file__).parent / "spectral.py"
+    relative = {
+        node.module
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert relative == {"errors", "trees"}
 
 
 def test_sources_parse_at_the_declared_python_floor():

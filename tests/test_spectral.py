@@ -38,20 +38,19 @@ from fktrees.enumeration import (
 )
 from fktrees.errors import NoConvergenceError, NonPositiveEigenvectorError
 import fktrees.spectral
+import fktrees.verify
 from fktrees.spectral import (
     DEFAULT_TOL,
     _DENSE_SOLVE_MAX,
     _bits,
-    _branch_pivots,
     _children_first,
-    _composed_above,
     _counter,
     _first_pair,
     _from_bits,
     _ground_states,
     _search,
-    _sequence_lambdas,
 )
+from fktrees.verify import _FILTER_SLACK, _branch_pivots, _composed_above, _solve
 from conftest import prufer_to_edges, random_tree, relabel, spine_with_random_leaves
 
 
@@ -379,9 +378,11 @@ def _sequence_tree(seq):
 
 
 def _above(table, branches, x):
-    """The composed pivot filter with every row of a chunk its own key."""
+    """The composed pivot filter at x, as a sweep runs it at x = seed + tol,
+    with every row of a chunk its own key."""
     rows = np.arange(len(branches))
-    return _composed_above(branches, rows, x, _branch_pivots(table, x))
+    y = x + _FILTER_SLACK
+    return _composed_above(branches, rows, y, _branch_pivots(table, y))
 
 
 def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
@@ -439,10 +440,10 @@ def test_pivot_guard_fails_a_branch_pivot_just_below_zero():
     # fails and the tree is not shown to lie above x, which it does not
     table = _rooted(3)
     e = table.start[2]
-    x = np.array([2 - 5e-10])
-    pivot = _branch_pivots(table, x)
+    y = np.array([2 - 5e-10]) + _FILTER_SLACK
+    pivot = _branch_pivots(table, y)
     assert math.isnan(pivot[e, 0])
-    assert not _composed_above(np.array([[e, e, e]]), np.array([0]), x, pivot)[0]
+    assert not _composed_above(np.array([[e, e, e]]), np.array([0]), y, pivot)[0]
     spider = from_edge_list(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     assert first_eigenpair(spider).lambda1 == pytest.approx((5 - math.sqrt(13)) / 2)
 
@@ -460,15 +461,25 @@ def _hard_cap_sample(stride=997):
     return sample
 
 
-def test_sequence_lambdas_are_first_eigenpair_bit_for_bit():
+def test_sequence_lambdas_are_first_eigenpair_bit_for_bit(monkeypatch):
     # every free tree with 3 <= n <= 12 in one call (interiors of 1 to 10
     # vertices, so many stacked groups), and a fixed sample of order HARD_CAP
     small = [seq for n in range(3, 13) for seq in _level_sequences(n)]
     for sequences in (small, _hard_cap_sample()):
         want = [first_eigenpair(_sequence_tree(seq)).lambda1 for seq in sequences]
-        assert _sequence_lambdas(sequences) == want
+        lam = {}
+        _solve(lam, sequences)
+        assert [lam[seq] for seq in sequences] == want and len(lam) == len(sequences)
     assert len(small) == 985
-    assert _sequence_lambdas([]) == []
+    lam = {}
+    _solve(lam, [])
+    assert lam == {}
+    # a second solve over the same sequences finds them all in the memo
+    _solve(lam, small)
+    solved, calls, eigh = dict(lam), [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    _solve(lam, small)
+    assert calls == [] and lam == solved
 
 
 def _second_as_first(eigh):
@@ -484,14 +495,19 @@ def _second_as_first(eigh):
 def test_both_solvers_check_residual_and_positivity(monkeypatch):
     sequences = list(_level_sequences(9))
     tree = _sequence_tree(sequences[0])  # the path: 7 interior vertices, so a second eigenpair
+    monkeypatch.setattr(fktrees.verify, "DEFAULT_TOL", 1e-300)
     with pytest.raises(NoConvergenceError):
-        _sequence_lambdas(sequences, tol=1e-300)
+        _solve({}, sequences)
     with pytest.raises(NoConvergenceError):
         first_eigenpair(tree, tol=1e-300)
-    assert _sequence_lambdas(sequences, tol=1e-12)
+    monkeypatch.setattr(fktrees.verify, "DEFAULT_TOL", 1e-12)
+    lam = {}
+    _solve(lam, sequences)
+    assert len(lam) == len(sequences)
+    monkeypatch.undo()
     monkeypatch.setattr(np.linalg, "eigh", _second_as_first(np.linalg.eigh))
     with pytest.raises(NonPositiveEigenvectorError):
-        _sequence_lambdas(sequences[:1])
+        _solve({}, sequences[:1])
     with pytest.raises(NonPositiveEigenvectorError):
         first_eigenpair(tree)
 
@@ -548,7 +564,7 @@ def test_tree_solver_agrees_with_the_dense_oracle():
 
 
 def test_the_dense_solve_covers_every_interior_a_sweep_names():
-    # _sequence_lambdas always solves densely, and each swept lambda1 must
+    # verify._solve always solves densely, and each swept lambda1 must
     # be first_eigenpair's bit for bit.  A tree has two leaves, so a sweep's
     # interiors have at most HARD_CAP - 2 vertices: the path's, at HARD_CAP
     assert len(build_path(HARD_CAP).interior) == HARD_CAP - 2 <= _DENSE_SOLVE_MAX
