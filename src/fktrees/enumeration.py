@@ -31,7 +31,9 @@ tuple of entry indices, and a unit's trees come in chunks of at most
 _CHUNK rows (_unit_chunks), so memory does not grow with the order.  One
 rule gives the invariants of a root over its branches, for a table entry
 and a centroid alike (_root_over): sums, maxima and gathers over the
-table, with no Python step per tree.  A tree is named by the level
+table, with no Python step per tree.  Its costly half, the span (D and
+height), is composed only when asked for: the table always asks, and
+the sweep only for ND keys.  A tree is named by the level
 sequence WROM yields for it, a canonical form of its isomorphism class, so
 it is the tree free_trees yields: from the canonical sequences of the
 branches at any vertex, a walk to the centre finds it, with no tree built
@@ -43,10 +45,11 @@ sequence reads the tree's (m, b, D) and canonical code (_read_sequence).
 A ClassKey names one of the four tree classes the extremal theorems speak
 about: NM (order, matching number), NMB (order, matching number, leaf
 count), NK (order, interior count) and ND (order, diameter).  _PARAMS says
-which parameters each variant takes.  _keys gives the four keys of a
-tree's (m, b, D), as _read_sequence reads them, and _cells says which
-(m, b, D) of _root_over a key holds, so the sweep's table from invariants
-to keys is built from the keys alone.
+which parameters each variant takes, and _params turns a tree's
+(m, b, D), or arrays of them, into a variant's parameters: the one place
+that says an NK key's k is n - b.  _keys gives the four keys of a tree's
+(m, b, D), as _read_sequence reads them, through _params, and the sweep
+indexes its key table by the parameters _params gives a chunk row.
 """
 
 from __future__ import annotations
@@ -335,7 +338,7 @@ def _rooted(size: int) -> _Rooted:
     )
 
 
-def _root_over(table: _Rooted, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+def _root_over(table: _Rooted, rows: np.ndarray, span: bool = True) -> tuple:
     """(m, b, D, free, height) of a root over each row of entries, one or
     more per row.  The root, matched last, takes a branch root the greedy
     matching left free (each vertex, children first, matched to its parent
@@ -343,16 +346,20 @@ def _root_over(table: _Rooted, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     m_i + [some root is free], and the root is left free when none is;
     b = sum b_i; the height is the tallest branch's + 1; and D is the
     largest D_i or the longest path through the root, which joins the two
-    tallest branches there, or with one branch ends there."""
+    tallest branches there, or with one branch ends there.  D and height,
+    the span, cost about half of the rule: without span they are not
+    composed, and both are None."""
+    matched = table.free[rows].any(axis=1)
+    m, b = table.m[rows].sum(axis=1) + matched, table.b[rows].sum(axis=1)
+    if not span:
+        return m, b, None, ~matched, None
     heights = table.height[rows]
     taller = np.maximum.accumulate(heights, axis=1)
     height = taller[:, -1] + 1
     # the two tallest: the largest h_i + max(h_j, j < i), -1 with one branch
     pair = (heights[:, 1:] + taller[:, :-1]).max(axis=1, initial=-1)
-    matched = table.free[rows].any(axis=1)
-    m = table.m[rows].sum(axis=1) + matched
     D = np.maximum(table.D[rows].max(axis=1), np.maximum(pair + 2, height))
-    return m, table.b[rows].sum(axis=1), D, ~matched, height
+    return m, b, D, ~matched, height
 
 
 @functools.cache
@@ -539,20 +546,14 @@ class ClassKey:
         return ClassKey(variant, nums[0], **dict(zip(params, nums[1:])))
 
 
+def _params(variant: str, n: int, m, b, D) -> tuple:
+    """The parameters of variant, in _PARAMS order, of a tree on n vertices
+    with leaf boundary, matching number m, b leaves and diameter D, or of
+    arrays of such trees: the one place that says an NK key's k is n - b."""
+    return tuple({"m": m, "b": b, "k": n - b, "D": D}[p] for p in _PARAMS[variant])
+
+
 def _keys(n: int, m: int, b: int, D: int) -> list[ClassKey]:
     """The NM, NMB, NK and ND keys of a tree on n >= 3 vertices with leaf
     boundary, matching number m, b leaves and diameter D."""
-    return [
-        ClassKey("NM", n, m=m),
-        ClassKey("NMB", n, m=m, b=b),
-        ClassKey("NK", n, k=n - b),
-        ClassKey("ND", n, D=D),
-    ]
-
-
-def _cells(key: ClassKey) -> tuple[slice, slice, slice]:
-    """Where key's trees sit in an array indexed by the (m, b, D) that
-    _root_over gives a chunk row: a one-value slice for each invariant the
-    key fixes (an NK key fixes b = n - k) and a full slice for the others."""
-    b = key.n - key.k if key.variant == "NK" else key.b
-    return tuple(slice(None) if x is None else slice(x, x + 1) for x in (key.m, b, key.D))
+    return [ClassKey(v, n, **dict(zip(_PARAMS[v], _params(v, n, m, b, D)))) for v in _PARAMS]

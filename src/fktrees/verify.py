@@ -17,10 +17,12 @@ enumeration composes them around their centroids: chunks of rows of
 indices into a table of rooted trees, each row the branches at a centroid
 of one tree (enumeration._chunks), up to enumeration._CHUNK trees at a
 time.  The rule of a root over its branches (enumeration._root_over), as
-sums and gathers over the table, gives every tree's matching number, leaf
-count and diameter; a table from those to key ids, filled from the keys
-before the first chunk (enumeration._cells), names the one key each tree
-may have, and np.bincount counts the populations.
+sums and gathers over the table, gives every tree's matching number and
+leaf count, and its diameter only for ND keys, the one variant that reads
+it.  A table of key ids with one axis per parameter of the variant,
+filled from the keys' own fields before the first chunk, names the one
+key each tree may have from the parameters enumeration._params gives its
+invariants, and np.bincount counts the populations.
 
 Trees are named by their WROM level sequences, a canonical form of the
 isomorphism class, with no tree built, each by the walk from the branches
@@ -30,13 +32,13 @@ and a composed one from its row's branches at a centroid.  Membership and
 codes come from the sequence too: one children-first pass
 (enumeration._read_sequence) gives a tree's matching number, leaf count,
 diameter and canonical code, and a predicted tree is a member of a key
-when the table that counts the populations takes its (m, b, D) to that
-key.  A dict of lambda1 and a memo of readings, both made per order, keep
-any tree of an order from being eigensolved or read twice.  Every
-lambda1 comes from _solve, which reads the edges and degrees of each
-sequence it lacks, assembles its Dirichlet matrix with spectral._assemble
-and solves the matrices in stacks by interior size with
-spectral._ground_states: bit for bit as first_eigenpair solves the tree
+when the table that counts the populations takes the parameters of its
+(m, b, D) to that key.  A dict of lambda1 and a memo of readings, both
+made per order, keep any tree of an order from being eigensolved or read
+twice.  Every lambda1 comes from _solve, which reads the edges and
+degrees of each sequence it lacks, assembles its Dirichlet matrix with
+spectral._assemble and solves the matrices in stacks by interior size
+with spectral._ground_states: bit for bit as first_eigenpair solves the tree
 free_trees yields, since first_eigenpair goes through the same two.
 
 Each key has a seed: the least lambda1 of its predicted trees that are
@@ -77,10 +79,10 @@ back in key order, so the output is deterministic either way.
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,11 +91,12 @@ import numpy as np
 from .enumeration import (
     DEFAULT_CAP,
     HARD_CAP,
+    _PARAMS,
     ClassKey,
-    _cells,
     _centre_sequence,
     _check_cap,
     _chunks,
+    _params,
     _read_sequence,
     _root_over,
     _Rooted,
@@ -178,28 +181,34 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     predicted_extremal gives them.  lam holds each one's lambda1, and read, a
     memo of _read_sequence looked up on the module when the order starts,
     its (m, b, D) and canonical code, so that no tree of the order is
-    eigensolved or read twice.  A predicted tree is a member of key i when
-    it has order n and key_id, the table that counts the population, takes
-    its (m, b, D) to i.  y[i] is key i's seed + tol + _FILTER_SLACK, the
-    seed being the least lambda1 of its predicted members, or inf, and it is
-    fixed for the pass.  The class minimum is at most the seed, so a tree
-    _composed_above shows to lie above y[i] is never within tol of the class
-    minimum: it is
-    counted without being named or eigensolved, and one _branch_pivots call
-    serves every chunk.  Every contender's (lambda1, sequence) is kept, and
-    the minimizers are the contenders within tol of their least lambda1: the
-    trees within tol of the class minimum, by the same float comparison as a
-    filter over the whole class.
+    eigensolved or read twice.  key_id, the table that counts the
+    population, has one axis per parameter of the variant (_PARAMS), and
+    key_of looks up a tree's key there by the parameters _params gives its
+    (m, b, D); only ND keys have a chunk's D composed.  A predicted tree is
+    a member of key i when it has order n and key_of takes it to i.  y[i]
+    is key i's seed + tol + _FILTER_SLACK, the seed being the least lambda1
+    of its predicted members, or inf, and it is fixed for the pass.  The
+    class minimum is at most the seed, so a tree _composed_above shows to
+    lie above y[i] is never within tol of the class minimum: it is counted
+    without being named or eigensolved, and one _branch_pivots call serves
+    every chunk.  Every contender's (lambda1, sequence) is kept, and the
+    minimizers are the contenders within tol of their least lambda1: the
+    trees within tol of the class minimum, by the same float comparison as
+    a filter over the whole class.
     """
-    (_variant,) = {key.variant for key in keys}  # one variant: disjoint cells
-    key_id = np.full((n // 2 + 1, n + 1, n), -1, np.intp)  # by (m, b, D); -1 none
+    (variant,) = {key.variant for key in keys}
+    key_id = np.full((n,) * len(_PARAMS[variant]), -1, np.intp)  # by the parameters; -1 none
     for i, key in enumerate(keys):
-        key_id[_cells(key)] = i
+        key_id[tuple(getattr(key, p) for p in _PARAMS[variant])] = i
+
+    def key_of(mbD: tuple) -> np.ndarray:  # of (m, b, D), or of arrays of them
+        return key_id[_params(variant, n, *mbD[:3])]
+
     lam: dict[bytes, float] = {}
     read = functools.cache(_read_sequence)
     predictions = [predicted_extremal(key) for key in keys]
     members = [
-        [seq for seq in prediction.sequences if len(seq) == n and key_id[read(seq)[0]] == i]
+        [seq for seq in prediction.sequences if len(seq) == n and key_of(read(seq)[0]) == i]
         for i, prediction in enumerate(predictions)
     ]
     _solve(lam, [seq for seqs in members for seq in seqs])
@@ -210,7 +219,7 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     population = np.zeros(len(keys), np.int64)
     contenders: list[list[tuple[float, bytes]]] = [[] for _ in keys]
     for branches in _chunks(table, n):
-        kid = key_id[_root_over(table, branches)[:3]]
+        kid = key_of(_root_over(table, branches, span=variant == "ND"))
         rows = np.flatnonzero(kid >= 0)
         branches, kid = branches[rows], kid[rows]
         population += np.bincount(kid, minlength=len(keys))
@@ -404,7 +413,7 @@ def verify_theorem_sweep(
     work = [by_order[n] for n in orders]
     workers = min(jobs, len(by_order), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_order = dict(zip(orders, pool.map(certify, orders, work)))
     else:
         per_order = dict(zip(orders, map(certify, orders, work)))

@@ -92,6 +92,16 @@ def test_cli_import_does_not_load_networkx():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_does_not_load_multiprocessing():
+    # only a sweep with more than one worker starts a process pool, so
+    # eigen, bounds and a serial verify never load the pool's modules
+    proc = _run_python(
+        "-c", "import sys, fktrees.cli; print('multiprocessing' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_family_round_trip_through_eigen(tmp_path, capsys):
     tree_file = tmp_path / "comet.txt"
     code = run(

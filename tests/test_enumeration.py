@@ -48,9 +48,9 @@ from fktrees.verify import (
 from fktrees.enumeration import (
     _CHUNK,
     HARD_CAP,
-    _cells,
     _centre_sequence,
     _chunks,
+    _keys,
     _level_sequences,
     _read_sequence,
     _root_over,
@@ -274,8 +274,8 @@ def test_composed_trees_agree_with_free_trees_and_reference_keys():
                 ]
                 # the sequence reader gives the same invariants and code
                 assert _read_sequence(seq) == ((m, b, D), canonical_code(tree).text)
-                # the sweep's key table: each tree's invariants lie in the
-                # cells of its own key of each variant and of no other
+                # the parameters the sweep's key table is indexed by: each
+                # tree's invariants give its own key of each variant and no other
                 holding = [key for key in keys if _holds(key, (m, b, D))]
                 assert holding == reference_keys(tree)
         # every composed tree is labelled as the generator labels it, and
@@ -418,8 +418,9 @@ def _feasible_keys(n):
 
 
 def _holds(key, invariants):
-    """Whether (m, b, D) lies in the cells of key."""
-    return all(x in range(HARD_CAP + 1)[s] for x, s in zip(invariants, _cells(key)))
+    """Whether a tree of key's order with these (m, b, D) has key, by the
+    keys _keys makes from its parameters (enumeration._params)."""
+    return key in _keys(key.n, *invariants)
 
 
 def test_every_predicted_tree_is_a_member_of_its_key():
@@ -1014,6 +1015,27 @@ def test_contenders_do_not_depend_on_chunking(monkeypatch, stand_in):
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_only_diameter_keys_compose_a_diameter(monkeypatch, theorem):
+    # D and the heights it needs cost about half of the rule of a root over
+    # its branches, and only an ND key reads them: a sweep to n = 12 composes
+    # them for every chunk row of D4 and for none of T13, T14 or Kloburstel
+    composed = []
+
+    def root_over(*args, **kwargs):
+        m, b, D, free, height = _root_over(*args, **kwargs)
+        composed.append((D is not None, height is not None, len(m)))
+        return m, b, D, free, height
+
+    monkeypatch.setattr(verify_module, "_root_over", root_over)
+    certs = verify_theorem_sweep(theorem, 12)
+    spans = {(D, height) for D, height, _ in composed}
+    assert spans == {(theorem == "D4",) * 2}, theorem
+    # every tree of every order the sweep covers went through the spy
+    orders = {cert.key.n for cert in certs}
+    assert sum(rows for *_, rows in composed) == sum(_A000055[n] for n in orders)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size and the orders
     in the order they are submitted, runs in-process."""
@@ -1043,7 +1065,7 @@ class _RecordingPool:
 def test_sweep_workers_clamped_to_orders_and_cpus(monkeypatch, cpus, want):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "submitted", [])
-    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(verify_module.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
     certs = verify_theorem_sweep("T13", 6, jobs=10**6)  # orders 3..6
     assert _RecordingPool.sizes == want

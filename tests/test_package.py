@@ -145,6 +145,10 @@ def test_ci_workflow_runs_the_tier1_command():
     assert f"run: {command}" in lines
     # a hung process-pool worker cannot hold a runner past this
     assert "timeout-minutes: 30" in lines
+    # at the top level, unindented: the job's token reads the repository
+    # and can do nothing else
+    raw = workflow.read_text().splitlines()
+    assert raw[raw.index("permissions:") + 1] == "  contents: read"
 
 
 def test_spectral_imports_only_errors_and_trees():
