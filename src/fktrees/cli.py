@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from typing import Iterator, TextIO
+from typing import Callable, Iterable, Iterator
 
 from . import io as fkio
 from . import transforms
@@ -54,21 +54,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, handler) -> None:
+        p.set_defaults(handler=handler)
         p.add_argument("--output", default=None, help="write results to this path")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("eigen", help="first Dirichlet eigenpair of a tree")
     p.add_argument("--tree", required=True, help="edge-list file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common(p)
+    common(p, _cmd_eigen)
 
     p = sub.add_parser("family", help="construct a named extremal family member")
     p.add_argument("kind", choices=tuple(_FAMILIES))
     for flag in dict.fromkeys(f for _, flags in _FAMILIES.values() for f in flags):
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--emit", choices=("edges", "json"), default="edges")
-    common(p)
+    common(p, _cmd_family)
 
     p = sub.add_parser("transform", help="apply one edge rewrite")
     p.add_argument("--tree", required=True)
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON array of interior values (ascending vertex id); "
         "defaults to the first eigenfunction",
     )
-    common(p)
+    common(p, _cmd_transform)
 
     p = sub.add_parser("verify", help="sweep one theorem over all feasible keys")
     p.add_argument("--theorem", required=True, choices=THEOREMS)
@@ -91,24 +92,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=TIE_TOL)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    common(p)
+    common(p, _cmd_verify)
 
     p = sub.add_parser("verify-class", help="certificate for a single class key")
     p.add_argument("--key", required=True, help='e.g. "NMB 8 3 3"')
     p.add_argument("--tol", type=float, default=TIE_TOL)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    common(p)
+    common(p, _cmd_verify_class)
 
     p = sub.add_parser("enumerate", help="stream all trees of one order")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classify", action="store_true")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    common(p)
+    common(p, _cmd_enumerate)
 
     p = sub.add_parser("bounds", help="diameter/leaf-count eigenvalue sandwich")
     p.add_argument("--tree", required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common(p)
+    common(p, _cmd_bounds)
 
     return parser
 
@@ -120,21 +121,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("--tol must be positive and finite")
     if getattr(args, "jobs", 1) < 1:
         raise ValueError("--jobs must be >= 1")
-
-
-@contextlib.contextmanager
-def _sink(args: argparse.Namespace) -> Iterator[TextIO]:
-    """stdout, or the --output file opened for the duration."""
-    if args.output is None:
-        yield sys.stdout
-    else:
-        with open(args.output, "w", encoding="ascii") as fh:
-            yield fh
-
-
-def _write(args: argparse.Namespace, text: str) -> None:
-    with _sink(args) as out:
-        out.write(text)
 
 
 # family name: (constructor, the flags it takes, in argument order)
@@ -173,28 +159,33 @@ def _parse_move(move: str) -> tuple[str, list[int]]:
     return rewrite, [int(t) for t in tokens[1:]]
 
 
-def _cmd_eigen(args) -> int:
+def _formatted(
+    args: argparse.Namespace, docs: Iterable[dict], render: Callable[[], list[str]]
+) -> list[str]:
+    """A command's output lines: its JSON documents, one a line, or under
+    --format text the lines render() gives."""
+    if args.format == "json":
+        return [fkio.dumps(doc) for doc in docs]
+    return render()
+
+
+def _cmd_eigen(args) -> tuple[int, Iterable[str]]:
     tree = fkio.read_tree_file(args.tree)
     spectrum = first_eigenpair(tree, tol=args.tol)
     doc = fkio.spectrum_json(spectrum)
-    if args.format == "json":
-        _write(args, fkio.dumps(doc) + "\n")
-    else:
-        lines = [f"lambda1  = {doc['lambda1']:.12g}"]
-        lines.append("eigenfunction = " + " ".join(f"{x:.12g}" for x in doc["eigenfunction"]))
-        lines.append(f"residual = {doc['residual']:.3e}")
-        lines.append(f"gap      = {doc['gap']}")
-        _write(args, "\n".join(lines) + "\n")
-    return 0
+    return 0, _formatted(args, [doc], lambda: [
+        f"lambda1  = {doc['lambda1']:.12g}",
+        "eigenfunction = " + " ".join(f"{x:.12g}" for x in doc["eigenfunction"]),
+        f"residual = {doc['residual']:.3e}",
+        f"gap      = {doc['gap']}",
+    ])
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[int, Iterable[str]]:
     tree = _family_tree(args)
     if args.emit == "edges":
-        _write(args, format_edge_list_text(tree))
-    else:
-        _write(args, fkio.dumps(fkio.tree_json(tree)) + "\n")
-    return 0
+        return 0, format_edge_list_text(tree).splitlines()
+    return 0, [fkio.dumps(fkio.tree_json(tree))]
 
 
 def _function_file(path: str) -> list[float]:
@@ -210,12 +201,12 @@ def _function_file(path: str) -> list[float]:
     return values
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> tuple[int, Iterable[str]]:
     tree = fkio.read_tree_file(args.tree)
     if args.function is not None:
         f = _function_file(args.function)
     else:
-        f = [float(x) for x in first_eigenpair(tree).eigenfunction]
+        f = first_eigenpair(tree).eigenfunction.tolist()
     move, ids = _parse_move(args.move)
     new_tree, rewrite = getattr(transforms, move)(tree, *ids, f=f)
     doc = {
@@ -225,51 +216,46 @@ def _cmd_transform(args) -> int:
         "delta_numerator": rewrite.delta,
         "tree": fkio.tree_json(new_tree),
     }
-    if args.format == "json":
-        _write(args, fkio.dumps(doc) + "\n")
-    else:
-        _write(
-            args,
-            f"{rewrite.kind}: removed {rewrite.removed} inserted {rewrite.inserted} "
-            f"delta_numerator {rewrite.delta:.12g}\n"
-            + format_edge_list_text(new_tree),
-        )
-    return 0
+    return 0, _formatted(args, [doc], lambda: [
+        f"{rewrite.kind}: removed {rewrite.removed} inserted {rewrite.inserted} "
+        f"delta_numerator {rewrite.delta:.12g}",
+        *format_edge_list_text(new_tree).splitlines(),
+    ])
 
 
-def _certificates_output(args, certs) -> int:
-    if args.format == "json":
-        text = "".join(fkio.dumps(certificate_json(c)) + "\n" for c in certs)
-    else:
-        lines = []
-        for c in certs:
-            lam = "-" if c.lambda_min is None else f"{c.lambda_min:.10g}"
-            lines.append(
-                f"{str(c.key):<14} population={c.population:<6} "
-                f"lambda_min={lam:<13} minimizers={len(c.minimizers)} {c.verdict}"
-            )
-        text = "\n".join(lines) + "\n"
-    _write(args, text)
-    return 0 if all_match(certs) else 1
+def _certificate_text(c) -> str:
+    lam = "-" if c.lambda_min is None else f"{c.lambda_min:.10g}"
+    return (
+        f"{str(c.key):<14} population={c.population:<6} "
+        f"lambda_min={lam:<13} minimizers={len(c.minimizers)} {c.verdict}"
+    )
 
 
-def _cmd_verify(args) -> int:
+def _certificates(args, certs) -> tuple[int, Iterable[str]]:
+    """Exit 1 unless every verdict matches; one line per certificate."""
+    lines = _formatted(
+        args, map(certificate_json, certs), lambda: [_certificate_text(c) for c in certs]
+    )
+    return (0 if all_match(certs) else 1), lines
+
+
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     certs = verify_theorem_sweep(
         args.theorem, args.n_max, tol=args.tol, cap=args.cap, jobs=args.jobs
     )
-    return _certificates_output(args, certs)
+    return _certificates(args, certs)
 
 
-def _cmd_verify_class(args) -> int:
+def _cmd_verify_class(args) -> tuple[int, Iterable[str]]:
     key = ClassKey.parse(args.key)
     try:
         cert = verify_class(key, tol=args.tol, cap=args.cap)
     except EmptyClassError:
         cert = empty_class_certificate(key, args.tol)
-    return _certificates_output(args, [cert])
+    return _certificates(args, [cert])
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     """One line per tree, written as each tree is generated: a JSON object,
     or as text its canonical code and, with --classify, its class keys,
     two spaces apart.  The trees are free_trees', read off their WROM level
@@ -279,46 +265,37 @@ def _cmd_enumerate(args) -> int:
     (parent, v) with parent < v, sort into from_edge_list's order."""
     _check_order(args.n, args.cap)  # before --output is created
     classes_of = functools.cache(lambda mbD: [str(k) for k in _keys(args.n, *mbD)])
-    with _sink(args) as out:
+
+    def lines() -> Iterator[str]:
         for seq in _level_sequences(args.n):
             edges = _sequence_edges(seq)
             mbD, code = _read_sequence(seq, edges)
             classes = classes_of(mbD) if args.classify else []
             if args.format == "text":
-                out.write("  ".join([code, *classes]) + "\n")
+                yield "  ".join([code, *classes])
                 continue
             doc = {"n": args.n, "edges": [list(e) for e in sorted(edges)], "code": code}
             if args.classify:
                 doc["classes"] = classes
-            out.write(fkio.dumps(doc) + "\n")
-    return 0
+            yield fkio.dumps(doc)
+
+    return 0, lines()
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[int, Iterable[str]]:
     tree = fkio.read_tree_file(args.tree)
     lower, upper = eigenvalue_bounds(tree)
     lam = first_eigenpair(tree, tol=args.tol).lambda1
     doc = {"lower": lower, "lambda1": lam, "upper": upper}
-    if args.format == "json":
-        _write(args, fkio.dumps(doc) + "\n")
-    else:
-        _write(args, f"lower={lower:.12g} lambda1={lam:.12g} upper={upper:.12g}\n")
-    return 0
-
-
-_COMMANDS = {
-    "eigen": _cmd_eigen,
-    "family": _cmd_family,
-    "transform": _cmd_transform,
-    "verify": _cmd_verify,
-    "verify-class": _cmd_verify_class,
-    "enumerate": _cmd_enumerate,
-    "bounds": _cmd_bounds,
-}
+    return 0, _formatted(
+        args, [doc], lambda: [f"lower={lower:.12g} lambda1={lam:.12g} upper={upper:.12g}"]
+    )
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv and execute one subcommand; returns the exit code."""
+    """Parse argv and execute one subcommand; returns the exit code.  The
+    handler computes its exit code and output lines; only then is stdout,
+    or the --output file, opened and each line written to it."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -326,7 +303,15 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _validate(args)
-        return _COMMANDS[args.command](args)
+        code, lines = args.handler(args)
+        if args.output is None:
+            sink = contextlib.nullcontext(sys.stdout)
+        else:
+            sink = open(args.output, "w", encoding="ascii")
+        with sink as out:
+            for line in lines:
+                out.write(line + "\n")
+        return code
     except (FKTreesError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"fktrees: error: {exc}", file=sys.stderr)
         return 2

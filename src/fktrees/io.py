@@ -79,7 +79,7 @@ def _flat_array(items: list | tuple) -> str | None:
 def spectrum_json(spectrum: DirichletSpectrum) -> dict:
     return {
         "lambda1": float(spectrum.lambda1),
-        "eigenfunction": [float(x) for x in spectrum.eigenfunction],
+        "eigenfunction": spectrum.eigenfunction.tolist(),
         "residual": float(spectrum.residual),
         "gap": None if spectrum.gap is None else float(spectrum.gap),
     }

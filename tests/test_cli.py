@@ -228,6 +228,70 @@ def test_tree_solver_json_bytes_match_golden(capsys, tmp_path, command):
     assert out == golden.read_text(encoding="ascii")
 
 
+# recorded from each command on the 6-vertex caterpillar 0-1-2-3-4 with leaf
+# 5 at 2, and its interior 1, 2, 3; text output, and the JSON of the single-
+# tree commands: (argv, exit code, stdout)
+_PINNED_OUTPUT = [
+    (["eigen", "--tree", "{tree}"], 0,
+     '{"lambda1":1.0000000000000004,"eigenfunction":[0.57735026918962573,0.57735026918962584,'
+     '0.57735026918962595],"residual":3.3306690738754696e-16,"gap":1.0}\n'),
+    (["eigen", "--tree", "{tree}", "--format", "text"], 0,
+     "lambda1  = 1\neigenfunction = 0.57735026919 0.57735026919 0.57735026919\n"
+     "residual = 3.331e-16\ngap      = 1.0\n"),
+    (["bounds", "--tree", "{tree}"], 0,
+     '{"lower":0.58578643762690497,"lambda1":1.0000000000000004,"upper":1.0}\n'),
+    (["bounds", "--tree", "{tree}", "--format", "text"], 0,
+     "lower=0.585786437627 lambda1=1 upper=1\n"),
+    (["transform", "--tree", "{tree}", "--move", "jump 1 3 2"], 0,
+     '{"kind":"jumping","removed":[[1,2]],"inserted":[[1,3]],"delta_numerator":3.6977854932234928e-32,'
+     '"tree":{"n":6,"edges":[[0,1],[1,3],[2,3],[2,5],[3,4]],"boundary":[0,4,5],'
+     '"code":"(0(0(1))(0(1))(1))"}}\n'),
+    (["transform", "--tree", "{tree}", "--move", "jump 1 3 2", "--format", "text"], 0,
+     "jumping: removed ((1, 2),) inserted ((1, 3),) delta_numerator 3.69778549322e-32\n"
+     "6\n0 1\n1 3\n2 3\n2 5\n3 4\n"),
+    (["verify-class", "--key", "NMB 8 3 3", "--format", "text"], 0,
+     "NMB 8 3 3      population=2      lambda_min=0.3174929343  minimizers=1 MATCH\n"),
+    (["verify-class", "--key", "NM 7 4", "--format", "text"], 1,
+     "NM 7 4         population=0      lambda_min=-             minimizers=0 EMPTY_CLASS\n"),
+    (["verify", "--theorem", "Kloburstel", "--n-max", "7", "--format", "text"], 0,
+     "NK 3 1         population=1      lambda_min=2             minimizers=1 MATCH\n"
+     "NK 4 1         population=1      lambda_min=3             minimizers=1 MATCH\n"
+     "NK 4 2         population=1      lambda_min=1             minimizers=1 MATCH\n"
+     "NK 5 1         population=1      lambda_min=4             minimizers=1 MATCH\n"
+     "NK 5 2         population=1      lambda_min=1.381966011   minimizers=1 MATCH\n"
+     "NK 5 3         population=1      lambda_min=0.5857864376  minimizers=1 MATCH\n"
+     "NK 6 1         population=1      lambda_min=5             minimizers=1 MATCH\n"
+     "NK 6 2         population=2      lambda_min=1.585786438   minimizers=1 MATCH\n"
+     "NK 6 3         population=2      lambda_min=0.7530203963  minimizers=1 MATCH\n"
+     "NK 6 4         population=1      lambda_min=0.3819660113  minimizers=1 MATCH\n"
+     "NK 7 1         population=1      lambda_min=6             minimizers=1 MATCH\n"
+     "NK 7 2         population=2      lambda_min=1.697224362   minimizers=1 MATCH\n"
+     "NK 7 3         population=4      lambda_min=0.8299135134  minimizers=1 MATCH\n"
+     "NK 7 4         population=3      lambda_min=0.4679111138  minimizers=1 MATCH\n"
+     "NK 7 5         population=1      lambda_min=0.2679491924  minimizers=1 MATCH\n"),
+]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize(
+    "argv, exit_code, want",
+    _PINNED_OUTPUT,
+    ids=[" ".join(a).replace(" --tree {tree}", "") for a, _, _ in _PINNED_OUTPUT],
+)
+def test_output_bytes_pinned(capsys, tmp_path, argv, exit_code, want, to_file):
+    # the same bytes reach stdout, or the --output file with nothing on stdout
+    tree_file = tmp_path / "caterpillar6.txt"
+    tree_file.write_text("6\n0 1\n1 2\n2 3\n3 4\n2 5\n")
+    argv = [str(tree_file) if a == "{tree}" else a for a in argv]
+    target = tmp_path / "out.txt"
+    assert run(argv + ["--output", str(target)] if to_file else argv) == exit_code
+    out = capsys.readouterr().out
+    if to_file:
+        assert out == "" and target.read_text(encoding="ascii") == want
+    else:
+        assert out == want and not target.exists()
+
+
 def test_family_missing_parameter(capsys):
     code = run(["family", "comet", "--n", "6"])
     assert code == 2

@@ -77,17 +77,47 @@ _KEPT_WITHOUT_A_CALLER = {
 }
 
 
+# the nodes that open a scope of their own names
+_SCOPES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
+)
+
+
+def _local_reads(tree: ast.AST) -> set[int]:
+    """id() of each Name node in tree that reads a name its own or an
+    enclosing function, lambda or comprehension binds: as a parameter, or as
+    an assignment, loop or comprehension target in that scope itself."""
+    local = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, _SCOPES):
+            continue
+        parameters = ast.walk(scope.args) if hasattr(scope, "args") else ()  # comprehensions have none
+        bound = {a.arg for a in parameters if isinstance(a, ast.arg)}
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:  # a nested scope's targets are its own
+            node = stack.pop()
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            if not isinstance(node, _SCOPES):
+                stack.extend(ast.iter_child_nodes(node))
+        local.update(id(node) for node in ast.walk(scope) if isinstance(node, ast.Name) and node.id in bound)
+    return local
+
+
 def _unreferenced_definitions(package: Path) -> list[str]:
     """module.name of each module-level function or class, dunders aside,
     that no other top-level statement of the package refers to: by name, as
     an attribute, or as a string that is an identifier (cli looks its moves
     up by name).  A function calling itself is no reference, and neither is
-    an __all__ entry.  Also module.Class.name of each public method or
-    property of a public class that no attribute read (x.name) refers to:
-    a local variable or string of the same name is no use of a member."""
+    an __all__ entry or a local (a parameter, variable or comprehension
+    variable) of the same name.  Also module.Class.name of each public
+    method or property of a public class that no attribute read (x.name)
+    refers to: a local variable or string of the same name is no use of a
+    member."""
     defined, referenced, attributes = [], set(), set()
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            local = _local_reads(stmt)
             if isinstance(stmt, ast.Assign) and any(
                 getattr(target, "id", None) == "__all__" for target in stmt.targets
             ):
@@ -104,6 +134,8 @@ def _unreferenced_definitions(package: Path) -> list[str]:
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
                 ]
             for node in ast.walk(stmt):
+                if id(node) in local:
+                    continue
                 if isinstance(node, ast.Attribute):
                     attributes.add(node.attr)
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
@@ -135,6 +167,22 @@ def test_no_public_code_without_a_consumer():
     assert sorted(public) == sorted(_KEPT_WITHOUT_A_CALLER)
 
 
+def test_a_local_of_a_functions_name_is_no_use_of_it(tmp_path):
+    # a parameter, a variable or a comprehension variable named like a
+    # module-level function hides nothing: the function is still reported
+    (tmp_path / "m.py").write_text(
+        "def foo(): ...\n"
+        "def bar(foo): return foo\n"
+        "def baz():\n    foo = 1\n    return foo\n"
+        "def qux(): return [foo for foo in ()]\n"
+        "spam = lambda foo: foo\n"
+    )
+    assert _unreferenced_definitions(tmp_path) == ["m.foo", "m.bar", "m.baz", "m.qux"]
+    # a call from another module is a use
+    (tmp_path / "n.py").write_text("def quux(x): return foo(x)\n")
+    assert _unreferenced_definitions(tmp_path) == ["m.bar", "m.baz", "m.qux", "n.quux"]
+
+
 def test_ci_workflow_runs_the_tier1_command():
     # GitHub Actions cannot run offline, so the workflow is read as text: it
     # installs the test extras and runs the tier-1 command verbatim
@@ -145,6 +193,8 @@ def test_ci_workflow_runs_the_tier1_command():
     assert f"run: {command}" in lines
     # a hung process-pool worker cannot hold a runner past this
     assert "timeout-minutes: 30" in lines
+    # one version's failure does not cancel the other's job
+    assert "fail-fast: false" in lines
     # at the top level, unindented: the job's token reads the repository
     # and can do nothing else
     raw = workflow.read_text().splitlines()
