@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
@@ -381,18 +382,28 @@ def _partitions(total: int, most: int) -> Iterator[tuple[tuple[int, int], ...]]:
                 yield ((part, r),) + rest
 
 
-def _unit_chunks(table: _Rooted, groups: tuple[tuple[int, int], ...]) -> Iterator[np.ndarray]:
+def _unit_ranges(table: _Rooted, groups: tuple[tuple[int, int], ...]) -> int:
+    """The number of chunks _unit_chunks lists a unit in, from the multiset
+    counts alone, with nothing listed."""
+    return -(-math.prod(math.comb(table.count(s) + r - 1, r) for s, r in groups) // _CHUNK)
+
+
+def _unit_chunks(
+    table: _Rooted, groups: tuple[tuple[int, int], ...], shard: int = 0, shards: int = 1
+) -> Iterator[np.ndarray]:
     """The trees of one unit, in chunks of at most _CHUNK rows: row t is
     the non-increasing tuple of entry indices of the unit's tree of rank t,
     whose digits in the mixed radix of the groups' multiset counts are the
-    ranks of one multiset of entries per group (_multisets)."""
+    ranks of one multiset of entries per group (_multisets).  Only shard's
+    ranges are listed, the ranks r * _CHUNK up to (r + 1) * _CHUNK with
+    r % shards == shard; the others are skipped, unlisted."""
     counts = [math.comb(table.count(s) + r - 1, r) for s, r in groups]
     binomials = [
         _binomials(table.count(s), r) if count > 1 else None
         for (s, r), count in zip(groups, counts)
     ]
     total = math.prod(counts)
-    for first in range(0, total, _CHUNK):
+    for first in range(shard * _CHUNK, total, shards * _CHUNK):
         rank = np.arange(first, min(first + _CHUNK, total))
         columns = []
         for (s, r), count, binomial in zip(groups, counts, binomials):
@@ -404,23 +415,23 @@ def _unit_chunks(table: _Rooted, groups: tuple[tuple[int, int], ...]) -> Iterato
         yield np.concatenate(columns, axis=1)
 
 
-def _halves(table: _Rooted, half: int) -> Iterator[np.ndarray]:
+def _halves(table: _Rooted, half: int, shard: int = 0, shards: int = 1) -> Iterator[np.ndarray]:
     """The rows _chunks gives the trees with two centroids, on 2 * half
     vertices: for each pair of halves a >= b, entries of size half in the
-    order _unit_chunks lists them, the tree rooted at a's root, whose
-    branches are a's children and then b.  The rows of a block share a
-    width, so a chunk of pairs is split where a's child count changes;
-    _rooted lists the entries of a size by child count, so the blocks come
-    by width."""
+    order _unit_chunks lists them (the ranges of pairs shard owns), the
+    tree rooted at a's root, whose branches are a's children and then b.
+    The rows of a block share a width, so a chunk of pairs is split where
+    a's child count changes; _rooted lists the entries of a size by child
+    count, so the blocks come by width."""
     children = table.children[half]
     width = (children >= 0).sum(axis=1)
-    for pairs in _unit_chunks(table, ((half, 2),)):
+    for pairs in _unit_chunks(table, ((half, 2),), shard, shards):
         a = pairs[:, 0] - table.start[half]
         for piece in np.split(np.arange(len(a)), np.flatnonzero(np.diff(width[a])) + 1):
             yield np.column_stack([children[a[piece], : width[a[piece[0]]]], pairs[piece, 1]])
 
 
-def _chunks(table: _Rooted, n: int) -> Iterator[np.ndarray]:
+def _chunks(table: _Rooted, n: int, shard: int = 0, shards: int = 1) -> Iterator[np.ndarray]:
     """The trees of order n >= 3 in chunks of at most _CHUNK rows, each row
     the entries of the branches at a centroid of one tree, whose sizes add
     up to n - 1: the units of the trees with one centroid, one per
@@ -428,18 +439,33 @@ def _chunks(table: _Rooted, n: int) -> Iterator[np.ndarray]:
     number of parts, and, for even n, merged in by width, the trees with
     two (_halves).  Consecutive blocks of rows with as many branches share
     chunks, so that the many small units of an order cost few numpy
-    steps."""
+    steps.
+
+    Only the trees of shard in range(shards) are listed.  The order's
+    ranges of _unit_chunks are numbered unit after unit, the halves last,
+    and shard owns those whose number is shard mod shards: a pure function
+    of the unit and the range, from counts alone, so the shards partition
+    the order's trees, each lists only its own ranges, and with one shard
+    every range is listed, as in order."""
     partitions = _by_parts(n - 1, (n - 1) // 2)
-    blocks = (rows for groups in partitions for rows in _unit_chunks(table, groups))
+    # the number of each unit's first range, and last that of the halves
+    first = list(itertools.accumulate((_unit_ranges(table, g) for g in partitions), initial=0))
+    blocks = (
+        rows
+        for groups, f in zip(partitions, first)
+        for rows in _unit_chunks(table, groups, (shard - f) % shards, shards)
+    )
     if n % 2 == 0:
-        blocks = heapq.merge(blocks, _halves(table, n // 2), key=lambda rows: rows.shape[1])
+        halves = _halves(table, n // 2, (shard - first[-1]) % shards, shards)
+        blocks = heapq.merge(blocks, halves, key=lambda rows: rows.shape[1])
     held: list[np.ndarray] = []
     for rows in blocks:
         if held and (rows.shape[1] != held[0].shape[1] or len(rows) + sum(map(len, held)) > _CHUNK):
             yield np.concatenate(held)
             held = []
         held.append(rows)
-    yield np.concatenate(held)
+    if held:  # a shard of a small order may own no range
+        yield np.concatenate(held)
 
 
 @functools.cache

@@ -70,11 +70,20 @@ first_eigenpair value of a generator-labelled tree, and the certificates
 are those an eigensolve of every member gives, byte for byte.  A single
 key and a theorem sweep share this pass.
 
-Sweeps group a theorem's keys by order; with jobs > 1 the orders run in a
-process pool of min(jobs, number of orders, CPU count) workers, each
-returning the certificates of its order.  Orders are submitted largest
-first, so that the longest one starts at once, and the results are put
-back in key order, so the output is deterministic either way.
+Sweeps group a theorem's keys by order and certify the orders in
+ascending order.  The largest order holds most of a sweep's trees, so with
+jobs > 1 every order of at least _SHARD_ORDER vertices is split across one
+process pool of W = min(jobs, usable CPUs) workers.  Shard i of W lists
+only the chunk ranges it owns (enumeration._chunks), by a rule that is a
+pure function of the unit and the range, so the shards agree on it
+without communicating.  Each returns the populations and contenders of
+its trees (_order_pass), computing the order's seeds, bounds and table
+itself.  The parent submits the shards of every such order, smallest
+first, certifies the smaller orders itself meanwhile, and then sums the
+populations and joins the contenders of each order's shards; a sweep with
+no order that large starts no pool.  The trees named and solved do not
+depend on the chunking and the minimizers are sorted by code, so the
+certificates are the serial sweep's, byte for byte, whatever jobs is.
 """
 
 from __future__ import annotations
@@ -131,6 +140,13 @@ _FILTER_SLACK = 1e-9
 # entry; demanding every pivot be at least _PIVOT_GUARD, far above that
 # rounding, keeps a pivot that is truly zero or negative from passing.
 _PIVOT_GUARD = 1e-9
+# With jobs > 1 a sweep shards each order n >= _SHARD_ORDER across its
+# workers, and certifies smaller orders serially, with no pool when none is
+# that large: below it, starting a pool and splitting an order cost more
+# than they save (on 2 CPUs with the fork start method, order 19 is the first
+# where the 2-worker shard, pool start included, beats the serial pass for
+# all four theorems).
+_SHARD_ORDER = 19
 
 # the class keys of order n each theorem speaks about; theorem_keys keeps the
 # feasible ones
@@ -175,42 +191,63 @@ def all_match(certs) -> bool:
 def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCertificate]:
     """Certificates for feasible keys of order n (so n >= 3; callers check
     the cap), all of one variant (else ValueError), in the order given, from
-    one pass over the composed chunks of that order.
+    one pass over the composed chunks of that order, in this process."""
+    predictions, read, members = _predict(n, keys)
+    return _certificates(keys, [_order_pass(n, keys, members, tol)], predictions, read, tol)
 
-    Trees are named by their WROM level sequences, the predicted ones as
-    predicted_extremal gives them.  lam holds each one's lambda1, and read, a
-    memo of _read_sequence looked up on the module when the order starts,
-    its (m, b, D) and canonical code, so that no tree of the order is
-    eigensolved or read twice.  key_id, the table that counts the
-    population, has one axis per parameter of the variant (_PARAMS), and
-    key_of looks up a tree's key there by the parameters _params gives its
-    (m, b, D); only ND keys have a chunk's D composed.  A predicted tree is
-    a member of key i when it has order n and key_of takes it to i.  y[i]
-    is key i's seed + tol + _FILTER_SLACK, the seed being the least lambda1
-    of its predicted members, or inf, and it is fixed for the pass.  The
-    class minimum is at most the seed, so a tree _composed_above shows to
-    lie above y[i] is never within tol of the class minimum: it is counted
-    without being named or eigensolved, and one _branch_pivots call serves
-    every chunk.  Every contender's (lambda1, sequence) is kept, and the
-    minimizers are the contenders within tol of their least lambda1: the
-    trees within tol of the class minimum, by the same float comparison as
-    a filter over the whole class.
-    """
+
+def _key_table(n: int, keys: list[ClassKey]) -> Callable[[tuple], np.ndarray]:
+    """key_of, which takes a tree's (m, b, D), or arrays of them, to the
+    index of its key among keys, or -1 for none, by the parameters _params
+    gives them.  The table has one axis per parameter of the keys' one
+    variant (_PARAMS); keys of several variants, or none, raise ValueError."""
     (variant,) = {key.variant for key in keys}
-    key_id = np.full((n,) * len(_PARAMS[variant]), -1, np.intp)  # by the parameters; -1 none
+    key_id = np.full((n,) * len(_PARAMS[variant]), -1, np.intp)
     for i, key in enumerate(keys):
         key_id[tuple(getattr(key, p) for p in _PARAMS[variant])] = i
+    return lambda mbD: key_id[_params(variant, n, *mbD[:3])]
 
-    def key_of(mbD: tuple) -> np.ndarray:  # of (m, b, D), or of arrays of them
-        return key_id[_params(variant, n, *mbD[:3])]
 
-    lam: dict[bytes, float] = {}
+def _predict(n: int, keys: list[ClassKey]) -> tuple[list[PredictedExtremal], Callable, list]:
+    """The keys' predictions, a memo of _read_sequence for the order, and
+    each key's predicted members: its predicted trees that have order n and
+    that _key_table takes to it.  Trees are named by their WROM level
+    sequences, the predicted ones as predicted_extremal gives them, and the
+    memo holds a sequence's (m, b, D) and canonical code, so that no tree of
+    the order is read twice."""
+    key_of = _key_table(n, keys)
     read = functools.cache(_read_sequence)
     predictions = [predicted_extremal(key) for key in keys]
     members = [
         [seq for seq in prediction.sequences if len(seq) == n and key_of(read(seq)[0]) == i]
         for i, prediction in enumerate(predictions)
     ]
+    return predictions, read, members
+
+
+def _order_pass(
+    n: int, keys: list[ClassKey], members: list, tol: float, shard: int = 0, shards: int = 1
+) -> tuple[list[int], list[list[tuple[float, bytes]]]]:
+    """The population and the contenders, (lambda1, sequence) pairs, of each
+    of keys (as in _certify_order, members[i] key i's predicted members)
+    among the trees of order n that shard of shards owns (enumeration._chunks).
+    It computes all it reads from its arguments, so a worker started by any
+    method inherits nothing.
+
+    lam holds each named tree's lambda1, so that no tree is eigensolved
+    twice.  y[i] is key i's seed + tol + _FILTER_SLACK, the seed being the
+    least lambda1 of its predicted members, or inf, and it is fixed for the
+    pass.  The class minimum is at most the seed, so a tree _composed_above
+    shows to lie above y[i] is never within tol of the class minimum: it is
+    counted without being named or eigensolved, and one _branch_pivots call
+    serves every chunk; only ND keys have a chunk's D composed.  Every other
+    tree is a contender, so the contenders within tol of their least lambda1
+    are the trees within tol of the class minimum, by the same float
+    comparison as a filter over the whole class, however the order is
+    sharded.
+    """
+    key_of = _key_table(n, keys)
+    lam: dict[bytes, float] = {}
     _solve(lam, [seq for seqs in members for seq in seqs])
     seeds = [min((lam[seq] for seq in seqs), default=math.inf) for seqs in members]
     y = np.array(seeds) + tol + _FILTER_SLACK
@@ -218,8 +255,8 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
     pivot = _branch_pivots(table, y)
     population = np.zeros(len(keys), np.int64)
     contenders: list[list[tuple[float, bytes]]] = [[] for _ in keys]
-    for branches in _chunks(table, n):
-        kid = key_of(_root_over(table, branches, span=variant == "ND"))
+    for branches in _chunks(table, n, shard, shards):
+        kid = key_of(_root_over(table, branches, span=keys[0].variant == "ND"))
         rows = np.flatnonzero(kid >= 0)
         branches, kid = branches[rows], kid[rows]
         population += np.bincount(kid, minlength=len(keys))
@@ -231,10 +268,20 @@ def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCer
         _solve(lam, [seq for _, seq in named])
         for i, seq in named:
             contenders[i].append((lam[seq], seq))
+    return population.tolist(), contenders
+
+
+def _certificates(
+    keys: list[ClassKey], passes: list, predictions: list, read: Callable, tol: float
+) -> list[ExtremalCertificate]:
+    """The keys' certificates from the _order_pass results of the shards
+    that partition their order: the populations add up and the contender
+    lists join, with predictions and read from _predict."""
+    populations, contenders = zip(*passes)
     return [
-        _certificate(key, count, solved, prediction, read, tol)
-        for key, count, solved, prediction in zip(
-            keys, population.tolist(), contenders, predictions
+        _certificate(key, sum(counts), [c for shard in lists for c in shard], prediction, read, tol)
+        for key, counts, lists, prediction in zip(
+            keys, zip(*populations), zip(*contenders), predictions
         )
     ]
 
@@ -407,15 +454,34 @@ def verify_theorem_sweep(
     by_order: dict[int, list[ClassKey]] = {}
     for key in keys:
         by_order.setdefault(key.n, []).append(key)
-    certify = functools.partial(_certify_order, tol=tol)
-    # largest order first, so that no worker starts the longest job last
-    orders = sorted(by_order, reverse=True)
-    work = [by_order[n] for n in orders]
-    workers = min(jobs, len(by_order), os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_order = dict(zip(orders, pool.map(certify, orders, work)))
-    else:
-        per_order = dict(zip(orders, map(certify, orders, work)))
-    # theorem_keys lists keys by ascending order, so this is key order
-    return [cert for n in by_order for cert in per_order[n]]
+    workers = min(jobs, _usable_cpus())
+    large = [n for n in by_order if n >= _SHARD_ORDER] if workers > 1 else []
+    if not large:
+        return [cert for n in by_order for cert in _certify_order(n, by_order[n], tol)]
+    predicted = {n: _predict(n, by_order[n]) for n in large}
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        shards = {
+            n: [
+                pool.submit(_order_pass, n, by_order[n], predicted[n][2], tol, shard, workers)
+                for shard in range(workers)
+            ]
+            for n in large
+        }
+        # theorem_keys lists keys by ascending order, so this is key order
+        return [
+            cert
+            for n in by_order
+            for cert in (
+                _certificates(by_order[n], [f.result() for f in shards[n]], *predicted[n][:2], tol)
+                if n in shards
+                else _certify_order(n, by_order[n], tol)
+            )
+        ]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, which os.cpu_count, every CPU of the machine, is not."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

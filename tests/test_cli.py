@@ -102,6 +102,30 @@ def test_cli_import_does_not_load_multiprocessing():
     assert proc.stdout == "False\n"
 
 
+_SPAWNED_SHARDS = """
+import multiprocessing
+import fktrees.verify as verify
+from fktrees.io import dumps
+
+def lines(certs):
+    return [dumps(verify.certificate_json(cert)) for cert in certs]
+
+multiprocessing.set_start_method("spawn")
+serial = lines(verify.verify_theorem_sweep("T13", 10))
+verify._SHARD_ORDER, verify._usable_cpus = 3, lambda: 2
+sharded = lines(verify.verify_theorem_sweep("T13", 10, jobs=2))
+print(sharded == serial, len(serial))
+"""
+
+
+def test_shards_run_under_the_spawn_start_method():
+    # a spawned worker inherits nothing from the sweep: each shard computes
+    # its order's seeds, bounds and table from its arguments alone
+    proc = _run_python("-c", _SPAWNED_SHARDS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True 24\n"
+
+
 def test_family_round_trip_through_eigen(tmp_path, capsys):
     tree_file = tmp_path / "comet.txt"
     code = run(

@@ -1,5 +1,6 @@
 """Tree generation soundness, classification, certificates, sweeps."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -253,6 +254,35 @@ def test_two_centroid_rows_are_the_pairs_of_halves():
         m = table.m[a] + table.m[b] + (table.free[a] & table.free[b])
         D = np.maximum(np.maximum(table.D[a], table.D[b]), table.height[a] + table.height[b] + 1)
         assert got == list(zip(m.tolist(), (table.b[a] + table.b[b]).tolist(), D.tolist())), n
+
+
+@pytest.mark.parametrize("chunk", [7, _CHUNK])
+def test_shards_partition_each_order(monkeypatch, chunk):
+    # the rows the shards of an order list are the order's rows, each once,
+    # and the ranges of _unit_chunks (counted across the units, the halves
+    # last) go round the shards, so their counts differ by at most one
+    monkeypatch.setattr(enumeration_module, "_CHUNK", chunk)
+    unit_chunks, ranges = enumeration_module._unit_chunks, []
+
+    def counted(*args):
+        for rows in unit_chunks(*args):
+            ranges.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(enumeration_module, "_unit_chunks", counted)
+
+    def listed(table, n, *shard):  # the rows of the trees listed, and the ranges
+        ranges.clear()
+        rows = [tuple(row) for rows in _chunks(table, n, *shard) for row in rows.tolist()]
+        return rows, len(ranges)
+
+    for n in range(3, 17):
+        table = _rooted(n // 2)
+        want, count = listed(table, n)
+        for shards in (1, 2, 3):
+            rows, counts = zip(*(listed(table, n, shard, shards) for shard in range(shards)))
+            assert sorted(sum(rows, [])) == sorted(want), (n, shards)
+            assert sum(counts) == count and max(counts) - min(counts) <= 1, (n, shards)
 
 
 def test_composed_trees_agree_with_free_trees_and_reference_keys():
@@ -1037,8 +1067,9 @@ def test_only_diameter_keys_compose_a_diameter(monkeypatch, theorem):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and the orders
-    in the order they are submitted, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the (order,
+    shard, shards) of each pass in the order they are submitted, and runs
+    them in-process."""
 
     sizes: list = []
     submitted: list = []
@@ -1052,25 +1083,74 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, orders, *iterables):
-        self.submitted.append(list(orders))
-        return map(fn, orders, *iterables)
+    def submit(self, fn, n, *args):
+        self.submitted.append((n, *args[-2:]))
+        future = concurrent.futures.Future()
+        future.set_result(fn(n, *args))
+        return future
 
 
-@pytest.mark.parametrize(
-    "cpus, want",
-    [(64, [4]), (2, [2]), (1, []), (None, [])],
-    ids=["64-cpus", "2-cpus", "1-cpu", "unknown-cpus"],
-)
-def test_sweep_workers_clamped_to_orders_and_cpus(monkeypatch, cpus, want):
+@pytest.fixture
+def recording_pool(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "submitted", [])
     monkeypatch.setattr(verify_module.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
+
+
+@pytest.mark.parametrize(
+    "affinity, cpus, want",
+    [(64, 64, [64]), (2, 64, [2]), (1, 64, []), (None, None, []), (None, 3, [3])],
+    ids=["64-cpus", "2-cpus", "1-cpu", "unknown-cpus", "no-affinity-3-cpus"],
+)
+def test_sweep_workers_clamped_to_orders_and_cpus(
+    monkeypatch, recording_pool, affinity, cpus, want
+):
+    # one pool of min(jobs, usable CPUs) workers, the CPUs of the process's
+    # affinity mask where the platform has one, started only when some order
+    # reaches _SHARD_ORDER; each such order is split into that many shards,
+    # submitted smallest order first, and the smaller orders run in-process
+    if affinity is None:
+        monkeypatch.delattr(verify_module.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(verify_module.os, "sched_getaffinity", lambda pid: set(range(affinity)))
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(verify_module, "_SHARD_ORDER", 5)
     certs = verify_theorem_sweep("T13", 6, jobs=10**6)  # orders 3..6
-    assert _RecordingPool.sizes == want
-    # the largest order first, so no worker starts it last; the results
-    # still come back in key order
-    assert _RecordingPool.submitted == [[6, 5, 4, 3]] * len(want)
+    assert recording_pool.sizes == want
+    assert recording_pool.submitted == [
+        (n, shard, workers) for workers in want for n in (5, 6) for shard in range(workers)
+    ]
     assert [c.key for c in certs] == theorem_keys("T13", 6)
     assert certs == verify_theorem_sweep("T13", 6)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_sharded_sweeps_give_the_serial_certificates(monkeypatch, recording_pool, theorem):
+    # with every order sharded, 2 and 3 shards give what one pass an order
+    # gives, for every theorem to n = 14
+    serial = verify_theorem_sweep(theorem, 14)
+    monkeypatch.setattr(verify_module, "_SHARD_ORDER", 3)
+    for workers in (2, 3):
+        monkeypatch.setattr(verify_module, "_usable_cpus", lambda: workers)
+        assert verify_theorem_sweep(theorem, 14, jobs=workers) == serial, workers
+    assert recording_pool.sizes == [2, 3]
+
+
+def test_sharded_sweep_through_a_process_pool(monkeypatch):
+    serial = verify_theorem_sweep("T14", 14)
+    monkeypatch.setattr(verify_module, "_SHARD_ORDER", 3)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
+    assert verify_theorem_sweep("T14", 14, jobs=2) == serial
+
+
+def test_sweep_below_the_shard_order_starts_no_pool(monkeypatch):
+    # an order below _SHARD_ORDER runs faster in-process than a pool starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    n_max = verify_module._SHARD_ORDER - 1
+    serial = verify_theorem_sweep("T14", n_max, cap=n_max)
+    monkeypatch.setattr(verify_module.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
+    assert verify_theorem_sweep("T14", n_max, cap=n_max, jobs=2) == serial
