@@ -20,7 +20,8 @@ add up to n - 1: for one centroid, one multiset of rooted trees of sizes
 below n/2 per partition of n - 1 into parts of at most (n - 1) // 2 (a
 unit); for two, the children of the first half's root and then the second
 half, for each unordered pair of rooted trees on n/2 vertices.  Only
-_chunks, which lists an order's trees (with _halves), tells the two apart.
+_chunks, which lists the trees of one or more orders (with _halves),
+tells the two apart.
 The rooted trees are composed the same way, once per process, into a table
 (_rooted): a rooted tree on s vertices is a root over a multiset of
 smaller ones whose sizes add up to s - 1, so the trees of size s are one
@@ -431,41 +432,64 @@ def _halves(table: _Rooted, half: int, shard: int = 0, shards: int = 1) -> Itera
             yield np.column_stack([children[a[piece], : width[a[piece[0]]]], pairs[piece, 1]])
 
 
-def _chunks(table: _Rooted, n: int, shard: int = 0, shards: int = 1) -> Iterator[np.ndarray]:
-    """The trees of order n >= 3 in chunks of at most _CHUNK rows, each row
-    the entries of the branches at a centroid of one tree, whose sizes add
-    up to n - 1: the units of the trees with one centroid, one per
-    partition of n - 1 into parts of at most (n - 1) // 2, listed by their
-    number of parts, and, for even n, merged in by width, the trees with
-    two (_halves).  Consecutive blocks of rows with as many branches share
-    chunks, so that the many small units of an order cost few numpy
-    steps.
+def _chunks(
+    table: _Rooted, orders: Iterable[int], shard: int = 0, shards: int = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The trees of the orders, each >= 3 and at most 2 * table.size + 1,
+    in chunks (rows, n) of at most _CHUNK rows: each row the entries of the
+    branches at a centroid of one tree, whose sizes add up to n[r] - 1, the
+    row's order.  An order has one unit per partition of n - 1 into parts
+    of at most (n - 1) // 2 and, for even n, the trees with two centroids
+    (_halves).  The units of all the orders are listed by their number of
+    parts, with the halves merged in by width, and consecutive blocks of
+    rows with as many branches share chunks, whatever their order, so that
+    the many small units of a sweep cost few numpy steps.  A table's
+    entries extend every smaller table's, so a row is the same in any table
+    it fits.
 
-    Only the trees of shard in range(shards) are listed.  The order's
-    ranges of _unit_chunks are numbered unit after unit, the halves last,
-    and shard owns those whose number is shard mod shards: a pure function
-    of the unit and the range, from counts alone, so the shards partition
-    the order's trees, each lists only its own ranges, and with one shard
-    every range is listed, as in order."""
-    partitions = _by_parts(n - 1, (n - 1) // 2)
-    # the number of each unit's first range, and last that of the halves
-    first = list(itertools.accumulate((_unit_ranges(table, g) for g in partitions), initial=0))
-    blocks = (
-        rows
-        for groups, f in zip(partitions, first)
-        for rows in _unit_chunks(table, groups, (shard - f) % shards, shards)
+    Only the trees of shard in range(shards) are listed.  The ranges of
+    _unit_chunks are numbered order after order and, within an order, unit
+    after unit, the halves last, and shard owns those whose number is
+    shard mod shards: a pure function of the unit and the range, from
+    counts alone, so the shards partition the trees and each lists only its
+    own ranges.  One shard owns every range, and counts none."""
+    units = []
+    for n in orders:
+        units += [(n, groups) for groups in _by_parts(n - 1, (n - 1) // 2)]
+        if n % 2 == 0:  # the pairs of halves: the multisets of two entries of size n / 2
+            units.append((n, ((n // 2, 2),)))
+    owners = itertools.repeat(shard)
+    if shards > 1:
+        first = itertools.accumulate((_unit_ranges(table, g) for _, g in units), initial=0)
+        owners = ((shard - f) % shards for f in first)
+    singles, halves = [], []
+    for (n, groups), owner in zip(units, owners):
+        if 2 * groups[0][0] == n:  # only the halves have a part of n / 2
+            halves.append(zip(itertools.repeat(n), _halves(table, n // 2, owner, shards)))
+        else:
+            singles.append((sum(r for _, r in groups), n, groups, owner))
+    singles.sort(key=lambda unit: unit[0])  # by width, each order's units in their order
+    blocks = heapq.merge(
+        ((n, rows) for _, n, g, owner in singles for rows in _unit_chunks(table, g, owner, shards)),
+        *halves,
+        key=lambda block: block[1].shape[1],
     )
-    if n % 2 == 0:
-        halves = _halves(table, n // 2, (shard - first[-1]) % shards, shards)
-        blocks = heapq.merge(blocks, halves, key=lambda rows: rows.shape[1])
-    held: list[np.ndarray] = []
-    for rows in blocks:
-        if held and (rows.shape[1] != held[0].shape[1] or len(rows) + sum(map(len, held)) > _CHUNK):
-            yield np.concatenate(held)
-            held = []
-        held.append(rows)
+    held: list[tuple[int, np.ndarray]] = []
+    count = 0
+    for n, rows in blocks:
+        if held and (rows.shape[1] != held[0][1].shape[1] or count + len(rows) > _CHUNK):
+            yield _joined(held)
+            held, count = [], 0
+        held.append((n, rows))
+        count += len(rows)
     if held:  # a shard of a small order may own no range
-        yield np.concatenate(held)
+        yield _joined(held)
+
+
+def _joined(held: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of _chunks from its blocks of rows, each with its order."""
+    orders, blocks = zip(*held)
+    return np.concatenate(blocks), np.repeat(orders, [len(rows) for rows in blocks])
 
 
 @functools.cache

@@ -18,10 +18,12 @@ and user-supplied Rayleigh test functions use that ordering.
 first_eigenpair picks its solver by the interior size k alone.  Up to
 _DENSE_SOLVE_MAX vertices, which covers every interior a sweep can name,
 it runs a dense eigh on the matrix.  Every such matrix is assembled by
-_assemble, from an interior order, a degree per vertex and an edge list,
-which dirichlet_matrix reads from a TreeWithBoundary, and solved by
-_ground_states, in a stack of one.  verify._solve feeds level sequences
-to the same two, so the sweep's lambda1 is first_eigenpair's bit for bit.
+_assemble, which fills a stack of them, each from an interior order, a
+degree per vertex and an edge list, and solved by _ground_states, a stack
+at a time: dirichlet_matrix reads one tree from a TreeWithBoundary, so
+first_eigenpair solves a stack of one.  verify._solve feeds level
+sequences to the same two, a stack per interior size, so the sweep's
+lambda1 is first_eigenpair's bit for bit.
 
 A larger interior is solved on the tree itself, with its vertex ids and
 lists of one slot per vertex: O(n) memory, the size of the tree already
@@ -153,23 +155,34 @@ def dirichlet_matrix(tree: TreeWithBoundary) -> DirichletMatrix:
     k = len(interior)
     if k > MAX_DENSE_INTERIOR:
         raise CapExceededError(f"interior of {k} exceeds the dense-solver cap {MAX_DENSE_INTERIOR}")
-    entries = _assemble(interior, [len(a) for a in tree.adj], tree.edges)
+    (entries,) = _assemble([(interior, [len(a) for a in tree.adj], tree.edges)])
     return DirichletMatrix(order=k, vertices=interior, entries=entries)
 
 
 def _assemble(
-    interior: Sequence[int], degree: Sequence[int], edges: Iterable[tuple[int, int]]
+    trees: Sequence[tuple[Sequence[int], Sequence[int], Iterable[tuple[int, int]]]]
 ) -> np.ndarray:
-    """The Dirichlet matrix of a tree, the one place one is assembled: row i
-    is vertex interior[i], with its degree on the diagonal, and each edge
-    with both ends interior puts -1 on both of its entries."""
-    row = {v: i for i, v in enumerate(interior)}
-    k = len(row)
-    mat = np.zeros((k, k))
-    mat[range(k), range(k)] = [degree[v] for v in interior]
-    for u, v in edges:
-        if u in row and v in row:
-            mat[row[u], row[v]] = mat[row[v], row[u]] = -1.0
+    """The Dirichlet matrices of trees, each an (interior, degree, edges)
+    triple, all with interiors of one size k, as a (g, k, k) stack: the one
+    place one is assembled.  Row i of a matrix is vertex interior[i], with
+    its degree on the diagonal, and each edge with both ends interior puts
+    -1 on both of its entries.  The stack is filled by one assignment of
+    the diagonals and one of the edges, and its entries are small integers,
+    so each matrix is the one a stack of one gives."""
+    k = len(trees[0][0])
+    diagonal, which, ends = [], [], []
+    for t, (interior, degree, edges) in enumerate(trees):
+        row = {v: i for i, v in enumerate(interior)}
+        diagonal += [degree[v] for v in interior]
+        for u, v in edges:
+            if u in row and v in row:
+                which.append(t)
+                ends.append((row[u], row[v]))
+    mat = np.zeros((len(trees), k, k))
+    mat[:, range(k), range(k)] = np.reshape(diagonal, (len(trees), k))
+    if ends:
+        i, j = np.array(ends).T
+        mat[which, i, j] = mat[which, j, i] = -1.0
     return mat
 
 

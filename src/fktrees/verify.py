@@ -12,17 +12,21 @@ conjectured, so their verdicts are CONJECTURE-MATCH (every minimizer is one
 of the conjectured candidates) or CONJECTURE-MISMATCH.
 
 Each theorem speaks about one class variant, so certificates are made per
-order and variant, in one streaming pass over the order's trees as the
-enumeration composes them around their centroids: chunks of rows of
-indices into a table of rooted trees, each row the branches at a centroid
-of one tree (enumeration._chunks), up to enumeration._CHUNK trees at a
-time.  The rule of a root over its branches (enumeration._root_over), as
-sums and gathers over the table, gives every tree's matching number and
-leaf count, and its diameter only for ND keys, the one variant that reads
-it.  A table of key ids with one axis per parameter of the variant,
-filled from the keys' own fields before the first chunk, names the one
-key each tree may have from the parameters enumeration._params gives its
-invariants, and np.bincount counts the populations.
+variant, in streaming passes (_pass) over the trees of one or more orders
+as the enumeration composes them around their centroids: chunks of rows
+of indices into a table of rooted trees, each row the branches at a
+centroid of one tree, tagged with its order (enumeration._chunks), up to
+enumeration._CHUNK trees at a time.  The table of the pass's largest
+order extends every smaller order's, so a row of any of its orders reads
+the same there, and rows of equal width from different orders share
+chunks.  The rule of a root over its branches (enumeration._root_over),
+as sums and gathers over the table, gives every tree's matching number
+and leaf count, and its diameter only for ND keys, the one variant that
+reads it.  A table of key ids with an axis for the order and one per
+parameter of the variant, filled from the keys' own fields before the
+first chunk, names the one key each tree may have from its order and the
+parameters enumeration._params gives its invariants, and np.bincount
+counts the populations.
 
 Trees are named by their WROM level sequences, a canonical form of the
 isomorphism class, with no tree built, each by the walk from the branches
@@ -32,18 +36,21 @@ and a composed one from its row's branches at a centroid.  Membership and
 codes come from the sequence too: one children-first pass
 (enumeration._read_sequence) gives a tree's matching number, leaf count,
 diameter and canonical code, and a predicted tree is a member of a key
-when the table that counts the populations takes the parameters of its
-(m, b, D) to that key.  A dict of lambda1 and a memo of readings, both
-made per order, keep any tree of an order from being eigensolved or read
+when the table that counts the populations takes its order and the
+parameters of its (m, b, D) to that key.  A memo of readings per sweep and
+a dict of lambda1 per pass keep any tree from being read or eigensolved
 twice.  Every lambda1 comes from _solve, which reads the edges and
-degrees of each sequence it lacks, assembles its Dirichlet matrix with
-spectral._assemble and solves the matrices in stacks by interior size
-with spectral._ground_states: bit for bit as first_eigenpair solves the tree
-free_trees yields, since first_eigenpair goes through the same two.
+degrees of each sequence it lacks, assembles the Dirichlet matrices of
+each interior size in one stack with spectral._assemble and solves each
+stack with spectral._ground_states: bit for bit as first_eigenpair solves
+the tree free_trees yields, since first_eigenpair goes through the same
+two with a stack of one.
 
 Each key has a seed: the least lambda1 of its predicted trees that are
 members of the key, each solved as its WROM-labelled tree, or inf when no
-predicted tree is a member.  The class minimum is at most the seed, so no
+predicted tree is a member.  The predicted members of every key of a
+sweep are solved in one _solve call before any pass, and each pass gets
+its keys' members with their lambda1.  The class minimum is at most the seed, so no
 tree whose every eigenvalue lies above seed + tol is within tol of the
 minimum, and a pivot count rules such trees out without naming or
 eigensolving them.  Eliminating A - yI children first on a tree rooted at
@@ -55,8 +62,9 @@ _FILTER_SLACK is fixed for the pass: the slack covers the distance
 between the float lambda1 and the exact eigenvalues the pivots bound, and
 _PIVOT_GUARD the rounding of the pivots.  The count composes over a
 tree's centroid branches, as the enumeration composes the trees: one pass
-over the table per order gives every branch root's pivot at each key's y
-(_branch_pivots), and each tree adds its centroid's (_composed_above).  A
+over the table per pass of the sweep gives every branch root's pivot at
+each key's y (_branch_pivots), and each tree adds its centroid's
+(_composed_above).  A
 key with no seed rules out nothing.  The others, the contenders, are
 named (enumeration._centre_sequence) and their lambda1 looked up or
 solved in one batch per chunk, so the trees named and solved do not
@@ -68,27 +76,32 @@ among the predicted trees'; only one no predicted tree covers, a
 MISMATCH, is read from its sequence.  So every reported float is the
 first_eigenpair value of a generator-labelled tree, and the certificates
 are those an eigensolve of every member gives, byte for byte.  A single
-key and a theorem sweep share this pass.
+key and a theorem sweep share this pass (_certify).
 
-Sweeps group a theorem's keys by order and certify the orders in
-ascending order.  The largest order holds most of a sweep's trees, so with
-jobs > 1 every order of at least _SHARD_ORDER vertices is split across one
-process pool of W = min(jobs, usable CPUs) workers.  Shard i of W lists
-only the chunk ranges it owns (enumeration._chunks), by a rule that is a
-pure function of the unit and the range, so the shards agree on it
+A sweep certifies all its orders below _SHARD_ORDER in one pass, where
+set-up costs more than the trees: one table, one _branch_pivots call over
+the bounds of all their keys, one key table and shared chunks.  Each
+order of at least _SHARD_ORDER vertices, which holds most of a sweep's
+trees, has a pass of its own, so that the pivot table stays that of
+_SHARD_ORDER - 1 vertices.  With jobs > 1 each such order is split across
+one process pool of W = min(jobs, usable CPUs) workers.  Shard i of W
+lists only the chunk ranges it owns (enumeration._chunks), by a rule that
+is a pure function of the unit and the range, so the shards agree on it
 without communicating.  Each returns the populations and contenders of
-its trees (_order_pass), computing the order's seeds, bounds and table
-itself.  The parent submits the shards of every such order, smallest
-first, certifies the smaller orders itself meanwhile, and then sums the
-populations and joins the contenders of each order's shards; a sweep with
-no order that large starts no pool.  The trees named and solved do not
-depend on the chunking and the minimizers are sorted by code, so the
+its trees, computing the order's bounds and table from the seeds' lambda1
+it is given.  The parent submits the shards of every such order, smallest
+first, runs the pass of the smaller orders itself meanwhile, and then
+sums the populations and joins the contenders of each order's shards; a
+sweep with no order that large starts no pool.  The trees named and
+solved do not depend on the chunking, the order of the rows or the
+orders a pass holds, and the minimizers are sorted by code, so the
 certificates are the serial sweep's, byte for byte, whatever jobs is.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import math
 import os
@@ -140,12 +153,16 @@ _FILTER_SLACK = 1e-9
 # entry; demanding every pivot be at least _PIVOT_GUARD, far above that
 # rounding, keeps a pivot that is truly zero or negative from passing.
 _PIVOT_GUARD = 1e-9
-# With jobs > 1 a sweep shards each order n >= _SHARD_ORDER across its
-# workers, and certifies smaller orders serially, with no pool when none is
-# that large: below it, starting a pool and splitting an order cost more
-# than they save (on 2 CPUs with the fork start method, order 19 is the first
-# where the 2-worker shard, pool start included, beats the serial pass for
-# all four theorems).
+# A sweep certifies its orders below _SHARD_ORDER in one pass, and each
+# larger order in a pass of its own, which with jobs > 1 it shards across
+# its workers; with no order that large it starts no pool.  Below it,
+# starting a pool and splitting an order cost more than they save: on 2 CPUs
+# with the fork start method, order 19 is the first where the 2-worker
+# shard, pool start included, beats the serial pass for all four theorems.
+# The threshold was measured under fork only.  Under spawn (the default on
+# macOS and Windows) or forkserver (Python 3.14's default on Linux) each
+# worker imports numpy and fktrees, and a 2-worker pool takes 0.2-0.3 s to
+# start, so there --jobs 2 is slower than --jobs 1 at n <= 20.
 _SHARD_ORDER = 19
 
 # the class keys of order n each theorem speaks about; theorem_keys keeps the
@@ -188,51 +205,92 @@ def all_match(certs) -> bool:
     return all(c.verdict in ("MATCH", "CONJECTURE-MATCH") for c in certs)
 
 
-def _certify_order(n: int, keys: list[ClassKey], tol: float) -> list[ExtremalCertificate]:
-    """Certificates for feasible keys of order n (so n >= 3; callers check
-    the cap), all of one variant (else ValueError), in the order given, from
-    one pass over the composed chunks of that order, in this process."""
-    predictions, read, members = _predict(n, keys)
-    return _certificates(keys, [_order_pass(n, keys, members, tol)], predictions, read, tol)
+def _certify(keys: list[ClassKey], tol: float, workers: int = 1) -> list[ExtremalCertificate]:
+    """Certificates for feasible keys (so n >= 3; callers check the cap),
+    all of one variant (else ValueError), in the order given.
+
+    The keys' predicted members are eigensolved in one _solve call.  The
+    orders below _SHARD_ORDER share one pass (_pass), and each larger order
+    has one of its own, split into workers shards over a process pool when
+    workers > 1 while this process runs the others."""
+    predictions, read, members = _predict(keys)
+    lam: dict[bytes, float] = {}
+    _solve(lam, [seq for seqs in members.values() for seq in seqs])
+    groups: dict[int, list[ClassKey]] = {}  # 0 for the orders below _SHARD_ORDER
+    for key in keys:
+        groups.setdefault(key.n if key.n >= _SHARD_ORDER else 0, []).append(key)
+    args = {
+        g: (
+            sorted({key.n for key in group}),
+            group,
+            [[(lam[seq], seq) for seq in members[key]] for key in group],
+            tol,
+        )
+        for g, group in groups.items()
+    }
+    large = [g for g in groups if g >= _SHARD_ORDER] if workers > 1 else []
+    pool = concurrent.futures.ProcessPoolExecutor(workers) if large else contextlib.nullcontext()
+    with pool:
+        shards = {g: [pool.submit(_pass, *args[g], i, workers) for i in range(workers)] for g in large}
+        passes = {g: [_pass(*args[g])] for g in groups if g not in shards}
+        passes.update({g: [f.result() for f in futures] for g, futures in shards.items()})
+    certs = {
+        key: cert
+        for g, group in groups.items()
+        for key, cert in zip(group, _certificates(group, passes[g], predictions, read, tol))
+    }
+    return [certs[key] for key in keys]
 
 
-def _key_table(n: int, keys: list[ClassKey]) -> Callable[[tuple], np.ndarray]:
-    """key_of, which takes a tree's (m, b, D), or arrays of them, to the
-    index of its key among keys, or -1 for none, by the parameters _params
-    gives them.  The table has one axis per parameter of the keys' one
-    variant (_PARAMS); keys of several variants, or none, raise ValueError."""
+def _key_table(keys: list[ClassKey]) -> Callable[[object, tuple], np.ndarray]:
+    """key_of, which takes a tree's order n and (m, b, D), or arrays of
+    them, to the index of its key among keys, or -1 for none, by the
+    parameters _params gives them.  The table has an axis for n and one per
+    parameter of the keys' one variant (_PARAMS); keys of several variants,
+    or none, raise ValueError."""
     (variant,) = {key.variant for key in keys}
-    key_id = np.full((n,) * len(_PARAMS[variant]), -1, np.intp)
+    params = _PARAMS[variant]
+    key_id = np.full((max(key.n for key in keys) + 1,) * (1 + len(params)), -1, np.intp)
     for i, key in enumerate(keys):
-        key_id[tuple(getattr(key, p) for p in _PARAMS[variant])] = i
-    return lambda mbD: key_id[_params(variant, n, *mbD[:3])]
+        key_id[(key.n, *(getattr(key, p) for p in params))] = i
+    return lambda n, mbD: key_id[(n, *_params(variant, n, *mbD[:3]))]
 
 
-def _predict(n: int, keys: list[ClassKey]) -> tuple[list[PredictedExtremal], Callable, list]:
-    """The keys' predictions, a memo of _read_sequence for the order, and
-    each key's predicted members: its predicted trees that have order n and
-    that _key_table takes to it.  Trees are named by their WROM level
-    sequences, the predicted ones as predicted_extremal gives them, and the
-    memo holds a sequence's (m, b, D) and canonical code, so that no tree of
-    the order is read twice."""
-    key_of = _key_table(n, keys)
+def _predict(keys: list[ClassKey]) -> tuple[dict, Callable, dict]:
+    """The keys' predictions, a memo of _read_sequence, and each key's
+    predicted members: its predicted trees that have its order and that
+    _key_table takes to it, each by key.  Trees are named by their WROM
+    level sequences, the predicted ones as predicted_extremal gives them,
+    and the memo holds a sequence's (m, b, D) and canonical code, so that
+    no tree is read twice."""
+    key_of = _key_table(keys)
     read = functools.cache(_read_sequence)
-    predictions = [predicted_extremal(key) for key in keys]
-    members = [
-        [seq for seq in prediction.sequences if len(seq) == n and key_of(read(seq)[0]) == i]
-        for i, prediction in enumerate(predictions)
-    ]
+    predictions = {key: predicted_extremal(key) for key in keys}
+    members = {
+        key: [
+            seq
+            for seq in predictions[key].sequences
+            if len(seq) == key.n and key_of(key.n, read(seq)[0]) == i
+        ]
+        for i, key in enumerate(keys)
+    }
     return predictions, read, members
 
 
-def _order_pass(
-    n: int, keys: list[ClassKey], members: list, tol: float, shard: int = 0, shards: int = 1
+def _pass(
+    orders: list[int],
+    keys: list[ClassKey],
+    members: list[list[tuple[float, bytes]]],
+    tol: float,
+    shard: int = 0,
+    shards: int = 1,
 ) -> tuple[list[int], list[list[tuple[float, bytes]]]]:
     """The population and the contenders, (lambda1, sequence) pairs, of each
-    of keys (as in _certify_order, members[i] key i's predicted members)
-    among the trees of order n that shard of shards owns (enumeration._chunks).
-    It computes all it reads from its arguments, so a worker started by any
-    method inherits nothing.
+    of keys, all of one variant and of the orders, among the trees of the
+    orders that shard of shards owns (enumeration._chunks); members[i] is
+    key i's predicted members, each with its lambda1.  It computes all else
+    it reads from its arguments, so a worker started by any method inherits
+    nothing.
 
     lam holds each named tree's lambda1, so that no tree is eigensolved
     twice.  y[i] is key i's seed + tol + _FILTER_SLACK, the seed being the
@@ -240,23 +298,23 @@ def _order_pass(
     pass.  The class minimum is at most the seed, so a tree _composed_above
     shows to lie above y[i] is never within tol of the class minimum: it is
     counted without being named or eigensolved, and one _branch_pivots call
-    serves every chunk; only ND keys have a chunk's D composed.  Every other
-    tree is a contender, so the contenders within tol of their least lambda1
-    are the trees within tol of the class minimum, by the same float
-    comparison as a filter over the whole class, however the order is
-    sharded.
+    over the table of the largest order serves every chunk; only ND keys
+    have a chunk's D composed.  Every other tree is a contender, so the
+    contenders within tol of their least lambda1 are the trees within tol
+    of the class minimum, by the same float comparison as a filter over the
+    whole class, however the trees are chunked or sharded.
     """
-    key_of = _key_table(n, keys)
-    lam: dict[bytes, float] = {}
-    _solve(lam, [seq for seqs in members for seq in seqs])
-    seeds = [min((lam[seq] for seq in seqs), default=math.inf) for seqs in members]
+    key_of = _key_table(keys)
+    lam = {seq: value for pairs in members for value, seq in pairs}
+    seeds = [min((value for value, _ in pairs), default=math.inf) for pairs in members]
     y = np.array(seeds) + tol + _FILTER_SLACK
-    table = _rooted(n // 2)
+    table = _rooted(max(orders) // 2)
     pivot = _branch_pivots(table, y)
     population = np.zeros(len(keys), np.int64)
     contenders: list[list[tuple[float, bytes]]] = [[] for _ in keys]
-    for branches in _chunks(table, n, shard, shards):
-        kid = key_of(_root_over(table, branches, span=keys[0].variant == "ND"))
+    span = keys[0].variant == "ND"
+    for branches, n in _chunks(table, orders, shard, shards):
+        kid = key_of(n, _root_over(table, branches, span=span))
         rows = np.flatnonzero(kid >= 0)
         branches, kid = branches[rows], kid[rows]
         population += np.bincount(kid, minlength=len(keys))
@@ -272,17 +330,15 @@ def _order_pass(
 
 
 def _certificates(
-    keys: list[ClassKey], passes: list, predictions: list, read: Callable, tol: float
+    keys: list[ClassKey], passes: list, predictions: dict, read: Callable, tol: float
 ) -> list[ExtremalCertificate]:
-    """The keys' certificates from the _order_pass results of the shards
-    that partition their order: the populations add up and the contender
-    lists join, with predictions and read from _predict."""
+    """The keys' certificates from the _pass results of the shards that
+    partition their trees: the populations add up and the contender lists
+    join, with predictions and read from _predict."""
     populations, contenders = zip(*passes)
     return [
-        _certificate(key, sum(counts), [c for shard in lists for c in shard], prediction, read, tol)
-        for key, counts, lists, prediction in zip(
-            keys, zip(*populations), zip(*contenders), predictions
-        )
+        _certificate(key, sum(counts), [c for shard in lists for c in shard], predictions[key], read, tol)
+        for key, counts, lists in zip(keys, zip(*populations), zip(*contenders))
     ]
 
 
@@ -295,12 +351,12 @@ def _solve(lam: dict[bytes, float], sequences: list[bytes]) -> None:
     The Dirichlet matrix comes from the sequence's edges and degrees: vertex
     v is position v, its parent the latest earlier vertex one level up, and
     the interior its non-leaves in ascending order, as dirichlet_matrix
-    orders them; spectral._assemble, which dirichlet_matrix calls too, fills
-    it.  The matrices are stacked by interior size, one eigensolve a stack,
-    and spectral._ground_states checks every matrix at DEFAULT_TOL as
-    first_eigenpair checks its one.
+    orders them.  spectral._assemble, which dirichlet_matrix calls with a
+    stack of one, fills the matrices of each interior size in one stack,
+    one eigensolve a stack, and spectral._ground_states checks every
+    matrix at DEFAULT_TOL as first_eigenpair checks its one.
     """
-    stacks: dict[int, dict[bytes, np.ndarray]] = {}
+    stacks: dict[int, dict[bytes, tuple]] = {}
     for seq in dict.fromkeys(sequences):
         if seq not in lam:
             edges = _sequence_edges(seq)
@@ -308,9 +364,9 @@ def _solve(lam: dict[bytes, float], sequences: list[bytes]) -> None:
             for u, _ in edges:
                 degree[u] += 1
             interior = [v for v, d in enumerate(degree) if d > 1]
-            stacks.setdefault(len(interior), {})[seq] = _assemble(interior, degree, edges)
+            stacks.setdefault(len(interior), {})[seq] = interior, degree, edges
     for stack in stacks.values():
-        w, _, _ = _ground_states(np.stack(list(stack.values())), DEFAULT_TOL)
+        w, _, _ = _ground_states(_assemble(list(stack.values())), DEFAULT_TOL)
         lam.update(zip(stack, w[:, 0].tolist()))
 
 
@@ -413,7 +469,7 @@ def verify_class(
     _check_cap(key.n, cap)
     if not key.feasible():
         raise EmptyClassError(f"class {key} admits no tree")
-    return _certify_order(key.n, [key], tol)[0]
+    return _certify([key], tol)[0]
 
 
 def theorem_keys(theorem: str, n_max: int) -> list[ClassKey]:
@@ -451,32 +507,7 @@ def verify_theorem_sweep(
             f"{theorem} has no class key with n <= {n_max}; "
             f"the smallest n_max with keys is {first}"
         )
-    by_order: dict[int, list[ClassKey]] = {}
-    for key in keys:
-        by_order.setdefault(key.n, []).append(key)
-    workers = min(jobs, _usable_cpus())
-    large = [n for n in by_order if n >= _SHARD_ORDER] if workers > 1 else []
-    if not large:
-        return [cert for n in by_order for cert in _certify_order(n, by_order[n], tol)]
-    predicted = {n: _predict(n, by_order[n]) for n in large}
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        shards = {
-            n: [
-                pool.submit(_order_pass, n, by_order[n], predicted[n][2], tol, shard, workers)
-                for shard in range(workers)
-            ]
-            for n in large
-        }
-        # theorem_keys lists keys by ascending order, so this is key order
-        return [
-            cert
-            for n in by_order
-            for cert in (
-                _certificates(by_order[n], [f.result() for f in shards[n]], *predicted[n][:2], tol)
-                if n in shards
-                else _certify_order(n, by_order[n], tol)
-            )
-        ]
+    return _certify(keys, tol, min(jobs, _usable_cpus()))
 
 
 def _usable_cpus() -> int:

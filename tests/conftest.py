@@ -299,6 +299,24 @@ ORACLE_THEOREM_KEYS = {
     "D4": lambda n, m, b, D: ClassKey("ND", n, D=D) if D == 4 else None,
 }
 
+# the certificates the oracle test checks for each n_max it can run to: the
+# four theorems' sweeps and every ND key
+ORACLE_CHECKS = {
+    5: 24, 6: 41, 7: 61, 8: 87, 9: 116, 10: 152, 11: 191, 12: 238, 13: 288,
+    14: 347, 15: 409, 16: 481, 17: 556, 18: 642,
+}
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--oracle-n-max",
+        type=int,
+        default=14,
+        choices=sorted(ORACLE_CHECKS),
+        help="the largest order test_certificates_agree_with_an_independent_oracle "
+        "checks (default 14; 18 takes about half a minute)",
+    )
+
 
 def _oracle_matching_number(adj):
     """Maximum matching of a tree: a leaf and its neighbour are in some

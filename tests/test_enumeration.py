@@ -63,6 +63,7 @@ from fktrees.enumeration import (
 from fktrees.io import dumps
 from fktrees.trees import _bfs
 from conftest import (
+    ORACLE_CHECKS,
     ORACLE_THEOREM_KEYS,
     all_labeled_trees,
     oracle_certificates,
@@ -216,7 +217,7 @@ def test_composed_counts_are_the_free_tree_counts():
         table = _rooted(n // 2)
         size = _entry_sizes(table)
         count = 0
-        for branches in _chunks(table, n):
+        for branches, _ in _chunks(table, [n]):
             assert 0 < len(branches) <= _CHUNK
             # each row the branches at a centroid, n - 1 vertices in all: a
             # non-increasing entry tuple of branches below n/2 vertices, or
@@ -243,7 +244,7 @@ def test_two_centroid_rows_are_the_pairs_of_halves():
         children = table.children[n // 2].tolist()
         first = {tuple(e for e in row if e >= 0): lo + a for a, row in enumerate(children)}
         pairs, got = [], []
-        for branches in _chunks(table, n):
+        for branches, _ in _chunks(table, [n]):
             rows = np.flatnonzero(branches[:, -1] >= lo)
             pairs += [(first[tuple(row[:-1])], row[-1]) for row in branches[rows].tolist()]
             got += zip(*(x[rows].tolist() for x in _root_over(table, branches)[:3]))
@@ -273,7 +274,7 @@ def test_shards_partition_each_order(monkeypatch, chunk):
 
     def listed(table, n, *shard):  # the rows of the trees listed, and the ranges
         ranges.clear()
-        rows = [tuple(row) for rows in _chunks(table, n, *shard) for row in rows.tolist()]
+        rows = [tuple(row) for rows, _ in _chunks(table, [n], *shard) for row in rows.tolist()]
         return rows, len(ranges)
 
     for n in range(3, 17):
@@ -285,12 +286,45 @@ def test_shards_partition_each_order(monkeypatch, chunk):
             assert sum(counts) == count and max(counts) - min(counts) <= 1, (n, shards)
 
 
+@pytest.mark.parametrize("chunk", [7, _CHUNK])
+def test_chunks_of_several_orders_hold_each_orders_rows(monkeypatch, chunk):
+    # one listing of orders 3..16 in the table of the largest gives each
+    # order's rows once, each tagged with its order, and shares chunks
+    # between orders: fewer chunks than listing each order on its own.  Its
+    # shards partition the same rows
+    monkeypatch.setattr(enumeration_module, "_CHUNK", chunk)
+    orders, table = range(3, 17), _rooted(8)
+    size = _entry_sizes(table)
+
+    def listed(*shard):
+        rows, chunks = [], 0
+        for branches, n in _chunks(table, orders, *shard):
+            assert 0 < len(branches) == len(n) <= chunk
+            assert (size[branches].sum(axis=1) + 1 == n).all()
+            rows += zip(n.tolist(), map(tuple, branches.tolist()))
+            chunks += 1
+        return sorted(rows), chunks
+
+    merged, chunks = listed()
+    alone = [
+        (n, tuple(row))
+        for n in orders
+        for branches, _ in _chunks(_rooted(n // 2), [n])
+        for row in branches.tolist()
+    ]
+    assert merged == sorted(alone) and len(merged) == sum(_A000055[n] for n in orders)
+    assert chunks < sum(1 for n in orders for _ in _chunks(_rooted(n // 2), [n]))
+    for shards in (2, 3):
+        parts = [listed(shard, shards)[0] for shard in range(shards)]
+        assert sorted(sum(parts, [])) == merged, shards
+
+
 def test_composed_trees_agree_with_free_trees_and_reference_keys():
     for n in range(3, 13):
         keys = _feasible_keys(n)
         table = _rooted(n // 2)
         composed = []
-        for branches in _chunks(table, n):
+        for branches, _ in _chunks(table, [n]):
             invariants_ = zip(*(a.tolist() for a in _root_over(table, branches)[:3]))
             for row, (m, b, D) in zip(branches.tolist(), invariants_):
                 seq = _centre_sequence([table.sequences[e] for e in row])
@@ -321,7 +355,7 @@ def test_composed_sample_at_hard_cap_agrees_with_reference_keys():
     n, stride = HARD_CAP, 997
     table = _rooted(n // 2)
     seen, sampled, full = 0, {False: 0, True: 0}, 0
-    for branches in _chunks(table, n):
+    for branches, _ in _chunks(table, [n]):
         full += len(branches) == _CHUNK
         rows = np.arange(-seen % stride, len(branches), stride)
         seen += len(branches)
@@ -350,7 +384,7 @@ def test_composed_sequences_are_the_generator_sequences():
         table = _rooted(n // 2)
         named = [
             _centre_sequence([table.sequences[e] for e in row])
-            for branches in _chunks(table, n)
+            for branches, _ in _chunks(table, [n])
             for row in branches.tolist()
         ]
         assert len(named) == len(set(named)) == _A000055[n]
@@ -388,7 +422,7 @@ def test_composed_sequence_runs_no_search(monkeypatch):
     n = 12
     table = _rooted(n // 2)
     rows = 0
-    for branches in _chunks(table, n):
+    for branches, _ in _chunks(table, [n]):
         for row in branches.tolist():
             _centre_sequence([table.sequences[e] for e in row])
             rows += 1
@@ -712,9 +746,9 @@ def test_each_theorem_speaks_about_one_variant():
 def test_certify_order_takes_keys_of_one_variant():
     keys = [ClassKey("NM", 6, m=2), ClassKey("NK", 6, k=3)]
     with pytest.raises(ValueError):
-        verify_module._certify_order(6, keys, TIE_TOL)
+        verify_module._certify(keys, TIE_TOL)
     with pytest.raises(ValueError):
-        verify_module._certify_order(6, [], TIE_TOL)
+        verify_module._certify([], TIE_TOL)
 
 
 def test_t13_sweep_small():
@@ -740,21 +774,22 @@ def test_d4_sweep_small():
     assert all(c.verdict == "MATCH" for c in certs)
 
 
-def test_certificates_agree_with_an_independent_oracle():
+def test_certificates_agree_with_an_independent_oracle(request):
     # the population, lambda_min and minimizers of every certificate of the
-    # four theorems, and of every ND key through verify_class, at n <= 14,
-    # against conftest's oracle: trees from networkx, with their invariants,
-    # matrices and codes computed in the tests.  A sweep's keys are exactly
-    # those some tree has
+    # four theorems, and of every ND key through verify_class, at n <=
+    # --oracle-n-max (14 unless given), against conftest's oracle: trees
+    # from networkx, with their invariants, matrices and codes computed in
+    # the tests.  A sweep's keys are exactly those some tree has
+    n_max = request.config.getoption("--oracle-n-max")
     checked = []
     for theorem, key_of in ORACLE_THEOREM_KEYS.items():
-        want = oracle_certificates(key_of, 14, TIE_TOL)
-        certs = verify_theorem_sweep(theorem, 14)
+        want = oracle_certificates(key_of, n_max, TIE_TOL)
+        certs = verify_theorem_sweep(theorem, n_max, cap=n_max)
         assert {cert.key for cert in certs} == set(want), theorem
         checked += [(cert, want[cert.key]) for cert in certs]
-    nd = oracle_certificates(lambda n, m, b, D: ClassKey("ND", n, D=D), 14, TIE_TOL)
-    checked += [(verify_class(key), want) for key, want in nd.items()]
-    assert len(checked) == 347
+    nd = oracle_certificates(lambda n, m, b, D: ClassKey("ND", n, D=D), n_max, TIE_TOL)
+    checked += [(verify_class(key, cap=n_max), want) for key, want in nd.items()]
+    assert len(checked) == ORACLE_CHECKS[n_max]
     for cert, (population, lambda_min, minimizers) in checked:
         assert cert.population == population, cert.key
         assert abs(cert.lambda_min - lambda_min) <= 1e-12, cert.key
@@ -988,7 +1023,7 @@ def test_wrong_predictions_change_only_the_verdict(monkeypatch, stand_in):
 def _wrong_sweeps(monkeypatch, stand_in, chunk):
     """The T13 and T14 certificates to n = 10 with the stand-ins of
     test_wrong_predictions_change_only_the_verdict and chunks of chunk
-    trees, the sequences eigensolved, and the calls of _certify_order and
+    trees, the sequences eigensolved, and the calls of _pass and
     _branch_pivots."""
     wrong = {}
     for cert in (c for t in ("T13", "T14") for c in verify_theorem_sweep(t, 10)):
@@ -1005,7 +1040,7 @@ def _wrong_sweeps(monkeypatch, stand_in, chunk):
     def predicted(key):
         return PredictedExtremal((wrong[key],)) if key in wrong else predicted_extremal(key)
 
-    calls = {"_certify_order": 0, "_branch_pivots": 0}
+    calls = {"_pass": 0, "_branch_pivots": 0}
 
     def counted(name):
         function = getattr(verify_module, name)
@@ -1016,7 +1051,7 @@ def _wrong_sweeps(monkeypatch, stand_in, chunk):
 
         monkeypatch.setattr(verify_module, name, wrapper)
 
-    counted("_certify_order")
+    counted("_pass")
     counted("_branch_pivots")
     counted_solves = _Counted(monkeypatch)
     monkeypatch.setattr(verify_module, "predicted_extremal", predicted)
@@ -1030,11 +1065,12 @@ def _wrong_sweeps(monkeypatch, stand_in, chunk):
 def test_each_order_computes_its_pivots_once(monkeypatch, stand_in):
     # each key's filter bound is its seed + tol for the whole pass, so wrong
     # predictions, which leave bounds loose, still take one pivot pass per
-    # order
+    # pass; the orders below _SHARD_ORDER share one pass, so each sweep to
+    # n = 10 computes its pivots once, for every order
     certs, _, calls = _wrong_sweeps(monkeypatch, stand_in, 7)
     assert any(c.verdict == "MISMATCH" for c in certs)
-    assert calls["_certify_order"] == 16
-    assert calls["_branch_pivots"] == calls["_certify_order"]
+    assert calls["_pass"] == 2
+    assert calls["_branch_pivots"] == calls["_pass"]
 
 
 @pytest.mark.parametrize("stand_in", ["non-member", "non-minimal-member"])
@@ -1067,7 +1103,7 @@ def test_only_diameter_keys_compose_a_diameter(monkeypatch, theorem):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and the (order,
+    """Stands in for ProcessPoolExecutor: records its size and the (orders,
     shard, shards) of each pass in the order they are submitted, and runs
     them in-process."""
 
@@ -1083,10 +1119,10 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, n, *args):
-        self.submitted.append((n, *args[-2:]))
+    def submit(self, fn, orders, *args):
+        self.submitted.append((orders, *args[-2:]))
         future = concurrent.futures.Future()
-        future.set_result(fn(n, *args))
+        future.set_result(fn(orders, *args))
         return future
 
 
@@ -1109,7 +1145,8 @@ def test_sweep_workers_clamped_to_orders_and_cpus(
     # one pool of min(jobs, usable CPUs) workers, the CPUs of the process's
     # affinity mask where the platform has one, started only when some order
     # reaches _SHARD_ORDER; each such order is split into that many shards,
-    # submitted smallest order first, and the smaller orders run in-process
+    # submitted smallest order first, and the smaller orders run in-process,
+    # in one pass
     if affinity is None:
         monkeypatch.delattr(verify_module.os, "sched_getaffinity", raising=False)
     else:
@@ -1119,7 +1156,7 @@ def test_sweep_workers_clamped_to_orders_and_cpus(
     certs = verify_theorem_sweep("T13", 6, jobs=10**6)  # orders 3..6
     assert recording_pool.sizes == want
     assert recording_pool.submitted == [
-        (n, shard, workers) for workers in want for n in (5, 6) for shard in range(workers)
+        ([n], shard, workers) for workers in want for n in (5, 6) for shard in range(workers)
     ]
     assert [c.key for c in certs] == theorem_keys("T13", 6)
     assert certs == verify_theorem_sweep("T13", 6)
@@ -1142,6 +1179,48 @@ def test_sharded_sweep_through_a_process_pool(monkeypatch):
     monkeypatch.setattr(verify_module, "_SHARD_ORDER", 3)
     monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
     assert verify_theorem_sweep("T14", 14, jobs=2) == serial
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_sweep_certificates_are_their_keys_class_certificates(theorem):
+    # the orders below _SHARD_ORDER share one pass, whose chunks hold rows
+    # of several orders: each key counts and names only its own order's
+    # trees, so every certificate is the one a pass over its key alone gives
+    for cert in verify_theorem_sweep(theorem, 12):
+        assert cert == verify_class(cert.key), cert.key
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_merged_and_per_order_passes_give_the_serial_certificates(
+    monkeypatch, recording_pool, theorem
+):
+    # with _SHARD_ORDER at 9, orders 3..8 share a pass and 9..14 have one
+    # each, in this process or sharded over 2 workers
+    serial = verify_theorem_sweep(theorem, 14)
+    monkeypatch.setattr(verify_module, "_SHARD_ORDER", 9)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
+    for jobs in (1, 2):
+        assert verify_theorem_sweep(theorem, 14, jobs=jobs) == serial, jobs
+    assert recording_pool.submitted == [([n], shard, 2) for n in range(9, 15) for shard in (0, 1)]
+
+
+def test_sweep_solves_its_predicted_members_in_one_call(monkeypatch):
+    # the seeds of every order are eigensolved together, before any pass,
+    # and each pass and shard gets their lambda1 with its arguments
+    solved = []  # per call, the sequences not yet solved
+
+    def solve(lam, sequences):
+        solved.append([seq for seq in dict.fromkeys(sequences) if seq not in lam])
+        _solve(lam, sequences)
+
+    monkeypatch.setattr(verify_module, "_solve", solve)
+    monkeypatch.setattr(verify_module, "_SHARD_ORDER", 9)  # passes 3..8, 9, 10, 11, 12
+    certs = verify_theorem_sweep("T14", 12)
+    # on a MATCH key the only contenders are the seeds, so the passes solve
+    # nothing
+    assert all_match(certs)
+    assert {len(seq) for seq in solved[0]} == set(range(3, 13))
+    assert len(solved) > 1 and not any(solved[1:])
 
 
 def test_sweep_below_the_shard_order_starts_no_pool(monkeypatch):

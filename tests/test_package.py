@@ -191,6 +191,9 @@ def test_ci_workflow_runs_the_tier1_command():
     assert 'run: pip install -e ".[test]"' in lines
     command = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
     assert f"run: {command}" in lines
+    # and the oracle test past tier-1's n = 14, to n = 18
+    oracle = "tests/test_enumeration.py::test_certificates_agree_with_an_independent_oracle"
+    assert f"run: {command.split(' -q')[0]} -q {oracle} --oracle-n-max 18" in lines
     # a hung process-pool worker cannot hold a runner past this
     assert "timeout-minutes: 30" in lines
     # one version's failure does not cancel the other's job

@@ -42,6 +42,7 @@ import fktrees.verify
 from fktrees.spectral import (
     DEFAULT_TOL,
     _DENSE_SOLVE_MAX,
+    _assemble,
     _bits,
     _children_first,
     _counter,
@@ -390,7 +391,7 @@ def test_pivot_filter_skips_only_trees_with_no_eigenvalue_at_or_below_x():
     trees = skipped_below = 0
     for n in range(3, 13):
         table = _rooted(n // 2)
-        for branches in _chunks(table, n):
+        for branches, _ in _chunks(table, [n]):
             spectra, xs = [], []  # per row; xs[r] holds the row's four x values
             for row in branches.tolist():
                 tree = _sequence_tree(_centre_sequence([table.sequences[e] for e in row]))
@@ -416,7 +417,7 @@ def test_pivot_filter_on_a_sample_at_hard_cap():
     n, stride = HARD_CAP, 997
     table = _rooted(n // 2)
     seen = sampled = 0
-    for branches in _chunks(table, n):
+    for branches, _ in _chunks(table, [n]):
         sample = branches[-seen % stride :: stride]
         seen += len(branches)
         if not len(sample):
@@ -454,7 +455,7 @@ def _hard_cap_sample(stride=997):
     """The level sequence of every stride-th tree of order HARD_CAP."""
     n, seen, sample = HARD_CAP, 0, []
     table = _rooted(n // 2)
-    for branches in _chunks(table, n):
+    for branches, _ in _chunks(table, [n]):
         for row in branches[-seen % stride :: stride].tolist():
             sample.append(_centre_sequence([table.sequences[e] for e in row]))
         seen += len(branches)
@@ -480,6 +481,28 @@ def test_sequence_lambdas_are_first_eigenpair_bit_for_bit(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
     _solve(lam, small)
     assert calls == [] and lam == solved
+
+
+def test_stacked_assembly_is_each_trees_assembly_bit_for_bit():
+    # every free tree with 3 <= n <= 12, stacked by interior size as the
+    # sweep stacks its matrices: each matrix of a stack is the one a stack
+    # of one gives, which is dirichlet_matrix's, and the degrees and -1s of
+    # the tree's interior, read off its adjacency
+    stacks = {}
+    for n in range(3, 13):
+        for tree in free_trees(n):
+            stacks.setdefault(len(tree.interior), []).append(tree)
+    for k, trees in stacks.items():
+        stack = _assemble([(t.interior, [len(a) for a in t.adj], t.edges) for t in trees])
+        assert stack.shape == (len(trees), k, k)
+        for tree, entries in zip(trees, stack):
+            assert np.array_equal(entries, dirichlet_matrix(tree).entries)
+            want = np.zeros((k, k))
+            for i, u in enumerate(tree.interior):
+                for j, v in enumerate(tree.interior):
+                    want[i, j] = len(tree.adj[u]) if u == v else -1.0 if v in tree.adj[u] else 0.0
+            assert np.array_equal(entries, want)
+    assert sum(map(len, stacks.values())) == 985 and sorted(stacks) == list(range(1, 11))
 
 
 def _second_as_first(eigh):
