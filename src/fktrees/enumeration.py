@@ -383,29 +383,24 @@ def _partitions(total: int, most: int) -> Iterator[tuple[tuple[int, int], ...]]:
                 yield ((part, r),) + rest
 
 
-def _unit_ranges(table: _Rooted, groups: tuple[tuple[int, int], ...]) -> int:
-    """The number of chunks _unit_chunks lists a unit in, from the multiset
-    counts alone, with nothing listed."""
-    return -(-math.prod(math.comb(table.count(s) + r - 1, r) for s, r in groups) // _CHUNK)
-
-
 def _unit_chunks(
     table: _Rooted, groups: tuple[tuple[int, int], ...], shard: int = 0, shards: int = 1
 ) -> Iterator[np.ndarray]:
-    """The trees of one unit, in chunks of at most _CHUNK rows: row t is
+    """The trees of one unit of ranks shard, shard + shards, shard +
+    2 * shards, ..., in chunks of at most _CHUNK rows: the row of rank t is
     the non-increasing tuple of entry indices of the unit's tree of rank t,
     whose digits in the mixed radix of the groups' multiset counts are the
-    ranks of one multiset of entries per group (_multisets).  Only shard's
-    ranges are listed, the ranks r * _CHUNK up to (r + 1) * _CHUNK with
-    r % shards == shard; the others are skipped, unlisted."""
+    ranks of one multiset of entries per group (_multisets).  So the shards
+    split every unit by counts that differ by at most one, and one shard
+    lists every rank in order."""
     counts = [math.comb(table.count(s) + r - 1, r) for s, r in groups]
     binomials = [
         _binomials(table.count(s), r) if count > 1 else None
         for (s, r), count in zip(groups, counts)
     ]
     total = math.prod(counts)
-    for first in range(shard * _CHUNK, total, shards * _CHUNK):
-        rank = np.arange(first, min(first + _CHUNK, total))
+    for first in range(shard, total, shards * _CHUNK):
+        rank = np.arange(first, min(first + shards * _CHUNK, total), shards)
         columns = []
         for (s, r), count, binomial in zip(groups, counts, binomials):
             if count == 1:  # one tree of this size, r times
@@ -419,7 +414,7 @@ def _unit_chunks(
 def _halves(table: _Rooted, half: int, shard: int = 0, shards: int = 1) -> Iterator[np.ndarray]:
     """The rows _chunks gives the trees with two centroids, on 2 * half
     vertices: for each pair of halves a >= b, entries of size half in the
-    order _unit_chunks lists them (the ranges of pairs shard owns), the
+    order _unit_chunks lists them (the pairs of shard's ranks), the
     tree rooted at a's root, whose branches are a's children and then b.
     The rows of a block share a width, so a chunk of pairs is split where
     a's child count changes; _rooted lists the entries of a size by child
@@ -447,30 +442,18 @@ def _chunks(
     entries extend every smaller table's, so a row is the same in any table
     it fits.
 
-    Only the trees of shard in range(shards) are listed.  The ranges of
-    _unit_chunks are numbered order after order and, within an order, unit
-    after unit, the halves last, and shard owns those whose number is
-    shard mod shards: a pure function of the unit and the range, from
-    counts alone, so the shards partition the trees and each lists only its
-    own ranges.  One shard owns every range, and counts none."""
-    units = []
-    for n in orders:
-        units += [(n, groups) for groups in _by_parts(n - 1, (n - 1) // 2)]
-        if n % 2 == 0:  # the pairs of halves: the multisets of two entries of size n / 2
-            units.append((n, ((n // 2, 2),)))
-    owners = itertools.repeat(shard)
-    if shards > 1:
-        first = itertools.accumulate((_unit_ranges(table, g) for _, g in units), initial=0)
-        owners = ((shard - f) % shards for f in first)
+    Only the trees of shard in range(shards) are listed: of every unit the
+    ranks shard, shard + shards, ... (_unit_chunks).  So the shards
+    partition the trees, each unit's by counts that differ by at most one,
+    and each lists its own with nothing counted or exchanged."""
     singles, halves = [], []
-    for (n, groups), owner in zip(units, owners):
-        if 2 * groups[0][0] == n:  # only the halves have a part of n / 2
-            halves.append(zip(itertools.repeat(n), _halves(table, n // 2, owner, shards)))
-        else:
-            singles.append((sum(r for _, r in groups), n, groups, owner))
+    for n in orders:
+        singles += [(sum(r for _, r in g), n, g) for g in _by_parts(n - 1, (n - 1) // 2)]
+        if n % 2 == 0:  # the pairs of halves: the multisets of two entries of size n / 2
+            halves.append(zip(itertools.repeat(n), _halves(table, n // 2, shard, shards)))
     singles.sort(key=lambda unit: unit[0])  # by width, each order's units in their order
     blocks = heapq.merge(
-        ((n, rows) for _, n, g, owner in singles for rows in _unit_chunks(table, g, owner, shards)),
+        ((n, rows) for _, n, g in singles for rows in _unit_chunks(table, g, shard, shards)),
         *halves,
         key=lambda block: block[1].shape[1],
     )
@@ -482,7 +465,7 @@ def _chunks(
             held, count = [], 0
         held.append((n, rows))
         count += len(rows)
-    if held:  # a shard of a small order may own no range
+    if held:  # a shard of a small order may list no row
         yield _joined(held)
 
 

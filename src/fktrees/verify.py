@@ -83,18 +83,18 @@ set-up costs more than the trees: one table, one _branch_pivots call over
 the bounds of all their keys, one key table and shared chunks.  Each
 order of at least _SHARD_ORDER vertices, which holds most of a sweep's
 trees, has a pass of its own, so that the pivot table stays that of
-_SHARD_ORDER - 1 vertices.  With jobs > 1 each such order is split across
-one process pool of W = min(jobs, usable CPUs) workers.  Shard i of W
-lists only the chunk ranges it owns (enumeration._chunks), by a rule that
-is a pure function of the unit and the range, so the shards agree on it
-without communicating.  Each returns the populations and contenders of
-its trees, computing the order's bounds and table from the seeds' lambda1
-it is given.  The parent submits the shards of every such order, smallest
-first, runs the pass of the smaller orders itself meanwhile, and then
-sums the populations and joins the contenders of each order's shards; a
-sweep with no order that large starts no pool.  The trees named and
-solved do not depend on the chunking, the order of the rows or the
-orders a pass holds, and the minimizers are sorted by code, so the
+_SHARD_ORDER - 1 vertices.  With jobs > 1 and some order that large,
+every pass is split into W = min(jobs, usable CPUs) shards by one rule:
+shard i lists the trees of ranks i, i + W, i + 2W, ... of every unit
+(enumeration._chunks), so the shards partition the trees, split each unit
+evenly and agree without communicating.  A pool of W - 1 processes runs
+shards 1 to W - 1 of every pass while this process runs shard 0 of each;
+each shard returns the populations and contenders of its trees,
+computing its bounds and table from the seeds' lambda1 it is given, and
+the populations add up and the contenders join, pass after pass, in key
+order.  A sweep with no order that large starts no pool.  The trees
+named and solved do not depend on the chunking, the order of the rows or
+the orders a pass holds, and the minimizers are sorted by code, so the
 certificates are the serial sweep's, byte for byte, whatever jobs is.
 """
 
@@ -154,15 +154,18 @@ _FILTER_SLACK = 1e-9
 # rounding, keeps a pivot that is truly zero or negative from passing.
 _PIVOT_GUARD = 1e-9
 # A sweep certifies its orders below _SHARD_ORDER in one pass, and each
-# larger order in a pass of its own, which with jobs > 1 it shards across
-# its workers; with no order that large it starts no pool.  Below it,
-# starting a pool and splitting an order cost more than they save: on 2 CPUs
-# with the fork start method, order 19 is the first where the 2-worker
-# shard, pool start included, beats the serial pass for all four theorems.
-# The threshold was measured under fork only.  Under spawn (the default on
-# macOS and Windows) or forkserver (Python 3.14's default on Linux) each
-# worker imports numpy and fktrees, and a 2-worker pool takes 0.2-0.3 s to
-# start, so there --jobs 2 is slower than --jobs 1 at n <= 20.
+# larger order in a pass of its own.  With jobs > 1 and some order that
+# large, every pass is split into W shards: this process runs shard 0 of
+# each and a pool of W - 1 workers the rest.  With no order that large it
+# starts no pool: below it, starting a pool and splitting cost more than they
+# save, and on 2 CPUs with the fork start method order 19 is the first where
+# the 2-worker shard, pool start included, beats the serial pass for all four
+# theorems.  The threshold was measured under fork only.  Under spawn (the
+# default on macOS and Windows) or forkserver (Python 3.14's default on
+# Linux) the worker imports numpy and fktrees before its first shard: in
+# process on a 2-vCPU Xeon with Python 3.11, T13 to n = 20 with --jobs 2
+# took 0.44-0.48 s under spawn and 0.40-0.51 s under forkserver, against
+# 0.20-0.22 s under fork and 0.29-0.35 s with --jobs 1.
 _SHARD_ORDER = 19
 
 # the class keys of order n each theorem speaks about; theorem_keys keeps the
@@ -170,7 +173,9 @@ _SHARD_ORDER = 19
 _THEOREM_KEYS = {
     "T13": lambda n: [ClassKey("NM", n, m=m) for m in range(1, n // 2 + 1)],
     "T14": lambda n: [
-        ClassKey("NMB", n, m=m, b=b) for m in range(1, n // 2 + 1) for b in range(2, n)
+        ClassKey("NMB", n, m=m, b=b)
+        for m in range(1, n // 2 + 1)
+        for b in range(max(2, n - 2 * m + 1), n - m + 1)  # 1 <= t = 2m + b - n <= m
     ],
     "Kloburstel": lambda n: [ClassKey("NK", n, k=k) for k in range(1, n - 1)],
     "D4": lambda n: [ClassKey("ND", n, D=4)],
@@ -207,39 +212,39 @@ def all_match(certs) -> bool:
 
 def _certify(keys: list[ClassKey], tol: float, workers: int = 1) -> list[ExtremalCertificate]:
     """Certificates for feasible keys (so n >= 3; callers check the cap),
-    all of one variant (else ValueError), in the order given.
+    all of one variant (else ValueError), listed by order, in that order.
 
     The keys' predicted members are eigensolved in one _solve call.  The
     orders below _SHARD_ORDER share one pass (_pass), and each larger order
-    has one of its own, split into workers shards over a process pool when
-    workers > 1 while this process runs the others."""
+    has one of its own.  When workers > 1 and some order reaches
+    _SHARD_ORDER, every pass is split into workers shards: a pool of
+    workers - 1 processes runs shards 1 and up while this process runs
+    shard 0 of each pass."""
     predictions, read, members = _predict(keys)
     lam: dict[bytes, float] = {}
     _solve(lam, [seq for seqs in members.values() for seq in seqs])
     groups: dict[int, list[ClassKey]] = {}  # 0 for the orders below _SHARD_ORDER
     for key in keys:
         groups.setdefault(key.n if key.n >= _SHARD_ORDER else 0, []).append(key)
-    args = {
-        g: (
-            sorted({key.n for key in group}),
-            group,
-            [[(lam[seq], seq) for seq in members[key]] for key in group],
-            tol,
-        )
-        for g, group in groups.items()
-    }
-    large = [g for g in groups if g >= _SHARD_ORDER] if workers > 1 else []
-    pool = concurrent.futures.ProcessPoolExecutor(workers) if large else contextlib.nullcontext()
+    passes = [
+        (group, [[(lam[seq], seq) for seq in members[key]] for key in group], tol)
+        for group in groups.values()
+    ]
+    shards = workers if max(groups) >= _SHARD_ORDER else 1
+    pool = contextlib.nullcontext()
+    if shards > 1:
+        pool = concurrent.futures.ProcessPoolExecutor(shards - 1)
     with pool:
-        shards = {g: [pool.submit(_pass, *args[g], i, workers) for i in range(workers)] for g in large}
-        passes = {g: [_pass(*args[g])] for g in groups if g not in shards}
-        passes.update({g: [f.result() for f in futures] for g, futures in shards.items()})
-    certs = {
-        key: cert
-        for g, group in groups.items()
-        for key, cert in zip(group, _certificates(group, passes[g], predictions, read, tol))
-    }
-    return [certs[key] for key in keys]
+        futures = [
+            [pool.submit(_pass, *args, i, shards) for i in range(1, shards)] for args in passes
+        ]
+        ours = [_pass(*args, 0, shards) for args in passes]
+        results = [[own, *(f.result() for f in fs)] for own, fs in zip(ours, futures)]
+    return [
+        cert
+        for group, result in zip(groups.values(), results)
+        for cert in _certificates(group, result, predictions, read, tol)
+    ]
 
 
 def _key_table(keys: list[ClassKey]) -> Callable[[object, tuple], np.ndarray]:
@@ -278,7 +283,6 @@ def _predict(keys: list[ClassKey]) -> tuple[dict, Callable, dict]:
 
 
 def _pass(
-    orders: list[int],
     keys: list[ClassKey],
     members: list[list[tuple[float, bytes]]],
     tol: float,
@@ -286,10 +290,10 @@ def _pass(
     shards: int = 1,
 ) -> tuple[list[int], list[list[tuple[float, bytes]]]]:
     """The population and the contenders, (lambda1, sequence) pairs, of each
-    of keys, all of one variant and of the orders, among the trees of the
-    orders that shard of shards owns (enumeration._chunks); members[i] is
-    key i's predicted members, each with its lambda1.  It computes all else
-    it reads from its arguments, so a worker started by any method inherits
+    of keys, all of one variant, among the trees of the keys' orders that
+    shard of shards lists (enumeration._chunks); members[i] is key i's
+    predicted members, each with its lambda1.  It computes all else it
+    reads from its arguments, so a worker started by any method inherits
     nothing.
 
     lam holds each named tree's lambda1, so that no tree is eigensolved
@@ -304,6 +308,7 @@ def _pass(
     of the class minimum, by the same float comparison as a filter over the
     whole class, however the trees are chunked or sharded.
     """
+    orders = sorted({key.n for key in keys})
     key_of = _key_table(keys)
     lam = {seq: value for pairs in members for value, seq in pairs}
     seeds = [min((value for value, _ in pairs), default=math.inf) for pairs in members]

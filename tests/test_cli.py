@@ -120,8 +120,8 @@ print(sharded == serial, len(serial))
 
 def test_shards_run_under_the_spawn_start_method():
     # a spawned worker inherits nothing from the sweep: each shard gets its
-    # order, keys and the lambda1 of their predicted members as arguments,
-    # and computes the order's bounds and table from them alone
+    # pass's keys and the lambda1 of their predicted members as arguments,
+    # and computes the orders, bounds and table from them alone
     proc = _run_python("-c", _SPAWNED_SHARDS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True 24\n"

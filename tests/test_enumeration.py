@@ -260,22 +260,23 @@ def test_two_centroid_rows_are_the_pairs_of_halves():
 @pytest.mark.parametrize("chunk", [7, _CHUNK])
 def test_shards_partition_each_order(monkeypatch, chunk):
     # the rows the shards of an order list are the order's rows, each once,
-    # and the ranges of _unit_chunks (counted across the units, the halves
-    # last) go round the shards, so their counts differ by at most one
+    # and each unit's rows (the halves' too) split among the shards with
+    # counts that differ by at most one
     monkeypatch.setattr(enumeration_module, "_CHUNK", chunk)
-    unit_chunks, ranges = enumeration_module._unit_chunks, []
+    unit_chunks, units = enumeration_module._unit_chunks, {}
 
-    def counted(*args):
-        for rows in unit_chunks(*args):
-            ranges.append(len(rows))
+    def counted(table, groups, *shard):
+        units[groups] = 0
+        for rows in unit_chunks(table, groups, *shard):
+            units[groups] += len(rows)
             yield rows
 
     monkeypatch.setattr(enumeration_module, "_unit_chunks", counted)
 
-    def listed(table, n, *shard):  # the rows of the trees listed, and the ranges
-        ranges.clear()
+    def listed(table, n, *shard):  # the rows of the trees listed, and each unit's count
+        units.clear()
         rows = [tuple(row) for rows, _ in _chunks(table, [n], *shard) for row in rows.tolist()]
-        return rows, len(ranges)
+        return rows, dict(units)
 
     for n in range(3, 17):
         table = _rooted(n // 2)
@@ -283,7 +284,9 @@ def test_shards_partition_each_order(monkeypatch, chunk):
         for shards in (1, 2, 3):
             rows, counts = zip(*(listed(table, n, shard, shards) for shard in range(shards)))
             assert sorted(sum(rows, [])) == sorted(want), (n, shards)
-            assert sum(counts) == count and max(counts) - min(counts) <= 1, (n, shards)
+            for groups, total in count.items():
+                split = [unit[groups] for unit in counts]
+                assert sum(split) == total and max(split) - min(split) <= 1, (n, shards, groups)
 
 
 @pytest.mark.parametrize("chunk", [7, _CHUNK])
@@ -737,6 +740,24 @@ def test_theorem_keys_shapes():
         theorem_keys("T15", 5)
 
 
+def test_theorem_keys_are_the_feasible_keys_of_the_full_grid():
+    # each theorem lists only feasible parameters up front, and feasible()
+    # still decides: the keys are exactly the feasible ones of every
+    # parameter value 0..n, order by order
+    grid = {
+        "T13": lambda n: [ClassKey("NM", n, m=m) for m in range(n + 1)],
+        "T14": lambda n: [
+            ClassKey("NMB", n, m=m, b=b) for m in range(n + 1) for b in range(n + 1)
+        ],
+        "Kloburstel": lambda n: [ClassKey("NK", n, k=k) for k in range(n + 1)],
+        "D4": lambda n: [ClassKey("ND", n, D=4)],
+    }
+    assert list(grid) == list(THEOREMS)
+    for theorem, keys in grid.items():
+        want = [key for n in range(3, 31) for key in keys(n) if key.feasible()]
+        assert theorem_keys(theorem, 30) == want, theorem
+
+
 def test_each_theorem_speaks_about_one_variant():
     # the precondition of the sweep's one-variant pass
     for theorem in THEOREMS:
@@ -774,12 +795,14 @@ def test_d4_sweep_small():
     assert all(c.verdict == "MATCH" for c in certs)
 
 
-def test_certificates_agree_with_an_independent_oracle(request):
+def test_certificates_agree_with_an_independent_oracle(request, monkeypatch):
     # the population, lambda_min and minimizers of every certificate of the
     # four theorems, and of every ND key through verify_class, at n <=
     # --oracle-n-max (14 unless given), against conftest's oracle: trees
     # from networkx, with their invariants, matrices and codes computed in
-    # the tests.  A sweep's keys are exactly those some tree has
+    # the tests.  A sweep's keys are exactly those some tree has.  Each
+    # sweep split into 2 shards at every order, shard 1 through a real
+    # process pool, gives the serial sweep's certificates
     n_max = request.config.getoption("--oracle-n-max")
     checked = []
     for theorem, key_of in ORACLE_THEOREM_KEYS.items():
@@ -787,6 +810,10 @@ def test_certificates_agree_with_an_independent_oracle(request):
         certs = verify_theorem_sweep(theorem, n_max, cap=n_max)
         assert {cert.key for cert in certs} == set(want), theorem
         checked += [(cert, want[cert.key]) for cert in certs]
+        with monkeypatch.context() as patched:
+            patched.setattr(verify_module, "_SHARD_ORDER", 3)
+            patched.setattr(verify_module, "_usable_cpus", lambda: 2)
+            assert verify_theorem_sweep(theorem, n_max, cap=n_max, jobs=2) == certs, theorem
     nd = oracle_certificates(lambda n, m, b, D: ClassKey("ND", n, D=D), n_max, TIE_TOL)
     checked += [(verify_class(key, cap=n_max), want) for key, want in nd.items()]
     assert len(checked) == ORACLE_CHECKS[n_max]
@@ -1104,8 +1131,8 @@ def test_only_diameter_keys_compose_a_diameter(monkeypatch, theorem):
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size and the (orders,
-    shard, shards) of each pass in the order they are submitted, and runs
-    them in-process."""
+    shard, shards) of each pass shard in the order they are submitted, the
+    orders those of the pass's keys, and runs them in-process."""
 
     sizes: list = []
     submitted: list = []
@@ -1119,10 +1146,10 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, orders, *args):
-        self.submitted.append((orders, *args[-2:]))
+    def submit(self, fn, keys, *args):
+        self.submitted.append((sorted({key.n for key in keys}), *args[-2:]))
         future = concurrent.futures.Future()
-        future.set_result(fn(orders, *args))
+        future.set_result(fn(keys, *args))
         return future
 
 
@@ -1136,17 +1163,17 @@ def recording_pool(monkeypatch):
 
 @pytest.mark.parametrize(
     "affinity, cpus, want",
-    [(64, 64, [64]), (2, 64, [2]), (1, 64, []), (None, None, []), (None, 3, [3])],
+    [(64, 64, [63]), (2, 64, [1]), (1, 64, []), (None, None, []), (None, 3, [2])],
     ids=["64-cpus", "2-cpus", "1-cpu", "unknown-cpus", "no-affinity-3-cpus"],
 )
 def test_sweep_workers_clamped_to_orders_and_cpus(
     monkeypatch, recording_pool, affinity, cpus, want
 ):
-    # one pool of min(jobs, usable CPUs) workers, the CPUs of the process's
-    # affinity mask where the platform has one, started only when some order
-    # reaches _SHARD_ORDER; each such order is split into that many shards,
-    # submitted smallest order first, and the smaller orders run in-process,
-    # in one pass
+    # W = min(jobs, usable CPUs) shards, the CPUs of the process's affinity
+    # mask where the platform has one, and a pool of W - 1 workers, started
+    # only when some order reaches _SHARD_ORDER; every pass (the orders
+    # below it share one) is split into W shards, this process runs shard 0
+    # of each and shards 1..W - 1 are submitted, pass after pass
     if affinity is None:
         monkeypatch.delattr(verify_module.os, "sched_getaffinity", raising=False)
     else:
@@ -1156,7 +1183,10 @@ def test_sweep_workers_clamped_to_orders_and_cpus(
     certs = verify_theorem_sweep("T13", 6, jobs=10**6)  # orders 3..6
     assert recording_pool.sizes == want
     assert recording_pool.submitted == [
-        ([n], shard, workers) for workers in want for n in (5, 6) for shard in range(workers)
+        (orders, shard, workers + 1)
+        for workers in want
+        for orders in ([3, 4], [5], [6])
+        for shard in range(1, workers + 1)
     ]
     assert [c.key for c in certs] == theorem_keys("T13", 6)
     assert certs == verify_theorem_sweep("T13", 6)
@@ -1164,14 +1194,26 @@ def test_sweep_workers_clamped_to_orders_and_cpus(
 
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_sharded_sweeps_give_the_serial_certificates(monkeypatch, recording_pool, theorem):
-    # with every order sharded, 2 and 3 shards give what one pass an order
-    # gives, for every theorem to n = 14
+    # with every order sharded, 2 and 3 shards (pools of 1 and 2 workers)
+    # give what one pass an order gives, for every theorem to n = 14
     serial = verify_theorem_sweep(theorem, 14)
     monkeypatch.setattr(verify_module, "_SHARD_ORDER", 3)
     for workers in (2, 3):
         monkeypatch.setattr(verify_module, "_usable_cpus", lambda: workers)
         assert verify_theorem_sweep(theorem, 14, jobs=workers) == serial, workers
-    assert recording_pool.sizes == [2, 3]
+    assert recording_pool.sizes == [1, 2]
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_shard_zero_stays_in_this_process(monkeypatch, recording_pool, theorem):
+    # with 3 shards a pool of 2 workers runs shards 1 and 2 of every pass,
+    # and this process runs shard 0 of each, which is never submitted
+    serial = verify_theorem_sweep(theorem, 12)
+    monkeypatch.setattr(verify_module, "_SHARD_ORDER", 7)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 3)
+    assert verify_theorem_sweep(theorem, 12, jobs=3) == serial
+    assert recording_pool.sizes == [2]
+    assert recording_pool.submitted and all(shard != 0 for _, shard, _ in recording_pool.submitted)
 
 
 def test_sharded_sweep_through_a_process_pool(monkeypatch):
@@ -1195,13 +1237,15 @@ def test_merged_and_per_order_passes_give_the_serial_certificates(
     monkeypatch, recording_pool, theorem
 ):
     # with _SHARD_ORDER at 9, orders 3..8 share a pass and 9..14 have one
-    # each, in this process or sharded over 2 workers
+    # each, in this process or each split into 2 shards, shard 1 of every
+    # pass submitted to the pool
     serial = verify_theorem_sweep(theorem, 14)
     monkeypatch.setattr(verify_module, "_SHARD_ORDER", 9)
     monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
     for jobs in (1, 2):
         assert verify_theorem_sweep(theorem, 14, jobs=jobs) == serial, jobs
-    assert recording_pool.submitted == [([n], shard, 2) for n in range(9, 15) for shard in (0, 1)]
+    small = sorted({key.n for key in theorem_keys(theorem, 8)})  # 3..8, D4's from 5
+    assert recording_pool.submitted == [(small, 1, 2)] + [([n], 1, 2) for n in range(9, 15)]
 
 
 def test_sweep_solves_its_predicted_members_in_one_call(monkeypatch):
