@@ -46,6 +46,7 @@ from .verify import (
 __all__ = ["main", "run"]
 
 
+@functools.cache  # a build costs some 30 parses, and the parser never changes
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fktrees",

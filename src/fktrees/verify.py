@@ -48,35 +48,35 @@ two with a stack of one.
 
 Each key has a seed: the least lambda1 of its predicted trees that are
 members of the key, each solved as its WROM-labelled tree, or inf when no
-predicted tree is a member.  The predicted members of every key of a
-sweep are solved in one _solve call before any pass, and each pass gets
-its keys' members with their lambda1.  The class minimum is at most the seed, so no
-tree whose every eigenvalue lies above seed + tol is within tol of the
-minimum, and a pivot count rules such trees out without naming or
-eigensolving them.  Eliminating A - yI children first on a tree rooted at
-some vertex, a vertex's pivot is deg - y - sum of 1/p over its children,
-and by Sylvester's law of inertia A - yI is positive definite iff every
-pivot is positive (Jacobs & Trevisan, "Locating the eigenvalues of
-trees", Linear Algebra Appl. 434, 2011).  Each key's y = seed + tol +
-_FILTER_SLACK is fixed for the pass: the slack covers the distance
-between the float lambda1 and the exact eigenvalues the pivots bound, and
-_PIVOT_GUARD the rounding of the pivots.  The count composes over a
-tree's centroid branches, as the enumeration composes the trees: one pass
-over the table per pass of the sweep gives every branch root's pivot at
-each key's y (_branch_pivots), and each tree adds its centroid's
-(_composed_above).  A
+predicted tree is a member.  _certify solves the predicted members of
+every key of a sweep in one _solve call and sets each key's bound
+y = seed + tol + _FILTER_SLACK once, before any pass; a pass filters at
+the bounds it is given.  The class minimum is at most the seed, so no tree
+whose every eigenvalue lies above y is within tol of the minimum, and a
+pivot count rules such trees out without naming or eigensolving them.
+Eliminating A - yI children first on a tree rooted at some vertex, a
+vertex's pivot is deg - y - sum of 1/p over its children, and by
+Sylvester's law of inertia A - yI is positive definite iff every pivot is
+positive (Jacobs & Trevisan, "Locating the eigenvalues of trees", Linear
+Algebra Appl. 434, 2011).  The slack covers the distance between the
+float lambda1 and the exact eigenvalues the pivots bound, and _PIVOT_GUARD
+the rounding of the pivots.  The count composes over a tree's centroid
+branches, as the enumeration composes the trees: one pass over the table
+per pass of the sweep gives every branch root's pivot at each key's y
+(_branch_pivots), and each tree adds its centroid's (_composed_above).  A
 key with no seed rules out nothing.  The others, the contenders, are
 named (enumeration._centre_sequence) and their lambda1 looked up or
 solved in one batch per chunk, so the trees named and solved do not
-depend on the chunking or on the order of the trees.  At the end of the
-pass a key's lambda_min is the least lambda1 of its contenders and its
-minimizers are the contenders within tol of it (a seed's lambda1 is
-exactly the one its contender reports).  A minimizer's code is looked up
-among the predicted trees'; only one no predicted tree covers, a
-MISMATCH, is read from its sequence.  So every reported float is the
-first_eigenpair value of a generator-labelled tree, and the certificates
-are those an eigensolve of every member gives, byte for byte.  A single
-key and a theorem sweep share this pass (_certify).
+depend on the chunking or on the order of the trees.  Per key, _certify
+adds up the populations its passes count and joins their contenders: its
+lambda_min is the least lambda1 of its contenders and its minimizers are
+the contenders within tol of it (a seed's lambda1 is exactly the one its
+contender reports).  A minimizer's code is looked up among the predicted
+trees'; only one no predicted tree covers, a MISMATCH, is read from its
+sequence.  So every reported float is the first_eigenpair value of a
+generator-labelled tree, and the certificates are those an eigensolve of
+every member gives, byte for byte.  A single key and a theorem sweep
+share this path.
 
 A sweep certifies all its orders below _SHARD_ORDER in one pass, where
 set-up costs more than the trees: one table, one _branch_pivots call over
@@ -89,13 +89,12 @@ shard i lists the trees of ranks i, i + W, i + 2W, ... of every unit
 (enumeration._chunks), so the shards partition the trees, split each unit
 evenly and agree without communicating.  A pool of W - 1 processes runs
 shards 1 to W - 1 of every pass while this process runs shard 0 of each;
-each shard returns the populations and contenders of its trees,
-computing its bounds and table from the seeds' lambda1 it is given, and
-the populations add up and the contenders join, pass after pass, in key
-order.  A sweep with no order that large starts no pool.  The trees
-named and solved do not depend on the chunking, the order of the rows or
-the orders a pass holds, and the minimizers are sorted by code, so the
-certificates are the serial sweep's, byte for byte, whatever jobs is.
+a shard is given its keys, their bounds and the predicted members'
+lambda1, and returns the populations and contenders of its trees.  A
+sweep with no order that large starts no pool.  The trees named and
+solved do not depend on the chunking, the order of the rows or the orders
+a pass holds, and the minimizers are sorted by code, so the certificates
+are the serial sweep's, byte for byte, whatever jobs is.
 """
 
 from __future__ import annotations
@@ -214,22 +213,26 @@ def _certify(keys: list[ClassKey], tol: float, workers: int = 1) -> list[Extrema
     """Certificates for feasible keys (so n >= 3; callers check the cap),
     all of one variant (else ValueError), listed by order, in that order.
 
-    The keys' predicted members are eigensolved in one _solve call.  The
-    orders below _SHARD_ORDER share one pass (_pass), and each larger order
-    has one of its own.  When workers > 1 and some order reaches
-    _SHARD_ORDER, every pass is split into workers shards: a pool of
-    workers - 1 processes runs shards 1 and up while this process runs
-    shard 0 of each pass."""
-    predictions, read, members = _predict(keys)
-    lam: dict[bytes, float] = {}
-    _solve(lam, [seq for seqs in members.values() for seq in seqs])
-    groups: dict[int, list[ClassKey]] = {}  # 0 for the orders below _SHARD_ORDER
-    for key in keys:
-        groups.setdefault(key.n if key.n >= _SHARD_ORDER else 0, []).append(key)
-    passes = [
-        (group, [[(lam[seq], seq) for seq in members[key]] for key in group], tol)
-        for group in groups.values()
+    A key's predicted members are its predicted trees of its order that
+    _key_table takes to it, and its bound is the least of their lambda1, or
+    inf, + tol + _FILTER_SLACK.  When workers > 1 and some order reaches
+    _SHARD_ORDER, this process runs shard 0 of every pass and a pool of
+    workers - 1 processes the other shards."""
+    key_of = _key_table(keys)
+    read = functools.cache(_read_sequence)  # so that no tree is read twice
+    predictions = [predicted_extremal(key) for key in keys]
+    members = [
+        [seq for seq in p.sequences if len(seq) == key.n and key_of(key.n, read(seq)[0]) == i]
+        for i, (key, p) in enumerate(zip(keys, predictions))
     ]
+    known: dict[bytes, float] = {}
+    _solve(known, [seq for seqs in members for seq in seqs])
+    seeds = [min((known[seq] for seq in seqs), default=math.inf) for seqs in members]
+    y = np.array(seeds) + tol + _FILTER_SLACK
+    groups: dict[int, list[int]] = {}  # key indices; 0 for the orders below _SHARD_ORDER
+    for i, key in enumerate(keys):
+        groups.setdefault(key.n if key.n >= _SHARD_ORDER else 0, []).append(i)
+    passes = [([keys[i] for i in group], y[group], known) for group in groups.values()]
     shards = workers if max(groups) >= _SHARD_ORDER else 1
     pool = contextlib.nullcontext()
     if shards > 1:
@@ -240,10 +243,16 @@ def _certify(keys: list[ClassKey], tol: float, workers: int = 1) -> list[Extrema
         ]
         ours = [_pass(*args, 0, shards) for args in passes]
         results = [[own, *(f.result() for f in fs)] for own, fs in zip(ours, futures)]
+    population = [0] * len(keys)
+    contenders: list[list[tuple[float, bytes]]] = [[] for _ in keys]
+    for group, result in zip(groups.values(), results):
+        for counts, lists in result:
+            for i, count, found in zip(group, counts, lists):
+                population[i] += count
+                contenders[i] += found
     return [
-        cert
-        for group, result in zip(groups.values(), results)
-        for cert in _certificates(group, result, predictions, read, tol)
+        _certificate(key, population[i], contenders[i], predictions[i], read, tol)
+        for i, key in enumerate(keys)
     ]
 
 
@@ -261,58 +270,26 @@ def _key_table(keys: list[ClassKey]) -> Callable[[object, tuple], np.ndarray]:
     return lambda n, mbD: key_id[(n, *_params(variant, n, *mbD[:3]))]
 
 
-def _predict(keys: list[ClassKey]) -> tuple[dict, Callable, dict]:
-    """The keys' predictions, a memo of _read_sequence, and each key's
-    predicted members: its predicted trees that have its order and that
-    _key_table takes to it, each by key.  Trees are named by their WROM
-    level sequences, the predicted ones as predicted_extremal gives them,
-    and the memo holds a sequence's (m, b, D) and canonical code, so that
-    no tree is read twice."""
-    key_of = _key_table(keys)
-    read = functools.cache(_read_sequence)
-    predictions = {key: predicted_extremal(key) for key in keys}
-    members = {
-        key: [
-            seq
-            for seq in predictions[key].sequences
-            if len(seq) == key.n and key_of(key.n, read(seq)[0]) == i
-        ]
-        for i, key in enumerate(keys)
-    }
-    return predictions, read, members
-
-
 def _pass(
-    keys: list[ClassKey],
-    members: list[list[tuple[float, bytes]]],
-    tol: float,
-    shard: int = 0,
-    shards: int = 1,
+    keys: list[ClassKey], y: np.ndarray, known: dict[bytes, float], shard: int, shards: int
 ) -> tuple[list[int], list[list[tuple[float, bytes]]]]:
     """The population and the contenders, (lambda1, sequence) pairs, of each
-    of keys, all of one variant, among the trees of the keys' orders that
-    shard of shards lists (enumeration._chunks); members[i] is key i's
-    predicted members, each with its lambda1.  It computes all else it
-    reads from its arguments, so a worker started by any method inherits
-    nothing.
+    of keys, all of one variant, among the trees of their orders that shard
+    of shards lists (enumeration._chunks).  y[i] is key i's bound and known
+    holds the lambda1 of trees already solved; the pass changes neither, and
+    a worker started by any method needs nothing else.
 
-    lam holds each named tree's lambda1, so that no tree is eigensolved
-    twice.  y[i] is key i's seed + tol + _FILTER_SLACK, the seed being the
-    least lambda1 of its predicted members, or inf, and it is fixed for the
-    pass.  The class minimum is at most the seed, so a tree _composed_above
-    shows to lie above y[i] is never within tol of the class minimum: it is
-    counted without being named or eigensolved, and one _branch_pivots call
-    over the table of the largest order serves every chunk; only ND keys
-    have a chunk's D composed.  Every other tree is a contender, so the
-    contenders within tol of their least lambda1 are the trees within tol
-    of the class minimum, by the same float comparison as a filter over the
-    whole class, however the trees are chunked or sharded.
+    A tree that _composed_above shows to lie above y[i] is counted without
+    being named or eigensolved; every other tree is a contender.  So when
+    y[i] is at least key i's class minimum + tol + _FILTER_SLACK, as a
+    seed's bound is, the contenders within tol of their least lambda1 are
+    the trees within tol of the class minimum, however the trees are chunked
+    or sharded.  One _branch_pivots call over the table of the largest order
+    serves every chunk, and only ND keys have a chunk's D composed.
     """
     orders = sorted({key.n for key in keys})
     key_of = _key_table(keys)
-    lam = {seq: value for pairs in members for value, seq in pairs}
-    seeds = [min((value for value, _ in pairs), default=math.inf) for pairs in members]
-    y = np.array(seeds) + tol + _FILTER_SLACK
+    lam = dict(known)  # a pool may still be pickling known for another shard
     table = _rooted(max(orders) // 2)
     pivot = _branch_pivots(table, y)
     population = np.zeros(len(keys), np.int64)
@@ -332,19 +309,6 @@ def _pass(
         for i, seq in named:
             contenders[i].append((lam[seq], seq))
     return population.tolist(), contenders
-
-
-def _certificates(
-    keys: list[ClassKey], passes: list, predictions: dict, read: Callable, tol: float
-) -> list[ExtremalCertificate]:
-    """The keys' certificates from the _pass results of the shards that
-    partition their trees: the populations add up and the contender lists
-    join, with predictions and read from _predict."""
-    populations, contenders = zip(*passes)
-    return [
-        _certificate(key, sum(counts), [c for shard in lists for c in shard], predictions[key], read, tol)
-        for key, counts, lists in zip(keys, zip(*populations), zip(*contenders))
-    ]
 
 
 def _solve(lam: dict[bytes, float], sequences: list[bytes]) -> None:
@@ -501,10 +465,13 @@ def verify_theorem_sweep(
     The sweep passes iff every certificate verdict is MATCH (or
     CONJECTURE-MATCH for conjectured classes).  An n_max below the
     theorem's smallest order raises EmptyClassError, so a sweep that checks
-    nothing cannot pass.  Bad tol and cap values raise as in verify_class.
+    nothing cannot pass.  Bad tol and cap values raise as in verify_class,
+    and jobs below 1 raises ValueError.
     """
     _check_tol(tol)
     _check_cap(n_max, cap)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     keys = theorem_keys(theorem, n_max)
     if not keys:
         first = theorem_keys(theorem, HARD_CAP)[0].n

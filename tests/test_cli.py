@@ -104,13 +104,14 @@ def test_cli_import_does_not_load_multiprocessing():
 
 _SPAWNED_SHARDS = """
 import multiprocessing
+import sys
 import fktrees.verify as verify
 from fktrees.io import dumps
 
 def lines(certs):
     return [dumps(verify.certificate_json(cert)) for cert in certs]
 
-multiprocessing.set_start_method("spawn")
+multiprocessing.set_start_method(sys.argv[1])
 serial = lines(verify.verify_theorem_sweep("T13", 10))
 verify._SHARD_ORDER, verify._usable_cpus = 3, lambda: 2
 sharded = lines(verify.verify_theorem_sweep("T13", 10, jobs=2))
@@ -118,11 +119,12 @@ print(sharded == serial, len(serial))
 """
 
 
-def test_shards_run_under_the_spawn_start_method():
-    # a spawned worker inherits nothing from the sweep: each shard gets its
-    # pass's keys and the lambda1 of their predicted members as arguments,
-    # and computes the orders, bounds and table from them alone
-    proc = _run_python("-c", _SPAWNED_SHARDS)
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_shards_run_under_the_spawn_start_method(method):
+    # a spawned or forkserver worker inherits nothing from the sweep: each
+    # shard gets its pass's keys, their bounds and the lambda1 of the
+    # predicted members as arguments, and computes its orders and table
+    proc = _run_python("-c", _SPAWNED_SHARDS, method)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True 24\n"
 
@@ -364,6 +366,13 @@ def test_transform_switch(tmp_path, capsys):
 def test_transform_bad_move_exits_2(capsys, p5_file):
     assert run(["transform", "--tree", p5_file, "--move", "warp 1 2"]) == 2
     assert run(["transform", "--tree", p5_file, "--move", "jump 1 3 2"]) == 2
+
+
+def test_transform_move_needs_a_kind_and_its_vertex_count(capsys, p5_file):
+    assert run(["transform", "--tree", p5_file, "--move", ""]) == 2
+    assert capsys.readouterr().err == "fktrees: error: empty --move\n"
+    assert run(["transform", "--tree", p5_file, "--move", "switch 1 2 3"]) == 2
+    assert capsys.readouterr().err == "fktrees: error: move 'switch' takes 4 vertex ids\n"
 
 
 def test_transform_precondition_message_prints_edges_as_pairs(capsys, p5_file):

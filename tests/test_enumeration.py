@@ -21,6 +21,7 @@ from fktrees import (
     ClassKey,
     EmptyClassError,
     EmptyInteriorError,
+    TooSmallError,
     build_comet,
     build_fork,
     build_T,
@@ -121,6 +122,11 @@ def test_edge_sets_past_21_levels_match_networkx():
     assert len(next(free_tree_edge_sets(511))) == 510
     with pytest.raises(CapExceededError):
         next(free_tree_edge_sets(512))
+
+
+def test_no_edge_sets_below_one_vertex():
+    with pytest.raises(TooSmallError, match="no trees on 0 vertices"):
+        next(free_tree_edge_sets(0))
 
 
 # SHA-256 of the level sequences of each order, one byte per level, as the
@@ -626,6 +632,13 @@ def test_key_parse_round_trip():
         ClassKey.parse("NM 3")
 
 
+def test_empty_key_text_is_refused():
+    with pytest.raises(ValueError, match="empty class key"):
+        ClassKey.parse("")
+    with pytest.raises(ValueError, match="empty class key"):
+        ClassKey.parse("  ")
+
+
 def test_key_takes_exactly_its_variants_parameters():
     with pytest.raises(ValueError, match="NM takes m, got none"):
         ClassKey("NM", 5)
@@ -647,6 +660,14 @@ def test_feasibility():
     assert not ClassKey("NK", 5, k=4).feasible()
     assert ClassKey("ND", 5, D=4).feasible()
     assert not ClassKey("ND", 5, D=5).feasible()
+
+
+def test_only_nmb_keys_have_a_t_and_no_key_below_three_vertices_is_feasible():
+    assert ClassKey("NMB", 8, m=3, b=3).t == 1
+    assert ClassKey("NM", 8, m=3).t is None
+    assert ClassKey("NK", 8, k=5).t is None
+    assert not ClassKey("NM", 2, m=1).feasible()
+    assert not ClassKey("ND", 2, D=1).feasible()
 
 
 # -- certificates -------------------------------------------------------------------
@@ -714,6 +735,15 @@ def test_tolerance_must_be_positive_and_finite(tol):
         verify_class(ClassKey("NM", 8, m=3), tol=tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         verify_theorem_sweep("T13", 8, tol=tol)
+
+
+@pytest.mark.parametrize("n_max", [12, 19])
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_must_be_at_least_one(jobs, n_max):
+    # below 1 a sweep past the shard order failed in the listing (0) or in
+    # the certificates (-1), and a smaller one ran serially
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        verify_theorem_sweep("T13", n_max, cap=19, jobs=jobs)
 
 
 def test_certificate_json_reproducible():
@@ -1265,6 +1295,27 @@ def test_sweep_solves_its_predicted_members_in_one_call(monkeypatch):
     assert all_match(certs)
     assert {len(seq) for seq in solved[0]} == set(range(3, 13))
     assert len(solved) > 1 and not any(solved[1:])
+
+
+def test_a_pass_filters_at_its_bounds_and_leaves_its_arguments_unchanged():
+    # a pool pickles a shard's arguments on a feeder thread while this
+    # process runs shard 0, so a pass must not add to the lambda1 it is
+    # given; at the seeds' bounds it names only the seeds, at inf every tree
+    keys = theorem_keys("T13", 8)
+    populations = [cert.population for cert in verify_theorem_sweep("T13", 8)]
+    seeds = [predicted_extremal(key).sequences[0] for key in keys]
+    known = {}
+    _solve(known, seeds)
+    seeded = dict(known)
+    bounds = np.array([known[seq] for seq in seeds]) + TIE_TOL + verify_module._FILTER_SLACK
+    frozen = bounds.copy()
+    population, contenders = verify_module._pass(keys, bounds, known, 0, 1)
+    assert population == populations
+    assert [[seq for _, seq in found] for found in contenders] == [[seq] for seq in seeds]
+    population, contenders = verify_module._pass(keys, np.full(len(keys), math.inf), known, 0, 1)
+    assert population == populations == list(map(len, contenders))
+    assert known == seeded and np.array_equal(bounds, frozen)
+    assert keys == theorem_keys("T13", 8)
 
 
 def test_sweep_below_the_shard_order_starts_no_pool(monkeypatch):

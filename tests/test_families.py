@@ -55,6 +55,21 @@ def test_T_invariants_grid():
                 assert inv.b == b
 
 
+def test_small_family_parameters_are_refused():
+    with pytest.raises(InvalidParametersError, match="star with interior needs n >= 3, got 2"):
+        build_star(2)
+    with pytest.raises(InvalidParametersError, match=r"star T\(0,1,b\) needs b >= 2"):
+        build_T(0, 1, 1)
+    for k, n in ((2, 9), (3, 4)):
+        with pytest.raises(
+            InvalidParametersError,
+            match=f"fork polynomial needs k >= 3, n >= 2k-1, got k={k}, n={n}",
+        ):
+            fork_char_poly(k, n)
+    with pytest.raises(InvalidParametersError, match="difference identity needs k >= 3, got 2"):
+        fork_poly_difference(2, 9, 0.5)
+
+
 def test_T_rejects_bad_parameters():
     for bad in [(-1, 2, 2), (1, 1, 3), (0, 3, 2), (2, 0, 2)]:
         with pytest.raises(InvalidParametersError):

@@ -13,6 +13,7 @@ from fktrees import (
     matching_number,
     maximum_matching,
 )
+from fktrees.matching import Matching
 from conftest import (
     brute_force_matching_number,
     brute_force_max_disjoint,
@@ -31,6 +32,13 @@ def test_family_matching_number_formula():
             for b in range(q, q + 4):
                 assert matching_number(build_T(p, q, b)) == q + p // 2
     assert matching_number(build_T(0, 1, 5)) == 1
+
+
+def test_a_matching_shares_no_vertex_and_uses_only_edges():
+    path = build_path(4)
+    assert Matching(((0, 1), (2, 3))).is_valid_for(path)
+    assert not Matching(((0, 1), (1, 2))).is_valid_for(path)
+    assert not Matching(((0, 2),)).is_valid_for(path)
 
 
 def test_matching_agrees_with_subset_brute_force_small():

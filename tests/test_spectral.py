@@ -245,6 +245,14 @@ def test_bounds_sandwich_small_trees():
         eigenvalue_bounds(t)
 
 
+def test_a_path_and_bounds_need_three_vertices():
+    with pytest.raises(TooSmallError, match="path with interior needs >= 3 vertices, got 2"):
+        build_path(2)
+    # an edge with boundary {0} has an interior, but no proven lower bound
+    with pytest.raises(TooSmallError, match="bounds need n >= 3"):
+        eigenvalue_bounds(from_edge_list(2, [(0, 1)], [0]))
+
+
 def test_bounds_hold_with_extra_boundary_vertices():
     # demoting non-leaves to the boundary keeps every leaf there, and only
     # raises lambda1, so the sandwich still holds
