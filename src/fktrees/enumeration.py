@@ -32,9 +32,10 @@ tuple of entry indices, and a unit's trees come in chunks of at most
 _CHUNK rows (_unit_chunks), so memory does not grow with the order.  One
 rule gives the invariants of a root over its branches, for a table entry
 and a centroid alike (_root_over): sums, maxima and gathers over the
-table, with no Python step per tree.  Its costly half, the span (D and
-height), is composed only when asked for: the table always asks, and
-the sweep only for ND keys.  A tree is named by the level
+table, with no Python step per tree.  It composes only what the
+parameters it is given (of _PARAMS) read: m and free for m, b for b or
+k, D and height for D.  The table asks for all three, and a pass of the
+sweep for its variant's own.  A tree is named by the level
 sequence WROM yields for it, a canonical form of its isomorphism class, so
 it is the tree free_trees yields: from the canonical sequences of the
 branches at any vertex, a walk to the centre finds it, with no tree built
@@ -327,7 +328,7 @@ def _rooted(size: int) -> _Rooted:
     children = np.concatenate(
         [np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=-1) for rows in units]
     )
-    stats = [_root_over(prev, rows) for rows in units]
+    stats = [_root_over(prev, rows, ("m", "b", "D")) for rows in units]
     sequences = tuple(
         _root_sequence(prev.sequences[i] for i in row) for rows in units for row in rows.tolist()
     )
@@ -340,28 +341,31 @@ def _rooted(size: int) -> _Rooted:
     )
 
 
-def _root_over(table: _Rooted, rows: np.ndarray, span: bool = True) -> tuple:
+def _root_over(table: _Rooted, rows: np.ndarray, params: Iterable[str]) -> tuple:
     """(m, b, D, free, height) of a root over each row of entries, one or
-    more per row.  The root, matched last, takes a branch root the greedy
-    matching left free (each vertex, children first, matched to its parent
-    when both are free: optimal in any children-first order), so m = sum
-    m_i + [some root is free], and the root is left free when none is;
-    b = sum b_i; the height is the tallest branch's + 1; and D is the
-    largest D_i or the longest path through the root, which joins the two
-    tallest branches there, or with one branch ends there.  D and height,
-    the span, cost about half of the rule: without span they are not
-    composed, and both are None."""
-    matched = table.free[rows].any(axis=1)
-    m, b = table.m[rows].sum(axis=1) + matched, table.b[rows].sum(axis=1)
-    if not span:
-        return m, b, None, ~matched, None
-    heights = table.height[rows]
-    taller = np.maximum.accumulate(heights, axis=1)
-    height = taller[:, -1] + 1
-    # the two tallest: the largest h_i + max(h_j, j < i), -1 with one branch
-    pair = (heights[:, 1:] + taller[:, :-1]).max(axis=1, initial=-1)
-    D = np.maximum(table.D[rows].max(axis=1), np.maximum(pair + 2, height))
-    return m, b, D, ~matched, height
+    more per row, composed only as far as the parameters params (of
+    _PARAMS) read them: m and free for m, b for b or k, D and height for
+    D, and None for the rest.  The root, matched last, takes a branch root
+    the greedy matching left free (each vertex, children first, matched to
+    its parent when both are free: optimal in any children-first order),
+    so m = sum m_i + [some root is free], and the root is left free when
+    none is; b = sum b_i; the height is the tallest branch's + 1; and D is
+    the largest D_i or the longest path through the root, which joins the
+    two tallest branches there, or with one branch ends there."""
+    m = b = D = free = height = None
+    if "m" in params:
+        matched = table.free[rows].any(axis=1)
+        m, free = table.m[rows].sum(axis=1) + matched, ~matched
+    if "b" in params or "k" in params:
+        b = table.b[rows].sum(axis=1)
+    if "D" in params:
+        heights = table.height[rows]
+        taller = np.maximum.accumulate(heights, axis=1)
+        height = taller[:, -1] + 1
+        # the two tallest: the largest h_i + max(h_j, j < i), -1 with one branch
+        pair = (heights[:, 1:] + taller[:, :-1]).max(axis=1, initial=-1)
+        D = np.maximum(table.D[rows].max(axis=1), np.maximum(pair + 2, height))
+    return m, b, D, free, height
 
 
 @functools.cache
@@ -582,8 +586,9 @@ class ClassKey:
 def _params(variant: str, n: int, m, b, D) -> tuple:
     """The parameters of variant, in _PARAMS order, of a tree on n vertices
     with leaf boundary, matching number m, b leaves and diameter D, or of
-    arrays of such trees: the one place that says an NK key's k is n - b."""
-    return tuple({"m": m, "b": b, "k": n - b, "D": D}[p] for p in _PARAMS[variant])
+    arrays of such trees: the one place that says an NK key's k is n - b.
+    Only the variant's own are read, so the others may be None."""
+    return tuple(n - b if p == "k" else {"m": m, "b": b, "D": D}[p] for p in _PARAMS[variant])
 
 
 def _keys(n: int, m: int, b: int, D: int) -> list[ClassKey]:

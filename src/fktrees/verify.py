@@ -20,13 +20,14 @@ enumeration._CHUNK trees at a time.  The table of the pass's largest
 order extends every smaller order's, so a row of any of its orders reads
 the same there, and rows of equal width from different orders share
 chunks.  The rule of a root over its branches (enumeration._root_over),
-as sums and gathers over the table, gives every tree's matching number
-and leaf count, and its diameter only for ND keys, the one variant that
-reads it.  A table of key ids with an axis for the order and one per
-parameter of the variant, filled from the keys' own fields before the
-first chunk, names the one key each tree may have from its order and the
-parameters enumeration._params gives its invariants, and np.bincount
-counts the populations.
+as sums and gathers over the table, gives every tree the invariants the
+parameters of the pass's variant read (enumeration._PARAMS) and no
+other: the matching number for NM, it and the leaf count for NMB, the
+leaf count for NK and the diameter for ND.  A table of key ids with an
+axis for the order and one per parameter of the variant, filled from the
+keys' own fields before the first chunk, names the one key each tree may
+have from its order and the parameters enumeration._params gives its
+invariants, and np.bincount counts the populations.
 
 Trees are named by their WROM level sequences, a canonical form of the
 isomorphism class, with no tree built, each by the walk from the branches
@@ -156,10 +157,14 @@ _PIVOT_GUARD = 1e-9
 # larger order in a pass of its own.  With jobs > 1 and some order that
 # large, every pass is split into W shards: this process runs shard 0 of
 # each and a pool of W - 1 workers the rest.  With no order that large it
-# starts no pool: below it, starting a pool and splitting cost more than they
-# save, and on 2 CPUs with the fork start method order 19 is the first where
-# the 2-worker shard, pool start included, beats the serial pass for all four
-# theorems.  The threshold was measured under fork only.  Under spawn (the
+# starts no pool.  On 2 CPUs with the fork start method, the 2-worker shard,
+# pool start included, beats the serial pass for all four theorems at 19: in
+# process on a 2-vCPU AMD EPYC with Python 3.11.7, medians of 12 alternating
+# runs, --jobs 2 against --jobs 1 to n = 19 took 44 against 56 ms for T13,
+# 59 against 75 for T14, 42 against 52 for Kloburstel and 39 against 54 for
+# D4.  With the threshold patched to 18, --jobs 2 to n = 18 saved 5-13%, 1.4
+# to 3.6 ms, too little to pay for a worker that starts by spawn or
+# forkserver.  The threshold was measured under fork only.  Under spawn (the
 # default on macOS and Windows) or forkserver (Python 3.14's default on
 # Linux) the worker imports numpy and fktrees before its first shard: in
 # process on a 2-vCPU Xeon with Python 3.11, T13 to n = 20 with --jobs 2
@@ -285,7 +290,8 @@ def _pass(
     seed's bound is, the contenders within tol of their least lambda1 are
     the trees within tol of the class minimum, however the trees are chunked
     or sharded.  One _branch_pivots call over the table of the largest order
-    serves every chunk, and only ND keys have a chunk's D composed.
+    serves every chunk, and a chunk has composed only the invariants the
+    parameters of the keys' variant read (_PARAMS).
     """
     orders = sorted({key.n for key in keys})
     key_of = _key_table(keys)
@@ -294,9 +300,8 @@ def _pass(
     pivot = _branch_pivots(table, y)
     population = np.zeros(len(keys), np.int64)
     contenders: list[list[tuple[float, bytes]]] = [[] for _ in keys]
-    span = keys[0].variant == "ND"
     for branches, n in _chunks(table, orders, shard, shards):
-        kid = key_of(n, _root_over(table, branches, span=span))
+        kid = key_of(n, _root_over(table, branches, _PARAMS[keys[0].variant]))
         rows = np.flatnonzero(kid >= 0)
         branches, kid = branches[rows], kid[rows]
         population += np.bincount(kid, minlength=len(keys))

@@ -627,12 +627,34 @@ def test_verify_bytes_match_golden_across_block_boundaries(capsys, monkeypatch, 
             "4d59b1a2add8463dc74de16de75cef98b914e46f945c011752584280456988a4",
             id="D4-n20",
         ),
+        pytest.param(
+            ["--theorem", "T13", "--n-max", "20", "--cap", "20", "--jobs", "2"],
+            "c16770952ee294458d9b0c54810650b3857e11c0d76b8a1f5bb510819375fbc4",
+            id="T13-n20-jobs2",
+        ),
+        pytest.param(
+            ["--theorem", "T14", "--n-max", "20", "--cap", "20", "--jobs", "2"],
+            "3dd185db2ebf56e0a6deb856f9c7f9fcdcc1f5663babbeba46d5236889930807",
+            id="T14-n20-jobs2",
+        ),
+        pytest.param(
+            ["--theorem", "Kloburstel", "--n-max", "20", "--cap", "20", "--jobs", "2"],
+            "3bfcb8af88be6db79a785130a1696461bb5099f9a4b341296d8baac86fde072b",
+            id="Kloburstel-n20-jobs2",
+        ),
+        pytest.param(
+            ["--theorem", "D4", "--n-max", "20", "--cap", "20", "--jobs", "2"],
+            "4d59b1a2add8463dc74de16de75cef98b914e46f945c011752584280456988a4",
+            id="D4-n20-jobs2",
+        ),
     ],
 )
 def test_verify_bytes_pinned_past_the_golden_orders(capsys, argv, digest):
     # SHA-256 of the stdout of `fktrees verify ARGV`: the certificate bytes
     # of the orders past 11, many chunks each, where the pivot filter rules
-    # out almost every tree
+    # out almost every tree.  With --jobs 2 and two usable CPUs, orders 19
+    # and 20 reach _SHARD_ORDER, so a real process pool, under the
+    # platform's start method, shards them, and the bytes are the serial ones
     code, out = run_capture(capsys, ["verify", *argv])
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

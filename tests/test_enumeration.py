@@ -150,8 +150,12 @@ def test_level_sequence_stream_pinned_beyond_networkx_range(n):
 # free trees per order, OEIS A000055
 _A000055 = [
     1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
-    48629, 123867, 317955, 823065,
+    48629, 123867, 317955, 823065, 2144505, 5623756, 14828074, 39299897,
 ]
+
+
+# the parameters that make _root_over compose every invariant
+_ALL = ("m", "b", "D")
 
 
 def _entry_sizes(table):
@@ -239,6 +243,56 @@ def test_composed_counts_are_the_free_tree_counts():
         assert count == _A000055[n], n
 
 
+def test_decomposition_counts_are_the_free_tree_counts():
+    # what _chunks lists, counted without listing it: a unit of groups
+    # (s, r) holds, per group, the multisets of r entries of size s, and
+    # even n adds the unordered pairs of halves of n/2 vertices
+    table = _rooted(12)
+    for n in range(3, len(_A000055)):
+        count = sum(
+            math.prod(math.comb(table.count(s) + r - 1, r) for s, r in groups)
+            for groups in enumeration_module._by_parts(n - 1, (n - 1) // 2)
+        )
+        if n % 2 == 0:
+            count += math.comb(table.count(n // 2) + 1, 2)
+        assert count == _A000055[n], n
+
+
+def test_root_over_composes_what_its_parameters_read():
+    # any subset of the parameters gives the full rule's arrays for the
+    # invariants they read (m and free for m, b for b or k, D and height for
+    # D) and None for the rest: on every chunk row of orders 3..14, and on
+    # every entry of a table composed from its children, where the full
+    # rule gives the table's own columns
+    table = _rooted(7)
+    names = ("m", "b", "D", "free", "height")
+    entries = []  # (children, indices) of the entries of one size and child count
+    for s in range(2, table.size + 1):
+        children = table.children[s]
+        width = (children >= 0).sum(axis=1)
+        for w in np.unique(width):
+            at = np.flatnonzero(width == w)
+            entries.append((children[at, :w], table.start[s] + at))
+    for rows, at in entries:
+        for name, want in zip(names, _root_over(table, rows, _ALL)):
+            assert np.array_equal(want, getattr(table, name)[at]), name
+    blocks = [branches for branches, _ in _chunks(table, range(3, 15))]
+    blocks += [rows for rows, _ in entries]
+    assert sum(map(len, blocks)) == sum(_A000055[3:15]) + len(table.sequences) - 1
+    reads = {"m": ("m", "free"), "b": ("b",), "k": ("b",), "D": ("D", "height")}
+    for rows in blocks:
+        full = _root_over(table, rows, _ALL)
+        for r in range(len(reads) + 1):
+            for params in itertools.combinations(reads, r):
+                read = {name for p in params for name in reads[p]}
+                got = _root_over(table, rows, params)
+                for name, want, x in zip(names, full, got):
+                    if name in read:
+                        assert np.array_equal(x, want), (params, name)
+                    else:
+                        assert x is None, (params, name)
+
+
 def test_two_centroid_rows_are_the_pairs_of_halves():
     # for every even order, the rows that end in a half of n/2 vertices are
     # the pairs a >= b of entries of that size, each once, rooted at a's
@@ -253,7 +307,7 @@ def test_two_centroid_rows_are_the_pairs_of_halves():
         for branches, _ in _chunks(table, [n]):
             rows = np.flatnonzero(branches[:, -1] >= lo)
             pairs += [(first[tuple(row[:-1])], row[-1]) for row in branches[rows].tolist()]
-            got += zip(*(x[rows].tolist() for x in _root_over(table, branches)[:3]))
+            got += zip(*(x[rows].tolist() for x in _root_over(table, branches, _ALL)[:3]))
         c = hi - lo
         assert len(pairs) == math.comb(c + 1, 2), n
         assert sorted(pairs) == [(a, b) for a in range(lo, hi) for b in range(lo, a + 1)]
@@ -334,7 +388,7 @@ def test_composed_trees_agree_with_free_trees_and_reference_keys():
         table = _rooted(n // 2)
         composed = []
         for branches, _ in _chunks(table, [n]):
-            invariants_ = zip(*(a.tolist() for a in _root_over(table, branches)[:3]))
+            invariants_ = zip(*(a.tolist() for a in _root_over(table, branches, _ALL)[:3]))
             for row, (m, b, D) in zip(branches.tolist(), invariants_):
                 seq = _centre_sequence([table.sequences[e] for e in row])
                 tree = from_edge_list(n, _sequence_edges(seq))
@@ -368,7 +422,7 @@ def test_composed_sample_at_hard_cap_agrees_with_reference_keys():
         full += len(branches) == _CHUNK
         rows = np.arange(-seen % stride, len(branches), stride)
         seen += len(branches)
-        m, b, D = (a[rows].tolist() for a in _root_over(table, branches)[:3])
+        m, b, D = (a[rows].tolist() for a in _root_over(table, branches, _ALL)[:3])
         for r, row in enumerate(branches[rows].tolist()):
             seq = _centre_sequence([table.sequences[e] for e in row])
             tree = from_edge_list(n, _sequence_edges(seq))
@@ -1145,9 +1199,9 @@ def test_only_diameter_keys_compose_a_diameter(monkeypatch, theorem):
     # them for every chunk row of D4 and for none of T13, T14 or Kloburstel
     composed = []
 
-    def root_over(*args, **kwargs):
-        m, b, D, free, height = _root_over(*args, **kwargs)
-        composed.append((D is not None, height is not None, len(m)))
+    def root_over(table, rows, params):
+        m, b, D, free, height = _root_over(table, rows, params)
+        composed.append((D is not None, height is not None, len(rows)))
         return m, b, D, free, height
 
     monkeypatch.setattr(verify_module, "_root_over", root_over)
@@ -1157,6 +1211,27 @@ def test_only_diameter_keys_compose_a_diameter(monkeypatch, theorem):
     # every tree of every order the sweep covers went through the spy
     orders = {cert.key.n for cert in certs}
     assert sum(rows for *_, rows in composed) == sum(_A000055[n] for n in orders)
+
+
+@pytest.mark.parametrize(
+    "theorem, invariants",
+    [("T13", {"m"}), ("T14", {"m", "b"}), ("Kloburstel", {"b"}), ("D4", {"D"})],
+)
+def test_each_pass_composes_exactly_its_variants_invariants(monkeypatch, theorem, invariants):
+    # a pass composes, for every tree of a sweep to n = 12, the invariants
+    # of (m, b, D) its variant's keys read and no other: k is n - b
+    composed = []
+
+    def root_over(table, rows, params):
+        out = _root_over(table, rows, params)
+        composed.append(({name for name, x in zip("mbD", out) if x is not None}, len(rows)))
+        return out
+
+    monkeypatch.setattr(verify_module, "_root_over", root_over)
+    certs = verify_theorem_sweep(theorem, 12)
+    assert all(got == invariants for got, _ in composed), theorem
+    orders = {cert.key.n for cert in certs}
+    assert sum(rows for _, rows in composed) == sum(_A000055[n] for n in orders)
 
 
 class _RecordingPool:
